@@ -1,42 +1,46 @@
-"""ATPG flow benchmark — end-to-end `run_atpg` vectors/sec per backend.
+"""ATPG benchmark — PODEM engines head to head, then the `run_atpg` flow.
 
 Runs the Table-3 scan workload (tiny Rescue core, full-scan, collapsed
-stuck-at universe) end to end with both engine pairs:
+stuck-at universe):
 
-- ``word``   — bit-packed fault simulation + compiled event-driven PODEM
-  (:class:`repro.atpg.podem_compiled.CompiledPodem`: undo trail, SCOAP
-  guidance, X-path pruning) with batched fault dropping,
-- ``legacy`` — the reference :class:`repro.atpg.podem.Podem` (full
-  3-valued resimulation per decision) + reference flow bookkeeping.
+- the deterministic phase's targets (the faults the random phase leaves)
+  go through both PODEM engines standalone: ``word`` — the program's
+  :class:`repro.atpg.podem_compiled.CompiledPodem` (undo trail, SCOAP
+  guidance, X-path pruning) — and ``legacy`` — the reference
+  :class:`tests.oracles.Podem` (full 3-valued resimulation per
+  decision), kept as a test oracle;
+- the program's ATPG flow (:func:`repro.atpg.flow.run_atpg`: bit-packed
+  fault simulation, compiled PODEM, batched fault dropping) then runs end
+  to end.
 
 **Hard-tail exclusion.**  A handful of faults need >10^5 backtracks to
 resolve under *any* PODEM (redundancy proofs are exponential in the
 worst case), so no finite backtrack budget yields an abort-free run of
-the raw universe.  The bench therefore pre-screens the deterministic
-phase's targets standalone under *both* engines and excludes any fault
-either engine aborts on — a backend-neutral filter, recorded in the JSON
-(``n_excluded_hard``).  On the filtered workload every targeted fault
-provably resolves, so both backends finish with zero aborts and the
-detected/untestable/aborted statistics must be **bit-identical** (PODEM
-verdicts are per-fault deterministic; untestable faults are never
-collaterally dropped).  That equivalence is asserted before any number
-is reported.
+the raw universe.  The standalone screen excludes any fault either
+engine aborts on — an engine-neutral filter, recorded in the JSON
+(``n_excluded_hard``).  On the filtered workload the two engines'
+verdicts must be identical, and since an untestable fault can never be
+dropped collaterally, the flow's untestable count must equal the
+reference's and every other fault must be detected.  That is asserted
+before any number is reported.
 
-Results go to ``BENCH_atpg.json`` at the repo root: per-backend wall
-time, vectors/sec, backtracks, and the word/legacy speedup.
+Results go to ``BENCH_atpg.json`` at the repo root: per-engine screen
+time and backtracks, their speedup, and the flow's wall time,
+vectors/sec and statistics.
 
 Command line:
 
 ```
 python benchmarks/bench_atpg.py           # measure + write JSON (minutes:
-                                          # the legacy run dominates)
+                                          # the reference screen dominates)
 python benchmarks/bench_atpg.py --check   # fast equivalence gate (CI)
 ```
 
-``--check`` asserts legacy/compiled verdict agreement on random circuits
-and a sampled slice of the Rescue workload, plus batched-vs-per-pattern
-dropping equivalence, and exits nonzero on any mismatch without touching
-the JSON.
+``--check`` asserts reference/compiled verdict agreement on random
+circuits and a sampled slice of the Rescue workload, that `run_atpg`
+statistics follow from the reference verdicts, plus
+batched-vs-per-pattern dropping equivalence, and exits nonzero on any
+mismatch without touching the JSON.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ import numpy as np
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:  # script mode: make src/ importable
     sys.path.insert(0, str(_REPO_ROOT / "src"))
+if str(_REPO_ROOT) not in sys.path:  # the reference PODEM is in tests/
+    sys.path.insert(0, str(_REPO_ROOT))
 
 RESULT_PATH = _REPO_ROOT / "BENCH_atpg.json"
 
@@ -80,9 +86,9 @@ def _random_survivors(netlist, faults, seed, batch_size=64,
     """Faults the flow's random phase leaves for PODEM (replicates the
     random phase of :func:`run_atpg` with its default knobs)."""
     from repro.atpg.faultsim import grade_faults
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
 
-    sim = make_simulator(netlist, "word")
+    sim = PackedWordSimulator(netlist)
     rng = np.random.default_rng(seed)
     remaining = list(faults)
     for _ in range(max_random_batches):
@@ -110,81 +116,72 @@ def _flow_stats(result):
 
 def measure(seed: int = SEED,
             backtrack_limit: int = BACKTRACK_LIMIT) -> dict:
-    """Time both backends end to end on the Table-3 scan workload."""
+    """Screen both PODEM engines, then time the flow end to end."""
     from repro.atpg.flow import run_atpg
-    from repro.atpg.faultsim import grade_faults
-    from repro.atpg.podem import Podem
     from repro.atpg.podem_compiled import CompiledPodem
     from repro.telemetry import TELEMETRY
+    from tests.oracles import Podem
 
     netlist = _build_netlist()
     faults = _fault_list(netlist)
     survivors = _random_survivors(netlist, faults, seed)
     print(f"{len(faults)} collapsed faults, {len(survivors)} survive the "
-          f"random phase; screening the hard tail...", flush=True)
+          f"random phase; screening with both PODEM engines...", flush=True)
 
-    # Backend-neutral hard-tail screen: standalone PODEM per survivor
+    # Engine-neutral hard-tail screen: standalone PODEM per survivor
     # under both engines; exclude faults either engine aborts on.
-    screen_times = {}
-    aborted = set()
+    engines = {}
+    verdicts = {}
     for name, engine in (
         ("word", CompiledPodem(netlist, backtrack_limit=backtrack_limit)),
         ("legacy", Podem(netlist, backtrack_limit=backtrack_limit)),
     ):
+        backtracks = 0
         t0 = time.perf_counter()
         for fault in survivors:
-            if engine.generate(fault).status == "aborted":
-                aborted.add(fault)
-        screen_times[name] = time.perf_counter() - t0
-        print(f"  screened with {name} in {screen_times[name]:.1f}s "
-              f"({len(aborted)} hard so far)", flush=True)
+            result = engine.generate(fault)
+            verdicts.setdefault(fault, {})[name] = result.status
+            backtracks += result.backtracks
+        elapsed = time.perf_counter() - t0
+        engines[name] = {"screen_seconds": round(elapsed, 2),
+                         "backtracks": backtracks}
+        print(f"  screened with {name} in {elapsed:.1f}s", flush=True)
+    aborted = {f for f, v in verdicts.items() if "aborted" in v.values()}
+    for fault, v in verdicts.items():
+        if fault not in aborted:
+            assert v["word"] == v["legacy"], (
+                f"{fault.describe()}: word={v['word']} "
+                f"legacy={v['legacy']}"
+            )
+    n_untestable = sum(
+        v["legacy"] == "untestable"
+        for f, v in verdicts.items() if f not in aborted
+    )
     bench_faults = [f for f in faults if f not in aborted]
 
-    backends = {}
-    results = {}
-    for name in ("word", "legacy"):
-        TELEMETRY.enable()
-        try:
-            with TELEMETRY.collect() as metrics:
-                t0 = time.perf_counter()
-                results[name] = run_atpg(
-                    netlist,
-                    faults=bench_faults,
-                    seed=seed,
-                    backtrack_limit=backtrack_limit,
-                    backend=name,
-                )
-                elapsed = time.perf_counter() - t0
-        finally:
-            TELEMETRY.disable()
-            TELEMETRY.reset()
-        counters = metrics.counters
-        res = results[name]
-        backends[name] = {
-            "run_seconds": round(elapsed, 2),
-            "vectors_per_sec": round(res.n_vectors / elapsed, 2),
-            "podem_targets": counters.get("podem.targets", 0),
-            "podem_backtracks": counters.get("podem.backtracks", 0),
-            "podem_cone_evals": counters.get("podem.cone_evals", 0),
-            "podem_xpath_prunes": counters.get("podem.xpath_prunes", 0),
-            **_flow_stats(res),
-        }
-        print(f"  {name}: {elapsed:.1f}s, {res.summary()}", flush=True)
-
-    w, l = results["word"], results["legacy"]
-    for field in ("n_detected", "n_untestable", "n_aborted",
-                  "n_collapsed_faults"):
-        assert getattr(w, field) == getattr(l, field), (
-            f"{field} differs: word={getattr(w, field)} "
-            f"legacy={getattr(l, field)}"
-        )
-    assert w.n_aborted == 0, "hard-tail screen missed an aborting fault"
-    g_w = grade_faults(netlist, bench_faults, w.patterns)
-    g_l = grade_faults(netlist, bench_faults, l.patterns)
-    assert set(g_w.detected) == set(g_l.detected), (
-        "pattern sets cover different fault sets"
+    TELEMETRY.enable()
+    try:
+        with TELEMETRY.collect() as metrics:
+            t0 = time.perf_counter()
+            result = run_atpg(
+                netlist,
+                faults=bench_faults,
+                seed=seed,
+                backtrack_limit=backtrack_limit,
+            )
+            elapsed = time.perf_counter() - t0
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+    print(f"  run_atpg: {elapsed:.1f}s, {result.summary()}", flush=True)
+    assert result.n_aborted == 0, "hard-tail screen missed an aborting fault"
+    assert result.n_untestable == n_untestable, (
+        f"flow proved {result.n_untestable} untestable, the reference "
+        f"{n_untestable}"
     )
+    assert result.n_detected == len(bench_faults) - n_untestable
 
+    counters = metrics.counters
     return {
         "workload": "table3-tiny-rescue-scan",
         "netlist": netlist.stats(),
@@ -193,22 +190,31 @@ def measure(seed: int = SEED,
         "n_random_survivors": len(survivors),
         "n_excluded_hard": len(aborted),
         "n_bench_faults": len(bench_faults),
-        "backends": backends,
+        "podem_screen": engines,
         "speedup_word_over_legacy": round(
-            backends["legacy"]["run_seconds"]
-            / backends["word"]["run_seconds"], 2
+            engines["legacy"]["screen_seconds"]
+            / engines["word"]["screen_seconds"], 2
         ),
-        "agreement": "bit-identical detected/untestable/aborted; "
-                     "identical graded detected sets",
+        "run_atpg": {
+            "run_seconds": round(elapsed, 2),
+            "vectors_per_sec": round(result.n_vectors / elapsed, 2),
+            "podem_targets": counters.get("podem.targets", 0),
+            "podem_backtracks": counters.get("podem.backtracks", 0),
+            "podem_cone_evals": counters.get("podem.cone_evals", 0),
+            "podem_xpath_prunes": counters.get("podem.xpath_prunes", 0),
+            **_flow_stats(result),
+        },
+        "agreement": "identical standalone verdicts; flow untestable "
+                     "count equals the reference's",
     }
 
 
 def check(seed: int = SEED) -> None:
-    """Pre-merge gate: legacy/compiled PODEM equivalence, fast.
+    """Pre-merge gate: reference/compiled PODEM equivalence, fast.
 
     1. Random circuits: per-fault verdicts agree at a no-abort budget,
        every compiled pattern detects its target, and `run_atpg`
-       statistics are bit-identical across backends.
+       statistics equal the counts of the reference verdicts.
     2. Batched (`drop_batch=64`) vs per-pattern (`drop_batch=1`)
        dropping covers the same fault set.
     3. Rescue workload slice: standalone verdicts agree on a fault
@@ -218,10 +224,10 @@ def check(seed: int = SEED) -> None:
     from repro.atpg.faults import full_fault_universe
     from repro.atpg.faultsim import grade_faults
     from repro.atpg.flow import run_atpg
-    from repro.atpg.podem import Podem
     from repro.atpg.podem_compiled import CompiledPodem
     from repro.netlist import GateType, Netlist
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
+    from tests.oracles import Podem
 
     kinds = [GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
              GateType.NOR, GateType.NOT, GateType.MUX2]
@@ -242,10 +248,11 @@ def check(seed: int = SEED) -> None:
     n_verdicts = 0
     for cseed in range(8):
         nl = circuit(cseed)
-        sim = make_simulator(nl, "word")
+        sim = PackedWordSimulator(nl)
         legacy = Podem(nl, backtrack_limit=5_000)
         compiled = CompiledPodem(nl, backtrack_limit=5_000)
         targets = collapse_faults(nl, full_fault_universe(nl))
+        n_untestable = 0
         for fault in targets:
             r_l = legacy.generate(fault)
             r_c = compiled.generate(fault)
@@ -254,6 +261,7 @@ def check(seed: int = SEED) -> None:
                 f"legacy={r_l.status} compiled={r_c.status}"
             )
             n_verdicts += 1
+            n_untestable += r_l.status == "untestable"
             if r_c.status == "detected":
                 row = np.zeros((1, sim.n_sources), dtype=bool)
                 for net, val in r_c.pattern.items():
@@ -263,14 +271,12 @@ def check(seed: int = SEED) -> None:
                     f"seed {cseed}: compiled pattern misses "
                     f"{fault.describe()}"
                 )
-        res_w = run_atpg(nl, seed=3, backtrack_limit=5_000, backend="word")
-        res_l = run_atpg(nl, seed=3, backtrack_limit=5_000,
-                         backend="legacy")
-        assert _flow_stats(res_w)["n_detected"] == (
-            _flow_stats(res_l)["n_detected"]
+        res = run_atpg(nl, seed=3, backtrack_limit=5_000)
+        assert res.n_aborted == 0
+        assert res.n_untestable == n_untestable, (
+            f"seed {cseed}: flow untestable count differs from reference"
         )
-        assert res_w.n_untestable == res_l.n_untestable
-        assert res_w.n_aborted == 0 and res_l.n_aborted == 0
+        assert res.n_detected == len(targets) - n_untestable
         res_b = run_atpg(nl, seed=3, backtrack_limit=5_000, drop_batch=64)
         res_p = run_atpg(nl, seed=3, backtrack_limit=5_000, drop_batch=1)
         g_b = grade_faults(nl, targets, res_b.patterns)
@@ -298,27 +304,28 @@ def check(seed: int = SEED) -> None:
     print(
         f"check OK: {n_verdicts} random-circuit verdicts, 8 flow stat "
         f"comparisons and batched-dropping checks, {agreed} Rescue "
-        f"verdicts bit-identical across backends ({skipped} abort-"
+        f"verdicts identical to the reference PODEM ({skipped} abort-"
         f"budget skips)"
     )
 
 
 def _print_result(data: dict) -> None:
-    print(f"\n=== ATPG flow: {data['workload']} "
+    print(f"\n=== ATPG: {data['workload']} "
           f"({data['netlist']['gates']} gates, "
           f"{data['netlist']['flops']} flops) ===")
-    print(f"{data['n_bench_faults']} bench faults "
-          f"({data['n_excluded_hard']} hard-tail excluded of "
-          f"{data['n_collapsed_faults']} collapsed), backtrack limit "
-          f"{data['backtrack_limit']}")
-    for name, row in data["backends"].items():
-        print(f"  {name:>7}: {row['run_seconds']:8.2f} s   "
-              f"{row['n_vectors']} vectors "
-              f"({row['vectors_per_sec']:.2f}/s), "
-              f"{row['podem_backtracks']} backtracks, "
-              f"coverage {100 * row['coverage']:.2f}%")
+    print(f"{data['n_random_survivors']} PODEM targets screened "
+          f"({data['n_excluded_hard']} hard-tail excluded), backtrack "
+          f"limit {data['backtrack_limit']}")
+    for name, row in data["podem_screen"].items():
+        print(f"  {name:>7}: {row['screen_seconds']:8.2f} s   "
+              f"{row['backtracks']} backtracks")
     print(f"  speedup: {data['speedup_word_over_legacy']}x "
           f"({data['agreement']})")
+    row = data["run_atpg"]
+    print(f"run_atpg on {data['n_bench_faults']} bench faults: "
+          f"{row['run_seconds']:.2f} s, {row['n_vectors']} vectors "
+          f"({row['vectors_per_sec']:.2f}/s), coverage "
+          f"{100 * row['coverage']:.2f}%")
 
 
 def main(argv=None) -> int:
@@ -344,7 +351,7 @@ def main(argv=None) -> int:
 # ----------------------------------------------------------------------
 # pytest entry point (pre-merge gate; cheap equivalence + kernel timing)
 # ----------------------------------------------------------------------
-def test_atpg_backend_equivalence(benchmark):
+def test_atpg_engine_equivalence(benchmark):
     check()
 
     from repro.atpg.podem_compiled import CompiledPodem

@@ -7,9 +7,9 @@ one map-out block by a table lookup.  This benchmark measures the
 candidate-set sizes on both designs.
 
 Per-fault failing bits come from :meth:`ScanTester.failing_bits` on the
-bit-packed ``"word"`` backend, so the per-design loop over ``N_FAULTS``
-random faults is fault-simulation-bound no longer — cone intersection
-itself dominates.
+bit-packed simulator, so the per-design loop over ``N_FAULTS`` random
+faults is fault-simulation-bound no longer — cone intersection itself
+dominates.
 """
 
 import random

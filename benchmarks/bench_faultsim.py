@@ -1,18 +1,18 @@
 """Fault-simulation engine benchmark — fault-pattern evaluations/sec.
 
 Grades the full collapsed fault universe of the Rescue core netlist
-against a random pattern set with both engines:
+against a random pattern set with two engines:
 
 - ``word``   — :class:`repro.netlist.compiled.PackedWordSimulator`
   (levelized structure-of-arrays, 64 bit-packed patterns per uint64 word,
-  event-driven cone re-simulation),
-- ``legacy`` — :class:`repro.netlist.simulate.PackedSimulator`
-  (dict of per-net numpy bool arrays; the reference).
+  event-driven cone re-simulation), the program's only engine,
+- ``legacy`` — :class:`tests.oracles.PackedSimulator` (dict of per-net
+  numpy bool arrays), the reference kept as a test oracle.
 
 Throughput is ``faults x patterns / seconds``.  Results (and the
 word/legacy speedup) are written to ``BENCH_faultsim.json`` at the repo
-root — the repo's perf trajectory record; equivalence between backends
-is asserted bit-for-bit before any number is reported.
+root — the repo's perf trajectory record; equivalence between the two
+engines is asserted bit-for-bit before any number is reported.
 
 Command line:
 
@@ -24,7 +24,7 @@ python benchmarks/bench_faultsim.py --patterns 1024
 ```
 
 ``--check`` is the pre-merge perf gate (see benchmarks/README.md): it
-asserts backend equivalence (detection verdicts + first-detection
+asserts engine equivalence (detection verdicts + first-detection
 indices + captured responses) on a small netlist and exits nonzero on
 any mismatch, without touching the JSON.
 """
@@ -42,6 +42,8 @@ import numpy as np
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:  # script mode: make src/ importable
     sys.path.insert(0, str(_REPO_ROOT / "src"))
+if str(_REPO_ROOT) not in sys.path:  # the reference engine is in tests/
+    sys.path.insert(0, str(_REPO_ROOT))
 
 RESULT_PATH = _REPO_ROOT / "BENCH_faultsim.json"
 
@@ -73,15 +75,17 @@ def _assert_equivalent(grade_a, grade_b, label: str) -> None:
 def measure(
     full: bool = False, n_patterns: int = 512, seed: int = 0
 ) -> dict:
-    """Time both backends on the Rescue core netlist; verify agreement."""
+    """Time both engines on the Rescue core netlist; verify agreement."""
     from repro.atpg.faultsim import grade_faults
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
+    from tests import oracles
 
     netlist = _build_netlist(full)
     faults = _fault_list(netlist)
     rng = np.random.default_rng(seed)
-    sims = {name: make_simulator(netlist, name) for name in ("legacy",
-                                                             "word")}
+    sims = {"legacy": oracles.PackedSimulator(netlist),
+            "word": PackedWordSimulator(netlist)}
+    graders = {"legacy": oracles.grade_faults, "word": grade_faults}
     patterns = rng.integers(
         0, 2, size=(n_patterns, sims["word"].n_sources)
     ).astype(bool)
@@ -100,7 +104,7 @@ def measure(
     timings = {}
     for name, sim in sims.items():
         t0 = time.perf_counter()
-        grades[name] = grade_faults(netlist, faults, patterns, sim=sim)
+        grades[name] = graders[name](netlist, faults, patterns, sim=sim)
         timings[name] = time.perf_counter() - t0
     _assert_equivalent(grades["legacy"], grades["word"], "measure")
 
@@ -128,7 +132,7 @@ def measure(
 
 
 def check(seed: int = 0) -> None:
-    """Pre-merge smoke gate: backend equivalence on a small netlist.
+    """Pre-merge smoke gate: engine equivalence on a small netlist.
 
     Covers grading (verdicts + first-detection indices), per-pattern
     detection vectors, and faulty captured responses for every collapsed
@@ -137,22 +141,24 @@ def check(seed: int = 0) -> None:
     """
     from repro.atpg.compaction import detection_matrix
     from repro.atpg.faultsim import grade_faults
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
+    from tests import oracles
 
     netlist = _build_netlist(full=False)
     faults = _fault_list(netlist)
     rng = np.random.default_rng(seed)
-    word = make_simulator(netlist, "word")
-    legacy = make_simulator(netlist, "legacy")
+    word = PackedWordSimulator(netlist)
+    legacy = oracles.PackedSimulator(netlist)
     patterns = rng.integers(0, 2, size=(96, word.n_sources)).astype(bool)
 
     g_word = grade_faults(netlist, faults, patterns, sim=word)
-    g_legacy = grade_faults(netlist, faults, patterns, sim=legacy)
+    g_legacy = oracles.grade_faults(netlist, faults, patterns, sim=legacy)
     _assert_equivalent(g_legacy, g_word, "check")
 
     sample = faults[:: max(1, len(faults) // 200)]
     m_word = detection_matrix(netlist, sample, patterns, sim=word)
-    m_legacy = detection_matrix(netlist, sample, patterns, sim=legacy)
+    m_legacy = oracles.detection_matrix(netlist, sample, patterns,
+                                        sim=legacy)
     for fault in sample:
         assert (m_word[fault] == m_legacy[fault]).all(), (
             f"detection vector differs for {fault.describe()}"
@@ -170,7 +176,7 @@ def check(seed: int = 0) -> None:
     print(
         f"check OK: {len(faults)} faults x {patterns.shape[0]} patterns, "
         f"{len(sample)} detection vectors and {min(60, len(sample))} "
-        f"faulty captures bit-exact across backends"
+        f"faulty captures bit-exact against the reference engine"
     )
 
 
@@ -216,15 +222,15 @@ def main(argv=None) -> int:
 # ----------------------------------------------------------------------
 # pytest entry point (pre-merge gate; cheap equivalence + kernel timing)
 # ----------------------------------------------------------------------
-def test_faultsim_backend_equivalence(benchmark):
+def test_faultsim_engine_equivalence(benchmark):
     check()
 
     from repro.atpg.faultsim import grade_faults
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
 
     netlist = _build_netlist(full=False)
     faults = _fault_list(netlist)[:500]
-    sim = make_simulator(netlist, "word")
+    sim = PackedWordSimulator(netlist)
     rng = np.random.default_rng(0)
     patterns = rng.integers(0, 2, size=(512, sim.n_sources)).astype(bool)
     benchmark(lambda: grade_faults(netlist, faults, patterns, sim=sim))

@@ -8,10 +8,10 @@ containing the fault.  The paper's result: all inserted faults isolate
 correctly.  The same experiment on the baseline shows why ICI is needed:
 a large fraction of faults are ambiguous or misattributed.
 
-Fault simulation rides the bit-packed ``"word"`` backend (the
-``generate_tests`` default): failing scan bits are read straight off
-packed fault deltas, which is what makes the full 6000-fault run
-practical — see ``bench_faultsim.py`` for the backend comparison.
+Fault simulation rides the bit-packed simulator: failing scan bits are
+read straight off packed fault deltas, which is what makes the full
+6000-fault run practical — see ``bench_faultsim.py`` for its comparison
+with the reference simulator.
 """
 
 import time

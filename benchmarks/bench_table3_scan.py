@@ -54,13 +54,14 @@ def test_table3_scan_chain_data(benchmark):
 
     # Benchmark: application of one 64-vector batch (a single machine
     # word per net) through the bit-packed simulator — the tester's
-    # inner loop.  ``benchmarks/bench_faultsim.py`` compares backends.
+    # inner loop.  ``benchmarks/bench_faultsim.py`` compares it with the
+    # reference simulator.
     import numpy as np
 
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
 
     model = build_rescue_rtl(RtlParams.tiny())
-    sim = make_simulator(model.netlist, "word")
+    sim = PackedWordSimulator(model.netlist)
     rng = np.random.default_rng(0)
     patterns = rng.integers(0, 2, size=(64, sim.n_sources)).astype(bool)
     benchmark(lambda: sim.good_values(patterns))

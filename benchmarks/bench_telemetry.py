@@ -56,7 +56,7 @@ FAULTSIM_RECORD = _REPO_ROOT / "BENCH_faultsim.json"
 def _grading_setup(n_patterns: int, seed: int):
     from repro.atpg.collapse import collapse_faults
     from repro.atpg.faults import full_fault_universe
-    from repro.netlist.compiled import make_simulator
+    from repro.netlist.compiled import PackedWordSimulator
     from repro.rtl import RtlParams, build_rescue_rtl
     from repro.scan import insert_scan
 
@@ -64,7 +64,7 @@ def _grading_setup(n_patterns: int, seed: int):
     netlist = model.netlist
     insert_scan(netlist)
     faults = collapse_faults(netlist, full_fault_universe(netlist))
-    sim = make_simulator(netlist, "word")
+    sim = PackedWordSimulator(netlist)
     rng = np.random.default_rng(seed)
     patterns = rng.integers(
         0, 2, size=(n_patterns, sim.n_sources)

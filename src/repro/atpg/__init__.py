@@ -5,10 +5,9 @@ paper used:
 
 - :mod:`repro.atpg.faults` — the single stuck-at fault universe,
 - :mod:`repro.atpg.collapse` — structural equivalence collapsing,
-- :mod:`repro.atpg.podem` — deterministic test generation (reference
-  PODEM with a 5-valued D-calculus),
-- :mod:`repro.atpg.podem_compiled` — event-driven PODEM on the compiled
-  netlist (undo trail, SCOAP guidance, X-path pruning; the default),
+- :mod:`repro.atpg.podem_compiled` — deterministic test generation:
+  event-driven PODEM on the compiled netlist (undo trail, SCOAP
+  guidance, X-path pruning),
 - :mod:`repro.atpg.faultsim` — packed-pattern fault grading,
 - :mod:`repro.atpg.flow` — the combined random + deterministic flow that
   produces the scan vector set and its statistics (Table 3).
@@ -21,8 +20,12 @@ from repro.atpg.dictionary import FaultDictionary
 from repro.atpg.faults import full_fault_universe
 from repro.atpg.faultsim import FaultGrade, grade_faults
 from repro.atpg.flow import AtpgResult, run_atpg
-from repro.atpg.podem import Podem, PodemResult
-from repro.atpg.podem_compiled import CompiledPodem, Scoap, compute_scoap
+from repro.atpg.podem_compiled import (
+    CompiledPodem,
+    PodemResult,
+    Scoap,
+    compute_scoap,
+)
 
 __all__ = [
     "AtpgResult",
@@ -31,10 +34,9 @@ __all__ = [
     "DiagnosisResult",
     "FaultDictionary",
     "FaultGrade",
-    "Podem",
+    "PodemResult",
     "Scoap",
     "compute_scoap",
-    "PodemResult",
     "collapse_faults",
     "full_fault_universe",
     "grade_faults",

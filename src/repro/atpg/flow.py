@@ -17,11 +17,10 @@ import numpy as np
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import full_fault_universe
 from repro.atpg.faultsim import grade_faults
-from repro.netlist.compiled import make_simulator
+from repro.atpg.podem_compiled import CompiledPodem
+from repro.netlist.compiled import PackedWordSimulator
 from repro.netlist.faults import StuckAt
 from repro.netlist.netlist import Netlist
-from repro.atpg.podem import Podem
-from repro.atpg.podem_compiled import CompiledPodem
 from repro.telemetry import TELEMETRY
 
 
@@ -30,7 +29,7 @@ class AtpgResult:
     """Output of :func:`run_atpg`.
 
     ``patterns`` rows are full source assignments (PIs + scan bits) in the
-    simulator's ``source_col`` column order (identical across backends).
+    simulator's ``source_col`` column order.
     """
 
     patterns: np.ndarray
@@ -70,7 +69,6 @@ def run_atpg(
     backtrack_limit: int = 512,
     max_deterministic: Optional[int] = None,
     compact: bool = True,
-    backend: str = "word",
     drop_batch: int = 64,
 ) -> AtpgResult:
     """Generate a compact scan vector set for ``netlist``.
@@ -87,9 +85,6 @@ def run_atpg(
             the cap count as aborted); None means no cap.
         compact: run reverse-order static compaction on the final set
             (coverage-preserving; production flows always do).
-        backend: engine pair — ``"word"`` (bit-packed fault simulation +
-            compiled event-driven PODEM, default) or ``"legacy"``
-            (reference simulator + reference PODEM).
         drop_batch: deterministic-phase patterns accumulated before each
             fault-dropping ``grade_faults`` call (fills whole 64-bit
             packed words instead of grading 1-row matrices).  ``1``
@@ -105,7 +100,7 @@ def run_atpg(
     targets = list(faults) if faults is not None else collapse_faults(
         netlist, universe
     )
-    sim = make_simulator(netlist, backend)
+    sim = PackedWordSimulator(netlist)
     n_src = sim.n_sources
     remaining: List[StuckAt] = list(targets)
     kept_rows: List[np.ndarray] = []
@@ -128,14 +123,9 @@ def run_atpg(
     n_random_detected = n_detected
 
     # ---- Deterministic phase ------------------------------------------
-    if backend == "legacy":
-        podem = Podem(netlist, backtrack_limit=backtrack_limit)
-    else:
-        podem = CompiledPodem(
-            netlist,
-            backtrack_limit=backtrack_limit,
-            compiled=getattr(sim, "compiled", None),
-        )
+    podem = CompiledPodem(
+        netlist, backtrack_limit=backtrack_limit, compiled=sim.compiled
+    )
     n_untestable = 0
     n_aborted = 0
     n_targeted = 0

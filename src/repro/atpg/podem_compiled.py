@@ -1,9 +1,14 @@
-"""Compiled event-driven PODEM bound to the :class:`CompiledNetlist` SoA form.
+"""Event-driven PODEM on the :class:`CompiledNetlist` SoA form.
 
-The reference :class:`~repro.atpg.podem.Podem` re-simulates the *entire*
-netlist 3-valued after every decision (two fresh ``n_nets`` lists plus a
-full gate sweep), which makes hard faults with hundreds of backtracks the
-wall-clock sink of the deterministic ATPG phase.  This module applies the
+A textbook PODEM (Goel) over the combinational full-scan test model:
+decisions are made only on sources (primary inputs and scan bits), each
+decision is followed by a 3-valued good/faulty forward implication, and the
+search backtracks on a dead D-frontier.  This is the deterministic half of
+the ATPG flow; random patterns (cheap) run first in :mod:`repro.atpg.flow`.
+
+A naive PODEM re-simulates the *entire* netlist 3-valued after every
+decision, which makes hard faults with hundreds of backtracks the
+wall-clock sink of the deterministic phase.  This engine applies the
 three production remedies:
 
 1. **Event-driven implication with an undo trail.**  Good and faulty
@@ -33,31 +38,111 @@ three production remedies:
 
 The backtrace is a depth-first walk over the fanin with a
 ``(net, value)`` visited set, so it fails only when *no* unassigned
-source is reachable through X nets — strictly more robust than the
-reference's single-path walk.  Verdicts (detected/untestable) agree with
-the reference PODEM; patterns differ (different, typically shorter,
-search paths) but every returned pattern detects its target fault, which
-``tests/test_podem_compiled.py`` asserts via :func:`grade_faults`.
+source is reachable through X nets.  The test suite keeps a textbook
+full-resimulation PODEM as an oracle: verdicts (detected/untestable)
+must agree with it exactly; patterns differ (different, typically
+shorter, search paths) but every returned pattern must detect its
+target under the fault simulator.
 
-Telemetry (all prefixed ``podem.``, same names as the reference where
-shared): ``targets``, ``backtracks``, ``detected/untestable/aborted``,
-plus ``cone_evals`` (event-driven gate re-evaluations),
-``undo_restores`` (trail entries rolled back), and ``xpath_prunes``.
+Telemetry (all prefixed ``podem.``): ``targets``, ``backtracks``,
+``detected/untestable/aborted``, plus ``cone_evals`` (event-driven gate
+re-evaluations), ``undo_restores`` (trail entries rolled back), and
+``xpath_prunes``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.atpg.podem import _NONCONTROL, PodemResult, X, _eval3
 from repro.netlist.compiled import CompiledNetlist
 from repro.netlist.faults import StuckAt
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.telemetry import TELEMETRY
+
+X = 2  # unknown value in the 3-valued calculus
+
+#: Non-controlling input value per gate type (module-level so the hot
+#: D-frontier loop does not rebuild a dict per gate per decision).
+#: Types without a controlling value (XOR and friends) default to 0.
+_NONCONTROL = {
+    GateType.AND: 1,
+    GateType.NAND: 1,
+    GateType.OR: 0,
+    GateType.NOR: 0,
+}
+
+
+def _eval3(gtype: GateType, ins: List[int]) -> int:
+    """Kleene 3-valued (0/1/X) evaluation of one gate."""
+    if gtype is GateType.AND or gtype is GateType.NAND:
+        out = 1
+        for v in ins:
+            if v == 0:
+                out = 0
+                break
+            if v == X:
+                out = X
+        if gtype is GateType.NAND and out != X:
+            out = 1 - out
+        return out
+    if gtype is GateType.OR or gtype is GateType.NOR:
+        out = 0
+        for v in ins:
+            if v == 1:
+                out = 1
+                break
+            if v == X:
+                out = X
+        if gtype is GateType.NOR and out != X:
+            out = 1 - out
+        return out
+    if gtype is GateType.NOT:
+        return X if ins[0] == X else 1 - ins[0]
+    if gtype is GateType.BUF:
+        return ins[0]
+    if gtype is GateType.XOR or gtype is GateType.XNOR:
+        out = 0
+        for v in ins:
+            if v == X:
+                return X
+            out ^= v
+        if gtype is GateType.XNOR:
+            out = 1 - out
+        return out
+    if gtype is GateType.MUX2:
+        d0, d1, s = ins
+        if s == 0:
+            return d0
+        if s == 1:
+            return d1
+        if d0 == d1 and d0 != X:
+            return d0
+        return X
+    if gtype is GateType.CONST0:
+        return 0
+    if gtype is GateType.CONST1:
+        return 1
+    raise ValueError(f"unknown gate type {gtype}")
+
+
+@dataclass
+class PodemResult:
+    """Outcome of one PODEM run."""
+
+    status: str  # "detected" | "untestable" | "aborted"
+    pattern: Optional[Dict[int, int]] = None  # source net -> 0/1 (X left out)
+    backtracks: int = 0
+
+    @property
+    def detected(self) -> bool:
+        """True when a detecting pattern was found."""
+        return self.status == "detected"
+
 
 #: "Uncontrollable/unobservable" sentinel for the SCOAP measures.
 SCOAP_INF = 1 << 30
@@ -190,10 +275,9 @@ def compute_scoap(compiled: CompiledNetlist) -> Scoap:
 class CompiledPodem:
     """PODEM test generator on the compiled (SoA) netlist form.
 
-    Drop-in replacement for :class:`~repro.atpg.podem.Podem`: same
-    ``generate(fault) -> PodemResult`` surface, same verdict semantics.
-    Pass a prebuilt ``compiled`` netlist (e.g. the fault simulator's) to
-    share levelization and SCOAP precomputation with the grading engine.
+    ``generate(fault)`` returns a :class:`PodemResult`.  Pass a prebuilt
+    ``compiled`` netlist (e.g. the fault simulator's) to share
+    levelization and SCOAP precomputation with the grading engine.
     """
 
     def __init__(
@@ -444,7 +528,7 @@ class CompiledPodem:
         # Try the frontier gates nearest an observation point first; a
         # gate whose good-side inputs are all defined (composite-X only
         # through the faulty side) offers no pin — fall through to the
-        # next gate, like the reference's frontier scan.
+        # next gate, like a textbook PODEM's frontier scan.
         alive.sort(key=lambda g: (co[tuples[g][2]], pos[g]))
         for gid in alive:
             gtype, ins, _out = tuples[gid]

@@ -68,7 +68,7 @@ def _cmd_isolate(args: argparse.Namespace) -> int:
           f"model ({'tiny' if args.tiny else 'default'} size)...")
     model = builder(params)
     print(f"  {model.netlist.stats()}")
-    setup = generate_tests(model, seed=args.seed, backend=args.backend)
+    setup = generate_tests(model, seed=args.seed)
     print(f"  ATPG: {setup.atpg.summary()}")
     stats = isolation_experiment(setup, n_faults=args.faults, seed=args.seed)
     print(stats.summary())
@@ -607,10 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the small model (fast)")
     p.add_argument("--baseline", action="store_true",
                    help="run on the non-ICI baseline instead")
-    p.add_argument("--backend", choices=("word", "legacy"), default="word",
-                   help="ATPG/fault-sim engine pair: bit-packed simulator "
-                        "+ compiled PODEM (word, default) or the reference "
-                        "implementations (legacy)")
     add_trace_flag(p)
     p.set_defaults(func=_cmd_isolate)
 

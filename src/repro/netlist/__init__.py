@@ -6,23 +6,17 @@ used (Synopsys Design Compiler over a Verilog model).  It provides:
 - :mod:`repro.netlist.gates` — gate and flip-flop primitives,
 - :mod:`repro.netlist.netlist` — the :class:`Netlist` container with
   levelization, fanout maps, and cone queries,
-- :mod:`repro.netlist.simulate` — scalar and numpy parallel-pattern
-  simulation with stuck-at fault overrides (the reference engines),
 - :mod:`repro.netlist.compiled` — the levelized structure-of-arrays
-  netlist form and the bit-packed 64-patterns-per-word fault-simulation
-  engine the ATPG/diagnosis stack runs on,
+  netlist form and the bit-packed 64-patterns-per-word simulator with
+  stuck-at fault overrides, the one gate-level engine the ATPG,
+  diagnosis, scan and repair layers run on,
 - :mod:`repro.netlist.build` — word-level construction helpers used by the
   gate-level pipeline models in :mod:`repro.rtl`.
 """
 
 from repro.netlist.gates import Flop, Gate, GateType
 from repro.netlist.netlist import Netlist, NetlistError
-from repro.netlist.simulate import PackedSimulator, Simulator
-from repro.netlist.compiled import (
-    CompiledNetlist,
-    PackedWordSimulator,
-    make_simulator,
-)
+from repro.netlist.compiled import CompiledNetlist, PackedWordSimulator
 from repro.netlist.build import NetBuilder
 
 __all__ = [
@@ -33,8 +27,5 @@ __all__ = [
     "NetBuilder",
     "Netlist",
     "NetlistError",
-    "PackedSimulator",
     "PackedWordSimulator",
-    "Simulator",
-    "make_simulator",
 ]

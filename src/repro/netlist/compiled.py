@@ -19,12 +19,10 @@ the good circuit.  Fault dropping happens one level up — a fault leaves
 the active list at its first detection (see :mod:`repro.atpg.faultsim`
 and the ATPG flow), so later patterns never pay for it again.
 
-The legacy dict-of-bool-arrays :class:`~repro.netlist.simulate.PackedSimulator`
-is kept as a reference/fallback; :func:`make_simulator` selects a backend
-by name, and both engines expose the same ``good_values`` /
-``faulty_values`` / ``capture`` / ``source_col`` surface so consumers are
-backend-agnostic.  ``benchmarks/bench_faultsim.py`` measures both and
-asserts they agree bit-for-bit.
+It is the only gate-level simulator in the program.  The test suite keeps
+a dict-of-bool-arrays reference simulator as an oracle;
+``benchmarks/bench_faultsim.py`` measures both and asserts they agree
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -302,13 +300,12 @@ class WordValues:
 class PackedWordSimulator:
     """Levelized bit-packed simulator (64 patterns per uint64 word).
 
-    Drop-in backend for :class:`~repro.netlist.simulate.PackedSimulator`:
-    same constructor, same ``good_values`` / ``faulty_values`` /
-    ``capture`` / ``source_col`` surface — only the value containers
-    differ (:class:`WordValues` and sparse int deltas instead of dicts of
-    bool arrays).  Extra fast paths (:meth:`first_detection`,
-    :meth:`detection_vector`, :meth:`failing_observations`) let the fault
-    grader and scan tester skip unpacking entirely.
+    :meth:`good_values` simulates a pattern set into :class:`WordValues`;
+    :meth:`faulty_values` returns a fault's sparse packed-int delta and
+    :meth:`capture` unpacks (PO, captured-state) matrices.  The detection
+    fast paths (:meth:`first_detection`, :meth:`detection_vector`,
+    :meth:`failing_observations`) let the fault grader and scan tester
+    skip unpacking entirely.
     """
 
     def __init__(self, netlist: Netlist) -> None:
@@ -520,29 +517,3 @@ class PackedWordSimulator:
             fids.update(c.d_fids.get(net, ()))
             pos.update(c.po_cols.get(net, ()))
         return fids, pos
-
-
-# ----------------------------------------------------------------------
-# Backend selection
-# ----------------------------------------------------------------------
-#: Recognized fault-simulation backends.
-BACKENDS = ("word", "legacy")
-
-
-def make_simulator(netlist: Netlist, backend: str = "word"):
-    """Build a fault-simulation engine by backend name.
-
-    ``"word"`` is the bit-packed :class:`PackedWordSimulator` (default);
-    ``"legacy"`` the dict-of-bool-arrays
-    :class:`~repro.netlist.simulate.PackedSimulator` reference.
-    """
-    if backend == "word":
-        return PackedWordSimulator(netlist)
-    if backend == "legacy":
-        from repro.netlist.simulate import PackedSimulator
-
-        return PackedSimulator(netlist)
-    raise ValueError(
-        f"unknown fault-simulation backend {backend!r}; "
-        f"expected one of {BACKENDS}"
-    )

@@ -70,17 +70,11 @@ def generate_tests(
     max_random_batches: int = 8,
     backtrack_limit: int = 48,
     max_deterministic: Optional[int] = None,
-    backend: str = "word",
 ) -> TestSetup:
-    """Insert scan, run ATPG, and build the isolation table.
-
-    ``backend`` selects the fault-simulation engine for both the ATPG
-    run and the tester (``"word"`` bit-packed default, ``"legacy"``
-    reference).
-    """
+    """Insert scan, run ATPG, and build the isolation table."""
     nl = model.netlist
     chain = insert_scan(nl)
-    tester = ScanTester(nl, chain, backend=backend)
+    tester = ScanTester(nl, chain)
     atpg = run_atpg(
         nl,
         seed=seed,
@@ -88,7 +82,6 @@ def generate_tests(
         max_random_batches=max_random_batches,
         backtrack_limit=backtrack_limit,
         max_deterministic=max_deterministic,
-        backend=backend,
     )
     table = IsolationTable(chain, po_components=po_component_labels(nl))
     return TestSetup(

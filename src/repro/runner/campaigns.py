@@ -61,7 +61,6 @@ class IsolationSpec:
     fault_seed: int = 1
     n_faults: int = 600
     max_deterministic: Optional[int] = None
-    backend: str = "word"
     chunk_size: int = 50
 
 
@@ -85,7 +84,6 @@ def _isolation_init(spec: IsolationSpec) -> None:
         model,
         seed=spec.atpg_seed,
         max_deterministic=spec.max_deterministic,
-        backend=spec.backend,
     )
     faults = sample_isolation_faults(
         model.netlist, spec.n_faults, spec.fault_seed

@@ -1,103 +1,26 @@
-"""PODEM deterministic test generation.
+"""Reference PODEM: full 3-valued re-simulation after every decision.
 
 A textbook PODEM (Goel) over the combinational full-scan test model:
 decisions are made only on sources (primary inputs and scan bits), each
-decision is followed by a 3-valued good/faulty forward implication, and the
-search backtracks on a dead D-frontier.  This is the deterministic half of
-the ATPG flow; random patterns (cheap) run first in :mod:`repro.atpg.flow`.
+decision is followed by a 3-valued good/faulty forward implication of the
+*whole* netlist, and the search backtracks on a dead D-frontier.  Its
+backtrace follows a single path.
 
-Implementation notes: net values live in flat lists indexed by net id and
-the D-frontier is collected during the forward implication pass, which is
-what keeps the per-decision cost at one linear sweep over the gates.
+The program runs :class:`repro.atpg.podem_compiled.CompiledPodem`; this
+engine is the oracle its verdicts are checked against.  With a budget
+generous enough that neither aborts, "untestable" is a complete-search
+proof and "detected" means a pattern exists, so the two must agree on
+every fault.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.atpg.podem_compiled import _NONCONTROL, PodemResult, X, _eval3
 from repro.netlist.faults import StuckAt
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
-from repro.telemetry import TELEMETRY
-
-X = 2  # unknown value in the 3-valued calculus
-
-#: Non-controlling input value per gate type (module-level so the hot
-#: D-frontier loop does not rebuild a dict per gate per decision).
-#: Types without a controlling value (XOR and friends) default to 0.
-_NONCONTROL = {
-    GateType.AND: 1,
-    GateType.NAND: 1,
-    GateType.OR: 0,
-    GateType.NOR: 0,
-}
-
-
-def _eval3(gtype: GateType, ins: List[int]) -> int:
-    if gtype is GateType.AND or gtype is GateType.NAND:
-        out = 1
-        for v in ins:
-            if v == 0:
-                out = 0
-                break
-            if v == X:
-                out = X
-        if gtype is GateType.NAND and out != X:
-            out = 1 - out
-        return out
-    if gtype is GateType.OR or gtype is GateType.NOR:
-        out = 0
-        for v in ins:
-            if v == 1:
-                out = 1
-                break
-            if v == X:
-                out = X
-        if gtype is GateType.NOR and out != X:
-            out = 1 - out
-        return out
-    if gtype is GateType.NOT:
-        return X if ins[0] == X else 1 - ins[0]
-    if gtype is GateType.BUF:
-        return ins[0]
-    if gtype is GateType.XOR or gtype is GateType.XNOR:
-        out = 0
-        for v in ins:
-            if v == X:
-                return X
-            out ^= v
-        if gtype is GateType.XNOR:
-            out = 1 - out
-        return out
-    if gtype is GateType.MUX2:
-        d0, d1, s = ins
-        if s == 0:
-            return d0
-        if s == 1:
-            return d1
-        if d0 == d1 and d0 != X:
-            return d0
-        return X
-    if gtype is GateType.CONST0:
-        return 0
-    if gtype is GateType.CONST1:
-        return 1
-    raise ValueError(f"unknown gate type {gtype}")
-
-
-@dataclass
-class PodemResult:
-    """Outcome of one PODEM run."""
-
-    status: str  # "detected" | "untestable" | "aborted"
-    pattern: Optional[Dict[int, int]] = None  # source net -> 0/1 (X left out)
-    backtracks: int = 0
-
-    @property
-    def detected(self) -> bool:
-        """True when a detecting pattern was found."""
-        return self.status == "detected"
 
 
 class _SimState:
@@ -126,15 +49,6 @@ class Podem:
     # ------------------------------------------------------------------
     def generate(self, fault: StuckAt) -> PodemResult:
         """Find a source assignment detecting ``fault``, or prove none."""
-        result = self._generate(fault)
-        t = TELEMETRY
-        if t.enabled:
-            t.count("podem.targets")
-            t.count("podem.backtracks", result.backtracks)
-            t.count(f"podem.{result.status}")
-        return result
-
-    def _generate(self, fault: StuckAt) -> PodemResult:
         assign: Dict[int, int] = {}
         # decision stack entries: [source net, value, tried_other_branch]
         decisions: List[List[int]] = []

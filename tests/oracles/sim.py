@@ -1,15 +1,23 @@
-"""Netlist simulation: scalar two-valued and numpy parallel-pattern.
+"""Reference netlist simulators: scalar two-valued and dict-of-arrays packed.
 
-Both simulators evaluate the *combinational test model* of a full-scan
-design: sources are primary inputs plus flop Q nets (state scanned in),
-sinks are primary outputs plus flop D nets (state scanned out).  That is the
-single-cycle scan test of the paper's Section 2: scan-in, one capture cycle,
-scan-out.
+Both evaluate the *combinational test model* of a full-scan design:
+sources are primary inputs plus flop Q nets (state scanned in), sinks are
+primary outputs plus flop D nets (state scanned out).  That is the
+single-cycle scan test of the paper's Section 2: scan-in, one capture
+cycle, scan-out.
 
-The :class:`PackedSimulator` evaluates many patterns at once along a numpy
-axis — the Python-level analogue of classic parallel-pattern fault
-simulation — and supports *cone-restricted* faulty re-simulation so that
-grading thousands of faults (the paper's 6000-fault experiment) stays fast.
+Neither is used by the program.  The production engine is
+:class:`repro.netlist.compiled.PackedWordSimulator`; these are the
+oracles it is checked against:
+
+- :class:`Simulator` evaluates one pattern at a time with plain ints
+  (and runs multi-cycle functional sequences for the RTL tests);
+- :class:`PackedSimulator` evaluates many patterns along a numpy bool
+  axis, one dict entry per net, with cone-restricted faulty
+  re-simulation;
+- :func:`detection_matrix` / :func:`grade_faults` grade faults on a
+  :class:`PackedSimulator` by comparing captured responses, the way the
+  production grader must answer.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.atpg.faultsim import FaultGrade
 from repro.netlist.faults import StuckAt
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
@@ -280,11 +289,6 @@ class PackedSimulator:
                 ins = list(ins)
                 ins[fault.pin] = const
             delta[g.output] = _eval_gate_packed(g.gtype, ins)
-        if fault.gate is not None:
-            # Branch fault: the faulted gate may not be in cone of fault.net
-            # restricted to stem (it is, since cone starts at fault.net and
-            # the gate reads it); nothing extra needed.
-            pass
         return delta
 
     def capture(
@@ -324,3 +328,63 @@ class PackedSimulator:
         else:
             state = np.zeros((npat, 0), dtype=bool)
         return po, state
+
+
+def _detection_vector(
+    sim: PackedSimulator,
+    good_vals: Dict[int, np.ndarray],
+    good_po: np.ndarray,
+    good_state: np.ndarray,
+    fault: StuckAt,
+) -> np.ndarray:
+    """(P,) bool: patterns on which ``fault`` changes an observation."""
+    nl = sim.netlist
+    if fault.flop is not None:
+        # D-pin fault: the captured bit differs wherever the good D value
+        # is the opposite of the stuck value.
+        return good_vals[nl.flops[fault.flop].d_net] != bool(fault.value)
+    mismatch = np.zeros(good_po.shape[0], dtype=bool)
+    # Only observation points inside the changed cone can differ; a stem
+    # fault on an observed net is caught because faulty_values seeds
+    # delta[fault.net].
+    for net, vals in sim.faulty_values(good_vals, fault).items():
+        col = sim.po_index.get(net)
+        if col is not None:
+            mismatch |= vals != good_po[:, col]
+        for fid in sim.d_lookup.get(net, []):
+            mismatch |= vals != good_state[:, fid]
+    return mismatch
+
+
+def detection_matrix(
+    netlist: Netlist,
+    faults: Sequence[StuckAt],
+    patterns: np.ndarray,
+    sim: Optional[PackedSimulator] = None,
+) -> Dict[StuckAt, np.ndarray]:
+    """Per-fault boolean vectors: which patterns detect the fault."""
+    sim = sim if sim is not None else PackedSimulator(netlist)
+    good_vals = sim.good_values(patterns)
+    good_po, good_state = sim.capture(good_vals)
+    return {
+        fault: _detection_vector(sim, good_vals, good_po, good_state, fault)
+        for fault in faults
+    }
+
+
+def grade_faults(
+    netlist: Netlist,
+    faults: Sequence[StuckAt],
+    patterns: np.ndarray,
+    sim: Optional[PackedSimulator] = None,
+) -> FaultGrade:
+    """Grade ``faults``: ``detected[f]`` is the first detecting pattern."""
+    grade = FaultGrade(n_faults=len(faults))
+    matrix = detection_matrix(netlist, faults, patterns, sim)
+    for fault in faults:  # in list order, duplicates included
+        vec = matrix[fault]
+        if vec.any():
+            grade.detected[fault] = int(np.argmax(vec))
+        else:
+            grade.undetected.append(fault)
+    return grade

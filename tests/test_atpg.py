@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.atpg import (
-    Podem,
+    CompiledPodem,
     collapse_faults,
     full_fault_universe,
     grade_faults,
     run_atpg,
 )
 from repro.atpg.faults import component_of_fault
-from repro.netlist import GateType, NetBuilder, Netlist, Simulator
+from repro.netlist import GateType, NetBuilder, Netlist
 from repro.netlist.faults import StuckAt
+from tests.oracles import Simulator
 
 
 def _and_circuit():
@@ -98,7 +99,7 @@ class TestCollapse:
 class TestPodem:
     def test_detects_simple_fault(self):
         nl, (a, b, y) = _and_circuit()
-        res = Podem(nl).generate(StuckAt(net=y, value=0))
+        res = CompiledPodem(nl).generate(StuckAt(net=y, value=0))
         assert res.detected
         # Pattern must set both inputs to 1.
         assert res.pattern[a] == 1 and res.pattern[b] == 1
@@ -107,7 +108,7 @@ class TestPodem:
         nl, (a, b, t, y) = _redundant_circuit()
         # t stuck-at-0: masked by a OR -. Activation needs a=1,b=1 but then
         # the OR output is 1 either way: no propagation.
-        res = Podem(nl).generate(StuckAt(net=t, value=0))
+        res = CompiledPodem(nl).generate(StuckAt(net=t, value=0))
         assert res.status == "untestable"
 
     def test_pattern_verified_by_simulation(self):
@@ -122,7 +123,7 @@ class TestPodem:
         nl.mark_output(nets[-1])
         nl.mark_output(nets[-3])
         sim = Simulator(nl)
-        podem = Podem(nl)
+        podem = CompiledPodem(nl)
         checked = 0
         for fault in collapse_faults(nl, full_fault_universe(nl))[:40]:
             res = podem.generate(fault)
@@ -142,7 +143,7 @@ class TestPodem:
         s = nl.add_input("s")
         y = nl.add_gate(GateType.MUX2, [a, b, s])
         nl.mark_output(y)
-        res = Podem(nl).generate(StuckAt(net=b, value=0))
+        res = CompiledPodem(nl).generate(StuckAt(net=b, value=0))
         assert res.detected
         assert res.pattern[s] == 1 and res.pattern[b] == 1
 
@@ -152,7 +153,7 @@ class TestPodem:
         y = nl.add_gate(GateType.NOT, [a])
         f = nl.add_flop(y, name="r")
         nl.add_gate(GateType.BUF, [f.q_net])  # keep Q read
-        res = Podem(nl).generate(StuckAt(net=y, value=1, flop=f.fid))
+        res = CompiledPodem(nl).generate(StuckAt(net=y, value=1, flop=f.fid))
         assert res.detected
         assert res.pattern[a] == 1  # drives D to 0, opposite the stuck 1
 

@@ -14,6 +14,10 @@ class TestParser:
         args = build_parser().parse_args(["isolate", "--tiny"])
         assert args.tiny and args.faults == 300
 
+    def test_isolate_has_no_engine_switch(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["isolate", "--backend", "legacy"])
+
     def test_yat_choices(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["yat", "--stagnation", "45"])

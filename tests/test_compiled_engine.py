@@ -1,31 +1,31 @@
-"""Backend-equivalence properties of the bit-packed fault-sim engine.
+"""Equivalence properties of the bit-packed fault-sim engine.
 
 The `PackedWordSimulator` must be *bit-exact* against both reference
-engines — the scalar `Simulator` and the legacy dict-of-arrays
-`PackedSimulator` — on good values, captured PO/state, and per-fault
-detection verdicts, for every fault site class (stem, gate input pin,
-flop D pin).  Random netlists here are richer than the generic ones in
-``test_properties`` (they include BUF/CONST gates, several flops and
-primary outputs) and pattern counts straddle the 64-bit word boundary.
+engines in `tests.oracles` — the scalar `Simulator` and the legacy
+dict-of-arrays `PackedSimulator` — on good values, captured PO/state,
+and per-fault detection verdicts, for every fault site class (stem, gate
+input pin, flop D pin).  Random netlists here are richer than the
+generic ones in ``test_properties`` (they include BUF/CONST gates,
+several flops and primary outputs) and pattern counts straddle the
+64-bit word boundary.
 """
 
 import random as pyrandom
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg.compaction import detection_matrix
 from repro.atpg.faultsim import grade_faults
-from repro.netlist import GateType, Netlist, Simulator
+from repro.netlist import GateType, Netlist
 from repro.netlist.compiled import (
     PackedWordSimulator,
-    make_simulator,
     pack_patterns,
     unpack_words,
 )
 from repro.netlist.faults import StuckAt
-from repro.netlist.simulate import PackedSimulator
+from tests import oracles
+from tests.oracles import PackedSimulator, Simulator
 
 _KINDS = [
     GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
@@ -174,13 +174,13 @@ class TestFaultAgreement:
         n_src = len(nl.source_nets())
         patterns = rng.integers(0, 2, size=(npat, n_src)).astype(bool)
 
-        g_legacy = grade_faults(nl, faults, patterns, backend="legacy")
-        g_word = grade_faults(nl, faults, patterns, backend="word")
+        g_legacy = oracles.grade_faults(nl, faults, patterns)
+        g_word = grade_faults(nl, faults, patterns)
         assert g_legacy.detected == g_word.detected
         assert g_legacy.undetected == g_word.undetected
 
-        m_legacy = detection_matrix(nl, faults, patterns, backend="legacy")
-        m_word = detection_matrix(nl, faults, patterns, backend="word")
+        m_legacy = oracles.detection_matrix(nl, faults, patterns)
+        m_word = detection_matrix(nl, faults, patterns)
         for fault in faults:
             assert (m_legacy[fault] == m_word[fault]).all(), (
                 fault.describe()
@@ -238,14 +238,7 @@ class TestFaultAgreement:
             assert pos == want_pos, fault.describe()
 
 
-class TestBackendSelection:
-    def test_make_simulator_names(self):
-        nl = _random_netlist(1, 3, 5)
-        assert isinstance(make_simulator(nl, "word"), PackedWordSimulator)
-        assert isinstance(make_simulator(nl, "legacy"), PackedSimulator)
-        with pytest.raises(ValueError):
-            make_simulator(nl, "turbo")
-
+class TestEdgeCases:
     def test_empty_pattern_set(self):
         nl = _random_netlist(2, 3, 8)
         word = PackedWordSimulator(nl)

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.netlist import GateType, NetBuilder, Netlist, NetlistError, Simulator
-from repro.netlist.simulate import PackedSimulator
+from repro.netlist import (
+    GateType,
+    NetBuilder,
+    Netlist,
+    NetlistError,
+    PackedWordSimulator,
+)
+from tests.oracles import Simulator
 
 
 def _tiny_mux_circuit():
@@ -150,7 +156,7 @@ class TestPackedSimulation:
         nl.mark_output(nets[-1])
         nl.add_flop(nets[-2], name="f")
         scalar = Simulator(nl)
-        packed = PackedSimulator(nl)
+        packed = PackedWordSimulator(nl)
         patterns = rng.integers(0, 2, size=(17, packed.n_sources)).astype(bool)
         vals = packed.good_values(patterns)
         po, state = packed.capture(vals)
@@ -169,7 +175,7 @@ class TestPackedSimulation:
 
     def test_shape_validation(self):
         nl, _ = _tiny_mux_circuit()
-        sim = PackedSimulator(nl)
+        sim = PackedWordSimulator(nl)
         with pytest.raises(ValueError):
             sim.good_values(np.zeros((4, 99), dtype=bool))
 
@@ -212,7 +218,7 @@ class TestFaultInjection:
             )
         nl.mark_output(nets[-1])
         scalar = Simulator(nl)
-        packed = PackedSimulator(nl)
+        packed = PackedWordSimulator(nl)
         patterns = rng.integers(0, 2, size=(8, packed.n_sources)).astype(bool)
         good = packed.good_values(patterns)
         fault = StuckAt(net=nets[6], value=1)

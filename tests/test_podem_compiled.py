@@ -1,7 +1,7 @@
 """Equivalence and invariant tests for the compiled event-driven PODEM.
 
 The compiled engine must be *verdict-equivalent* to the reference
-``Podem``: with a budget generous enough that neither engine aborts,
+``Podem`` oracle: with a budget generous enough that neither engine aborts,
 "untestable" is a complete-search proof and "detected" means a pattern
 exists, so the per-fault status must agree exactly even though the two
 engines walk different search paths and return different patterns.
@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.atpg import (
     CompiledPodem,
-    Podem,
     collapse_faults,
     compute_scoap,
     full_fault_universe,
@@ -25,10 +24,11 @@ from repro.atpg import (
     run_atpg,
 )
 from repro.atpg.podem_compiled import SCOAP_INF
-from repro.netlist import GateType, Netlist
-from repro.netlist.compiled import make_simulator
+from repro.netlist import GateType, Netlist, PackedWordSimulator
 from repro.netlist.faults import StuckAt
 from repro.telemetry import TELEMETRY
+from tests import oracles
+from tests.oracles import Podem
 
 _KINDS = [GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
           GateType.NOR, GateType.NOT, GateType.MUX2]
@@ -75,7 +75,7 @@ class TestVerdictEquivalence:
         nl = _circuit(seed, 4, n_gates, n_flops)
         legacy = Podem(nl, backtrack_limit=5_000)
         compiled = CompiledPodem(nl, backtrack_limit=5_000)
-        sim = make_simulator(nl, "word")
+        sim = PackedWordSimulator(nl)
         for fault in collapse_faults(nl, full_fault_universe(nl))[:30]:
             r_legacy = legacy.generate(fault)
             r_compiled = compiled.generate(fault)
@@ -97,22 +97,26 @@ class TestVerdictEquivalence:
 
     @given(seed=st.integers(0, 5000), n_gates=st.integers(4, 30))
     @settings(max_examples=10, deadline=None)
-    def test_run_atpg_statistics_match_across_backends(self, seed, n_gates):
+    def test_run_atpg_statistics_match_reference_verdicts(
+        self, seed, n_gates
+    ):
+        """With no aborts every collapsed fault is either detected or
+        proven untestable, so the flow's statistics are fixed by the
+        reference PODEM's per-fault verdicts, and the kept patterns
+        detect exactly the testable faults."""
         nl = _circuit(seed, 5, n_gates)
-        word = run_atpg(nl, seed=3, backtrack_limit=5_000, backend="word")
-        legacy = run_atpg(
-            nl, seed=3, backtrack_limit=5_000, backend="legacy"
-        )
-        assert word.n_aborted == 0 and legacy.n_aborted == 0
-        assert word.n_detected == legacy.n_detected
-        assert word.n_untestable == legacy.n_untestable
-        assert word.n_collapsed_faults == legacy.n_collapsed_faults
-        assert word.coverage == legacy.coverage
-        # Both backends' pattern sets must cover the same fault set.
+        result = run_atpg(nl, seed=3, backtrack_limit=5_000)
         targets = collapse_faults(nl, full_fault_universe(nl))
-        g_word = grade_faults(nl, targets, word.patterns)
-        g_legacy = grade_faults(nl, targets, legacy.patterns)
-        assert set(g_word.detected) == set(g_legacy.detected)
+        reference = Podem(nl, backtrack_limit=5_000)
+        verdicts = {f: reference.generate(f).status for f in targets}
+        testable = {f for f, v in verdicts.items() if v == "detected"}
+        assert "aborted" not in verdicts.values()
+        assert result.n_aborted == 0
+        assert result.n_collapsed_faults == len(targets)
+        assert result.n_detected == len(testable)
+        assert result.n_untestable == len(targets) - len(testable)
+        graded = oracles.grade_faults(nl, targets, result.patterns)
+        assert set(graded.detected) == testable
 
 
 class TestBatchedDropping:
@@ -138,8 +142,8 @@ class TestBatchedDropping:
         """``drop_batch=1`` must reproduce the original per-pattern flow
         exactly (same RNG draws, same grading sets -> same vectors)."""
         nl = _circuit(11, 5, 30, n_flops=2)
-        a = run_atpg(nl, seed=5, backend="legacy", drop_batch=1)
-        b = run_atpg(nl, seed=5, backend="legacy", drop_batch=64)
+        a = run_atpg(nl, seed=5, drop_batch=1)
+        b = run_atpg(nl, seed=5, drop_batch=64)
         assert a.n_detected == b.n_detected
         assert a.n_untestable == b.n_untestable
 
@@ -201,7 +205,7 @@ class TestScoap:
         t = nl.add_gate(GateType.AND, [a, b])
         y = nl.add_gate(GateType.AND, [t, c])
         nl.mark_output(y)
-        s = compute_scoap(make_simulator(nl, "word").compiled)
+        s = compute_scoap(PackedWordSimulator(nl).compiled)
         assert s.cc0[a] == 1 and s.cc1[a] == 1
         assert s.cc1[t] == 3  # both inputs to 1: 1 + 1 + 1
         assert s.cc0[t] == 2  # one input to 0: min(1, 1) + 1
@@ -216,7 +220,7 @@ class TestScoap:
         k = nl.add_gate(GateType.CONST0, [])
         y = nl.add_gate(GateType.OR, [a, k])
         nl.mark_output(y)
-        s = compute_scoap(make_simulator(nl, "word").compiled)
+        s = compute_scoap(PackedWordSimulator(nl).compiled)
         assert s.cc0[k] == 0
         assert s.cc1[k] >= SCOAP_INF
 
@@ -281,7 +285,7 @@ class TestCompiledPodemUnits:
 
     def test_shares_prebuilt_compiled_netlist(self):
         nl = _circuit(9, 4, 12)
-        sim = make_simulator(nl, "word")
+        sim = PackedWordSimulator(nl)
         podem = CompiledPodem(nl, compiled=sim.compiled)
         assert podem.c is sim.compiled
         fault = collapse_faults(nl, full_fault_universe(nl))[0]

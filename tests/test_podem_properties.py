@@ -1,7 +1,8 @@
 """Property-based cross-checks between PODEM and the fault simulator.
 
-PODEM and the packed fault simulator are independent implementations of
-the same fault semantics; on random circuits their verdicts must agree:
+The program's PODEM and the reference packed fault simulator are
+independent implementations of the same fault semantics; on random
+circuits their verdicts must agree:
 
 - a PODEM-detected fault must be detected by grading its pattern;
 - a PODEM-untestable fault must be undetected by exhaustive patterns.
@@ -12,9 +13,14 @@ import random as pyrandom
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.atpg import Podem, collapse_faults, full_fault_universe, grade_faults
+from repro.atpg import (
+    CompiledPodem,
+    collapse_faults,
+    full_fault_universe,
+    grade_faults,
+)
 from repro.netlist import GateType, Netlist
-from repro.netlist.simulate import PackedSimulator
+from tests import oracles
 
 _KINDS = [GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
           GateType.NOR, GateType.NOT, GateType.MUX2]
@@ -41,8 +47,7 @@ def _circuit(seed: int, n_inputs: int, n_gates: int) -> Netlist:
 
 
 def _exhaustive(nl: Netlist) -> np.ndarray:
-    sim = PackedSimulator(nl)
-    n = sim.n_sources
+    n = len(nl.source_nets())
     rows = [[(v >> i) & 1 for i in range(n)] for v in range(1 << n)]
     return np.array(rows, dtype=bool)
 
@@ -55,8 +60,8 @@ class TestPodemAgreesWithGrading:
     @settings(max_examples=20, deadline=None)
     def test_detected_patterns_really_detect(self, seed, n_gates):
         nl = _circuit(seed, 4, n_gates)
-        sim = PackedSimulator(nl)
-        podem = Podem(nl, backtrack_limit=128)
+        sim = oracles.PackedSimulator(nl)
+        podem = CompiledPodem(nl, backtrack_limit=128)
         faults = collapse_faults(nl, full_fault_universe(nl))[:25]
         for fault in faults:
             res = podem.generate(fault)
@@ -65,7 +70,7 @@ class TestPodemAgreesWithGrading:
             row = np.zeros((1, sim.n_sources), dtype=bool)
             for net, val in res.pattern.items():
                 row[0, sim.source_col[net]] = bool(val)
-            grade = grade_faults(nl, [fault], row, sim=sim)
+            grade = oracles.grade_faults(nl, [fault], row, sim=sim)
             assert fault in grade.detected, (
                 f"{fault.describe()} not detected by PODEM's own pattern"
             )
@@ -78,7 +83,7 @@ class TestPodemAgreesWithGrading:
     def test_untestable_verdicts_hold_exhaustively(self, seed, n_gates):
         nl = _circuit(seed, 4, n_gates)
         patterns = _exhaustive(nl)
-        podem = Podem(nl, backtrack_limit=10_000)
+        podem = CompiledPodem(nl, backtrack_limit=10_000)
         faults = collapse_faults(nl, full_fault_universe(nl))[:20]
         grade = grade_faults(nl, faults, patterns)
         for fault in faults:

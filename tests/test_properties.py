@@ -20,11 +20,11 @@ from repro.core import (
 )
 from repro.cpu.isa import Instr, OpClass
 from repro.cpu.queues import CompactingIssueQueue, LoadStoreQueue
-from repro.netlist import GateType, Netlist, Simulator
+from repro.netlist import GateType, Netlist, PackedWordSimulator
 from repro.netlist.faults import StuckAt
-from repro.netlist.simulate import PackedSimulator
 from repro.yieldmodel import GammaMixing, negbin_yield
 from repro.yieldmodel.configs import config_probabilities
+from tests.oracles import Simulator
 
 
 # ----------------------------------------------------------------------
@@ -65,7 +65,7 @@ class TestNetlistProperties:
     def test_packed_matches_scalar(self, seed, n_inputs, n_gates):
         nl = _random_netlist(seed, n_inputs, n_gates)
         scalar = Simulator(nl)
-        packed = PackedSimulator(nl)
+        packed = PackedWordSimulator(nl)
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, 2, size=(5, packed.n_sources)).astype(bool)
         vals = packed.good_values(patterns)
@@ -109,13 +109,13 @@ class TestNetlistProperties:
     @settings(max_examples=20, deadline=None)
     def test_prune_preserves_observed_behavior(self, seed, n_gates):
         nl = _random_netlist(seed, 4, n_gates)
-        packed = PackedSimulator(nl)
+        packed = PackedWordSimulator(nl)
         rng = np.random.default_rng(seed)
         patterns = rng.integers(0, 2, size=(4, packed.n_sources)).astype(bool)
         vals = packed.good_values(patterns)
         po_before, st_before = packed.capture(vals)
         nl.prune_unobservable()
-        packed2 = PackedSimulator(nl)
+        packed2 = PackedWordSimulator(nl)
         vals2 = packed2.good_values(patterns)
         po_after, st_after = packed2.capture(vals2)
         assert (po_before == po_after).all()
@@ -128,7 +128,7 @@ class TestNetlistProperties:
     @settings(max_examples=25, deadline=None)
     def test_faulty_cone_matches_direct_injection(self, seed, value):
         nl = _random_netlist(seed, 4, 20)
-        packed = PackedSimulator(nl)
+        packed = PackedWordSimulator(nl)
         scalar = Simulator(nl)
         rng = np.random.default_rng(seed)
         target = nl.gates[rng.integers(len(nl.gates))].output

@@ -6,7 +6,7 @@ the tiny models once; individual tests share the setup.
 
 import pytest
 
-from repro.netlist import Simulator
+from tests.oracles import Simulator
 from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
 from repro.rtl.experiment import (
     generate_tests,

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.netlist import Simulator
+from tests.oracles import Simulator
 from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
 
 

@@ -9,7 +9,7 @@ transformations preserved function, not just structure.
 
 import pytest
 
-from repro.netlist import Simulator
+from tests.oracles import Simulator
 from repro.rtl import RtlParams, build_rescue_rtl
 
 

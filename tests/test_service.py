@@ -56,6 +56,13 @@ class TestRegistry:
         with pytest.raises(TypeError):
             get_campaign("montecarlo").make_spec({"n_chops": 5})
 
+    @pytest.mark.parametrize("engine", ["word", "legacy"])
+    def test_isolation_rejects_retired_backend_param(self, engine):
+        """A job spec from before the single-engine change fails loudly
+        instead of silently running on a different engine."""
+        with pytest.raises(TypeError):
+            get_campaign("isolation").make_spec({"backend": engine})
+
     def test_job_key_is_canonical(self):
         entry = get_campaign("montecarlo")
         # Explicitly passing a default produces the same job identity.
