@@ -8,6 +8,8 @@ instant.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -57,8 +59,25 @@ def simulate_config(
     return core.run(n_instructions, warmup=warmup).ipc
 
 
+@functools.lru_cache(maxsize=None)
+def sim_fingerprint() -> str:
+    """sha256 over the source of ``repro.cpu`` and ``repro.workloads``.
+
+    Any edit to the code that produces an IPC (the core, the trace
+    generators, :func:`simulate_config`) changes it, so cached IPCs from
+    older code stop matching instead of being served stale.
+    """
+    src = Path(__file__).parent.parent
+    files = sorted(src.glob("cpu/*.py")) + sorted(src.glob("workloads/*.py"))
+    h = hashlib.sha256()
+    for f in files:
+        h.update(f"{f.parent.name}/{f.name}\0".encode())
+        h.update(f.read_bytes())
+    return h.hexdigest()
+
+
 class IpcCache:
-    """JSON-backed memo of (benchmark, machine signature) → IPC."""
+    """JSON-backed memo of (benchmark, machine, code fingerprint) → IPC."""
 
     def __init__(self, path: Optional[Path] = None) -> None:
         if path is None:
@@ -83,25 +102,12 @@ class IpcCache:
         seed: int,
         warmup: int = 12_000,
     ) -> str:
-        parts = [
-            benchmark,
-            "rescue" if config.rescue else "base",
-            f"fe{config.frontend_groups}",
-            f"ib{config.int_backend_groups}",
-            f"fb{config.fp_backend_groups}",
-            f"qi{config.iq_int_halves}",
-            f"qf{config.iq_fp_halves}",
-            f"ls{config.lsq_halves}",
-            f"cb{config.compaction_buffer}",
-            f"rp{config.replay_policy}",
-            f"tg{config.tech_generations}",
-            f"iq{config.core.iq_int_size}",
-            f"mp{config.core.mispredict_penalty}",
-            f"n{n_instructions}",
-            f"w{warmup}",
-            f"s{seed}",
-        ]
-        return ":".join(parts)
+        """The full machine configuration, the run shape, and the
+        :func:`sim_fingerprint` of the code that simulates it."""
+        return (
+            f"{benchmark}:n{n_instructions}:w{warmup}:s{seed}:"
+            f"{sim_fingerprint()[:16]}:{config!r}"
+        )
 
     def get_or_run(
         self,

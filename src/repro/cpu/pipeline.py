@@ -201,6 +201,10 @@ class Core:
         observation point: returning truthy stops the simulation at that
         boundary.  The callback must not mutate simulator state.
 
+        Without ``on_cycle`` and ``arch`` nothing observes the run, so it
+        jumps over dead cycles (see :meth:`_next_event`); the results
+        are identical to stepping every cycle.
+
         A core restored via :meth:`restore` resumes from its snapshot
         position: ``max_instructions`` still names the *total* commit
         target, and ``max_cycles`` stays an absolute cycle budget.
@@ -213,6 +217,9 @@ class Core:
         snap = None
         total = max_instructions + warmup
         arch = self.arch
+        # Nothing observes the run, so dead cycles can be jumped over.
+        skip = arch is None and on_cycle is None
+        skipped = 0
         while committed < total and cycle < max_cycles:
             if on_cycle is not None:
                 self.cycle = cycle
@@ -223,38 +230,39 @@ class Core:
                 arch.begin_cycle(self, cycle)
                 if arch.stopped:
                     break
-            committed += self._commit(cycle)
+            n = self._commit(cycle)
+            committed += n
             if arch is not None and arch.stopped:
                 break
             if snap is None and committed >= warmup:
                 start_cycle = cycle
-                snap = (
-                    self.mem.l1d.hits, self.mem.l1d.misses,
-                    self.mem.l2.hits, self.mem.l2.misses,
-                    self.predictor.lookups, self.predictor.mispredicts,
-                    self.replays, self.load_squashes, committed,
-                    self.issued_total, self.iq_occupancy_sum,
-                    self.stall_rob_full, self.stall_iq_full,
-                    self.stall_lsq_full, self.fetch_redirect_cycles,
-                    self.fetch_stall_cycles,
-                    self.fetch_backpressure_cycles,
-                )
-            self._apply_pending_fixes(cycle)
-            self.iq_int.tick(cycle)
-            self.iq_fp.tick(cycle)
-            self.iq_occupancy_sum += (
-                self.iq_int.occupancy() + self.iq_fp.occupancy()
-            )
-            self._issue(cycle)
-            self._dispatch(cycle)
-            self._fetch(cycle)
-            if (
-                self.trace_done
-                and not self.rob
-                and not self.dispatch_q
-            ):
+                snap = self._window_start(committed)
+            fixed = self._apply_pending_fixes(cycle)
+            released = self.iq_int.tick(cycle) | self.iq_fp.tick(cycle)
+            occupancy = self.iq_int.occupancy() + self.iq_fp.occupancy()
+            self.iq_occupancy_sum += occupancy
+            if skip:
+                stalls = self._stall_counters()
+            selected = self._issue(cycle)
+            dispatched = self._dispatch(cycle)
+            fetched = self._fetch(cycle)
+            if self.trace_done and not self.rob and not self.dispatch_q:
                 break
-            cycle += 1
+            if not skip or (
+                n or fixed or released or selected or dispatched or fetched
+            ):
+                cycle += 1
+                continue
+            # A dead cycle: the machine state is unchanged, so every
+            # cycle up to the next timer repeats it exactly.
+            target = min(self._next_event(cycle), max_cycles)
+            k = target - cycle - 1
+            if k > 0:
+                self.iq_occupancy_sum += k * occupancy
+                self._add_stalls(stalls, k)
+                if snap is not None:
+                    skipped += k
+            cycle = target
         self.cycle = cycle
         self.committed = committed
         if snap is None:
@@ -303,8 +311,92 @@ class Core:
                     self.fetch_stall_cycles - snap[15])
             t.count("cpu.stall.fetch_backpressure",
                     self.fetch_backpressure_cycles - snap[16])
+            t.count("cpu.skipped_cycles", skipped)
             t.observe("cpu.ipc", result.ipc)
         return result
+
+    def _window_start(self, committed: int) -> tuple:
+        """Counters at the start of the measured window (after warmup)."""
+        return (
+            self.mem.l1d.hits, self.mem.l1d.misses,
+            self.mem.l2.hits, self.mem.l2.misses,
+            self.predictor.lookups, self.predictor.mispredicts,
+            self.replays, self.load_squashes, committed,
+            self.issued_total, self.iq_occupancy_sum,
+        ) + self._stall_counters()
+
+    def _stall_counters(self) -> tuple:
+        return (
+            self.stall_rob_full, self.stall_iq_full, self.stall_lsq_full,
+            self.fetch_redirect_cycles, self.fetch_stall_cycles,
+            self.fetch_backpressure_cycles,
+        )
+
+    def _add_stalls(self, before: tuple, k: int) -> None:
+        """Repeat the current cycle's stall accounting ``k`` more times."""
+        (
+            rob_full, iq_full, lsq_full, redirect, stall, backpressure,
+        ) = before
+        self.stall_rob_full += k * (self.stall_rob_full - rob_full)
+        self.stall_iq_full += k * (self.stall_iq_full - iq_full)
+        self.stall_lsq_full += k * (self.stall_lsq_full - lsq_full)
+        self.fetch_redirect_cycles += k * (
+            self.fetch_redirect_cycles - redirect
+        )
+        self.fetch_stall_cycles += k * (self.fetch_stall_cycles - stall)
+        self.fetch_backpressure_cycles += k * (
+            self.fetch_backpressure_cycles - backpressure
+        )
+
+    def _next_event(self, cycle: int) -> float:
+        """Earliest cycle after a dead ``cycle`` at which a timer fires.
+
+        Until then the machine repeats the dead cycle: commit waits on
+        the ROB head, load-hit discovery on ``pending_fixes``, dispatch
+        on the dispatch-queue head, fetch on ``fetch_stall_until``,
+        slot release on ``issued_at + issue_to_free``, and selection on
+        each waiting entry's ``blocked_until`` and its producers'
+        wakeup times.  The caches and predictor change only with those
+        events, never with time alone.  Returns ``inf`` when no timer
+        is pending.
+        """
+        nxt = _INF
+        if self.rob:
+            done = self.rob[0].done
+            if done is not None:
+                nxt = done
+        for discover, _ in self.pending_fixes:
+            if discover < nxt:
+                nxt = discover
+        if self.dispatch_q:
+            avail = self.dispatch_q[0][0]
+            if cycle < avail < nxt:
+                nxt = avail
+        if cycle < self.fetch_stall_until < nxt:
+            nxt = self.fetch_stall_until
+        opt = self.opt_done
+        for queue in (self.iq_int, self.iq_fp):
+            itf = queue.issue_to_free
+            for e in queue.entries:
+                if e.issued_at is not None:
+                    t = e.issued_at + itf
+                else:
+                    # Ready once unblocked and every in-flight producer
+                    # has (optimistically) completed; an unissued
+                    # producer (inf) wakes it only through its own event.
+                    t = e.blocked_until
+                    seq = e.instr.seq
+                    for d in e.instr.deps:
+                        p = opt.get(seq - d)
+                        if p is not None and p > t:
+                            t = p
+                    if t <= cycle:
+                        # Ready but held back by a static cause (a
+                        # resource limit, or the compaction latch).
+                        continue
+                if t < nxt:
+                    nxt = t
+        return nxt
 
     # ------------------------------------------------------------------
     def _commit(self, cycle: int) -> int:
@@ -332,10 +424,11 @@ class Core:
             self.lsq.retire_upto(last_seq)
         return n
 
-    def _apply_pending_fixes(self, cycle: int) -> None:
-        """Load hit/miss discovery: downgrade optimistic wakeups."""
+    def _apply_pending_fixes(self, cycle: int) -> bool:
+        """Load hit/miss discovery: downgrade optimistic wakeups.  True
+        when a discovery fell due."""
         if not self.pending_fixes:
-            return
+            return False
         keep = []
         for discover, seq in self.pending_fixes:
             if discover <= cycle:
@@ -343,10 +436,15 @@ class Core:
                     self.opt_done[seq] = self.act_done.get(seq, _INF)
             else:
                 keep.append((discover, seq))
+        if len(keep) == len(self.pending_fixes):
+            return False
         self.pending_fixes = keep
+        return True
 
     # ------------------------------------------------------------------
-    def _issue(self, cycle: int) -> None:
+    def _issue(self, cycle: int) -> bool:
+        """Select and execute; True when anything was selected."""
+        selected = False
         for queue, limits in (
             (self.iq_int, self._limits_int),
             (self.iq_fp, self._limits_fp),
@@ -355,6 +453,7 @@ class Core:
                 old_sel, new_sel = queue.select_halves(
                     cycle, self._ready, limits
                 )
+                selected = selected or bool(old_sel or new_sel)
                 if new_sel and combined_violates(old_sel, new_sel, limits):
                     if self.cfg.replay_policy == "trim":
                         # Idealized comparator: drop only the youngest
@@ -376,7 +475,9 @@ class Core:
                     survivors = old_sel + new_sel
             else:
                 survivors = queue.select(cycle, self._ready, limits)
+                selected = selected or bool(survivors)
             self._execute(survivors, queue, cycle)
+        return selected
 
     def _trim(self, old_sel, new_sel, limits, cycle):
         """Keep the oldest selections that fit the limits; replay the rest
@@ -451,7 +552,7 @@ class Core:
                 self.redirect_seq = None
 
     # ------------------------------------------------------------------
-    def _dispatch(self, cycle: int) -> None:
+    def _dispatch(self, cycle: int) -> int:
         cfg = self.cfg
         n = 0
         # Frontend ways do decode and rename too: a degraded frontend
@@ -484,17 +585,19 @@ class Core:
             if self.arch is not None:
                 self.arch.on_dispatch(self, instr, cycle)
             n += 1
+        return n
 
     # ------------------------------------------------------------------
-    def _fetch(self, cycle: int) -> None:
+    def _fetch(self, cycle: int) -> bool:
+        """Fetch one group; True when the trace advanced."""
         cfg = self.cfg
         if self.trace_done or self.redirect_seq is not None:
             if self.redirect_seq is not None:
                 self.fetch_redirect_cycles += 1
-            return
+            return False
         if cycle < self.fetch_stall_until:
             self.fetch_stall_cycles += 1
-            return
+            return False
         # The dispatch queue holds everything in flight in the frontend
         # (frontend_latency cycles deep at full width) plus a small skid.
         # The skid budget is the *baseline* depth for both machines so the
@@ -504,12 +607,12 @@ class Core:
             cfg.core.mispredict_penalty + 4
         ):
             self.fetch_backpressure_cycles += 1
-            return
+            return False
         for way in range(cfg.fetch_width):
             instr = next(self.trace, None)
             if instr is None:
                 self.trace_done = True
-                return
+                return True
             self.fetched += 1
             if self.arch is not None:
                 instr = self.arch.on_fetch(self, instr, way, cycle)
@@ -520,9 +623,10 @@ class Core:
                 )
                 if wrong:
                     self.redirect_seq = instr.seq
-                    return
+                    return True
                 if instr.taken:
-                    return  # taken branches end the fetch group
+                    return True  # taken branches end the fetch group
+        return True
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:

@@ -28,30 +28,29 @@ from repro.cpu.isa import Instr, OpClass
 RESOURCES = ("slots", "alu", "mul", "fadd", "fmul", "mem")
 
 
+_RESOURCE = {
+    OpClass.IALU: "alu",
+    OpClass.BRANCH: "alu",
+    OpClass.IMUL: "mul",
+    OpClass.FADD: "fadd",
+    OpClass.FMUL: "fmul",
+    OpClass.LOAD: "mem",
+    OpClass.STORE: "mem",
+}
+
+
 def resource_of(op: OpClass) -> str:
     """Execution resource class an operation consumes."""
-    return {
-        OpClass.IALU: "alu",
-        OpClass.BRANCH: "alu",
-        OpClass.IMUL: "mul",
-        OpClass.FADD: "fadd",
-        OpClass.FMUL: "fmul",
-        OpClass.LOAD: "mem",
-        OpClass.STORE: "mem",
-    }[op]
+    return _RESOURCE[op]
 
 
 class IqEntry:
-    """One issue-queue entry."""
+    """One issue-queue entry (its segment is the list that holds it)."""
 
-    __slots__ = (
-        "instr", "segment", "issued_at", "entered_segment_at",
-        "blocked_until",
-    )
+    __slots__ = ("instr", "issued_at", "entered_segment_at", "blocked_until")
 
-    def __init__(self, instr: Instr, segment: str, cycle: int) -> None:
+    def __init__(self, instr: Instr, cycle: int) -> None:
         self.instr = instr
-        self.segment = segment
         self.issued_at: Optional[int] = None
         self.entered_segment_at = cycle
         # Earliest cycle this entry may be selected again after a replay
@@ -59,21 +58,38 @@ class IqEntry:
         self.blocked_until = 0
 
 
-def _entry_tuple(e: IqEntry) -> tuple:
+def _entry_tuple(e: IqEntry, segment: str) -> tuple:
     """Plain-data form of an entry (the instr is keyed by seq + pc)."""
     return (
-        e.instr.seq, e.instr.pc, e.segment, e.issued_at,
+        e.instr.seq, e.instr.pc, segment, e.issued_at,
         e.entered_segment_at, e.blocked_until,
     )
 
 
 def _entry_from_tuple(t: tuple, resolve) -> IqEntry:
     """Rebuild an entry; ``resolve(seq, pc)`` supplies the Instr."""
-    seq, pc, segment, issued_at, entered_at, blocked = t
-    e = IqEntry(resolve(seq, pc), segment, entered_at)
+    seq, pc, _segment, issued_at, entered_at, blocked = t
+    e = IqEntry(resolve(seq, pc), entered_at)
     e.issued_at = issued_at
     e.blocked_until = blocked
     return e
+
+
+def _release(
+    entries: List[IqEntry], cycle: int, issue_to_free: int
+) -> List[IqEntry]:
+    """``entries`` without the slots due for release at ``cycle``; the
+    same list object when none is due (the common case: nothing is
+    built)."""
+    for e in entries:
+        t = e.issued_at
+        if t is not None and cycle >= t + issue_to_free:
+            return [
+                e
+                for e in entries
+                if e.issued_at is None or cycle < e.issued_at + issue_to_free
+            ]
+    return entries
 
 
 def _select_from(
@@ -83,20 +99,22 @@ def _select_from(
     limits: Dict[str, int],
 ) -> List[IqEntry]:
     """Oldest-first selection under resource limits."""
-    used = {r: 0 for r in limits}
+    slots = limits["slots"]
+    used: Dict[str, int] = {}
     picked: List[IqEntry] = []
     for e in entries:
         if e.issued_at is not None or e.blocked_until > cycle:
             continue
-        if not ready(e.instr, cycle):
+        instr = e.instr
+        if not ready(instr, cycle):
             continue
-        res = resource_of(e.instr.op)
-        if used["slots"] + 1 > limits["slots"]:
+        if len(picked) >= slots:
             break
-        if used.get(res, 0) + 1 > limits.get(res, 0):
+        res = _RESOURCE[instr.op]
+        n = used.get(res, 0)
+        if n >= limits.get(res, 0):
             continue
-        used["slots"] += 1
-        used[res] = used.get(res, 0) + 1
+        used[res] = n + 1
         picked.append(e)
     for e in picked:
         e.issued_at = cycle
@@ -132,13 +150,13 @@ class CompactingIssueQueue:
         self.issue_to_free = issue_to_free
         self.entries: List[IqEntry] = []
 
-    def tick(self, cycle: int) -> None:
-        """Release the slots of entries issued long enough ago."""
-        self.entries = [
-            e
-            for e in self.entries
-            if e.issued_at is None or cycle < e.issued_at + self.issue_to_free
-        ]
+    def tick(self, cycle: int) -> bool:
+        """Release the slots of entries issued long enough ago; True
+        when a slot was released."""
+        kept = _release(self.entries, cycle, self.issue_to_free)
+        changed = kept is not self.entries
+        self.entries = kept
+        return changed
 
     def can_insert(self) -> bool:
         return len(self.entries) < self.size
@@ -146,7 +164,7 @@ class CompactingIssueQueue:
     def insert(self, instr: Instr, cycle: int) -> None:
         if not self.can_insert():
             raise RuntimeError("issue queue overflow")
-        self.entries.append(IqEntry(instr, "old", cycle))
+        self.entries.append(IqEntry(instr, cycle))
 
     def select(
         self,
@@ -165,7 +183,9 @@ class CompactingIssueQueue:
 
     def snapshot(self) -> dict:
         """Entries in age order as plain tuples."""
-        return {"entries": tuple(_entry_tuple(e) for e in self.entries)}
+        return {
+            "entries": tuple(_entry_tuple(e, "old") for e in self.entries)
+        }
 
     def restore(self, snap: dict, resolve) -> None:
         """Rebuild entries; ``resolve(seq, pc)`` maps back to Instrs."""
@@ -177,9 +197,15 @@ class CompactingIssueQueue:
 class SegmentedIssueQueue:
     """Rescue's two-half queue with the temporary compaction latch.
 
+    The segments are three live lists, each in age order: ``old`` (the
+    old half), ``buf`` (the compaction latch) and ``new`` (the new half).
+    Entries only ever move new→buf→old, oldest first, so the global age
+    order is always ``old + buf + new`` (:attr:`entries`).
+
     When ``halves == 1`` (one half mapped out), the queue degrades to a
     single window of half the size fed directly from rename (Section
-    4.1.3) and behaves like the baseline policy at that size.
+    4.1.3) and behaves like the baseline policy at that size; every
+    entry then lives in ``old``.
     """
 
     def __init__(
@@ -201,59 +227,76 @@ class SegmentedIssueQueue:
             self.buffer_cap = compaction_buffer
             self.half_cap = (size - compaction_buffer) // 2
             self.size = size
-        self.entries: List[IqEntry] = []  # global age order
+        self.old: List[IqEntry] = []
+        self.buf: List[IqEntry] = []
+        self.new: List[IqEntry] = []
         self._request_pending = False
 
-    # ------------------------------------------------------------------
-    def _seg(self, name: str) -> List[IqEntry]:
-        return [e for e in self.entries if e.segment == name]
+    @property
+    def entries(self) -> List[IqEntry]:
+        """All entries in global age order."""
+        return self.old + self.buf + self.new
 
-    def tick(self, cycle: int) -> None:
-        """Release issued slots, then run the cycle-split compaction."""
-        self.entries = [
-            e
-            for e in self.entries
-            if e.issued_at is None or cycle < e.issued_at + self.issue_to_free
-        ]
+    # ------------------------------------------------------------------
+    def tick(self, cycle: int) -> bool:
+        """Release issued slots, then run the cycle-split compaction.
+
+        Returns True when anything changed: a slot was released, an
+        entry moved, or the request latch flipped.
+        """
+        itf = self.issue_to_free
+        old = _release(self.old, cycle, itf)
+        buf = _release(self.buf, cycle, itf)
+        new = _release(self.new, cycle, itf)
+        changed = (
+            old is not self.old or buf is not self.buf or new is not self.new
+        )
+        self.old, self.buf, self.new = old, buf, new
         if self.halves == 1:
-            return
-        old = self._seg("old")
-        buf = self._seg("buf")
-        new = self._seg("new")
+            return changed
         # Buffer -> old: entries that spent a full cycle in the latch.
+        # Entries reach the latch oldest first, so the eligible ones are
+        # a prefix of it.
         holes = self.half_cap - len(old)
         moved = 0
-        for e in buf:
-            if moved >= holes:
-                break
-            if e.entered_segment_at < cycle:
-                e.segment = "old"
-                e.entered_segment_at = cycle
-                moved += 1
+        while (
+            moved < holes
+            and moved < len(buf)
+            and buf[moved].entered_segment_at < cycle
+        ):
+            buf[moved].entered_segment_at = cycle
+            moved += 1
+        if moved:
+            old.extend(buf[:moved])
+            del buf[:moved]
+            changed = True
         # New -> buffer, only if the old half asked last cycle.
         if self._request_pending:
-            space = self.buffer_cap - len(self._seg("buf"))
-            moved_new = 0
-            for e in new:
-                if moved_new >= space:
-                    break
-                e.segment = "buf"
-                e.entered_segment_at = cycle
-                moved_new += 1
+            moved = min(self.buffer_cap - len(buf), len(new))
+            if moved > 0:
+                for e in new[:moved]:
+                    e.entered_segment_at = cycle
+                buf.extend(new[:moved])
+                del new[:moved]
+                changed = True
         # Latch this cycle's request for the next one (cycle splitting).
-        self._request_pending = len(self._seg("old")) < self.half_cap
+        request = len(old) < self.half_cap
+        if request != self._request_pending:
+            self._request_pending = request
+            changed = True
+        return changed
 
     # ------------------------------------------------------------------
     def can_insert(self) -> bool:
         if self.halves == 1:
-            return len(self.entries) < self.half_cap
-        return len(self._seg("new")) < self.half_cap
+            return len(self.old) < self.half_cap
+        return len(self.new) < self.half_cap
 
     def insert(self, instr: Instr, cycle: int) -> None:
         if not self.can_insert():
             raise RuntimeError("issue queue overflow")
-        seg = "old" if self.halves == 1 else "new"
-        self.entries.append(IqEntry(instr, seg, cycle))
+        seg = self.old if self.halves == 1 else self.new
+        seg.append(IqEntry(instr, cycle))
 
     # ------------------------------------------------------------------
     def select_halves(
@@ -263,10 +306,10 @@ class SegmentedIssueQueue:
         limits: Dict[str, int],
     ):
         """(old selection, new selection); buffer entries never issue."""
-        old_sel = _select_from(self._seg("old"), cycle, ready, limits)
+        old_sel = _select_from(self.old, cycle, ready, limits)
         if self.halves == 1:
             return old_sel, []
-        new_sel = _select_from(self._seg("new"), cycle, ready, limits)
+        new_sel = _select_from(self.new, cycle, ready, limits)
         return old_sel, new_sel
 
     def replay(self, entries: List[IqEntry]) -> None:
@@ -274,20 +317,25 @@ class SegmentedIssueQueue:
             e.issued_at = None
 
     def occupancy(self) -> int:
-        return len(self.entries)
+        return len(self.old) + len(self.buf) + len(self.new)
 
     def snapshot(self) -> dict:
         """Entries in global age order plus the compaction-request latch."""
         return {
-            "entries": tuple(_entry_tuple(e) for e in self.entries),
+            "entries": tuple(
+                _entry_tuple(e, name)
+                for name in ("old", "buf", "new")
+                for e in getattr(self, name)
+            ),
             "request_pending": self._request_pending,
         }
 
     def restore(self, snap: dict, resolve) -> None:
-        """Rebuild entries (age order preserved) and the request latch."""
-        self.entries = [
-            _entry_from_tuple(t, resolve) for t in snap["entries"]
-        ]
+        """Rebuild the segments (age order preserved) and the latch."""
+        segs = {"old": [], "buf": [], "new": []}
+        for t in snap["entries"]:
+            segs[t[2]].append(_entry_from_tuple(t, resolve))
+        self.old, self.buf, self.new = segs["old"], segs["buf"], segs["new"]
         self._request_pending = snap["request_pending"]
 
 

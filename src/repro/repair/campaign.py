@@ -34,6 +34,7 @@ from repro.netlist.area import area_breakdown
 from repro.netlist.netlist import Netlist
 from repro.repair.candidates import (
     CANDIDATE_KINDS,
+    AlreadySingleBlock,
     NotApplicable,
     apply_candidate,
 )
@@ -230,17 +231,29 @@ def apply_plan(
     netlist: Netlist,
     actions: List[RepairAction],
     exempt: Tuple[str, ...] = ("chipkill",),
-) -> List[str]:
-    """Apply a plan's actions in order, in place; returns the patch log.
+) -> Tuple[List[str], List[RepairAction]]:
+    """Apply a plan's actions in order, in place.
 
-    Actions are symbolic (observer + kind), so re-application on any
-    equal netlist reproduces the workers' patches gate for gate.
+    Returns the patch log (one line per action) and the actions actually
+    applied.  Actions are symbolic (observer + kind), so re-application
+    on any equal netlist reproduces the workers' patches gate for gate.
+    Each action was verified alone; an earlier action of the plan may
+    already have cleared a later observer's cone, and that later action
+    is then logged as subsumed and skipped.
     """
     log: List[str] = []
+    applied: List[RepairAction] = []
     for a in actions:
-        info = apply_candidate(netlist, a.kind, a.observer, exempt=exempt)
+        try:
+            info = apply_candidate(
+                netlist, a.kind, a.observer, exempt=exempt
+            )
+        except AlreadySingleBlock as exc:
+            log.append(f"subsumed {a.kind} {a.observer}: {exc}")
+            continue
         log.append(info.log_line())
-    return log
+        applied.append(a)
+    return log, applied
 
 
 @dataclass
@@ -407,7 +420,8 @@ def _compose_and_verify(
 ) -> RepairResult:
     """Compose the chosen plan and re-verify the patched model whole."""
     base = BaseState.build(netlist, report, spec.n_patterns, spec.seed)
-    patched, _log = patch_model(spec, actions, netlist=netlist)
+    patched = netlist.copy()
+    _log, applied = apply_plan(patched, actions, exempt=spec.exempt)
     preport = check_netlist_ici(patched, exempt_blocks=spec.exempt)
     verdict, _sim, _values = _equivalence_stage(base, patched, spec.seed)
     base_area = area_breakdown(netlist).total
@@ -421,7 +435,7 @@ def _compose_and_verify(
         unrepaired=unrepaired,
         breaks=[b.describe() for b in breaks],
         base_area=base_area,
-        extra_area=sum(a.extra_area for a in actions),
+        extra_area=sum(a.extra_area for a in applied),
         patched_satisfied=preport.satisfied,
         equivalent=verdict is None,
         n_patterns=spec.n_patterns,
@@ -441,5 +455,5 @@ def patch_model(
     if netlist is None:
         netlist, _breaks = build_model(spec)
     patched = netlist.copy()
-    log = apply_plan(patched, actions, exempt=spec.exempt)
+    log, _applied = apply_plan(patched, actions, exempt=spec.exempt)
     return patched, log

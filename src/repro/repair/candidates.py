@@ -47,6 +47,10 @@ class NotApplicable(Exception):
     """The candidate shape cannot patch this violation."""
 
 
+class AlreadySingleBlock(NotApplicable):
+    """The observer's cone has no foreign block left: nothing to patch."""
+
+
 @dataclass
 class PatchInfo:
     """What one applied candidate did to the netlist."""
@@ -118,7 +122,8 @@ def apply_candidate(
 
     Raises :class:`NotApplicable` when the candidate shape does not fit
     the violation (e.g. relabel on a multi-block cone, or any kind on a
-    primary-output observer).
+    primary-output observer), and its :class:`AlreadySingleBlock`
+    subclass when the cone no longer reads any foreign block.
     """
     resolve = block_of or _default_block
     ex = set(exempt)
@@ -127,7 +132,7 @@ def apply_candidate(
     cone = _cone_gids(netlist, flop.d_net)
     foreign = _cone_foreign_blocks(netlist, cone, own, ex, resolve)
     if not foreign:
-        raise NotApplicable(f"{observer}: cone already single-block")
+        raise AlreadySingleBlock(f"{observer}: cone already single-block")
     if kind == "relabel":
         return _apply_relabel(netlist, flop, cone, own, foreign, ex, resolve)
     if kind == "redrive":

@@ -14,7 +14,11 @@ in increasing order of cost:
    base netlist exactly.  Candidates that add state (the latch shape)
    extend the pattern matrix with fresh columns for the new flops; their
    captured bits are not compared — they are new state — but everything
-   the base design observes must be bit-identical.
+   the base design observes must be bit-identical.  A random column
+   rarely exposes a low-observability staged net, so a patch with new
+   flops that passes the screen must also pass a proof: PODEM shows
+   that no new flop's Q can reach any observation point (stuck-at-0 on
+   each Q is untestable).  A found test or an aborted search rejects.
 3. **isolation sample** — stuck-at faults sampled on the patch's gates
    must be detected only by observers of the faulted gate's block (or by
    primary outputs, which are tester pins, not scan-isolation points).
@@ -24,7 +28,8 @@ in increasing order of cost:
 The screen is sound for rejection (a mismatch is a real functional
 change) and sampling-complete for acceptance, which is the standard
 fast-equivalence contract; candidates that survive are additionally
-exact by construction for the redrive/relabel shapes.
+exact by construction for the redrive/relabel shapes, and proven for
+shapes that add state.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import Callable, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.atpg.podem_compiled import CompiledPodem
 from repro.core.netcheck import NetIciReport, _default_block, check_netlist_ici
 from repro.netlist.compiled import PackedWordSimulator, WordValues
 from repro.netlist.faults import StuckAt
@@ -149,6 +155,19 @@ def _equivalence_stage(
             OracleVerdict(False, "equivalence", "captured state differs"),
             sim, values,
         )
+    if extra:
+        podem = CompiledPodem(patched, compiled=sim.compiled)
+        for flop in patched.flops[n_flops:]:
+            result = podem.generate(StuckAt(net=flop.q_net, value=0))
+            if result.status != "untestable":
+                return (
+                    OracleVerdict(
+                        False, "equivalence",
+                        f"new state {flop.name} observable "
+                        f"(PODEM: {result.status})",
+                    ),
+                    sim, values,
+                )
     return None, sim, values
 
 

@@ -1,5 +1,6 @@
 """Tests for the degraded-configuration bridge and the IPC cache."""
 
+import dataclasses
 import json
 
 import pytest
@@ -47,6 +48,36 @@ class TestIpcCache:
         cache2 = IpcCache(tmp_path / "ipc.json")
         key = IpcCache.key("gzip", cfg, 800, 12345, 400)
         assert cache2._data[key] == v1
+
+    def test_key_covers_every_config_field(self):
+        """Fields outside the old hand-picked list still split keys."""
+        base = MachineConfig(rescue=True)
+        wider = dataclasses.replace(
+            base, core=dataclasses.replace(base.core, l2_latency=20)
+        )
+        assert IpcCache.key("gzip", base, 1000, 1) != IpcCache.key(
+            "gzip", wider, 1000, 1
+        )
+
+    def test_changed_code_fingerprint_misses(self, tmp_path, monkeypatch):
+        """An entry written by other simulator code is re-simulated."""
+        import repro.cpu.degraded as degraded
+
+        calls = []
+
+        def fake_simulate(*args):
+            calls.append(args)
+            return 0.5 + len(calls)
+
+        monkeypatch.setattr(degraded, "simulate_config", fake_simulate)
+        cfg = MachineConfig(rescue=True)
+        path = tmp_path / "ipc.json"
+        assert IpcCache(path).get_or_run("gzip", cfg, 800, 1, 400) == 1.5
+        assert IpcCache(path).get_or_run("gzip", cfg, 800, 1, 400) == 1.5
+        assert len(calls) == 1  # same code: a hit
+        monkeypatch.setattr(degraded, "sim_fingerprint", lambda: "0" * 64)
+        assert IpcCache(path).get_or_run("gzip", cfg, 800, 1, 400) == 2.5
+        assert len(calls) == 2  # other code: the old entry is not served
 
     def test_racing_caches_lose_no_entries(self, tmp_path):
         # Two cache instances on the same path, saving alternately: a

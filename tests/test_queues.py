@@ -77,7 +77,7 @@ class TestSegmentedQueue:
     def test_insert_goes_to_new_half(self):
         q = SegmentedIssueQueue(size=12, compaction_buffer=2)
         q.insert(_ins(0), 0)
-        assert q._seg("new") and not q._seg("old")
+        assert q.new and not q.old
 
     def test_compaction_is_cycle_split(self):
         """New entries reach the old half only after the request latch and
@@ -85,11 +85,11 @@ class TestSegmentedQueue:
         q = SegmentedIssueQueue(size=12, compaction_buffer=2)
         q.insert(_ins(0), 0)
         q.tick(1)  # old half empty -> request latched; nothing moves yet
-        assert q._seg("new")
+        assert q.new
         q.tick(2)  # request seen: entry moves new -> buffer
-        assert q._seg("buf")
+        assert q.buf
         q.tick(3)  # buffer -> old after a full cycle in the latch
-        assert q._seg("old")
+        assert q.old
 
     def test_buffer_entries_not_selectable(self):
         q = SegmentedIssueQueue(size=12, compaction_buffer=2)
