@@ -7,16 +7,13 @@ faults sampled only from mapped-out ICI blocks must classify 100%
 on the full core (where those blocks are live) produce a nonzero
 SDC/hang/detection rate.  Also verifies that campaign results are
 bit-identical between serial and multi-worker execution, across a
-checkpoint/resume cycle, and between every replay strategy — grouped
-warm-core replay, ungrouped per-fault forking, scan-disabled forking
-(the PR 6 behavior), and the from-scratch reference path, each at two
-checkpoint intervals.  Performance is gated twice: total simulated
-cycles forked vs from-scratch must drop by at least 3x, and
-checkpoint-grouped replay with the sticky first-effect scan at a finer
-interval must beat the PR 6 forked baseline by at least 2x wall clock
-(both recorded in the JSON, along with peak RSS, the compressed
-snapshot-arena footprint, and a cold/warm golden-prefix-cache probe —
-a warm campaign must simulate zero golden cycles).
+checkpoint/resume cycle, and to the from-scratch oracle
+(:func:`tests.oracles.scratch_campaign`) at two checkpoint intervals.
+Performance is gated on total simulated cycles: the campaign's
+checkpoint-forked replay must simulate at least 3x fewer faulty cycles
+than the oracle (recorded in the JSON, along with peak RSS and a
+cold/warm golden-prefix-cache probe — a warm campaign must simulate
+zero golden cycles).
 
 Results land in ``BENCH_inject.json`` at the repo root.
 
@@ -29,9 +26,9 @@ python benchmarks/bench_inject.py --faults 256 --workers 8
 ```
 
 ``--check`` runs a small campaign pair and asserts masking, worker /
-resume invariance, replay-strategy equivalence, and the golden-cache
-cold/warm contract, exiting nonzero on any violation without touching
-the JSON.
+resume invariance, oracle equivalence, the 3x simulated-cycle bound and
+the golden-cache cold/warm contract, exiting nonzero on any violation
+without touching the JSON.
 """
 
 from __future__ import annotations
@@ -47,6 +44,8 @@ from pathlib import Path
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:  # script mode: make src/ importable
     sys.path.insert(0, str(_REPO_ROOT / "src"))
+if str(_REPO_ROOT) not in sys.path:  # the scratch oracle is in tests/
+    sys.path.insert(0, str(_REPO_ROOT))
 
 RESULT_PATH = _REPO_ROOT / "BENCH_inject.json"
 
@@ -111,45 +110,35 @@ def _masking_specs(spec):
 
 
 def _assert_fork_equivalence(spec) -> None:
-    """Every replay strategy must reproduce from-scratch stats
-    bit-exactly on the masking-validation fault list, at any checkpoint
-    interval: grouped warm-core replay, ungrouped per-fault forking,
-    and scan-disabled forking (the PR 6 behavior)."""
+    """The campaign must reproduce the from-scratch oracle's stats
+    bit-exactly on the masking-validation fault list, at the spec's
+    checkpoint interval and at an odd one."""
     from dataclasses import replace
 
     from repro.inject import run_injection
+    from tests.oracles import scratch_campaign
 
     for name, s in _masking_specs(spec).items():
-        scratch = run_injection(
-            replace(s, fork=False), workers=1, checkpoint=False
-        )
+        scratch = scratch_campaign(s)
         for interval in (s.checkpoint_interval, 97):
-            variants = {
-                "grouped": replace(s, checkpoint_interval=interval),
-                "ungrouped": replace(
-                    s, grouped=False, checkpoint_interval=interval
-                ),
-                "unscanned": replace(
-                    s, first_effect=False, checkpoint_interval=interval
-                ),
-            }
-            for variant, vs in variants.items():
-                forked = run_injection(vs, workers=1, checkpoint=False)
-                if forked != scratch:
-                    raise AssertionError(
-                        f"{variant} InjectionStats (checkpoint "
-                        f"interval {interval}) differ from "
-                        f"from-scratch on the {name} core"
-                    )
+            forked = run_injection(
+                replace(s, checkpoint_interval=interval), workers=1,
+                checkpoint=False,
+            )
+            if forked != scratch:
+                raise AssertionError(
+                    f"InjectionStats (checkpoint interval {interval}) "
+                    f"differ from from-scratch on the {name} core"
+                )
 
 
 def _measure_suffix_replay(spec, workers: int) -> dict:
-    """Run the masking campaign forked and from-scratch under telemetry
-    and compare total simulated cycles and wall clock."""
-    from dataclasses import replace
-
+    """Run the masking campaign forked and from-scratch (the oracle,
+    serial) under telemetry and compare total simulated cycles and wall
+    clock."""
     from repro.inject import run_injection
     from repro.telemetry import TELEMETRY
+    from tests.oracles import scratch_campaign
 
     specs = _masking_specs(spec)
     TELEMETRY.enable()
@@ -162,10 +151,7 @@ def _measure_suffix_replay(spec, workers: int) -> dict:
         with TELEMETRY.collect() as m_scratch:
             t0 = time.perf_counter()
             for s in specs.values():
-                run_injection(
-                    replace(s, fork=False), workers=workers,
-                    checkpoint=False,
-                )
+                scratch_campaign(s)
             scratch_wall = time.perf_counter() - t0
     finally:
         TELEMETRY.disable()
@@ -199,104 +185,6 @@ def _measure_suffix_replay(spec, workers: int) -> dict:
         "note": (
             "faulty-run cycles only; the golden run is simulated once "
             "per configuration in both modes"
-        ),
-    }
-
-
-def _measure_grouped_replay(spec, workers: int) -> dict:
-    """PR 6 forked baseline vs checkpoint-grouped replay + scan.
-
-    Both legs run the full masking campaign end-to-end — golden
-    simulation, first-effect scan, and every faulty replay inside the
-    timed region.  The baseline reproduces PR 6 behavior exactly
-    (ungrouped per-fault forking, no scan, the coarse default
-    interval); the contender is this PR's default strategy at a finer
-    checkpoint interval.  Gated at a 2x wall-clock speedup.
-    """
-    from dataclasses import replace
-
-    from repro.inject import run_injection
-    from repro.inject import campaign as campaign_mod
-    from repro.telemetry import TELEMETRY
-
-    fine = 48
-    specs = _masking_specs(spec)
-    baseline = {
-        name: replace(
-            s, grouped=False, first_effect=False, checkpoint_interval=128
-        )
-        for name, s in specs.items()
-    }
-    contender = {
-        name: replace(s, checkpoint_interval=fine)
-        for name, s in specs.items()
-    }
-    TELEMETRY.enable()
-    try:
-        with TELEMETRY.collect() as m_base:
-            t0 = time.perf_counter()
-            base_stats = {}
-            for name, s in baseline.items():
-                campaign_mod._INJECT.clear()
-                base_stats[name] = run_injection(
-                    s, workers=workers, checkpoint=False
-                )
-            base_wall = time.perf_counter() - t0
-        arena = {}
-        with TELEMETRY.collect() as m_grp:
-            t0 = time.perf_counter()
-            grp_stats = {}
-            for name, s in contender.items():
-                campaign_mod._INJECT.clear()
-                grp_stats[name] = run_injection(
-                    s, workers=workers, checkpoint=False
-                )
-                arena[name] = campaign_mod._INJECT[
-                    "golden"
-                ].arena.stats()
-            grp_wall = time.perf_counter() - t0
-    finally:
-        TELEMETRY.disable()
-        TELEMETRY.reset()
-    if grp_stats != base_stats:
-        raise AssertionError(
-            "grouped+scanned campaign stats differ from the PR 6 "
-            "baseline"
-        )
-    for name, stats in arena.items():
-        if stats["compressed_bytes"] >= stats["raw_bytes"]:
-            raise AssertionError(
-                f"snapshot arena did not compress on the {name} core: "
-                f"{stats}"
-            )
-    speedup = base_wall / grp_wall
-    if speedup < 2.0:
-        raise AssertionError(
-            f"grouped replay wall speedup {speedup:.2f}x over the PR 6 "
-            f"forked baseline is below the 2x gate"
-        )
-    return {
-        "baseline": {
-            "strategy": "ungrouped fork, no first-effect scan (PR 6)",
-            "checkpoint_interval": 128,
-            "wall_seconds": round(base_wall, 4),
-        },
-        "grouped": {
-            "strategy": "checkpoint-grouped + sticky first-effect scan",
-            "checkpoint_interval": fine,
-            "wall_seconds": round(grp_wall, 4),
-            "restore_reuses": m_grp.counters.get(
-                "inject.restore_reuses", 0
-            ),
-            "scan_skips": m_grp.counters.get("inject.scan_skips", 0),
-            "scan_cycles": m_grp.counters.get("inject.scan_cycles", 0),
-        },
-        "wall_speedup": round(speedup, 2),
-        "arena": arena,
-        "note": (
-            "end-to-end wall clock per leg: golden simulation, "
-            "first-effect scan, and all faulty replays included; "
-            "classifications bit-identical between legs"
         ),
     }
 
@@ -390,7 +278,6 @@ def measure(n_faults: int = 128, workers: int = 4, seed: int = 0,
     _assert_invariance(spec, workers)
     _assert_fork_equivalence(spec)
     suffix = _measure_suffix_replay(spec, workers)
-    grouped = _measure_grouped_replay(spec, workers)
     cache = _golden_cache_probe(spec)
 
     deg, full = val["degraded"], val["full"]
@@ -413,11 +300,10 @@ def measure(n_faults: int = 128, workers: int = 4, seed: int = 0,
         "full_sdc_rate": round(full.rate("sdc"), 4),
         "masking": "100% masked in mapped-out blocks",
         "agreement": (
-            "bit-exact across workers/chunking/resume and grouped/"
-            "ungrouped/unscanned fork vs from-scratch"
+            "bit-exact across workers/chunking/resume and vs the "
+            "from-scratch oracle"
         ),
         "suffix_replay": suffix,
-        "grouped_replay": grouped,
         "golden_cache": cache,
         "peak_rss_kb": _peak_rss_kb(),
     }
@@ -440,8 +326,7 @@ def check(workers: int = 2) -> None:
         f"degraded {deg.outcomes['masked']}/{deg.n} masked, "
         f"full core outcomes {full.outcomes}, "
         f"{workers}-worker/resume runs bit-identical to serial, "
-        f"grouped == ungrouped == unscanned == scratch at 2 "
-        f"checkpoint intervals, "
+        f"campaign == from-scratch oracle at 2 checkpoint intervals, "
         f"{suffix['cycles_simulated']['ratio']}x fewer simulated cycles "
         f"({suffix['early_exits']} early exits), "
         f"warm golden cache: {cache['warm_cache_hits']} hits / "

@@ -70,7 +70,7 @@ def main() -> int:
     t0 = time.perf_counter()
     direct = entry.run(entry.make_spec(params), checkpoint=False)
     t_direct = time.perf_counter() - t0
-    golden = entry.result_to_json(direct)
+    golden = direct.to_json()
 
     root = tempfile.mkdtemp(prefix="repro-svc-smoke-")
     proc, url = spawn_service(root)
@@ -86,7 +86,7 @@ def main() -> int:
             proc.kill()
             proc.wait(timeout=10)
 
-    stats = entry.result_from_json(result)
+    stats = entry.result_cls.from_json(result)
     failures = []
     if result != golden:
         failures.append("service result differs from direct run")
@@ -100,7 +100,7 @@ def main() -> int:
     print(f"smoke_service: {params['n_faults']} faults | "
           f"direct {t_direct:.1f}s, via service {t_service:.1f}s | "
           f"correct_rate={stats.correct_rate:.3f}")
-    print(f"  {entry.summarize(stats)}")
+    print(f"  {stats.summary()}")
     if failures:
         for msg in failures:
             print(f"FAIL: {msg}")

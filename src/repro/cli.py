@@ -17,13 +17,20 @@ Thin wrappers over the library for the common flows:
   (``--json`` for machine-readable reports; exit 0 clean, 1 violations);
 - ``repro repair`` — search, verify, and emit the cheapest patch plan
   for every lint violation (``--apply`` writes the patched Verilog);
-- ``repro run`` — the sharded campaign runner (``--workers N`` processes,
-  ``--resume`` to continue from ``.repro_cache/`` checkpoints);
+- ``repro run CAMPAIGN`` — the sharded campaign runner (``--workers N``
+  processes, ``--resume`` to continue from ``.repro_cache/``
+  checkpoints) for any registered campaign;
 - ``repro serve`` — the long-lived HTTP campaign service (job submission,
   live shard-level status, ``/metrics`` monitoring, crash recovery);
 - ``repro submit`` / ``repro status`` / ``repro result`` — thin clients
   for a running service;
 - ``repro trace`` — summarize a JSONL trace written by ``--trace PATH``.
+
+A campaign's flags are generated from its spec dataclass: one
+``--field-name`` per field, with the spec's default, so ``repro run C``
+with no flags builds the same spec (and job key) as the service does
+for empty params.  ``repro inject`` / ``decide`` / ``repair`` are the
+same campaigns with a few presets and extras on top.
 
 The compute commands accept ``--trace PATH``: telemetry is enabled for
 the run, span events stream to ``PATH`` as JSONL, and the final merged
@@ -35,17 +42,29 @@ stdout carries only the results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 from typing import List, Optional
 
-from repro.runner.registry import REGISTRY
+from repro.runner.registry import REGISTRY, get_campaign
 
 #: Campaigns `repro run` and the service can drive; sourced from the
 #: runner registry so parser choices, dispatch, and the CLI tests' round
 #: trip can never drift from what is actually registered.
 RUN_CAMPAIGNS = tuple(REGISTRY)
+
+#: One-line ``repro run --help`` description per campaign.
+_ABOUT = {
+    "isolation": "random-fault scan isolation (§6.1)",
+    "montecarlo": "chip-sampling YAT check (§6.3)",
+    "ipc": "degraded-configuration IPC sweep (Figure 9)",
+    "inject": "architectural fault injection / SDC classification",
+    "decide": "Pareto ranking of the 64 map-out configurations",
+    "repair": "verified ICI patch search over a lint report",
+}
 
 #: Default service endpoint for the client commands (override with
 #: --url or the REPRO_SERVICE_URL environment variable).
@@ -53,20 +72,25 @@ DEFAULT_SERVICE_URL = "http://127.0.0.1:8070"
 
 
 def _service_url(args: argparse.Namespace) -> str:
-    if args.url:
-        return args.url
-    return os.environ.get("REPRO_SERVICE_URL", DEFAULT_SERVICE_URL)
+    return args.url or os.environ.get("REPRO_SERVICE_URL",
+                                      DEFAULT_SERVICE_URL)
 
 
-def _cmd_isolate(args: argparse.Namespace) -> int:
+def _rtl_model(args: argparse.Namespace):
+    """The gate-level model ``--tiny`` / ``--baseline`` select."""
     from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
-    from repro.rtl.experiment import generate_tests, isolation_experiment
 
     params = RtlParams.tiny() if args.tiny else RtlParams()
     builder = build_baseline_rtl if args.baseline else build_rescue_rtl
+    return builder(params)
+
+
+def _cmd_isolate(args: argparse.Namespace) -> int:
+    from repro.rtl.experiment import generate_tests, isolation_experiment
+
     print(f"building {'baseline' if args.baseline else 'Rescue'} gate-level "
           f"model ({'tiny' if args.tiny else 'default'} size)...")
-    model = builder(params)
+    model = _rtl_model(args)
     print(f"  {model.netlist.stats()}")
     setup = generate_tests(model, seed=args.seed)
     print(f"  ATPG: {setup.atpg.summary()}")
@@ -101,24 +125,15 @@ def _cmd_ipc(args: argparse.Namespace) -> int:
 
 
 def _cmd_yat(args: argparse.Namespace) -> int:
+    from repro.runner.campaigns import analytic_penalty_table
     from repro.yieldmodel import FaultDensityModel, YatModel, cores_per_chip
-    from repro.yieldmodel.yat import flat_rescue_ipc
-
-    def penalty(cfg):
-        factor = 1.0
-        for dim, cost in (("frontend", 0.82), ("int_backend", 0.78),
-                          ("fp_backend", 0.96), ("iq_int", 0.93),
-                          ("iq_fp", 0.98), ("lsq", 0.94)):
-            if getattr(cfg, dim) == 1:
-                factor *= cost
-        return factor
 
     anchor = (90.0, 1) if args.stagnation == 90 else (65.0, 2)
     model = YatModel(
         density=FaultDensityModel(stagnation_node_nm=args.stagnation),
         growth=args.growth / 100,
         baseline_ipc=2.05,
-        rescue_ipc=flat_rescue_ipc(2.0, penalty),
+        rescue_ipc=analytic_penalty_table(2.0),
         anchor=anchor,
     )
     print(f"{'node':>6s} {'cores':>5s} {'none':>6s} {'CS':>6s} "
@@ -156,11 +171,8 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.core import check_netlist_ici
-    from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
 
-    params = RtlParams.tiny() if args.tiny else RtlParams()
-    builder = build_baseline_rtl if args.baseline else build_rescue_rtl
-    model = builder(params)
+    model = _rtl_model(args)
     report = check_netlist_ici(model.netlist, exempt_blocks=["chipkill"])
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
@@ -171,12 +183,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_verilog(args: argparse.Namespace) -> int:
     from repro.netlist.verilog import to_verilog
-    from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
     from repro.scan import insert_scan
 
-    params = RtlParams.tiny() if args.tiny else RtlParams()
-    builder = build_baseline_rtl if args.baseline else build_rescue_rtl
-    model = builder(params)
+    model = _rtl_model(args)
     insert_scan(model.netlist)
     name = "baseline_core" if args.baseline else "rescue_core"
     text = to_verilog(model.netlist, module_name=name)
@@ -189,173 +198,101 @@ def _cmd_verilog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _progress_printer(campaign: str):
-    from repro.runner import ShardProgress
+#: Campaigns whose run checks a claim: ``repro`` exits 1 when it fails.
+_CLAIMS = {
+    "isolation": lambda spec, r: r.correct_rate == 1.0 or spec.baseline,
+    "decide": lambda spec, r: bool(r.front),
+    "repair": lambda spec, r: (
+        r.patched_satisfied and r.equivalent and not r.unrepaired
+    ),
+}
 
-    def progress(ev: ShardProgress) -> None:
+
+def _spec(args: argparse.Namespace, **presets):
+    """The campaign spec from its generated flags, plus ``presets``."""
+    entry = REGISTRY[args.campaign]
+    params = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(entry.spec_cls)
+        if f.name not in presets
+    }
+    return entry.make_spec({**params, **presets})
+
+
+def _run(args: argparse.Namespace, spec):
+    """Run the campaign with the shared runner flags.
+
+    Shard progress goes to stderr, so ``repro run ... > results.txt``
+    captures only results.
+    """
+    def progress(ev) -> None:
         status = "cached" if ev.cached else f"{ev.seconds:6.2f}s"
-        # stderr, so `repro run ... > results.txt` captures only results.
-        print(
-            f"[{campaign}] shard {ev.shard:3d} done "
-            f"({ev.done}/{ev.total}) {status}",
-            file=sys.stderr,
-        )
+        print(f"[{args.campaign}] shard {ev.shard:3d} done "
+              f"({ev.done}/{ev.total}) {status}", file=sys.stderr)
 
-    return progress
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.runner import (
-        IpcSweepSpec,
-        IsolationSpec,
-        MonteCarloSpec,
-        run_ipc_sweep,
-        run_isolation,
-        run_montecarlo,
+    return REGISTRY[args.campaign].run(
+        spec, workers=args.workers, resume=args.resume,
+        checkpoint=not args.no_checkpoint, cache_root=args.cache_dir,
+        progress=progress,
     )
 
-    common = dict(
-        workers=args.workers,
-        resume=args.resume,
-        checkpoint=not args.no_checkpoint,
-        cache_root=args.cache_dir,
-    )
-    if args.campaign == "decide":
-        return _cmd_decide(args)
-    if args.campaign == "repair":
-        return _cmd_repair(args)
-    if args.campaign == "isolation":
-        spec = IsolationSpec(
-            tiny=args.tiny,
-            baseline=args.baseline,
-            fault_seed=args.seed,
-            n_faults=args.faults if args.faults is not None else 600,
-            chunk_size=args.chunk_size or 50,
-        )
-        stats = run_isolation(
-            spec, progress=_progress_printer("isolation"), **common
-        )
-        print(stats.summary())
-        return 0 if stats.correct_rate == 1.0 or args.baseline else 1
-    if args.campaign == "inject":
-        from repro.inject import InjectionSpec, run_injection
 
-        spec = InjectionSpec(
-            n_faults=args.faults if args.faults is not None else 64,
-            seed=args.seed,
-            chunk_size=args.chunk_size or 8,
-        )
-        stats = run_injection(
-            spec, progress=_progress_printer("inject"), **common
-        )
-        print(stats.summary())
-        return 0
-    if args.campaign == "montecarlo":
-        spec = MonteCarloSpec(
-            node_nm=args.node,
-            growth=args.growth / 100,
-            stagnation_node_nm=float(args.stagnation),
-            n_chips=args.chips,
-            seed=args.seed,
-            chunk_size=args.chunk_size or 250,
-        )
-        mc = run_montecarlo(
-            spec, progress=_progress_printer("montecarlo"), **common
-        )
-        print(mc.summary())
-        return 0
-    spec = IpcSweepSpec(
-        benchmarks=tuple(args.benchmarks) or _all_benchmarks(),
-        n_instructions=(
-            args.instructions if args.instructions is not None else 20_000
-        ),
-        warmup=args.warmup if args.warmup is not None else 12_000,
-        compose=not args.full,
-        chunk_size=args.chunk_size or 1,
-    )
-    sweep = run_ipc_sweep(
-        spec, progress=_progress_printer("ipc"), **common
-    )
-    tables = sweep.tables(compose=spec.compose)
-    print(f"{'benchmark':10s} {'full IPC':>9s} {'worst-config':>13s}")
-    for bench, table in tables.items():
-        print(
-            f"{bench:10s} {max(table.values()):9.3f} "
-            f"{min(table.values()):13.3f}"
-        )
-    return 0
+def _exit_code(args: argparse.Namespace, spec, result) -> int:
+    claim = _CLAIMS.get(args.campaign)
+    return 0 if claim is None or claim(spec, result) else 1
 
 
-def _cmd_inject(args: argparse.Namespace) -> int:
-    from repro.inject import InjectionSpec, run_injection
+def _cmd_run(args: argparse.Namespace, **summary) -> int:
+    spec = _spec(args)
+    result = _run(args, spec)
+    print(result.summary(**summary))
+    return _exit_code(args, spec, result)
+
+
+def _inject_spec(args: argparse.Namespace):
+    """The spec, ``counts`` / ``blocks`` set by ``repro inject``'s presets."""
     from repro.inject.campaign import DIMENSIONS
     from repro.inject.sites import mapped_out_blocks
     from repro.yieldmodel.configs import CoreCounts
 
-    counts = (1,) * 6 if args.config == "degraded" else (2,) * 6
-    blocks = None
-    if args.blocks == "mapped-out":
-        blocks = mapped_out_blocks(
-            CoreCounts(**{d: 1 for d in DIMENSIONS})
-        )
+    return _spec(
+        args,
+        counts=(1,) * 6 if args.config == "degraded" else (2,) * 6,
+        blocks=(
+            mapped_out_blocks(CoreCounts(**{d: 1 for d in DIMENSIONS}))
+            if args.preset_blocks == "mapped-out" else None
+        ),
+    )
+
+
+def _cmd_inject(args: argparse.Namespace) -> int:
+    from repro.inject.campaign import machine_config
+
+    spec = _inject_spec(args)
     if args.profile:
         # Profile-only pass: golden run + per-site residency report.
-        from repro.cpu.degraded import degraded_params
-        from repro.cpu.params import MachineConfig
         from repro.inject.harness import run_golden
-        from repro.workloads.generator import generate_trace
-        from repro.workloads.profiles import profile
+        from repro.workloads import generate_trace, profile
 
-        config = degraded_params(
-            MachineConfig(rescue=True),
-            CoreCounts(**dict(zip(DIMENSIONS, counts))),
-        )
         trace = generate_trace(
-            profile(args.benchmark), args.instructions,
-            seed=args.trace_seed,
+            profile(spec.benchmark), spec.n_instructions,
+            seed=spec.trace_seed,
         )
         golden = run_golden(
-            config, trace, args.instructions,
-            profile_stride=args.profile_stride,
+            machine_config(spec), trace, spec.n_instructions,
+            profile_stride=spec.profile_stride,
         )
-        print(f"config: {args.config}  benchmark: {args.benchmark}  "
+        print(f"config: {args.config}  benchmark: {spec.benchmark}  "
               f"golden cycles: {golden.cycles}")
         print(golden.profile.report())
         return 0
-    spec = InjectionSpec(
-        benchmark=args.benchmark,
-        n_instructions=args.instructions,
-        trace_seed=args.trace_seed,
-        counts=counts,
-        model=args.model,
-        n_faults=args.sites,
-        seed=args.seed,
-        blocks=blocks,
-        chunk_size=args.chunk_size,
-        checkpoint_interval=args.checkpoint_interval,
-        fork=not args.no_fork,
-        keep_records=not args.summary_only,
-        exemplar_cap=args.exemplars,
-        sampling=args.sampling,
-        profile_stride=args.profile_stride,
-        grouped=not args.no_group,
-        snapshot_budget=args.snapshot_budget,
-        golden_cache=args.golden_cache,
-    )
-    stats = run_injection(
-        spec,
-        workers=args.workers,
-        resume=args.resume,
-        checkpoint=not args.no_checkpoint,
-        cache_root=args.cache_dir,
-        progress=_progress_printer("inject"),
-    )
+    stats = _run(args, spec)
     print(
-        f"config: {args.config}  model: {args.model}  "
-        f"blocks: {args.blocks}"
+        f"config: {args.config}  model: {spec.model}  "
+        f"blocks: {args.preset_blocks}"
     )
     print(stats.summary())
-    if args.config == "degraded" and args.blocks == "mapped-out":
+    if args.config == "degraded" and args.preset_blocks == "mapped-out":
         # The paper's claim: mapped-out blocks cannot corrupt state.
         ok = stats.outcomes.get("masked", 0) == stats.n
         print(
@@ -367,105 +304,27 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     return 0
 
 
-def _decide_spec(args: argparse.Namespace):
-    from repro.decide import DecideSpec
-
-    # `repro decide` and `repro run decide` share this builder; the run
-    # parser lacks the inject-phase flags, so fall back to spec defaults.
-    return DecideSpec(
-        benchmarks=tuple(args.benchmarks) or ("gzip", "mcf"),
-        n_instructions=(
-            args.instructions if args.instructions is not None else 3000
-        ),
-        warmup=args.warmup if args.warmup is not None else 1500,
-        inject_benchmark=getattr(args, "inject_benchmark", "gzip"),
-        inject_instructions=getattr(args, "inject_instructions", 1500),
-        n_faults=args.faults if args.faults is not None else 64,
-        inject_seed=args.seed,
-        node_nm=args.node,
-        growth=args.growth / 100,
-        stagnation_node_nm=float(args.stagnation),
-        chunk_size=args.chunk_size or 1,
-        golden_cache=getattr(args, "golden_cache", False),
-    )
-
-
-def _cmd_decide(args: argparse.Namespace) -> int:
-    from repro.decide import run_decide
-
-    spec = _decide_spec(args)
-    result = run_decide(
-        spec,
-        workers=args.workers,
-        resume=args.resume,
-        checkpoint=not args.no_checkpoint,
-        cache_root=args.cache_dir,
-        progress=_progress_printer("decide"),
-    )
-    print(result.summary(top=getattr(args, "top", 10)))
-    return 0 if result.front else 1
-
-
-def _repair_spec(args: argparse.Namespace):
-    from repro.repair import RepairSpec
-
-    # `repro repair` and `repro run repair` share this builder; the run
-    # parser lacks the break/oracle flags, so fall back to spec defaults.
-    return RepairSpec(
-        model=getattr(args, "model", "baseline"),
-        tiny=args.tiny,
-        n_breaks=getattr(args, "breaks", 2),
-        break_seed=getattr(args, "break_seed", 5),
-        n_patterns=getattr(args, "patterns", None) or 192,
-        n_isolation_faults=getattr(args, "isolation_faults", 6),
-        seed=args.seed,
-        chunk_size=args.chunk_size or 2,
-    )
-
-
 def _cmd_repair(args: argparse.Namespace) -> int:
-    from repro.repair import patch_model, run_repair
+    from repro.repair import patch_model
 
-    spec = _repair_spec(args)
-    result = run_repair(
-        spec,
-        workers=args.workers,
-        resume=args.resume,
-        checkpoint=not args.no_checkpoint,
-        cache_root=args.cache_dir,
-        progress=_progress_printer("repair"),
-    )
+    spec = _spec(args)
+    result = _run(args, spec)
     print(result.summary())
-    prefix = getattr(args, "apply", None)
-    if prefix:
-        from dataclasses import asdict
-
+    if args.apply:
         from repro.netlist.verilog import to_verilog
 
         patched, log = patch_model(spec, result.actions)
-        vpath = f"{prefix}.v"
+        vpath = f"{args.apply}.v"
         with open(vpath, "w") as f:
             f.write(to_verilog(patched, module_name="repaired_core",
                                scan=False))
-        ppath = f"{prefix}.plan.json"
+        ppath = f"{args.apply}.plan.json"
+        plan = {"campaign": "repair", "spec": dataclasses.asdict(spec),
+                "result": result.to_json(), "transform_log": log}
         with open(ppath, "w") as f:
-            json.dump(
-                {
-                    "campaign": "repair",
-                    "spec": asdict(spec),
-                    "result": result.to_json(),
-                    "transform_log": log,
-                },
-                f,
-                indent=2,
-            )
+            json.dump(plan, f, indent=2)
         print(f"wrote {vpath} and {ppath}", file=sys.stderr)
-    ok = (
-        result.patched_satisfied
-        and result.equivalent
-        and not result.unrepaired
-    )
-    return 0 if ok else 1
+    return _exit_code(args, spec, result)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -513,7 +372,6 @@ def _parse_params(args: argparse.Namespace) -> dict:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.runner.registry import get_campaign
     from repro.service import QueueFullError, ServiceClient
 
     client = ServiceClient(_service_url(args))
@@ -534,11 +392,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if not args.wait:
         return 0
     payload = client.wait(snap["job"], timeout=args.timeout)
-    entry = get_campaign(args.campaign)
-    print(
-        entry.summarize(entry.result_from_json(payload["result"])),
-        file=sys.stderr,
-    )
+    result_cls = get_campaign(args.campaign).result_cls
+    print(result_cls.from_json(payload["result"]).summary(), file=sys.stderr)
     return 0
 
 
@@ -546,16 +401,15 @@ def _cmd_status(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient
 
     client = ServiceClient(_service_url(args))
-    if args.job is None:
-        print(json.dumps(client.jobs(), indent=2))
-        return 0
-    snap = client.status(args.job, events_since=args.events_since)
+    snap = (
+        client.jobs() if args.job is None
+        else client.status(args.job, events_since=args.events_since)
+    )
     print(json.dumps(snap, indent=2))
     return 0
 
 
 def _cmd_result(args: argparse.Namespace) -> int:
-    from repro.runner.registry import get_campaign
     from repro.service import ServiceClient, ServiceError
 
     client = ServiceClient(_service_url(args))
@@ -567,8 +421,8 @@ def _cmd_result(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload["result"], indent=2))
         return 0
-    entry = get_campaign(payload["campaign"])
-    print(entry.summarize(entry.result_from_json(payload["result"])))
+    result_cls = get_campaign(payload["campaign"]).result_cls
+    print(result_cls.from_json(payload["result"]).summary())
     return 0
 
 
@@ -579,10 +433,36 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _all_benchmarks():
-    from repro.workloads import PROFILES
+def _add_spec_flags(
+    p: argparse.ArgumentParser, spec_cls: type, skip=()
+) -> None:
+    """One flag per field of ``spec_cls`` (the spec is the declaration).
 
-    return tuple(p.name for p in PROFILES)
+    ``--field-name`` with the spec's default; bools take
+    ``--x/--no-x``, tuples take one or more values, a field with
+    declared choices takes only those, and a field without a default is
+    required.
+    """
+    hints = typing.get_type_hints(spec_cls)
+    for f in dataclasses.fields(spec_cls):
+        if f.name in skip:
+            continue
+        hint = hints[f.name]
+        if typing.get_origin(hint) is typing.Union:  # Optional[X]
+            hint = typing.get_args(hint)[0]
+        kw = dict(dest=f.name, help=f"{spec_cls.__name__}.{f.name}",
+                  choices=f.metadata.get("choices"))
+        if hint is bool:
+            kw["action"] = argparse.BooleanOptionalAction
+        elif typing.get_origin(hint) is tuple:
+            kw.update(nargs="+", type=typing.get_args(hint)[0])
+        else:
+            kw["type"] = hint
+        if f.default is dataclasses.MISSING:
+            kw["required"] = True
+        else:
+            kw["default"] = f.default
+        p.add_argument("--" + f.name.replace("_", "-"), **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -649,8 +529,29 @@ def build_parser() -> argparse.ArgumentParser:
                         "violation ids) instead of prose")
     p.set_defaults(func=_cmd_lint)
 
-    p = sub.add_parser(
-        "repair",
+    def campaign_parser(subs, name: str, func, skip=(), **kw):
+        """A campaign's parser: its spec's flags plus the runner flags."""
+        p = subs.add_parser(
+            name, allow_abbrev=False,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kw,
+        )
+        _add_spec_flags(p, REGISTRY[name].spec_cls, skip)
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (1 = in-process)")
+        p.add_argument("--resume", action="store_true",
+                       help="reuse completed shards from the checkpoint "
+                            "store")
+        p.add_argument("--no-checkpoint", action="store_true",
+                       help="do not write shard checkpoints")
+        p.add_argument("--cache-dir", default=None,
+                       help="checkpoint root (None: .repro_cache or "
+                            "$REPRO_CACHE_DIR)")
+        add_trace_flag(p)
+        p.set_defaults(func=func, campaign=name)
+        return p
+
+    p = campaign_parser(
+        sub, "repair", _cmd_repair,
         help="search + verify ICI repair patches for a pipeline model",
         description=(
             "Run the sharded auto-repair campaign: lint the model, "
@@ -664,44 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
             "and --resume continues from checkpoints."
         ),
     )
-    p.add_argument("--model", choices=("baseline", "rescue",
-                                       "rescue-broken"),
-                   default="baseline",
-                   help="target: the non-ICI baseline RTL (default), "
-                        "the clean Rescue RTL, or Rescue with seeded "
-                        "latch-bypass breaks")
-    p.add_argument("--tiny", action="store_true",
-                   help="use the small model (fast)")
-    p.add_argument("--breaks", type=int, default=2,
-                   help="latch bypasses seeded into rescue-broken "
-                        "(default 2)")
-    p.add_argument("--break-seed", type=int, default=5)
-    p.add_argument("--patterns", type=int, default=192,
-                   help="equivalence-screen patterns per candidate "
-                        "(default 192)")
-    p.add_argument("--isolation-faults", type=int, default=6,
-                   help="stuck-at faults sampled per candidate "
-                        "(default 6)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--apply", default=None, metavar="PREFIX",
                    help="write the patched model to PREFIX.v and the "
                         "plan + transform log to PREFIX.plan.json")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1 = in-process)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="violations per shard (default 2)")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse completed shards from the checkpoint store")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not write shard checkpoints")
-    p.add_argument("--cache-dir", default=None,
-                   help="checkpoint root (default .repro_cache or "
-                        "$REPRO_CACHE_DIR)")
-    add_trace_flag(p)
-    p.set_defaults(func=_cmd_repair)
 
-    p = sub.add_parser(
-        "inject",
+    p = campaign_parser(
+        sub, "inject", _cmd_inject, skip=("counts", "blocks"),
         help="architectural fault injection & SDC classification",
         description=(
             "Inject transient bit-flips / stuck-ats into named "
@@ -714,70 +583,18 @@ def build_parser() -> argparse.ArgumentParser:
             "escape)."
         ),
     )
-    p.add_argument("--sites", type=int, default=64,
-                   help="number of sampled fault injections (default 64)")
-    p.add_argument("--model", choices=("transient", "stuckat", "both"),
-                   default="both", help="fault model (default both)")
     p.add_argument("--config", choices=("full", "degraded"),
                    default="full",
-                   help="run on the full core or the fully-degraded one")
-    p.add_argument("--blocks", choices=("all", "mapped-out"),
-                   default="all",
+                   help="run on the full core or the fully-degraded one "
+                        "(sets counts)")
+    p.add_argument("--blocks", dest="preset_blocks",
+                   choices=("all", "mapped-out"), default="all",
                    help="sample sites from all ICI blocks or only the "
-                        "half-1 blocks a degraded core maps out")
-    p.add_argument("--benchmark", default="gzip")
-    p.add_argument("--instructions", type=int, default=2000)
-    p.add_argument("--trace-seed", type=int, default=7)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1 = in-process)")
-    p.add_argument("--chunk-size", type=int, default=8,
-                   help="injections per shard (default 8)")
-    p.add_argument("--checkpoint-interval", type=int, default=128,
-                   help="golden checkpoint spacing in cycles for suffix "
-                        "replay (default 128)")
-    p.add_argument("--no-fork", action="store_true",
-                   help="use the from-scratch reference path instead of "
-                        "checkpointed suffix replay (same classifications, "
-                        "more simulated cycles)")
-    p.add_argument("--no-group", action="store_true",
-                   help="restore a fresh core for every fault instead of "
-                        "reusing one warm core per checkpoint group "
-                        "(same classifications, more restore work)")
-    p.add_argument("--snapshot-budget", type=int, default=0,
-                   help="hard ceiling in bytes on the compressed snapshot "
-                        "arena; over budget, every other checkpoint is "
-                        "dropped (0 = unbounded)")
-    p.add_argument("--golden-cache", action="store_true",
-                   help="persist the golden prefix (log, checkpoints, "
-                        "profile) to the cache dir and reuse it on "
-                        "matching reruns")
-    p.add_argument("--summary-only", action="store_true",
-                   help="keep outcome counts + bounded exemplar records "
-                        "instead of every per-fault record")
-    p.add_argument("--exemplars", type=int, default=8,
-                   help="exemplar records kept per outcome with "
-                        "--summary-only (default 8)")
-    p.add_argument("--sampling", choices=("uniform", "weighted"),
-                   default="uniform",
-                   help="fault-site sampling within a structure: uniform "
-                        "(default) or residency-weighted from the golden "
-                        "profile")
+                        "half-1 blocks a degraded core maps out (sets "
+                        "blocks)")
     p.add_argument("--profile", action="store_true",
                    help="profile per-site occupancy during the golden run, "
                         "print the residency report, and exit")
-    p.add_argument("--profile-stride", type=int, default=16,
-                   help="cycles between occupancy samples for --profile / "
-                        "weighted sampling (default 16)")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse completed shards from the checkpoint store")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not write shard checkpoints")
-    p.add_argument("--cache-dir", default=None,
-                   help="checkpoint root (default .repro_cache or "
-                        "$REPRO_CACHE_DIR)")
-    add_trace_flag(p)
-    p.set_defaults(func=_cmd_inject)
 
     p = sub.add_parser(
         "run",
@@ -786,61 +603,18 @@ def build_parser() -> argparse.ArgumentParser:
             "Shard a campaign across worker processes with deterministic "
             "per-shard seeding: results are bit-identical for any "
             "--workers/--chunk-size, and completed shards checkpoint to "
-            "the cache dir so --resume continues an interrupted run."
+            "the cache dir so --resume continues an interrupted run.  "
+            "Each campaign takes one flag per field of its spec "
+            "(`repro run CAMPAIGN --help`)."
         ),
     )
-    p.add_argument(
-        "campaign", choices=RUN_CAMPAIGNS,
-        help="isolation: random-fault scan isolation (§6.1); "
-             "montecarlo: chip-sampling YAT check (§6.3); "
-             "ipc: degraded-configuration IPC sweep (Figure 9); "
-             "inject: architectural fault injection / SDC classification; "
-             "decide: Pareto ranking of the 64 map-out configurations; "
-             "repair: verified ICI patch search over a lint report",
-    )
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1 = in-process)")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse completed shards from the checkpoint store")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not write shard checkpoints")
-    p.add_argument("--cache-dir", default=None,
-                   help="checkpoint root (default .repro_cache or "
-                        "$REPRO_CACHE_DIR)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="items per shard (campaign-specific default)")
-    p.add_argument("--seed", type=int, default=1)
-    # isolation / inject / decide knobs (per-campaign defaults:
-    # isolation 600, inject 64, decide 64)
-    p.add_argument("--faults", type=int, default=None)
-    p.add_argument("--tiny", action="store_true")
-    p.add_argument("--baseline", action="store_true")
-    # montecarlo / decide knobs
-    p.add_argument("--chips", type=int, default=2000)
-    p.add_argument("--node", type=float, default=32.0)
-    p.add_argument("--growth", type=int, default=30)
-    p.add_argument("--stagnation", type=int, default=90, choices=(90, 65))
-    # ipc / decide knobs (per-campaign defaults: ipc 20000/12000
-    # instructions/warmup, decide 3000/1500)
-    p.add_argument("--benchmarks", nargs="*", default=[],
-                   help="benchmark names (default: all 23 for ipc, "
-                        "gzip+mcf for decide)")
-    p.add_argument("--instructions", type=int, default=None)
-    p.add_argument("--warmup", type=int, default=None)
-    p.add_argument("--full", action="store_true",
-                   help="simulate all 64 configs instead of composing")
-    p.add_argument("--top", type=int, default=10,
-                   help="ranked configurations to print (decide only)")
-    # repair knobs (break/oracle settings take spec defaults)
-    p.add_argument("--model", choices=("baseline", "rescue",
-                                       "rescue-broken"),
-                   default="baseline",
-                   help="repair target model (repair only)")
-    add_trace_flag(p)
-    p.set_defaults(func=_cmd_run)
+    run_sub = p.add_subparsers(dest="campaign", required=True,
+                               metavar="campaign")
+    for name in RUN_CAMPAIGNS:
+        campaign_parser(run_sub, name, _cmd_run, help=_ABOUT.get(name))
 
-    p = sub.add_parser(
-        "decide",
+    p = campaign_parser(
+        sub, "decide", lambda args: _cmd_run(args, top=args.top),
         help="Pareto-rank the 64 map-out configurations",
         description=(
             "Score every CoreCounts map-out configuration on (YAT "
@@ -853,41 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--chunk-size, and --resume continues from checkpoints."
         ),
     )
-    p.add_argument("--benchmarks", nargs="*", default=[],
-                   help="IPC benchmarks (default: gzip mcf)")
-    p.add_argument("--instructions", type=int, default=3000,
-                   help="measured instructions per IPC point")
-    p.add_argument("--warmup", type=int, default=1500)
-    p.add_argument("--inject-benchmark", default="gzip",
-                   help="benchmark driving the injection phase")
-    p.add_argument("--inject-instructions", type=int, default=1500)
-    p.add_argument("--faults", type=int, default=64,
-                   help="fault injections on the full core (default 64)")
-    p.add_argument("--golden-cache", action="store_true",
-                   help="persist the injection phase's golden prefix to "
-                        "the cache dir and reuse it on matching reruns")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--node", type=float, default=32.0,
-                   help="technology node in nm (default 32)")
-    p.add_argument("--growth", type=int, default=30,
-                   help="core growth percent per generation")
-    p.add_argument("--stagnation", type=int, default=90, choices=(90, 65),
-                   help="node where PWP stops improving")
     p.add_argument("--top", type=int, default=10,
-                   help="ranked configurations to print (default 10)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (default 1 = in-process)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="IPC points per shard (default 1)")
-    p.add_argument("--resume", action="store_true",
-                   help="reuse completed shards from the checkpoint store")
-    p.add_argument("--no-checkpoint", action="store_true",
-                   help="do not write shard checkpoints")
-    p.add_argument("--cache-dir", default=None,
-                   help="checkpoint root (default .repro_cache or "
-                        "$REPRO_CACHE_DIR)")
-    add_trace_flag(p)
-    p.set_defaults(func=_cmd_decide)
+                   help="ranked configurations to print")
 
     p = sub.add_parser(
         "serve",

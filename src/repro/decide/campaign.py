@@ -32,8 +32,11 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.decide.objectives import ConfigScore, evaluate_objectives
 from repro.decide.pareto import ParetoRanking, rank
-from repro.inject.campaign import InjectionSpec, InjectionStats
+from repro.inject.campaign import (
+    FAULT_MODELS, InjectionSpec, InjectionStats,
+)
 from repro.runner.executor import ProgressFn, run_shards
+from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
 from repro.runner.store import CheckpointStore, config_hash
 from repro.telemetry import TELEMETRY
@@ -66,7 +69,7 @@ class DecideSpec:
     inject_benchmark: str = "gzip"
     inject_instructions: int = 1500
     inject_trace_seed: int = 7
-    inject_model: str = "both"
+    inject_model: str = choice("both", FAULT_MODELS)
     n_faults: int = 64
     inject_seed: int = 0
     inject_chunk: int = 8
@@ -82,6 +85,9 @@ class DecideSpec:
     baseline_ipc: float = 2.05
     # IPC items per shard.
     chunk_size: int = 1
+
+    def __post_init__(self) -> None:
+        check_spec(self)
 
 
 def injection_spec(spec: DecideSpec) -> InjectionSpec:

@@ -30,9 +30,9 @@ outcome (DAVOS-style simulation-based injection, ITHICA's taxonomy):
   golden run (``--profile`` reports, residency-weighted sampling),
 - :mod:`repro.inject.harness` — golden/faulty paired execution and
   outcome classification, with checkpointed suffix replay, a
-  reconvergence early-exit (``fork=False`` keeps the from-scratch
-  reference path; classifications are bit-identical), and warm-core
-  group replay (:class:`ReplaySession`),
+  reconvergence early-exit, and warm-core group replay
+  (:class:`ReplaySession`); classifications are bit-identical to
+  from-scratch replay, kept as a test oracle,
 - :mod:`repro.inject.arena` — the delta-compressed, budget-bounded
   snapshot arena backing the golden checkpoint stream,
 - :mod:`repro.inject.goldencache` — the persistent golden-prefix cache

@@ -20,12 +20,17 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.inject.models import KINDS
 from repro.runner.executor import ProgressFn, run_shards
+from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
 from repro.runner.store import CheckpointStore, config_hash
 from repro.telemetry import TELEMETRY
 
 OUTCOMES = ("masked", "sdc", "detected", "hang")
+
+#: Values of :attr:`InjectionSpec.model`.
+FAULT_MODELS = KINDS + ("both",)
 
 #: Fault-map dimension order for the ``counts`` tuple.
 DIMENSIONS = (
@@ -41,37 +46,30 @@ class InjectionSpec:
     n_instructions: int = 2000
     trace_seed: int = 7
     counts: Tuple[int, ...] = (2, 2, 2, 2, 2, 2)  # DIMENSIONS order
-    model: str = "both"  # transient | stuckat | both
+    model: str = choice("both", FAULT_MODELS)
     n_faults: int = 64
     seed: int = 0
     blocks: Optional[Tuple[str, ...]] = None  # restrict sites to blocks
     chunk_size: int = 8
-    # Suffix-replay machinery (fork=False is the from-scratch reference;
-    # classifications are bit-identical either way).
+    # Golden checkpoint spacing in cycles for suffix replay (0: every
+    # fault replays from cycle 0).
     checkpoint_interval: int = 128
-    fork: bool = True
     # Summary-only mode: drop per-fault records, keep outcome counts,
     # exact latency/distance aggregates, and a bounded exemplar set.
     keep_records: bool = True
     exemplar_cap: int = 8
     # Site sampling: "uniform" | "weighted" (residency-proportional,
     # profiled during the golden run).
-    sampling: str = "uniform"
+    sampling: str = choice("uniform", ("uniform", "weighted"))
     profile_stride: int = 16
-    # Checkpoint-grouped warm-core replay: shard faults sharing a fork
-    # checkpoint run on one restored core (O(dirty) rearm between
-    # faults).  Results are bit-identical with grouping on or off.
-    grouped: bool = True
     # Compressed-byte ceiling on the golden snapshot arena (0 = none).
     snapshot_budget: int = 0
     # Persistent golden-prefix cache under REPRO_CACHE_DIR: warm
     # campaigns skip golden simulation entirely.
     golden_cache: bool = False
-    # Sticky-fault first-effect scan: one extra golden-trajectory replay
-    # licenses checkpoint forking (or a zero-cost masked verdict) for
-    # cycle-0 stuck-ats.  Results are bit-identical with it on or off;
-    # False restores the PR 6 replay-from-scratch behavior.
-    first_effect: bool = True
+
+    def __post_init__(self) -> None:
+        check_spec(self)
 
 
 @dataclass
@@ -247,13 +245,14 @@ class InjectionStats:
 _INJECT: Dict[str, Any] = {}
 
 
-def _build_config(spec: InjectionSpec):
+def machine_config(spec: InjectionSpec):
+    """The Rescue core with ``spec.counts`` applied as its fault map."""
     from repro.cpu.degraded import degraded_params
     from repro.cpu.params import MachineConfig
     from repro.yieldmodel.configs import CoreCounts
 
     counts = CoreCounts(**dict(zip(DIMENSIONS, spec.counts)))
-    return degraded_params(MachineConfig(rescue=True), counts), counts
+    return degraded_params(MachineConfig(rescue=True), counts)
 
 
 def _inject_init(spec: InjectionSpec) -> None:
@@ -263,24 +262,24 @@ def _inject_init(spec: InjectionSpec) -> None:
         golden_key, load_golden, load_scan, scan_key, store_golden,
         store_scan,
     )
-    from repro.inject.harness import run_golden
+    from repro.inject.harness import first_effect_scan, run_golden
     from repro.inject.models import sample_faults
     from repro.inject.sites import enumerate_sites, sites_in_blocks
     from repro.workloads.generator import generate_trace
     from repro.workloads.profiles import profile
 
-    config, _ = _build_config(spec)
+    config = machine_config(spec)
     trace = generate_trace(
         profile(spec.benchmark), spec.n_instructions, seed=spec.trace_seed
     )
-    interval = spec.checkpoint_interval if spec.fork else 0
     stride = spec.profile_stride if spec.sampling == "weighted" else 0
     golden = None
     key = None
     if spec.golden_cache:
         key = golden_key(
             spec.benchmark, spec.n_instructions, spec.trace_seed,
-            spec.counts, interval, stride, spec.snapshot_budget,
+            spec.counts, spec.checkpoint_interval, stride,
+            spec.snapshot_budget,
         )
         golden = load_golden(config, trace, spec.n_instructions, key)
         if golden is not None:
@@ -290,7 +289,7 @@ def _inject_init(spec: InjectionSpec) -> None:
             config,
             trace,
             spec.n_instructions,
-            checkpoint_interval=interval,
+            checkpoint_interval=spec.checkpoint_interval,
             profile_stride=stride,
             snapshot_budget=spec.snapshot_budget,
         )
@@ -303,25 +302,20 @@ def _inject_init(spec: InjectionSpec) -> None:
         sites, spec.n_faults, spec.seed, spec.model, config,
         golden.cycles, mode=spec.sampling, profile=golden.profile,
     )
-    first_effect: Dict[int, object] = {}
-    if spec.fork and spec.first_effect:
-        from repro.inject.harness import first_effect_scan
-
-        skey = None
-        cached = None
-        if spec.golden_cache:
-            skey = scan_key(
-                key, len(faults), spec.seed, spec.model, spec.blocks,
-                spec.sampling,
-            )
-            cached = load_scan(skey, len(faults))
-        if cached is not None:
-            first_effect = cached
-            TELEMETRY.count("inject.scan_cache_hits")
-        else:
-            first_effect = first_effect_scan(golden, faults)
-            if skey is not None:
-                store_scan(first_effect, skey, len(faults))
+    skey = None
+    first_effect = None
+    if spec.golden_cache:
+        skey = scan_key(
+            key, len(faults), spec.seed, spec.model, spec.blocks,
+            spec.sampling,
+        )
+        first_effect = load_scan(skey, len(faults))
+    if first_effect is not None:
+        TELEMETRY.count("inject.scan_cache_hits")
+    else:
+        first_effect = first_effect_scan(golden, faults)
+        if skey is not None:
+            store_scan(first_effect, skey, len(faults))
     _INJECT.clear()
     _INJECT.update(
         spec=spec, golden=golden, faults=faults,
@@ -332,24 +326,23 @@ def _inject_init(spec: InjectionSpec) -> None:
 def _inject_worker(span: Tuple[int, int]) -> Dict:
     """Classify one contiguous fault span; returns shard JSON.
 
-    With ``spec.fork``, each fault's fork point comes from a shared
-    plan: transients fork at the newest checkpoint at or before their
-    activation cycle, sticky faults at the checkpoint licensed by the
-    first-effect scan — or are synthesized outright
-    (:func:`~repro.inject.harness.synth_never_result`) when the scan
-    proved their forcing never bites.  With ``spec.grouped`` the
-    shard's remaining faults are grouped by fork checkpoint — a stable
-    sort, so original order is preserved within each group — and every
-    multi-fault group runs on one warm
-    :class:`~repro.inject.harness.ReplaySession` core, re-armed in
-    place between faults (singleton groups take a plain restore and
-    skip the dirty-tracking overhead).  Results are then folded into
-    the stats in the original fault order, so shard payloads (records,
-    exemplars, per-block counts) are bit-identical to the ungrouped
-    path for any worker count or chunking.  The grouping telemetry
-    (``inject.restore_reuses`` / ``inject.group_sizes``) is a
-    scheduling metric: it depends on how faults land in shards and is
-    *not* part of the worker-count-invariant deterministic view.
+    Each fault's fork point comes from a shared plan: transients fork at
+    the newest checkpoint at or before their activation cycle, sticky
+    faults at the checkpoint licensed by the first-effect scan — or are
+    synthesized outright (:func:`~repro.inject.harness.
+    synth_never_result`) when the scan proved their forcing never
+    bites.  The remaining faults are grouped by fork checkpoint — a
+    stable sort, so original order is preserved within each group — and
+    every multi-fault group runs on one warm
+    :class:`~repro.inject.harness.ReplaySession` core, re-armed in place
+    between faults (singleton groups take a plain restore and skip the
+    dirty-tracking overhead).  Results are then folded into the stats in
+    the original fault order, so shard payloads (records, exemplars,
+    per-block counts) are bit-identical to from-scratch replay in fault
+    order for any worker count or chunking.  The grouping telemetry
+    (``inject.restore_reuses`` / ``inject.group_sizes``) is a scheduling
+    metric: it depends on how faults land in shards and is *not* part of
+    the worker-count-invariant deterministic view.
     """
     from repro.inject.harness import (
         ReplaySession, run_with_fault, synth_never_result,
@@ -359,84 +352,58 @@ def _inject_worker(span: Tuple[int, int]) -> Dict:
     spec = _INJECT["spec"]
     golden = _INJECT["golden"]
     faults = _INJECT["faults"][start:stop]
-    scan = _INJECT.get("first_effect") or {}
+    scan = _INJECT["first_effect"]
     stats = InjectionStats(
         keep_records=spec.keep_records, exemplar_cap=spec.exemplar_cap
     )
     t = TELEMETRY
     results: List = [None] * len(faults)
-    # Per-fault fork plan (identical for the grouped and ungrouped
-    # paths, so their per-fault telemetry merges to the same values):
-    # fork_idx = arena index (None: from cycle 0), prearm = sticky
-    # arming bookkeeping to restore on the forked core, or a
-    # synthesized masked verdict for never-biting sticky faults.
+    # Per-fault fork plan: fork_idx = arena index (None: from cycle 0),
+    # prearm = sticky arming bookkeeping to restore on the forked core;
+    # never-biting sticky faults get a synthesized masked verdict.
     fork_idx: List[Optional[int]] = [None] * len(faults)
     prearm: List[Optional[tuple]] = [None] * len(faults)
-    synth = [False] * len(faults)
-    if spec.fork:
-        for i, fault in enumerate(faults):
-            fe = scan.get(start + i)
-            if fe is None:
-                fork_idx[i] = golden.fork_index(fault.cycle)
-            elif fe.first is None:
-                synth[i] = True
-                results[i] = synth_never_result(golden, fe)
-                if t.enabled:
-                    t.count("inject.scan_skips")
-                    t.count("inject.cycles_saved", golden.cycles)
-            else:
-                k = golden.fork_index(fe.first)
-                fork_idx[i] = k
-                if k is not None:
-                    prearm[i] = fe.prearm(golden.arena.cycle_of(k))
-    grouped = (
-        spec.grouped
-        and spec.fork
-        and golden.arena is not None
-        and len(golden.arena) > 0
-    )
-    if grouped:
-        todo = [i for i in range(len(faults)) if not synth[i]]
-        order = sorted(
-            todo,
-            key=lambda i: -1 if fork_idx[i] is None else fork_idx[i],
-        )
-        group_n = {
-            k: sum(1 for i in todo if fork_idx[i] == k)
-            for k in set(fork_idx[i] for i in todo)
-        }
-        if t.enabled:
-            for k, n in sorted(
-                group_n.items(), key=lambda kv: (kv[0] is None, kv[0])
-            ):
-                if k is not None:
-                    t.observe("inject.group_sizes", n)
-        session: Optional[ReplaySession] = None
-        for i in order:
-            fault = faults[i]
-            k = fork_idx[i]
-            with t.span("inject.run"):
-                if k is None or group_n[k] == 1:
-                    # No checkpoint (plain from-cycle-0 run) or a
-                    # singleton group: a one-shot restore without
-                    # dirty-tracking overhead beats a session.
-                    results[i] = run_with_fault(
-                        golden, fault, fork=True,
-                        fork_index=k, prearm=prearm[i],
-                    )
-                else:
-                    if session is None or session.index != k:
-                        session = ReplaySession(golden, k)
-                    results[i] = session.run(fault, prearm=prearm[i])
-    else:
-        for i, fault in enumerate(faults):
-            if synth[i]:
-                continue
-            with t.span("inject.run"):
+    todo: List[int] = []
+    for i, fault in enumerate(faults):
+        fe = scan.get(start + i)
+        if fe is None:
+            fork_idx[i] = golden.fork_index(fault.cycle)
+        elif fe.first is None:
+            results[i] = synth_never_result(golden, fe)
+            if t.enabled:
+                t.count("inject.scan_skips")
+                t.count("inject.cycles_saved", golden.cycles)
+            continue
+        else:
+            k = golden.fork_index(fe.first)
+            fork_idx[i] = k
+            if k is not None:
+                prearm[i] = fe.prearm(golden.arena.cycle_of(k))
+        todo.append(i)
+    group_n: Dict[Optional[int], int] = {}
+    for i in todo:
+        group_n[fork_idx[i]] = group_n.get(fork_idx[i], 0) + 1
+    if t.enabled:
+        for k in sorted(k for k in group_n if k is not None):
+            t.observe("inject.group_sizes", group_n[k])
+    session: Optional[ReplaySession] = None
+    for i in sorted(
+        todo, key=lambda i: -1 if fork_idx[i] is None else fork_idx[i]
+    ):
+        fault = faults[i]
+        k = fork_idx[i]
+        with t.span("inject.run"):
+            if k is None or group_n[k] == 1:
+                # No checkpoint (plain from-cycle-0 run) or a singleton
+                # group: a one-shot restore without dirty-tracking
+                # overhead beats a session.
                 results[i] = run_with_fault(
-                    golden, fault, fork=spec.fork,
-                    fork_index=fork_idx[i], prearm=prearm[i],
+                    golden, fault, fork_index=k, prearm=prearm[i]
                 )
+            else:
+                if session is None or session.index != k:
+                    session = ReplaySession(golden, k)
+                results[i] = session.run(fault, prearm=prearm[i])
     for fault, result in zip(faults, results):
         stats.add(fault, result)
         if t.enabled:

@@ -19,8 +19,9 @@ Suffix replay (the golden fork)
 
 A from-scratch faulty run costs a full trace execution even when the
 fault injects late, so campaign cost is O(faults x trace).  Two
-optimizations make it O(suffix), both behind the ``fork=True`` seam of
-:func:`run_with_fault` with the from-scratch path kept as the reference:
+optimizations in :func:`run_with_fault` make it O(suffix); from-scratch
+replay (the golden run without its checkpoints) survives only as the
+test oracle they are checked against:
 
 1. **Checkpointed fork** — ``run_golden`` snapshots the machine every
    ``checkpoint_interval`` cycles (:meth:`~repro.cpu.pipeline.Core.
@@ -55,8 +56,8 @@ The watchdog budget is suffix-scaled to the activation cycle: a fault
 firing at cycle ``c`` gets ``golden + (golden - c) + slack`` cycles
 (two golden suffixes past the prefix it cannot perturb), which for the
 campaign's cycle-0 stuck-ats reduces to the classic ``2 x golden +
-slack``.  The budget depends only on the fault, never on the fork seam,
-so hang records stay bit-identical between paths.
+slack``.  The budget depends only on the fault, never on the fork
+point, so hang records stay bit-identical to from-scratch replay.
 
 Warm-core group replay
 ----------------------
@@ -362,7 +363,6 @@ def _execute_and_classify(
     core: Core,
     arch: FaultyArchState,
     fork_cycle: int,
-    fork: bool,
 ) -> InjectionResult:
     """Run a prepared faulty core to completion and classify it.
 
@@ -379,8 +379,7 @@ def _execute_and_classify(
     interval = golden.checkpoint_interval
     arena = golden.arena
     if (
-        fork
-        and interval
+        interval
         and arena is not None
         and len(arena)
         and (
@@ -491,16 +490,15 @@ _AUTO = object()
 def run_with_fault(
     golden: GoldenRun,
     fault: FaultSpec,
-    fork: bool = True,
     fork_index: object = _AUTO,
     prearm: Optional[Tuple[int, int]] = None,
 ) -> InjectionResult:
     """Replay the golden trace with one fault and classify the outcome.
 
-    ``fork=True`` (the default) enables checkpointed suffix replay and
-    the reconvergence early-exit; ``fork=False`` is the from-scratch
-    reference path.  Both produce bit-identical classifications — the
-    compared fields of :class:`InjectionResult` — for every fault.
+    Checkpointed suffix replay with the reconvergence early-exit when
+    ``golden`` carries checkpoints; from cycle 0 otherwise.  Either way
+    the classification — the compared fields of
+    :class:`InjectionResult` — is the from-scratch run's.
 
     ``fork_index`` overrides the fork-point resolution (the newest
     checkpoint at or before ``fault.cycle``) with an explicit arena
@@ -513,12 +511,10 @@ def run_with_fault(
     """
     arch = FaultyArchState(golden.config, fault, golden_log=golden.log)
     fork_cycle = 0
-    if not fork:
-        idx = None
-    elif fork_index is _AUTO:
-        idx = golden.fork_index(fault.cycle)
-    else:
-        idx = fork_index
+    idx = (
+        golden.fork_index(fault.cycle) if fork_index is _AUTO
+        else fork_index
+    )
     if idx is not None:
         fork_cycle = golden.arena.cycle_of(idx)
         core = Core(golden.config, iter(()), arch=arch)
@@ -527,9 +523,7 @@ def run_with_fault(
             arch.prearm_sticky(*prearm)
     else:
         core = Core(golden.config, iter(golden.trace), arch=arch)
-    return _execute_and_classify(
-        golden, fault, core, arch, fork_cycle, fork
-    )
+    return _execute_and_classify(golden, fault, core, arch, fork_cycle)
 
 
 @dataclass(frozen=True)
@@ -828,5 +822,5 @@ class ReplaySession:
             self.arch.prearm_sticky(*prearm)
         self.runs += 1
         return _execute_and_classify(
-            g, fault, self.core, self.arch, self.fork_cycle, True
+            g, fault, self.core, self.arch, self.fork_cycle
         )

@@ -41,6 +41,7 @@ from repro.repair.candidates import (
 from repro.repair.oracle import BaseState, _equivalence_stage, verify_candidate
 from repro.repair.seedbreak import SeededBreak, seed_breaks
 from repro.runner.executor import ProgressFn, run_shards
+from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
 from repro.runner.store import CheckpointStore, config_hash
 from repro.telemetry import TELEMETRY
@@ -53,7 +54,7 @@ REPAIR_MODELS = ("baseline", "rescue", "rescue-broken")
 class RepairSpec:
     """Everything that determines the repair campaign's outcome."""
 
-    model: str = "baseline"
+    model: str = choice("baseline", REPAIR_MODELS)
     tiny: bool = True
     # Break seeding for the "rescue-broken" variant.
     n_breaks: int = 2
@@ -68,16 +69,14 @@ class RepairSpec:
     # Violations per shard.
     chunk_size: int = 2
 
+    def __post_init__(self) -> None:
+        check_spec(self)
+
 
 def build_model(spec: RepairSpec) -> Tuple[Netlist, List[SeededBreak]]:
     """The campaign's target netlist plus any seeded breaks."""
     from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
 
-    if spec.model not in REPAIR_MODELS:
-        raise ValueError(
-            f"unknown repair model {spec.model!r}; "
-            f"expected one of {REPAIR_MODELS}"
-        )
     params = RtlParams.tiny() if spec.tiny else RtlParams()
     if spec.model == "baseline":
         return build_baseline_rtl(params).netlist, []
@@ -379,11 +378,6 @@ def run_repair(
     """
     if spec.n_patterns <= 0:
         raise ValueError("n_patterns must be positive")
-    if spec.model not in REPAIR_MODELS:
-        raise ValueError(
-            f"unknown repair model {spec.model!r}; "
-            f"expected one of {REPAIR_MODELS}"
-        )
     netlist, breaks = build_model(spec)
     report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
     items = shard_ranges(len(report.violations), spec.chunk_size)

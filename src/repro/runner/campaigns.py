@@ -320,6 +320,33 @@ class IpcSweepResult:
             merged[item] = ipc
         return IpcSweepResult(merged)
 
+    def to_json(self) -> List[Dict[str, Any]]:
+        """One ``{"benchmark", "key", "ipc"}`` record per measurement."""
+        return [
+            {"benchmark": bench, "key": list(key), "ipc": ipc}
+            for (bench, key), ipc in sorted(self.measured.items())
+        ]
+
+    @classmethod
+    def from_json(cls, records: List[Dict[str, Any]]) -> "IpcSweepResult":
+        return cls(
+            {(r["benchmark"], tuple(r["key"])): r["ipc"] for r in records}
+        )
+
+    def summary(self) -> str:
+        """Best and worst measured IPC per benchmark."""
+        benches = sorted({bench for bench, _ in self.measured})
+        lines = [f"ipc sweep: {len(self.measured)} measurements"]
+        for bench in benches:
+            ipcs = [
+                ipc for (b, _), ipc in self.measured.items() if b == bench
+            ]
+            lines.append(
+                f"  {bench:10s} best {max(ipcs):.3f}  "
+                f"worst {min(ipcs):.3f}"
+            )
+        return "\n".join(lines)
+
     def tables(
         self, compose: bool = True
     ) -> Dict[str, Dict[Tuple[int, ...], float]]:
@@ -436,12 +463,5 @@ def run_ipc_sweep(
     )
     result = IpcSweepResult({})
     for payload in payloads:
-        result = result.merge(
-            IpcSweepResult(
-                {
-                    (rec["benchmark"], tuple(rec["key"])): rec["ipc"]
-                    for rec in payload
-                }
-            )
-        )
+        result = result.merge(IpcSweepResult.from_json(payload))
     return result

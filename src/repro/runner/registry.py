@@ -1,24 +1,30 @@
 """Uniform campaign registry: one descriptor per runnable campaign.
 
 The six registered campaigns (isolation, montecarlo, ipc, inject,
-decide, repair) share the runner recipe — a frozen spec dataclass, a ``run_*`` entry point with the
-``(spec, *, workers, resume, checkpoint, cache_root, store, progress)``
-signature, and a JSON-serializable merged result — but until now each
-caller (the CLI, tests, benchmarks) hard-coded the per-campaign imports
-and codecs.  :data:`REGISTRY` centralizes them behind
-:class:`CampaignEntry` so generic infrastructure (the campaign service,
-``repro run``'s choices list) can drive *any* registered campaign from a
-``(name, params-dict)`` pair:
+decide, repair) share the runner recipe — a frozen spec dataclass, a
+``run_*`` entry point with the ``(spec, *, workers, resume, checkpoint,
+cache_root, store, progress)`` signature, and a result class with
+``to_json()`` / ``from_json()`` / ``summary()``.  :data:`REGISTRY`
+centralizes them behind :class:`CampaignEntry` so generic
+infrastructure (the campaign service, the ``repro`` CLI's generated
+flags) can drive *any* registered campaign from a ``(name,
+params-dict)`` pair:
 
 - :meth:`CampaignEntry.make_spec` builds the frozen spec from a plain
-  JSON params dict (tuple-typed fields are coerced from lists, unknown
-  keys raise ``TypeError`` — the service's 400 path);
+  JSON params dict (lists are coerced to tuples, unknown keys raise
+  ``TypeError`` and values outside a field's declared choices raise
+  ``ValueError`` — both are the service's 400 path);
 - :meth:`CampaignEntry.store_for` derives the same
   :class:`~repro.runner.store.CheckpointStore` the campaign would build
   itself, so service runs and direct CLI runs share checkpoints;
-- :meth:`CampaignEntry.result_to_json` / :meth:`result_from_json` /
-  :meth:`summarize` round-trip the merged result across the HTTP
-  boundary.
+- :attr:`CampaignEntry.result_cls` is the result class whose
+  ``to_json`` / ``from_json`` / ``summary`` round-trip the merged result
+  across the HTTP boundary.
+
+The spec dataclass is the only declaration of a campaign's parameters.
+A field restricted to a fixed set of values declares it with
+:func:`choice`; the spec's ``__post_init__`` calls :func:`check_spec`,
+and the CLI reads the same metadata for its ``choices``.
 
 All heavy imports stay inside the entry methods: importing this module
 costs nothing beyond the runner package itself, so the CLI can list
@@ -35,47 +41,39 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 from repro.runner.store import CheckpointStore, config_hash
 
 
-def _coerce_tuples(spec_cls: type, params: Mapping[str, Any]) -> Dict[str, Any]:
-    """Convert JSON lists back to tuples for tuple-typed spec fields.
+def choice(default: str, choices: Tuple[str, ...]) -> Any:
+    """A spec field whose value must be one of ``choices``."""
+    return dataclasses.field(default=default, metadata={"choices": choices})
 
-    JSON has no tuple type, so a params dict that round-tripped through
-    the service carries lists where the frozen specs want (hashable)
-    tuples.  Fields are recognized by their dataclass default or by the
-    value actually supplied; nested lists (``blocks``) convert too.
-    """
-    defaults = {
-        f.name: f.default for f in dataclasses.fields(spec_cls)
-    }
-    out: Dict[str, Any] = {}
-    for key, value in params.items():
-        if key not in defaults:
-            raise TypeError(
-                f"{spec_cls.__name__} has no parameter {key!r}"
+
+def check_spec(spec: Any) -> None:
+    """Reject any field value outside its declared :func:`choice` set."""
+    for f in dataclasses.fields(spec):
+        allowed = f.metadata.get("choices")
+        value = getattr(spec, f.name)
+        if allowed is not None and value not in allowed:
+            raise ValueError(
+                f"{type(spec).__name__}.{f.name} must be one of "
+                f"{allowed}, not {value!r}"
             )
-        if isinstance(value, list):
-            value = tuple(value)
-        out[key] = value
-    return out
 
 
 @dataclass(frozen=True)
 class CampaignEntry:
     """Everything generic code needs to drive one campaign by name.
 
-    ``module`` / ``spec_name`` / ``run_name`` are resolved lazily so the
-    registry itself imports nothing heavy; ``store_name`` is the
-    checkpoint-file prefix the campaign's own ``_campaign_store`` uses
-    (keeping service and CLI checkpoints interchangeable).
+    ``module`` / ``spec_name`` / ``run_name`` / ``result`` are resolved
+    lazily so the registry itself imports nothing heavy; ``result`` is a
+    ``"module:Class"`` path.  ``name`` doubles as the checkpoint-file
+    prefix the campaign's own ``_campaign_store`` uses (keeping service
+    and CLI checkpoints interchangeable).
     """
 
     name: str
     module: str
     spec_name: str
     run_name: str
-    store_name: str
-    # Result codec: (to_json, from_json, summarize), resolved lazily via
-    # the functions below (they import the result class on first use).
-    _codec: str = "default"
+    result: str
 
     # -- lazy resolution ------------------------------------------------
     def _mod(self):
@@ -91,15 +89,31 @@ class CampaignEntry:
         """The campaign's ``run_*`` entry point."""
         return getattr(self._mod(), self.run_name)
 
+    @property
+    def result_cls(self) -> type:
+        """The merged result class (``to_json``/``from_json``/``summary``)."""
+        module, name = self.result.split(":")
+        return getattr(import_module(module), name)
+
     # -- spec / store ---------------------------------------------------
     def make_spec(self, params: Optional[Mapping[str, Any]] = None):
         """Build the frozen spec from a plain JSON params dict.
 
-        Raises ``TypeError`` on unknown keys or un-constructible values
-        (the service maps that to HTTP 400).
+        JSON has no tuple type, so lists become tuples (the frozen specs
+        want hashable values).  Raises ``TypeError`` on unknown keys and
+        ``ValueError`` on values outside a field's declared choices (the
+        service maps both to HTTP 400).
         """
         cls = self.spec_cls
-        return cls(**_coerce_tuples(cls, params or {}))
+        known = {f.name for f in dataclasses.fields(cls)}
+        out: Dict[str, Any] = {}
+        for key, value in (params or {}).items():
+            if key not in known:
+                raise TypeError(
+                    f"{cls.__name__} has no parameter {key!r}"
+                )
+            out[key] = tuple(value) if isinstance(value, list) else value
+        return cls(**out)
 
     def canonical_params(self, spec: Any) -> Dict[str, Any]:
         """The spec as a JSON-clean dict with every default filled in."""
@@ -121,121 +135,8 @@ class CampaignEntry:
         by ``repro run`` and vice versa.
         """
         return CheckpointStore(
-            self.store_name, config_hash(asdict(spec)), root=cache_root
+            self.name, config_hash(asdict(spec)), root=cache_root
         )
-
-    # -- result codec ---------------------------------------------------
-    def result_to_json(self, result: Any) -> Any:
-        """Serialize a merged campaign result for the HTTP boundary."""
-        return _CODECS[self.name][0](result)
-
-    def result_from_json(self, payload: Any) -> Any:
-        """Inverse of :meth:`result_to_json`."""
-        return _CODECS[self.name][1](payload)
-
-    def summarize(self, result: Any) -> str:
-        """Human-readable one-shot report of a merged result."""
-        return _CODECS[self.name][2](result)
-
-
-# ----------------------------------------------------------------------
-# Per-campaign result codecs (lazy imports; results differ structurally)
-# ----------------------------------------------------------------------
-
-def _isolation_from_json(payload):
-    from repro.rtl.experiment import IsolationStats
-
-    return IsolationStats.from_json(payload)
-
-
-def _montecarlo_to_json(result):
-    return asdict(result)
-
-
-def _montecarlo_from_json(payload):
-    from repro.yieldmodel.montecarlo import MonteCarloResult
-
-    return MonteCarloResult(**payload)
-
-
-def _ipc_to_json(result):
-    return [
-        {"benchmark": bench, "key": list(key), "ipc": ipc}
-        for (bench, key), ipc in sorted(result.measured.items())
-    ]
-
-
-def _ipc_from_json(payload):
-    from repro.runner.campaigns import IpcSweepResult
-
-    return IpcSweepResult(
-        {
-            (rec["benchmark"], tuple(rec["key"])): rec["ipc"]
-            for rec in payload
-        }
-    )
-
-
-def _ipc_summarize(result) -> str:
-    benches = sorted({bench for bench, _ in result.measured})
-    lines = [f"ipc sweep: {len(result.measured)} measurements"]
-    for bench in benches:
-        ipcs = [
-            ipc for (b, _), ipc in result.measured.items() if b == bench
-        ]
-        lines.append(
-            f"  {bench:10s} best {max(ipcs):.3f}  worst {min(ipcs):.3f}"
-        )
-    return "\n".join(lines)
-
-
-def _inject_from_json(payload):
-    from repro.inject.campaign import InjectionStats
-
-    return InjectionStats.from_json(payload)
-
-
-def _decide_from_json(payload):
-    from repro.decide.campaign import DecideResult
-
-    return DecideResult.from_json(payload)
-
-
-def _repair_from_json(payload):
-    from repro.repair.campaign import RepairResult
-
-    return RepairResult.from_json(payload)
-
-
-#: name -> (to_json, from_json, summarize)
-_CODECS: Dict[str, Tuple[Callable, Callable, Callable]] = {
-    "isolation": (
-        lambda r: r.to_json(),
-        _isolation_from_json,
-        lambda r: r.summary(),
-    ),
-    "montecarlo": (
-        _montecarlo_to_json,
-        _montecarlo_from_json,
-        lambda r: r.summary(),
-    ),
-    "ipc": (_ipc_to_json, _ipc_from_json, _ipc_summarize),
-    "inject": (
-        lambda r: r.to_json(),
-        _inject_from_json,
-        lambda r: r.summary(),
-    ),
-    "decide": (
-        lambda r: r.to_json(),
-        _decide_from_json,
-        lambda r: r.summary(),
-    ),
-    "repair": (
-        lambda r: r.to_json(),
-        _repair_from_json,
-        lambda r: r.summary(),
-    ),
-}
 
 
 #: The registered campaigns, in CLI/choices order.
@@ -245,42 +146,42 @@ REGISTRY: Dict[str, CampaignEntry] = {
         module="repro.runner.campaigns",
         spec_name="IsolationSpec",
         run_name="run_isolation",
-        store_name="isolation",
+        result="repro.rtl.experiment:IsolationStats",
     ),
     "montecarlo": CampaignEntry(
         name="montecarlo",
         module="repro.runner.campaigns",
         spec_name="MonteCarloSpec",
         run_name="run_montecarlo",
-        store_name="montecarlo",
+        result="repro.yieldmodel.montecarlo:MonteCarloResult",
     ),
     "ipc": CampaignEntry(
         name="ipc",
         module="repro.runner.campaigns",
         spec_name="IpcSweepSpec",
         run_name="run_ipc_sweep",
-        store_name="ipc",
+        result="repro.runner.campaigns:IpcSweepResult",
     ),
     "inject": CampaignEntry(
         name="inject",
         module="repro.inject.campaign",
         spec_name="InjectionSpec",
         run_name="run_injection",
-        store_name="inject",
+        result="repro.inject.campaign:InjectionStats",
     ),
     "decide": CampaignEntry(
         name="decide",
         module="repro.decide.campaign",
         spec_name="DecideSpec",
         run_name="run_decide",
-        store_name="decide",
+        result="repro.decide.campaign:DecideResult",
     ),
     "repair": CampaignEntry(
         name="repair",
         module="repro.repair.campaign",
         spec_name="RepairSpec",
         run_name="run_repair",
-        store_name="repair",
+        result="repro.repair.campaign:RepairResult",
     ),
 }
 

@@ -168,7 +168,7 @@ class CampaignService:
                 continue  # journal from a newer/older registry; skip
             try:
                 spec = entry.make_spec(rec.get("params", {}))
-            except TypeError:
+            except (TypeError, ValueError):
                 continue
             job = Job(
                 id=job_id,
@@ -197,8 +197,8 @@ class CampaignService:
         """Admit (or coalesce) a job for ``(campaign, params)``.
 
         Returns ``(job, created)``.  Raises ``KeyError`` for an unknown
-        campaign, ``TypeError`` for bad params, ``QueueFull`` when the
-        backlog is at capacity.
+        campaign, ``TypeError`` / ``ValueError`` for bad params,
+        ``QueueFull`` when the backlog is at capacity.
         """
         entry = get_campaign(campaign)
         spec = entry.make_spec(params)
@@ -301,7 +301,7 @@ class CampaignService:
         except Exception as exc:  # campaign bug or bad spec: terminal
             self._finish(job, error=f"{type(exc).__name__}: {exc}")
             return
-        payload = entry.result_to_json(result)
+        payload = result.to_json()
         if TELEMETRY.enabled:
             TELEMETRY.count("service.jobs.completed")
             TELEMETRY.observe(
@@ -436,7 +436,7 @@ class _Handler(BaseHTTPRequestHandler):
         except KeyError as exc:
             self._json(400, {"error": str(exc)})
             return
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             self._json(400, {"error": f"bad params: {exc}"})
             return
         with service.queue.locked():

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.runner.seeding import derive_seed
 from repro.telemetry import TELEMETRY
@@ -46,6 +46,13 @@ class MonteCarloResult:
     # 0.0 when fewer than two chips.  Gives tests a principled tolerance:
     # analytic-vs-MC agreement is asserted within 3 standard errors.
     std_error: float = 0.0
+
+    def to_json(self) -> Dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_json(cls, d: Dict[str, Any]) -> "MonteCarloResult":
+        return cls(**d)
 
     def summary(self) -> str:
         """One-line batch report."""

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import typing
+
 import pytest
 
-from repro.cli import RUN_CAMPAIGNS, build_parser, main
+from repro.cli import RUN_CAMPAIGNS, _inject_spec, _spec, build_parser, main
+from repro.runner.registry import REGISTRY
+from repro.telemetry import TELEMETRY
+
+#: Flags every campaign needs besides its defaults (fields without one).
+REQUIRED = {"ipc": ["--benchmarks", "gzip"]}
 
 
 class TestParser:
@@ -31,7 +39,7 @@ class TestParser:
             "repair",
         }
         for name in RUN_CAMPAIGNS:
-            args = parser.parse_args(["run", name])
+            args = parser.parse_args(["run", name] + REQUIRED.get(name, []))
             assert args.campaign == name
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "--help"])
@@ -43,15 +51,16 @@ class TestParser:
 
     def test_inject_defaults(self):
         args = build_parser().parse_args(["inject"])
-        assert args.sites == 64
+        assert args.n_faults == 64
         assert args.model == "both"
         assert args.config == "full"
-        assert args.blocks == "all"
+        assert args.preset_blocks == "all"
         assert args.checkpoint_interval == 128
-        assert not args.no_fork
-        assert not args.summary_only
+        assert args.keep_records
         assert args.sampling == "uniform"
         assert not args.profile
+        # The presets reproduce the spec defaults.
+        assert _inject_spec(args) == REGISTRY["inject"].make_spec({})
         with pytest.raises(SystemExit):
             build_parser().parse_args(["inject", "--model", "bogus"])
         with pytest.raises(SystemExit):
@@ -95,7 +104,7 @@ class TestCommands:
 
     def test_inject_command_masking(self, capsys):
         code = main([
-            "inject", "--sites", "6", "--instructions", "600",
+            "inject", "--n-faults", "6", "--n-instructions", "600",
             "--config", "degraded", "--blocks", "mapped-out",
             "--no-checkpoint",
         ])
@@ -106,24 +115,24 @@ class TestCommands:
 
     def test_run_inject_dispatch(self, capsys):
         code = main([
-            "run", "inject", "--faults", "4", "--no-checkpoint",
+            "run", "inject", "--n-faults", "4", "--no-checkpoint",
         ])
         assert code == 0
         assert "injections: 4" in capsys.readouterr().out
 
     def test_inject_profile_command(self, capsys):
         code = main([
-            "inject", "--profile", "--instructions", "600",
+            "inject", "--profile", "--n-instructions", "600",
             "--config", "degraded",
         ])
         out = capsys.readouterr().out
         assert code == 0
         assert "site profile:" in out and "hottest" in out
 
-    def test_inject_fork_and_summary_flags(self, capsys):
+    def test_inject_summary_flags(self, capsys):
         code = main([
-            "inject", "--sites", "4", "--instructions", "600",
-            "--no-fork", "--summary-only", "--sampling", "weighted",
+            "inject", "--n-faults", "4", "--n-instructions", "600",
+            "--no-keep-records", "--sampling", "weighted",
             "--no-checkpoint",
         ])
         out = capsys.readouterr().out
@@ -136,3 +145,90 @@ class TestCommands:
         text = out_file.read_text()
         assert "module rescue_core (" in text
         assert "scan_out" in text
+
+
+def _set_field(f, hint, default):
+    """argv that sets spec field ``f`` away from ``default``, and the value."""
+    flag = "--" + f.name.replace("_", "-")
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        hint = typing.get_args(hint)[0]
+    if hint is bool:
+        return [flag if not default else "--no-" + flag[2:]], not default
+    if "choices" in f.metadata:
+        value = next(c for c in f.metadata["choices"] if c != default)
+        return [flag, value], value
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        value = (3, 1) if item is int else ("x", "y")
+        return [flag, *map(str, value)], value
+    value = hint((default or 0) + 3) if hint in (int, float) else "other"
+    return [flag, str(value)], value
+
+
+class TestGeneratedFlags:
+    """The spec dataclasses are the only declaration of campaign flags."""
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_no_flags_build_the_service_spec(self, name):
+        argv = ["run", name] + REQUIRED.get(name, [])
+        spec = _spec(build_parser().parse_args(argv))
+        params = {"benchmarks": ["gzip"]} if name in REQUIRED else {}
+        entry = REGISTRY[name]
+        assert spec == entry.make_spec(params)
+        assert entry.job_key(spec) == entry.job_key(entry.make_spec(params))
+
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_every_field_flag_sets_its_field(self, name):
+        spec_cls = REGISTRY[name].spec_cls
+        hints = typing.get_type_hints(spec_cls)
+        parser = build_parser()
+        base = ["run", name] + REQUIRED.get(name, [])
+        default = _spec(parser.parse_args(base))
+        for f in dataclasses.fields(spec_cls):
+            before = getattr(default, f.name)
+            argv, want = _set_field(f, hints[f.name], before)
+            spec = _spec(parser.parse_args(base + argv))
+            assert getattr(spec, f.name) == want != before, (name, f.name)
+
+    @pytest.mark.parametrize("name", ["inject", "decide", "repair"])
+    def test_command_and_run_share_job_key(self, name):
+        parser = build_parser()
+        entry = REGISTRY[name]
+        args = parser.parse_args([name])
+        direct = _inject_spec(args) if name == "inject" else _spec(args)
+        run = _spec(parser.parse_args(["run", name]))
+        assert entry.job_key(direct) == entry.job_key(run)
+
+    @pytest.mark.parametrize("argv", [
+        ["inject", "--no-fork"],
+        ["inject", "--no-group"],
+        ["inject", "--sites", "8"],
+        ["inject", "--summary-only"],
+        ["run", "isolation", "--faults", "8"],
+        ["run", "montecarlo", "--chips", "8"],
+        ["run", "ipc", "--benchmarks", "gzip", "--full"],
+        ["run", "ipc"],  # benchmarks has no default: required
+    ])
+    def test_retired_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            build_parser().parse_args(argv)
+        assert exit_.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["inject", "--model", "bogus"],
+        ["run", "inject", "--sampling", "bogus"],
+        ["run", "decide", "--inject-model", "bogus"],
+        ["repair", "--model", "bogus"],
+    ])
+    def test_bad_value_exits_2_before_simulating(self, argv, capsys):
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            with TELEMETRY.collect() as metrics:
+                with pytest.raises(SystemExit) as exit_:
+                    main(argv + ["--no-checkpoint"])
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert exit_.value.code == 2
+        assert "inject.golden_sim_cycles" not in metrics.counters

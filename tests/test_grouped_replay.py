@@ -4,9 +4,9 @@ Covers the compressed snapshot arena (round-trip through delta
 encoding, LRU eviction, budget thinning), the O(dirty) rearm invariant
 (a rearmed core is bit-identical to a freshly restored one), the
 ``forced_ready`` aliasing regression for group reuse, the persistent
-golden-prefix cache, and a hypothesis property that grouped replay,
-per-fault fork replay, and from-scratch execution classify every fault
-identically for any schedule / interval / worker count.
+golden-prefix cache, and a hypothesis property that the campaign's
+grouped, scan-guided replay classifies every fault exactly like the
+from-scratch oracle for any schedule / interval / worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ from repro.inject.arena import SnapshotArena
 from repro.inject.models import FaultyArchState
 import repro.inject.campaign as campaign_mod
 from repro.workloads.generator import generate_trace
+from repro.telemetry import TELEMETRY
 from repro.workloads.profiles import profile
+from tests.oracles import scratch_campaign, scratch_run
 
 FULL = MachineConfig(rescue=True)
 
@@ -233,7 +235,7 @@ class TestFirstEffectScan:
         scan = first_effect_scan(golden, faults)
         synthesized = forked = 0
         for i, fault in enumerate(faults):
-            ref = run_with_fault(golden, fault, fork=False)
+            ref = scratch_run(golden, fault)
             fe = scan[i]
             if fe.first is None:
                 got = synth_never_result(golden, fe)
@@ -271,7 +273,7 @@ class TestFirstEffectScan:
         assert fe.armed_cycle is not None
         synth = synth_never_result(golden, fe)
         assert synth.armed
-        assert synth == run_with_fault(golden, fault, fork=False)
+        assert synth == scratch_run(golden, fault)
 
     def test_scan_is_deterministic(self):
         golden = _golden(400, 32)
@@ -309,22 +311,7 @@ class TestGroupedEquivalence:
             chunk_size=chunk, checkpoint_interval=interval,
         )
         grouped = run_injection(spec, workers=workers, checkpoint=False)
-        ungrouped = run_injection(
-            replace(spec, grouped=False), workers=workers,
-            checkpoint=False,
-        )
-        noscan = run_injection(
-            replace(spec, first_effect=False), workers=workers,
-            checkpoint=False,
-        )
-        scratch = run_injection(
-            replace(spec, fork=False), workers=1, checkpoint=False
-        )
-        assert (
-            grouped.records == ungrouped.records
-            == noscan.records == scratch.records
-        )
-        assert grouped.outcomes == ungrouped.outcomes == scratch.outcomes
+        assert grouped == scratch_campaign(spec)
 
     def test_budget_thinning_identical(self):
         spec = InjectionSpec(
@@ -414,3 +401,30 @@ class TestGoldenCache:
         warm = run_injection(spec, workers=1, checkpoint=False)
         campaign_mod._INJECT.clear()
         assert warm.records == cold.records
+
+    def test_entry_keyed_before_strategy_switches_went_still_hits(
+        self, tmp_path, monkeypatch
+    ):
+        """``golden_key`` never folded in the retired ``fork`` /
+        ``grouped`` / ``first_effect`` spec fields: an entry stored
+        under the key the forking path always used (the spec's interval,
+        no profile stride, no budget) is what the campaign looks up."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = InjectionSpec(
+            n_instructions=300, n_faults=4, chunk_size=4,
+            checkpoint_interval=32, golden_cache=True,
+        )
+        key = golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0, 0)
+        store_golden(_golden(300, 32), key, root=tmp_path)
+        campaign_mod._INJECT.clear()
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            with TELEMETRY.collect() as metrics:
+                run_injection(spec, workers=1, checkpoint=False)
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+            campaign_mod._INJECT.clear()
+        assert metrics.counters["inject.golden_cache_hits"] == 1
+        assert "inject.golden_sim_cycles" not in metrics.counters

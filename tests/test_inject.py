@@ -36,6 +36,7 @@ from repro.telemetry import TELEMETRY
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile
 from repro.yieldmodel.configs import CoreCounts
+from tests.oracles import scratch_campaign
 
 FULL = MachineConfig(rescue=True)
 DEGRADED = degraded_params(FULL, CoreCounts(1, 1, 1, 1, 1, 1))
@@ -351,9 +352,7 @@ class TestCampaign:
 
     def test_fork_campaign_equals_scratch(self):
         forked = run_injection(SPEC, workers=1, checkpoint=False)
-        scratch = run_injection(
-            replace(SPEC, fork=False), workers=1, checkpoint=False
-        )
+        scratch = scratch_campaign(SPEC)
         assert forked == scratch
         odd = run_injection(
             replace(SPEC, checkpoint_interval=57), workers=1,
@@ -371,10 +370,7 @@ class TestCampaign:
             with TELEMETRY.collect() as m_fork:
                 run_injection(spec, workers=1, checkpoint=False)
             with TELEMETRY.collect() as m_scratch:
-                run_injection(
-                    replace(spec, fork=False), workers=1,
-                    checkpoint=False,
-                )
+                scratch_campaign(spec)
         finally:
             TELEMETRY.disable()
         fork_c, scratch_c = m_fork.counters, m_scratch.counters

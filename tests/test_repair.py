@@ -380,11 +380,11 @@ class TestIntegration:
         spec = entry.make_spec({"model": "rescue", "exempt": ["chipkill"]})
         assert spec == RepairSpec(model="rescue")
         result = entry.run(spec, checkpoint=False)
-        payload = entry.result_to_json(result)
+        payload = result.to_json()
         json.dumps(payload)
-        restored = entry.result_from_json(payload)
-        assert entry.result_to_json(restored) == payload
-        assert "repair" in entry.summarize(restored)
+        restored = entry.result_cls.from_json(payload)
+        assert restored.to_json() == payload
+        assert "repair" in restored.summary()
 
     def test_cli_repair_apply(self, tmp_path, capsys):
         from repro.cli import main
@@ -392,7 +392,7 @@ class TestIntegration:
         prefix = str(tmp_path / "patched")
         code = main([
             "repair", "--model", "rescue-broken", "--tiny",
-            "--patterns", "96", "--no-checkpoint", "--apply", prefix,
+            "--n-patterns", "96", "--no-checkpoint", "--apply", prefix,
         ])
         assert code == 0
         out = capsys.readouterr().out

@@ -63,6 +63,25 @@ class TestRegistry:
         with pytest.raises(TypeError):
             get_campaign("isolation").make_spec({"backend": engine})
 
+    @pytest.mark.parametrize("retired", ["fork", "grouped", "first_effect"])
+    def test_inject_rejects_retired_strategy_switches(self, retired):
+        """Replay strategy is no longer a spec field: a job naming one
+        fails loudly instead of splitting the job key."""
+        with pytest.raises(TypeError):
+            get_campaign("inject").make_spec({retired: False})
+
+    @pytest.mark.parametrize("campaign, params", [
+        ("inject", {"model": "bogus"}),
+        ("inject", {"sampling": "bogus"}),
+        ("decide", {"inject_model": "bogus"}),
+        ("repair", {"model": "bogus"}),
+    ])
+    def test_make_spec_rejects_values_outside_choices(
+        self, campaign, params
+    ):
+        with pytest.raises(ValueError, match="must be one of"):
+            get_campaign(campaign).make_spec(params)
+
     def test_job_key_is_canonical(self):
         entry = get_campaign("montecarlo")
         # Explicitly passing a default produces the same job identity.
@@ -144,11 +163,13 @@ class TestRegistry:
 
             result = InjectionStats()
             result.outcomes["masked"] = 3
-        payload = entry.result_to_json(result)
+        assert isinstance(result, entry.result_cls)
+        payload = result.to_json()
         json.dumps(payload)  # must be JSON-clean
-        restored = entry.result_from_json(payload)
-        assert entry.result_to_json(restored) == payload
-        assert isinstance(entry.summarize(restored), str)
+        restored = entry.result_cls.from_json(payload)
+        assert restored == result
+        assert restored.to_json() == payload
+        assert isinstance(restored.summary(), str)
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +226,28 @@ class TestServiceApi:
             with pytest.raises(ServiceError) as err:
                 client.status("nonexistent-job")
             assert err.value.status == 404
+
+    @pytest.mark.parametrize("params", [
+        {"model": "bogus"}, {"sampling": "bogus"}, {"fork": False},
+    ])
+    def test_rejected_inject_spec_is_400_before_any_golden_cycle(
+        self, tmp_path, params
+    ):
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            with TELEMETRY.collect() as metrics:
+                with service_fixture(tmp_path, service_workers=0) as (
+                    client, svc
+                ):
+                    with pytest.raises(ServiceError) as err:
+                        client.submit("inject", params)
+                    assert err.value.status == 400
+                    assert not svc.run_once()  # nothing was queued
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert "inject.golden_sim_cycles" not in metrics.counters
 
     def test_status_streams_shard_events(self, tmp_path):
         with service_fixture(tmp_path, service_workers=1) as (client, _):

@@ -157,9 +157,9 @@ def test_all_campaigns_service_equals_direct_under_kill(
     bit-identical to a direct runner call."""
     entry = get_campaign(campaign)
     spec = entry.make_spec(params)
-    direct = entry.result_to_json(
-        entry.run(spec, workers=1, resume=False, checkpoint=False)
-    )
+    direct = entry.run(
+        spec, workers=1, resume=False, checkpoint=False
+    ).to_json()
     faults = FaultInjector()
     faults.push(FaultPlan(kill_after_shards=1))
     with service_fixture(

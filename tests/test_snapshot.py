@@ -4,9 +4,9 @@ The deterministic-resume contract: a core restored from
 :meth:`Core.snapshot` and run to completion is bit-identical — final
 cycle count, commit log, architectural digest, and the full snapshot of
 the final machine — to the same core never having been interrupted.
-On top of that contract, forked faulty runs
-(:func:`run_with_fault` with ``fork=True``) must classify identically
-to the from-scratch reference path for any fault, checkpoint interval,
+On top of that contract, forked faulty runs (:func:`run_with_fault`)
+must classify identically to the from-scratch oracle
+(:func:`tests.oracles.scratch_run`) for any fault, checkpoint interval,
 and configuration, including faults landing exactly on a checkpoint
 boundary and cycle-0 stuck-ats.
 """
@@ -29,6 +29,7 @@ from repro.inject.sites import field_width
 from repro.workloads.generator import generate_trace
 from repro.workloads.profiles import profile
 from repro.yieldmodel.configs import CoreCounts
+from tests.oracles import scratch_run
 
 FULL = MachineConfig(rescue=True)
 DEGRADED = degraded_params(FULL, CoreCounts(1, 1, 1, 1, 1, 1))
@@ -134,8 +135,8 @@ class TestForkEquivalence:
             enumerate_sites(config), 3, seed, "both", config, golden.cycles
         )
         for fault in faults:
-            forked = run_with_fault(golden, fault, fork=True)
-            scratch = run_with_fault(golden, fault, fork=False)
+            forked = run_with_fault(golden, fault)
+            scratch = scratch_run(golden, fault)
             assert forked == scratch, fault.label
 
     def test_transient_on_checkpoint_boundary(self):
@@ -160,8 +161,8 @@ class TestForkEquivalence:
             for cycle in boundaries:
                 for bit in range(min(2, field_width(site, FULL))):
                     fault = FaultSpec(site, "transient", bit, 0, cycle)
-                    forked = run_with_fault(golden, fault, fork=True)
-                    scratch = run_with_fault(golden, fault, fork=False)
+                    forked = run_with_fault(golden, fault)
+                    scratch = scratch_run(golden, fault)
                     assert forked == scratch, fault.label
                     assert forked.fork_cycle == cycle
 
@@ -175,8 +176,8 @@ class TestForkEquivalence:
             s for s in enumerate_sites(FULL) if s.struct == "rob"
         )
         fault = FaultSpec(site, "stuckat", 0, 0, 0)
-        forked = run_with_fault(golden, fault, fork=True)
-        scratch = run_with_fault(golden, fault, fork=False)
+        forked = run_with_fault(golden, fault)
+        scratch = scratch_run(golden, fault)
         assert forked == scratch
         assert forked.fork_cycle == 0
 
@@ -194,8 +195,8 @@ class TestForkEquivalence:
         exits = 0
         for cycle in range(16, min(golden.cycles, 400), 48):
             fault = FaultSpec(site, "transient", 3, 0, cycle)
-            forked = run_with_fault(golden, fault, fork=True)
-            scratch = run_with_fault(golden, fault, fork=False)
+            forked = run_with_fault(golden, fault)
+            scratch = scratch_run(golden, fault)
             assert forked == scratch
             if forked.early_exit:
                 exits += 1

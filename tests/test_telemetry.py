@@ -379,7 +379,7 @@ class TestCliTrace:
 
         path = tmp_path / "mc.jsonl"
         code = main([
-            "run", "montecarlo", "--chips", "40", "--chunk-size", "10",
+            "run", "montecarlo", "--n-chips", "40", "--chunk-size", "10",
             "--workers", "2", "--no-checkpoint", "--trace", str(path),
         ])
         assert code == 0
@@ -398,7 +398,7 @@ class TestCliTrace:
 
         path = tmp_path / "mc.jsonl"
         main([
-            "run", "montecarlo", "--chips", "20", "--chunk-size", "10",
+            "run", "montecarlo", "--n-chips", "20", "--chunk-size", "10",
             "--no-checkpoint", "--trace", str(path),
         ])
         capsys.readouterr()
@@ -411,7 +411,7 @@ class TestCliTrace:
         from repro.cli import main
 
         code = main([
-            "run", "montecarlo", "--chips", "20", "--chunk-size", "10",
+            "run", "montecarlo", "--n-chips", "20", "--chunk-size", "10",
             "--no-checkpoint",
         ])
         assert code == 0
