@@ -1,9 +1,10 @@
 """Shared infrastructure for the experiment-regeneration benchmarks.
 
 Each ``bench_*.py`` file regenerates one of the paper's tables or figures
-(see DESIGN.md's per-experiment index).  Heavy results are cached under
-``.repro_cache`` so repeated runs are fast; delete that directory (or set
-``REPRO_CACHE_DIR``) to force recomputation.
+(see DESIGN.md's per-experiment index).  Heavy results are cached as
+``bench-<name>.blob`` under ``.repro_cache`` (or ``REPRO_CACHE_DIR``),
+stamped with the code that computed them, so repeated runs are fast and
+any edit to ``src/repro`` recomputes; delete the directory to force it.
 
 Environment knobs:
 
@@ -20,11 +21,11 @@ Environment knobs:
 
 from __future__ import annotations
 
-import json
 import os
-from pathlib import Path
 
 import pytest
+
+from repro.runner.store import Blobs, default_cache_root
 
 
 def env_int(name: str, default: int) -> int:
@@ -39,32 +40,17 @@ BENCH_WARMUP = env_int("RESCUE_BENCH_WARMUP", 12_000)
 FULL_SWEEP = os.environ.get("RESCUE_FULL", "") not in ("", "0")
 N_FAULTS = env_int("RESCUE_FAULTS", 600)
 
-def _cache_dir() -> Path:
-    # Unified cache root: REPRO_CACHE_DIR, with the pre-unification
-    # RESCUE_CACHE_DIR honoured as a deprecated fallback.
-    root = os.environ.get("REPRO_CACHE_DIR")
-    if root is None:
-        root = os.environ.get("RESCUE_CACHE_DIR")
-    return Path(root if root is not None else ".repro_cache")
-
-
-CACHE_DIR = _cache_dir()
+CACHE_DIR = default_cache_root()
+_RESULTS = Blobs("bench", CACHE_DIR)
 
 
 def cache_json(name: str):
-    """Load a cached JSON blob by name, or None."""
-    path = CACHE_DIR / f"{name}.json"
-    if path.exists():
-        try:
-            return json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
-            return None
-    return None
+    """The result cached under ``name`` by this code, or None."""
+    return _RESULTS.get(name)
 
 
 def save_json(name: str, payload) -> None:
-    CACHE_DIR.mkdir(parents=True, exist_ok=True)
-    (CACHE_DIR / f"{name}.json").write_text(json.dumps(payload, indent=1))
+    _RESULTS.put(name, payload)
 
 
 def print_table(title: str, headers, rows) -> None:
@@ -84,4 +70,4 @@ def print_table(title: str, headers, rows) -> None:
 def ipc_cache():
     from repro.cpu.degraded import IpcCache
 
-    return IpcCache(CACHE_DIR / "ipc_cache.json")
+    return IpcCache(CACHE_DIR)

@@ -5,7 +5,9 @@ fresh cache root, submits a tiny isolation campaign over HTTP, polls it
 to completion, and asserts the golden stats: every injected fault is
 correctly isolated (the paper's §5 claim for the ATPG-backed flow) and
 the service's merged result is bit-identical to a direct in-process
-``run_isolation`` call.  Exits nonzero on any mismatch.
+``run_isolation`` call.  It then restarts the service on the same cache
+root and asserts the job is served from its persisted record without
+running again.  Exits nonzero on any mismatch.
 
 Usage: python benchmarks/smoke_service.py [--n-faults N] [--chunk-size C]
 """
@@ -58,6 +60,12 @@ def spawn_service(cache_root):
     raise SystemExit("FAIL: service did not start")
 
 
+def stop(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait(timeout=10)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n-faults", type=int, default=PARAMS["n_faults"])
@@ -82,9 +90,15 @@ def main() -> int:
         t_service = time.perf_counter() - t0
         status = client.status(job)
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=10)
+        stop(proc)
+    # A restart on the same cache root serves the job from its record.
+    proc, url = spawn_service(root)
+    try:
+        client = ServiceClient(url)
+        restarted = client.status(job)
+        replayed = client.result(job)["result"]
+    finally:
+        stop(proc)
 
     stats = entry.result_cls.from_json(result)
     failures = []
@@ -96,6 +110,10 @@ def main() -> int:
         )
     if status["state"] != "done" or status["run_count"] != 1:
         failures.append(f"unexpected job status: {status}")
+    if restarted["state"] != "done" or restarted["run_count"] != 0:
+        failures.append(f"unexpected status after restart: {restarted}")
+    if replayed != result:
+        failures.append("restarted service serves a different result")
 
     print(f"smoke_service: {params['n_faults']} faults | "
           f"direct {t_direct:.1f}s, via service {t_service:.1f}s | "
@@ -105,7 +123,8 @@ def main() -> int:
         for msg in failures:
             print(f"FAIL: {msg}")
         return 1
-    print("OK: service result bit-identical to direct run")
+    print("OK: service result bit-identical to direct run, "
+          "and served from its record after a restart")
     return 0
 
 

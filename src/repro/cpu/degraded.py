@@ -1,22 +1,18 @@
 """Degraded-configuration simulation for the YAT experiments.
 
 Bridges the fault-map configuration space (:class:`CoreCounts`) to the
-performance simulator, with an on-disk JSON cache — the Figure 9 grid
-needs 64 configurations × 23 benchmarks and the cache keeps re-runs
-instant.
+performance simulator, with an on-disk cache — the Figure 9 grid needs
+64 configurations × 23 benchmarks and the cache keeps re-runs instant.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
-import json
-import os
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.cpu.params import MachineConfig
 from repro.cpu.pipeline import Core
+from repro.runner.store import Blobs, config_hash
 from repro.yieldmodel.configs import CoreCounts
 
 
@@ -59,40 +55,16 @@ def simulate_config(
     return core.run(n_instructions, warmup=warmup).ipc
 
 
-@functools.lru_cache(maxsize=None)
-def sim_fingerprint() -> str:
-    """sha256 over the source of ``repro.cpu`` and ``repro.workloads``.
-
-    Any edit to the code that produces an IPC (the core, the trace
-    generators, :func:`simulate_config`) changes it, so cached IPCs from
-    older code stop matching instead of being served stale.
-    """
-    src = Path(__file__).parent.parent
-    files = sorted(src.glob("cpu/*.py")) + sorted(src.glob("workloads/*.py"))
-    h = hashlib.sha256()
-    for f in files:
-        h.update(f"{f.parent.name}/{f.name}\0".encode())
-        h.update(f.read_bytes())
-    return h.hexdigest()
-
-
 class IpcCache:
-    """JSON-backed memo of (benchmark, machine, code fingerprint) → IPC."""
+    """On-disk memo of (benchmark, machine, run shape) → IPC.
 
-    def __init__(self, path: Optional[Path] = None) -> None:
-        if path is None:
-            # Same root as the runner's checkpoint store; honours
-            # REPRO_CACHE_DIR (RESCUE_CACHE_DIR as deprecated fallback).
-            from repro.runner.store import default_cache_root
+    One :class:`~repro.runner.store.Blobs` entry (``ipc-<key>.blob``)
+    per point, stamped with the code that simulated it, so an IPC from
+    older simulator code is a stale miss and re-simulated.
+    """
 
-            path = default_cache_root() / "ipc_cache.json"
-        self.path = Path(path)
-        self._data: Dict[str, float] = {}
-        if self.path.exists():
-            try:
-                self._data = json.loads(self.path.read_text())
-            except (json.JSONDecodeError, OSError):
-                self._data = {}
+    def __init__(self, root: Optional[Path] = None) -> None:
+        self.blobs = Blobs("ipc", root)
 
     @staticmethod
     def key(
@@ -102,11 +74,15 @@ class IpcCache:
         seed: int,
         warmup: int = 12_000,
     ) -> str:
-        """The full machine configuration, the run shape, and the
-        :func:`sim_fingerprint` of the code that simulates it."""
-        return (
-            f"{benchmark}:n{n_instructions}:w{warmup}:s{seed}:"
-            f"{sim_fingerprint()[:16]}:{config!r}"
+        """Hash of the full machine configuration and the run shape."""
+        return config_hash(
+            {
+                "benchmark": benchmark,
+                "n_instructions": n_instructions,
+                "warmup": warmup,
+                "seed": seed,
+                "config": repr(config),
+            }
         )
 
     def get_or_run(
@@ -118,43 +94,13 @@ class IpcCache:
         warmup: int = 12_000,
     ) -> float:
         k = self.key(benchmark, config, n_instructions, seed, warmup)
-        if k not in self._data:
-            self._data[k] = simulate_config(
+        ipc = self.blobs.get(k)
+        if ipc is None:
+            ipc = simulate_config(
                 benchmark, config, n_instructions, seed, warmup
             )
-            self._save()
-        return self._data[k]
-
-    def _save(self) -> None:
-        """Persist the memo without losing concurrent writers' entries.
-
-        Parallel sweep shards share one cache path, so a plain
-        ``write_text`` races two ways: interleaved writes corrupt the
-        JSON, and last-writer-wins drops the other worker's entries.
-        Merge-on-save (re-read the file, union our entries over it)
-        keeps every key either worker wrote, and the temp-file +
-        ``os.replace`` dance makes the update atomic — readers only
-        ever see a complete JSON document.
-        """
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            merged: Dict[str, float] = {}
-            if self.path.exists():
-                try:
-                    on_disk = json.loads(self.path.read_text())
-                    if isinstance(on_disk, dict):
-                        merged = on_disk
-                except (json.JSONDecodeError, OSError):
-                    merged = {}
-            merged.update(self._data)
-            self._data = merged
-            tmp = self.path.with_name(
-                f"{self.path.name}.tmp.{os.getpid()}"
-            )
-            tmp.write_text(json.dumps(merged, indent=0))
-            os.replace(tmp, self.path)
-        except OSError:  # pragma: no cover - cache is best-effort
-            pass
+            self.blobs.put(k, ipc)
+        return ipc
 
 
 def single_degradation_counts() -> Tuple[CoreCounts, ...]:

@@ -27,7 +27,7 @@ history (gated by ``benchmarks/bench_decide.py --check``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.decide.objectives import ConfigScore, evaluate_objectives
@@ -38,7 +38,7 @@ from repro.inject.campaign import (
 from repro.runner.executor import ProgressFn, run_shards
 from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore, config_hash
+from repro.runner.store import CheckpointStore
 from repro.telemetry import TELEMETRY
 from repro.yieldmodel.configs import CoreCounts, DIMENSIONS
 
@@ -378,9 +378,7 @@ def run_decide(
         raise ValueError("at least one benchmark required")
     items = decide_items(spec)
     if store is None and checkpoint:
-        store = CheckpointStore(
-            "decide", config_hash(asdict(spec)), root=cache_root
-        )
+        store = CheckpointStore.for_spec("decide", spec, cache_root)
     with TELEMETRY.span("decide.campaign"):
         payloads = run_shards(
             items,

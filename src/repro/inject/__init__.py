@@ -50,8 +50,6 @@ from repro.inject.sites import (
 )
 from repro.inject.arena import SnapshotArena
 from repro.inject.goldencache import (
-    GOLDEN_CACHE_VERSION,
-    golden_cache_path,
     golden_key,
     load_golden,
     store_golden,
@@ -81,7 +79,6 @@ __all__ = [
     "FaultSpec",
     "FaultyArchState",
     "FirstEffect",
-    "GOLDEN_CACHE_VERSION",
     "GoldenRun",
     "InjectionResult",
     "InjectionSpec",
@@ -92,7 +89,6 @@ __all__ = [
     "SnapshotArena",
     "enumerate_sites",
     "first_effect_scan",
-    "golden_cache_path",
     "golden_key",
     "hang_budget",
     "load_golden",

@@ -17,14 +17,14 @@ sample produces a nonzero SDC rate).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.inject.models import KINDS
 from repro.runner.executor import ProgressFn, run_shards
 from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore, config_hash
+from repro.runner.store import CheckpointStore
 from repro.telemetry import TELEMETRY
 
 OUTCOMES = ("masked", "sdc", "detected", "hang")
@@ -449,8 +449,8 @@ def run_injection(
     """
     prepare_injection(spec)
     spans = shard_ranges(len(_INJECT["faults"]), spec.chunk_size)
-    if store is None:
-        store = _campaign_store(spec, checkpoint, cache_root)
+    if store is None and checkpoint:
+        store = CheckpointStore.for_spec("inject", spec, cache_root)
     payloads = run_shards(
         spans,
         _inject_worker,
@@ -465,16 +465,6 @@ def run_injection(
     for payload in payloads:
         merged = merged.merge(InjectionStats.from_json(payload))
     return merged
-
-
-def _campaign_store(
-    spec: InjectionSpec, checkpoint: bool, cache_root: Optional[str]
-) -> Optional[CheckpointStore]:
-    if not checkpoint:
-        return None
-    return CheckpointStore(
-        "inject", config_hash(asdict(spec)), root=cache_root
-    )
 
 
 def masking_validation(

@@ -1,4 +1,4 @@
-"""Persistent golden-prefix cache.
+"""Persistent golden-prefix and first-effect scan caches.
 
 Every injection campaign begins with the same expensive step: simulate
 the fault-free run to produce the commit log, checkpoint arena, and
@@ -9,44 +9,33 @@ inputs (every ``repro decide`` run re-runs injection; every cold worker
 process of an un-``prepare``-d campaign re-simulates) can skip golden
 simulation entirely by memoizing it on disk.
 
-Cache files live beside the shard checkpoints under
-:func:`~repro.runner.store.default_cache_root` (``REPRO_CACHE_DIR``),
-one pickle per key: ``golden-<key>.pkl``.  The key is a
-:func:`~repro.runner.store.config_hash` over the golden-determining
-parameters plus :data:`GOLDEN_CACHE_VERSION`; bump the version whenever
-the simulator's golden semantics change (commit log format, snapshot
-layout, value semantics) so stale caches are never read.  Writes are
-atomic (``tmp`` + ``os.replace``): concurrent campaigns racing on a
-cold cache each write their own tmp file and the last rename wins with
-identical contents.
+Both caches are :class:`~repro.runner.store.Blobs` kinds under the
+cache root: ``golden-<key>.blob`` keyed by :func:`golden_key`, and
+``scan-<key>.blob`` keyed by :func:`scan_key`, which extends the golden
+key with everything that determines the fault sample.  Every blob is
+stamped with the code that wrote it, so an entry from other simulator
+code is a stale miss and never served.
 
-The payload stores only what the caller cannot rebuild: the commit
-log, totals, digest, the compressed :class:`SnapshotArena`, and the
-site profile.  Config and trace are cheap to reconstruct and are
-re-attached on load, which keeps the file self-validating — a payload
-whose totals do not match the requesting campaign is treated as a
-miss.  Convergence views are derived data and rebuild lazily.
-
-The sticky-fault **first-effect scan** caches beside the golden prefix
-(``scan-<key>.pkl``) under the same contract: its key extends
-:func:`golden_key` with everything that determines the fault sample
-(count, seed, fault model, block filter, sampling mode), it shares
-:data:`GOLDEN_CACHE_VERSION` (scan results replay against cached
-checkpoints, so the two must invalidate together), and a payload whose
-fault count disagrees with the requesting campaign is a miss.
+The golden payload stores only what the caller cannot rebuild: the
+commit log, totals, digest, the compressed :class:`SnapshotArena`, and
+the site profile.  Config and trace are cheap to reconstruct and are
+re-attached on load; a payload whose totals do not match the requesting
+campaign is a miss.  Convergence views are derived data and rebuild
+lazily.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from pathlib import Path
 from typing import Optional
 
-from repro.runner.store import config_hash, default_cache_root
+from repro.runner.store import Blobs, config_hash
 
-#: Bump when golden-run semantics or the payload layout change.
-GOLDEN_CACHE_VERSION = 1
+#: The :class:`~repro.inject.harness.GoldenRun` fields a golden blob holds.
+_GOLDEN_FIELDS = (
+    "log", "cycles", "commits", "digest", "arena", "checkpoint_interval",
+    "profile",
+)
 
 
 def golden_key(
@@ -61,7 +50,6 @@ def golden_key(
     """Cache key over everything that determines the golden result."""
     return config_hash(
         {
-            "golden_version": GOLDEN_CACHE_VERSION,
             "benchmark": benchmark,
             "n_instructions": n_instructions,
             "trace_seed": trace_seed,
@@ -73,45 +61,26 @@ def golden_key(
     )
 
 
-def golden_cache_path(key: str, root: Optional[Path] = None) -> Path:
-    """On-disk location of the cache entry for ``key``."""
-    base = Path(root) if root is not None else default_cache_root()
-    return base / f"golden-{key}.pkl"
-
-
 def load_golden(
     config, trace, n_instructions: int, key: str,
     root: Optional[Path] = None,
 ):
-    """Cached :class:`~repro.inject.harness.GoldenRun` or None.
-
-    Any read/unpickle failure, version skew, or total mismatch is a
-    miss — the caller re-simulates and overwrites the entry.
-    """
+    """Cached :class:`~repro.inject.harness.GoldenRun` or None."""
     from repro.inject.harness import GoldenRun
 
-    path = golden_cache_path(key, root)
-    try:
-        payload = pickle.loads(path.read_bytes())
-    except Exception:
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != GOLDEN_CACHE_VERSION
-        or payload.get("commits") != n_instructions
-    ):
+    payload = Blobs("golden", root).get(key)
+    if payload is None or payload["commits"] != n_instructions:
         return None
     return GoldenRun(
-        config=config,
-        trace=trace,
-        n_instructions=n_instructions,
-        log=payload["log"],
-        cycles=payload["cycles"],
-        commits=payload["commits"],
-        digest=payload["digest"],
-        arena=payload["arena"],
-        checkpoint_interval=payload["checkpoint_interval"],
-        profile=payload["profile"],
+        config=config, trace=trace, n_instructions=n_instructions,
+        **payload,
+    )
+
+
+def store_golden(golden, key: str, root: Optional[Path] = None) -> None:
+    """Persist one golden run under ``key``."""
+    Blobs("golden", root).put(
+        key, {name: getattr(golden, name) for name in _GOLDEN_FIELDS}
     )
 
 
@@ -126,12 +95,10 @@ def scan_key(
     """Cache key over everything that determines the first-effect scan.
 
     ``golden`` is the :func:`golden_key` string — the scan is a pure
-    function of the golden run plus the fault sample, so the golden key
-    (which already folds in :data:`GOLDEN_CACHE_VERSION`) anchors it.
+    function of the golden run plus the fault sample.
     """
     return config_hash(
         {
-            "golden_version": GOLDEN_CACHE_VERSION,
             "golden": golden,
             "n_faults": n_faults,
             "seed": seed,
@@ -142,28 +109,10 @@ def scan_key(
     )
 
 
-def scan_cache_path(key: str, root: Optional[Path] = None) -> Path:
-    """On-disk location of the first-effect scan entry for ``key``."""
-    base = Path(root) if root is not None else default_cache_root()
-    return base / f"scan-{key}.pkl"
-
-
 def load_scan(key: str, n_faults: int, root: Optional[Path] = None):
-    """Cached first-effect dict (fault index -> FirstEffect) or None.
-
-    Any read/unpickle failure, version skew, or fault-count mismatch is
-    a miss — the caller re-scans and overwrites the entry.
-    """
-    path = scan_cache_path(key, root)
-    try:
-        payload = pickle.loads(path.read_bytes())
-    except Exception:
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != GOLDEN_CACHE_VERSION
-        or payload.get("n_faults") != n_faults
-    ):
+    """Cached first-effect dict (fault index -> FirstEffect) or None."""
+    payload = Blobs("scan", root).get(key)
+    if payload is None or payload["n_faults"] != n_faults:
         return None
     return payload["scan"]
 
@@ -171,57 +120,5 @@ def load_scan(key: str, n_faults: int, root: Optional[Path] = None):
 def store_scan(
     scan, key: str, n_faults: int, root: Optional[Path] = None
 ) -> None:
-    """Atomically persist one first-effect scan under ``key``.
-
-    Best-effort, like :func:`store_golden`: an unwritable cache
-    directory degrades to a no-op, never to a failed campaign.
-    """
-    path = scan_cache_path(key, root)
-    payload = {
-        "version": GOLDEN_CACHE_VERSION,
-        "n_faults": n_faults,
-        "scan": scan,
-    }
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
-
-
-def store_golden(golden, key: str, root: Optional[Path] = None) -> None:
-    """Atomically persist one golden run under ``key``.
-
-    Best-effort: an unwritable cache directory degrades to a no-op (the
-    campaign simply stays cold), never to a failed campaign.
-    """
-    path = golden_cache_path(key, root)
-    payload = {
-        "version": GOLDEN_CACHE_VERSION,
-        "log": golden.log,
-        "cycles": golden.cycles,
-        "commits": golden.commits,
-        "digest": golden.digest,
-        "arena": golden.arena,
-        "checkpoint_interval": golden.checkpoint_interval,
-        "profile": golden.profile,
-    }
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            tmp.unlink()
-        except OSError:
-            pass
+    """Persist one first-effect scan under ``key``."""
+    Blobs("scan", root).put(key, {"n_faults": n_faults, "scan": scan})

@@ -43,7 +43,7 @@ from repro.repair.seedbreak import SeededBreak, seed_breaks
 from repro.runner.executor import ProgressFn, run_shards
 from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore, config_hash
+from repro.runner.store import CheckpointStore
 from repro.telemetry import TELEMETRY
 
 #: Model variants the campaign can repair.
@@ -382,9 +382,7 @@ def run_repair(
     report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
     items = shard_ranges(len(report.violations), spec.chunk_size)
     if store is None and checkpoint:
-        store = CheckpointStore(
-            "repair", config_hash(asdict(spec)), root=cache_root
-        )
+        store = CheckpointStore.for_spec("repair", spec, cache_root)
     with TELEMETRY.span("repair.campaign"):
         payloads = run_shards(
             items,

@@ -26,25 +26,12 @@ Campaigns:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.runner.executor import ProgressFn, run_shards
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore, config_hash
-
-
-def _campaign_store(
-    campaign: str,
-    spec: Any,
-    checkpoint: bool,
-    cache_root: Optional[str],
-) -> Optional[CheckpointStore]:
-    if not checkpoint:
-        return None
-    return CheckpointStore(
-        campaign, config_hash(asdict(spec)), root=cache_root
-    )
+from repro.runner.store import CheckpointStore
 
 
 # ----------------------------------------------------------------------
@@ -143,8 +130,8 @@ def run_isolation(
     prepare_isolation(spec)
     n = len(_ISOLATION["faults"])
     spans = shard_ranges(n, spec.chunk_size)
-    if store is None:
-        store = _campaign_store("isolation", spec, checkpoint, cache_root)
+    if store is None and checkpoint:
+        store = CheckpointStore.for_spec("isolation", spec, cache_root)
     payloads = run_shards(
         spans,
         _isolation_worker,
@@ -266,8 +253,8 @@ def run_montecarlo(
 
     _montecarlo_init(spec)
     spans = shard_ranges(spec.n_chips, spec.chunk_size)
-    if store is None:
-        store = _campaign_store("montecarlo", spec, checkpoint, cache_root)
+    if store is None and checkpoint:
+        store = CheckpointStore.for_spec("montecarlo", spec, cache_root)
     payloads = run_shards(
         spans,
         _montecarlo_worker,
@@ -451,8 +438,8 @@ def run_ipc_sweep(
         ]
         for start, stop in shard_ranges(len(items), spec.chunk_size)
     ]
-    if store is None:
-        store = _campaign_store("ipc", spec, checkpoint, cache_root)
+    if store is None and checkpoint:
+        store = CheckpointStore.for_spec("ipc", spec, cache_root)
     payloads = run_shards(
         chunks,
         _ipc_worker,

@@ -142,7 +142,7 @@ def run_shards(
     With ``store`` set and ``resume=True``, shards already present in the
     checkpoint are reported as cached and skipped; without ``resume`` the
     store is cleared first so a fresh run never merges stale partials.
-    Payloads must be JSON-serializable when a store is used.
+    Payloads must be picklable when a store is used.
     """
     n = len(specs)
     tele_enabled = TELEMETRY.enabled

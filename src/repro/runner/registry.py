@@ -64,9 +64,9 @@ class CampaignEntry:
 
     ``module`` / ``spec_name`` / ``run_name`` / ``result`` are resolved
     lazily so the registry itself imports nothing heavy; ``result`` is a
-    ``"module:Class"`` path.  ``name`` doubles as the checkpoint-file
-    prefix the campaign's own ``_campaign_store`` uses (keeping service
-    and CLI checkpoints interchangeable).
+    ``"module:Class"`` path.  ``name`` doubles as the checkpoint key
+    prefix the campaign's own store uses (keeping service and CLI
+    checkpoints interchangeable).
     """
 
     name: str
@@ -130,13 +130,11 @@ class CampaignEntry:
     ) -> CheckpointStore:
         """The checkpoint store this campaign would build for ``spec``.
 
-        Identical key derivation to the campaign's internal
-        ``_campaign_store``, so a service job resumes a checkpoint left
-        by ``repro run`` and vice versa.
+        The same :meth:`CheckpointStore.for_spec` the campaign calls, so
+        a service job resumes a checkpoint left by ``repro run`` and
+        vice versa.
         """
-        return CheckpointStore(
-            self.name, config_hash(asdict(spec)), root=cache_root
-        )
+        return CheckpointStore.for_spec(self.name, spec, cache_root)
 
 
 #: The registered campaigns, in CLI/choices order.

@@ -15,16 +15,15 @@ resume-from-checkpoint semantics), or admits a new job — unless the
 backlog is at capacity, in which case :class:`QueueFull` carries the
 retry hint the HTTP layer turns into ``429 Retry-After``.
 
-:class:`JobJournal` is the service's durable memory: an append-only
-JSONL log of submissions and terminal states under the cache root,
-torn-line tolerant like the shard store.  On restart the service replays
-it — completed jobs come back served-from-cache, unfinished ones re-enter
-the queue with ``resume=True`` and continue from their shard checkpoints.
+:class:`JobJournal` is the service's durable memory: one record per job
+under the cache root, rewritten on submission and on each terminal
+state.  On restart the service replays it — completed jobs come back
+served-from-cache, unfinished ones re-enter the queue with
+``resume=True`` and continue from their shard checkpoints.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional
 
-from repro.runner.store import default_cache_root
+from repro.runner.store import Blobs
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -242,96 +241,52 @@ class JobQueue:
 
 
 class JobJournal:
-    """Append-only JSONL record of submissions and terminal states.
+    """The service's durable job records: one blob per job.
 
-    One file per cache root (``service-jobs.jsonl``).  Replay is
-    last-event-wins per job id and skips torn or garbled lines, exactly
-    like the shard checkpoint store — a journal truncated by SIGKILL
-    loses at most its final event, and the corresponding job simply
-    replays as unfinished (it resumes from shard checkpoints anyway).
+    Each job's record (``job-<id>.blob``) is rewritten whole on submit,
+    done and failed, so a writer killed mid-write loses only that one
+    transition, never another job's.  A record written by other code is
+    a stale miss: a service restarted on different code forgets the old
+    jobs, and resubmitting them recomputes.
     """
 
-    FILENAME = "service-jobs.jsonl"
-
     def __init__(self, root: Optional[Path] = None) -> None:
-        root = Path(root) if root is not None else default_cache_root()
-        self.path = root / self.FILENAME
-        self._lock = threading.Lock()
+        self.blobs = Blobs("job", root)
 
-    def _append(self, event: Dict[str, Any]) -> None:
-        with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a") as f:
-                f.write(json.dumps(event, separators=(",", ":")) + "\n")
-                f.flush()
-
-    def record_submit(self, job: Job) -> None:
-        """Log a newly admitted job (not coalesced duplicates)."""
-        self._append(
+    def _write(self, job: Job, state: str, **extra: Any) -> None:
+        self.blobs.put(
+            job.id,
             {
-                "ev": "submit",
-                "job": job.id,
                 "campaign": job.campaign,
                 "params": job.params,
                 "t": job.submitted_t,
-            }
+                "state": state,
+                **extra,
+            },
         )
+
+    def record_submit(self, job: Job) -> None:
+        """Record a newly admitted (or revived) job as unfinished."""
+        self._write(job, "queued")
 
     def record_done(self, job: Job) -> None:
-        """Log completion with the merged result payload."""
-        self._append(
-            {
-                "ev": "done",
-                "job": job.id,
-                "result": job.result_json,
-                "t": job.finished_t,
-            }
-        )
+        """Record completion with the merged result payload."""
+        self._write(job, "done", result=job.result_json)
 
     def record_failed(self, job: Job) -> None:
-        """Log a terminal failure."""
-        self._append(
-            {"ev": "failed", "job": job.id, "error": job.error,
-             "t": job.finished_t}
-        )
+        """Record a terminal failure."""
+        self._write(job, "failed", error=job.error)
 
     def replay(self) -> Dict[str, Dict[str, Any]]:
-        """Reconstruct ``{job_id: record}`` from the journal.
+        """``{job_id: record}`` in submission order.
 
-        Each record carries ``campaign``/``params`` from the submit
-        event and the latest terminal state (``state`` of ``queued`` —
-        meaning unfinished — ``done`` with ``result``, or ``failed``
-        with ``error``).  A resubmission after failure appears as a
-        fresh submit event and resets the state to unfinished.
+        Each record carries ``campaign``/``params``, the submit time
+        ``t`` and the latest ``state``: ``queued`` (unfinished), ``done``
+        with ``result``, or ``failed`` with ``error``.
         """
-        if not self.path.exists():
-            return {}
-        records: Dict[str, Dict[str, Any]] = {}
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ev = json.loads(line)
-                kind = ev["ev"]
-                job_id = ev["job"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue  # torn/garbled line
-            if kind == "submit":
-                rec = records.setdefault(job_id, {})
-                rec["campaign"] = ev.get("campaign")
-                rec["params"] = ev.get("params", {})
-                rec["state"] = "queued"
-                rec.pop("result", None)
-                rec.pop("error", None)
-            elif kind == "done" and job_id in records:
-                records[job_id]["state"] = "done"
-                records[job_id]["result"] = ev.get("result")
-            elif kind == "failed" and job_id in records:
-                records[job_id]["state"] = "failed"
-                records[job_id]["error"] = ev.get("error")
-        return records
+        records = {}
+        for job_id in self.blobs.keys():
+            rec = self.blobs.get(job_id)
+            if rec is not None:
+                records[job_id] = rec
+        return dict(sorted(records.items(), key=lambda kv: kv[1]["t"]))

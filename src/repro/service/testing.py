@@ -18,10 +18,11 @@ does.  Two pieces:
   after the k-th freshly computed shard (the shard's checkpoint is
   already durable — a worker dying between shards), and
   ``torn_append_at=n`` crashes the n-th checkpoint append midway through
-  its write, leaving a genuinely torn JSONL tail (a worker dying
-  *mid-shard*, mid-``write(2)``).  Both model real SIGKILL timings; the
-  recovery contract under test is that a resumed job skips completed
-  shards, reruns the torn one, and merges to a bit-identical result.
+  its write, leaving half a blob in its tmp file (a worker dying
+  *mid-shard*, mid-``write(2)``; see :func:`torn_write`).  Both model
+  real SIGKILL timings; the recovery contract under test is that a
+  resumed job skips completed shards, reruns the torn one, and merges to
+  a bit-identical result.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional, Tuple
 
-from repro.runner.store import CheckpointStore
+from repro.runner.store import Blobs, CheckpointStore, encode, tmp_path
 from repro.service.client import ServiceClient
 from repro.service.jobs import WorkerKilled
 from repro.service.server import CampaignService
@@ -44,12 +45,24 @@ class FaultPlan:
 
     ``kill_after_shards``: raise after that many *computed* (non-cached)
     shards have landed and checkpointed.  ``torn_append_at``: on the
-    n-th checkpoint append (1-based), write only a prefix of the record
-    and die — the store is left with a torn tail.
+    n-th checkpoint append (1-based), write only half of the blob and
+    die before it is renamed into place.
     """
 
     kill_after_shards: Optional[int] = None
     torn_append_at: Optional[int] = None
+
+
+def torn_write(blobs: Blobs, key: str, value: Any) -> None:
+    """Leave what a writer killed mid-``write(2)`` leaves behind.
+
+    That is half of the blob in its tmp file; the rename onto
+    ``blobs.path(key)`` never happens.
+    """
+    data = encode(value)
+    tmp = tmp_path(blobs.path(key))
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    tmp.write_bytes(data[: len(data) // 2])
 
 
 class TornStore(CheckpointStore):
@@ -61,7 +74,7 @@ class TornStore(CheckpointStore):
         torn_at: int,
         on_fire: Optional[Callable[[], None]] = None,
     ) -> None:
-        self.path = inner.path  # behave as the same store on disk
+        self.blobs, self.prefix = inner.blobs, inner.prefix
         self._torn_at = torn_at
         self._appends = 0
         self._on_fire = on_fire
@@ -69,17 +82,7 @@ class TornStore(CheckpointStore):
     def append(self, shard: int, payload: Any) -> None:
         self._appends += 1
         if self._appends == self._torn_at:
-            import json
-
-            line = json.dumps(
-                {"shard": shard, "payload": payload},
-                separators=(",", ":"),
-            )
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a") as f:
-                # Half a record and no newline: a write torn by SIGKILL.
-                f.write(line[: max(1, len(line) // 2)])
-                f.flush()
+            torn_write(self.blobs, f"{self.prefix}{shard}", payload)
             if self._on_fire is not None:
                 self._on_fire()
             raise WorkerKilled(

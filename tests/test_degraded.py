@@ -1,7 +1,6 @@
 """Tests for the degraded-configuration bridge and the IPC cache."""
 
 import dataclasses
-import json
 
 import pytest
 
@@ -40,14 +39,16 @@ class TestIpcCache:
         c = IpcCache.key("gzip", MachineConfig(rescue=True), 1000, 2)
         assert len({a, b, c}) == 3
 
-    def test_cache_roundtrip(self, tmp_path):
-        cache = IpcCache(tmp_path / "ipc.json")
+    def test_cache_roundtrip(self, tmp_path, monkeypatch):
+        import repro.cpu.degraded as degraded
+
+        cache = IpcCache(tmp_path)
         cfg = MachineConfig(rescue=True)
         v1 = cache.get_or_run("gzip", cfg, n_instructions=800, warmup=400)
-        # Second instance must read the persisted value, not re-simulate.
-        cache2 = IpcCache(tmp_path / "ipc.json")
-        key = IpcCache.key("gzip", cfg, 800, 12345, 400)
-        assert cache2._data[key] == v1
+        # A second instance must read the persisted value, not re-simulate.
+        monkeypatch.setattr(degraded, "simulate_config", None)
+        cache2 = IpcCache(tmp_path)
+        assert cache2.get_or_run("gzip", cfg, 800, 12345, 400) == v1
 
     def test_key_covers_every_config_field(self):
         """Fields outside the old hand-picked list still split keys."""
@@ -62,6 +63,7 @@ class TestIpcCache:
     def test_changed_code_fingerprint_misses(self, tmp_path, monkeypatch):
         """An entry written by other simulator code is re-simulated."""
         import repro.cpu.degraded as degraded
+        import repro.runner.store as store
 
         calls = []
 
@@ -71,64 +73,55 @@ class TestIpcCache:
 
         monkeypatch.setattr(degraded, "simulate_config", fake_simulate)
         cfg = MachineConfig(rescue=True)
-        path = tmp_path / "ipc.json"
-        assert IpcCache(path).get_or_run("gzip", cfg, 800, 1, 400) == 1.5
-        assert IpcCache(path).get_or_run("gzip", cfg, 800, 1, 400) == 1.5
+        assert IpcCache(tmp_path).get_or_run("gzip", cfg, 800, 1, 400) == 1.5
+        assert IpcCache(tmp_path).get_or_run("gzip", cfg, 800, 1, 400) == 1.5
         assert len(calls) == 1  # same code: a hit
-        monkeypatch.setattr(degraded, "sim_fingerprint", lambda: "0" * 64)
-        assert IpcCache(path).get_or_run("gzip", cfg, 800, 1, 400) == 2.5
+        monkeypatch.setattr(store, "code_fingerprint", lambda: "0" * 64)
+        assert IpcCache(tmp_path).get_or_run("gzip", cfg, 800, 1, 400) == 2.5
         assert len(calls) == 2  # other code: the old entry is not served
 
-    def test_racing_caches_lose_no_entries(self, tmp_path):
-        # Two cache instances on the same path, saving alternately: a
-        # plain write_text would drop whichever keys the other instance
-        # wrote last (lost update).  Merge-on-save must keep both.
-        path = tmp_path / "ipc.json"
-        a, b = IpcCache(path), IpcCache(path)
-        a._data["ka"] = 1.0
-        a._save()
-        b._data["kb"] = 2.0
-        b._save()  # b loaded before a's save: must merge, not clobber
-        a._data["ka2"] = 3.0
-        a._save()
-        on_disk = json.loads(path.read_text())
-        assert on_disk == {"ka": 1.0, "kb": 2.0, "ka2": 3.0}
-        # Saving leaves no temp droppings behind.
-        assert [p.name for p in tmp_path.iterdir()] == ["ipc.json"]
+    def test_racing_caches_lose_no_entries(self, tmp_path, monkeypatch):
+        # Two cache instances on the same root, storing alternately:
+        # each point is its own blob, so neither clobbers the other.
+        import repro.cpu.degraded as degraded
 
-    def test_save_is_atomic_over_corrupt_file(self, tmp_path):
-        # A half-written (corrupt) file must not poison the next save.
-        path = tmp_path / "ipc.json"
-        path.write_text('{"torn": 1.')
-        cache = IpcCache(path)
-        cache._data["k"] = 1.5
-        cache._save()
-        assert json.loads(path.read_text()) == {"k": 1.5}
+        monkeypatch.setattr(degraded, "simulate_config", lambda b, *a: b)
+        cfg = MachineConfig(rescue=True)
+        a, b = IpcCache(tmp_path), IpcCache(tmp_path)
+        a.get_or_run("ka", cfg)
+        b.get_or_run("kb", cfg)
+        a.get_or_run("ka2", cfg)
+        monkeypatch.setattr(degraded, "simulate_config", None)
+        fresh = IpcCache(tmp_path)
+        assert [fresh.get_or_run(k, cfg) for k in ("ka", "kb", "ka2")] == [
+            "ka", "kb", "ka2"
+        ]
+        # Storing leaves no temp droppings behind.
+        assert all(p.suffix == ".blob" for p in tmp_path.iterdir())
+
+    def test_save_is_atomic_over_corrupt_file(self, tmp_path, monkeypatch):
+        # A half-written (corrupt) entry must not poison the next save.
+        import repro.cpu.degraded as degraded
+
+        cfg = MachineConfig(rescue=True)
+        cache = IpcCache(tmp_path)
+        path = cache.blobs.path(IpcCache.key("gzip", cfg, 20_000, 12345))
+        path.write_bytes(b"torn")
+        monkeypatch.setattr(degraded, "simulate_config", lambda *a: 1.5)
+        assert cache.get_or_run("gzip", cfg) == 1.5
+        monkeypatch.setattr(degraded, "simulate_config", None)
+        assert IpcCache(tmp_path).get_or_run("gzip", cfg) == 1.5
 
     def test_default_path_uses_repro_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "unified"))
-        monkeypatch.delenv("RESCUE_CACHE_DIR", raising=False)
         cache = IpcCache()
-        assert cache.path == tmp_path / "unified" / "ipc_cache.json"
-
-    def test_legacy_env_var_still_honoured(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.setenv("RESCUE_CACHE_DIR", str(tmp_path / "legacy"))
-        cache = IpcCache()
-        assert cache.path == tmp_path / "legacy" / "ipc_cache.json"
-
-    def test_unified_var_wins_over_legacy(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "unified"))
-        monkeypatch.setenv("RESCUE_CACHE_DIR", str(tmp_path / "legacy"))
-        cache = IpcCache()
-        assert cache.path == tmp_path / "unified" / "ipc_cache.json"
+        assert cache.blobs.root == tmp_path / "unified"
 
     def test_default_matches_runner_store_root(self, monkeypatch):
         from repro.runner.store import default_cache_root
 
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        monkeypatch.delenv("RESCUE_CACHE_DIR", raising=False)
-        assert IpcCache().path.parent == default_cache_root()
+        assert IpcCache().blobs.root == default_cache_root()
         assert default_cache_root().name == ".repro_cache"
 
     def test_simulate_config_returns_positive_ipc(self):
@@ -141,7 +134,7 @@ class TestIpcCache:
 
 class TestRescueIpcTable:
     def test_compose_covers_all_64(self, tmp_path):
-        cache = IpcCache(tmp_path / "ipc.json")
+        cache = IpcCache(tmp_path)
         table = rescue_ipc_table(
             "gzip", MachineConfig(rescue=True), cache=cache,
             n_instructions=1200, warmup=400, compose=True,
@@ -150,7 +143,7 @@ class TestRescueIpcTable:
         assert all(v >= 0 for v in table.values())
 
     def test_composed_values_multiply(self, tmp_path):
-        cache = IpcCache(tmp_path / "ipc.json")
+        cache = IpcCache(tmp_path)
         table = rescue_ipc_table(
             "gzip", MachineConfig(rescue=True), cache=cache,
             n_instructions=1200, warmup=400, compose=True,
@@ -167,7 +160,7 @@ class TestRescueIpcTable:
             assert fe <= full + 1e-12 and lsq <= full + 1e-12
 
     def test_full_config_present(self, tmp_path):
-        cache = IpcCache(tmp_path / "ipc.json")
+        cache = IpcCache(tmp_path)
         table = rescue_ipc_table(
             "mcf", MachineConfig(rescue=True), cache=cache,
             n_instructions=800, warmup=200, compose=True,

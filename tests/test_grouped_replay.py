@@ -372,7 +372,7 @@ class TestGoldenCache:
         assert load_golden(FULL, golden.trace, 300, key,
                            root=tmp_path) is None
         store_golden(golden, key, root=tmp_path)
-        path = next(tmp_path.glob("golden-*.pkl"))
+        path = next(tmp_path.glob("golden-*.blob"))
         path.write_bytes(b"not a pickle")
         assert load_golden(FULL, golden.trace, 300, key,
                            root=tmp_path) is None
@@ -396,7 +396,7 @@ class TestGoldenCache:
         )
         campaign_mod._INJECT.clear()
         cold = run_injection(spec, workers=1, checkpoint=False)
-        assert list(tmp_path.glob("golden-*.pkl"))
+        assert list(tmp_path.glob("golden-*.blob"))
         campaign_mod._INJECT.clear()
         warm = run_injection(spec, workers=1, checkpoint=False)
         campaign_mod._INJECT.clear()

@@ -353,12 +353,9 @@ class TestDeterminism:
         from repro.repair.campaign import (
             _repair_init, _repair_worker, repair_items,
         )
-        from repro.runner.store import CheckpointStore, config_hash
+        from repro.runner.store import CheckpointStore
 
-        store = CheckpointStore(
-            "repair", config_hash(dataclasses.asdict(BASELINE)),
-            root=tmp_path,
-        )
+        store = CheckpointStore.for_spec("repair", BASELINE, tmp_path)
         items = repair_items(BASELINE)
         _repair_init(BASELINE)
         store.append(0, _repair_worker(items[0]))
@@ -495,11 +492,12 @@ class TestGraphPlan:
 # ----------------------------------------------------------------------
 
 class TestScanCache:
-    def test_scan_cache_roundtrip_and_invalidation(self, tmp_path):
-        from repro.inject.goldencache import (
-            load_scan, scan_cache_path, scan_key, store_scan,
-        )
+    def test_scan_cache_roundtrip_and_invalidation(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.inject.goldencache import load_scan, scan_key, store_scan
         from repro.inject.harness import FirstEffect
+        from repro.runner import store as store_mod
 
         scan = {0: FirstEffect(first=12, armed_cycle=3, armed_commits=1)}
         key = scan_key("gkey", 8, 0, "both", None, "uniform")
@@ -507,13 +505,11 @@ class TestScanCache:
         assert load_scan(key, 8, root=tmp_path) == scan
         # Fault-count mismatch is a miss.
         assert load_scan(key, 9, root=tmp_path) is None
-        # Version skew is a miss.
-        import pickle
-
-        path = scan_cache_path(key, root=tmp_path)
-        payload = pickle.loads(path.read_bytes())
-        payload["version"] = -1
-        path.write_bytes(pickle.dumps(payload))
+        # An entry from other code is a miss.
+        path = store_mod.Blobs("scan", tmp_path).path(key)
+        with monkeypatch.context() as m:
+            m.setattr(store_mod, "code_fingerprint", lambda: "0" * 64)
+            store_scan(scan, key, 8, root=tmp_path)
         assert load_scan(key, 8, root=tmp_path) is None
         # Corrupt file is a miss, not an error.
         path.write_bytes(b"not a pickle")

@@ -69,13 +69,15 @@ class TestCheckpointStore:
         store.clear()
         assert store.load() == {}
 
-    def test_truncated_line_skipped(self, tmp_path):
-        # A run killed mid-append leaves a torn final line; load must
-        # drop it (the shard reruns) rather than fail.
+    def test_truncated_blob_skipped(self, tmp_path):
+        # A shard blob cut short (a crash before the data reached disk)
+        # fails its checksum; load must drop it (the shard reruns)
+        # rather than fail.
         store = CheckpointStore("c", "k", root=tmp_path)
         store.append(0, {"x": 1})
-        with open(store.path, "a") as f:
-            f.write('{"shard": 1, "payl')
+        store.append(1, {"x": 2})
+        data = store.path(1).read_bytes()
+        store.path(1).write_bytes(data[:-3])
         assert store.load() == {0: {"x": 1}}
 
     def test_config_hash_sensitivity(self):
@@ -139,11 +141,7 @@ class TestIsolationDeterminism:
         n_shards = len(shard_ranges(ISO_SPEC.n_faults, ISO_SPEC.chunk_size))
         assert len(events) == n_shards
 
-        store = CheckpointStore(
-            "isolation",
-            config_hash(dataclasses.asdict(ISO_SPEC)),
-            root=tmp_path,
-        )
+        store = CheckpointStore.for_spec("isolation", ISO_SPEC, tmp_path)
         survivors = sorted(store.load())
         assert survivors == list(range(n_shards))
         dropped = survivors[: n_shards // 2]
@@ -167,11 +165,7 @@ class TestIsolationDeterminism:
         # Without --resume a checkpointed run must not merge stale
         # shards: poison the store, rerun fresh, compare to clean.
         clean = run_isolation(ISO_SPEC, workers=1, checkpoint=False)
-        store = CheckpointStore(
-            "isolation",
-            config_hash(dataclasses.asdict(ISO_SPEC)),
-            root=tmp_path,
-        )
+        store = CheckpointStore.for_spec("isolation", ISO_SPEC, tmp_path)
         store.append(0, {"inserted": 999, "undetected": 0, "correct": 999,
                          "ambiguous": 0, "wrong": 0, "by_block": {}})
         fresh = run_isolation(
@@ -216,11 +210,7 @@ class TestMonteCarloDeterminism:
 
     def test_resume_equals_fresh(self, mc_serial, tmp_path):
         run_montecarlo(MC_SPEC, workers=2, cache_root=tmp_path)
-        store = CheckpointStore(
-            "montecarlo",
-            config_hash(dataclasses.asdict(MC_SPEC)),
-            root=tmp_path,
-        )
+        store = CheckpointStore.for_spec("montecarlo", MC_SPEC, tmp_path)
         shards = sorted(store.load())
         store.drop(shards[: len(shards) // 2])
         resumed = run_montecarlo(
@@ -266,10 +256,7 @@ class TestIpcSweepDeterminism:
 
     def test_resume_equals_fresh(self, serial, tmp_path):
         run_ipc_sweep(IPC_SPEC, workers=2, cache_root=tmp_path)
-        store = CheckpointStore(
-            "ipc", config_hash(dataclasses.asdict(IPC_SPEC)),
-            root=tmp_path,
-        )
+        store = CheckpointStore.for_spec("ipc", IPC_SPEC, tmp_path)
         shards = sorted(store.load())
         store.drop(shards[::2])
         resumed = run_ipc_sweep(

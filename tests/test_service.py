@@ -18,10 +18,9 @@ from repro.runner import (
     get_campaign,
     run_montecarlo,
 )
-from repro.runner.store import config_hash
 from repro.service import QueueFullError, ServiceError
-from repro.service.jobs import JobJournal
-from repro.service.testing import service_fixture
+from repro.service.jobs import Job, JobJournal
+from repro.service.testing import service_fixture, torn_write
 from repro.telemetry import TELEMETRY
 
 #: Small, fast campaign used throughout: 4 shards, ~50ms total.
@@ -94,12 +93,8 @@ class TestRegistry:
     def test_store_for_matches_campaign_internal_store(self):
         entry = get_campaign("montecarlo")
         spec = entry.make_spec(MC_PARAMS)
-        expected = CheckpointStore(
-            "montecarlo",
-            config_hash(dataclasses.asdict(spec)),
-            root="/tmp/x",
-        )
-        assert entry.store_for(spec, "/tmp/x").path == expected.path
+        expected = CheckpointStore.for_spec("montecarlo", spec, "/tmp/x")
+        assert entry.store_for(spec, "/tmp/x").path(0) == expected.path(0)
 
     @pytest.mark.parametrize("name", list(REGISTRY))
     def test_result_codec_roundtrip(self, name):
@@ -180,17 +175,10 @@ class TestStoreTornTail:
     def test_append_seals_torn_tail(self, tmp_path):
         store = CheckpointStore("c", "k", root=tmp_path)
         store.append(0, {"a": 1})
-        with open(store.path, "a") as f:
-            f.write('{"shard": 1, "payl')  # torn mid-write
+        torn_write(store.blobs, store.prefix + "1", {"b": 2})
         assert store.load() == {0: {"a": 1}}
-        store.append(1, {"b": 2})  # must not glue onto the torn line
+        store.append(1, {"b": 2})  # the torn write leaves no trace
         assert store.load() == {0: {"a": 1}, 1: {"b": 2}}
-
-    def test_append_to_clean_file_adds_no_blank_lines(self, tmp_path):
-        store = CheckpointStore("c", "k", root=tmp_path)
-        store.append(0, 1)
-        store.append(1, 2)
-        assert "" not in store.path.read_text().strip().splitlines()
 
 
 # ----------------------------------------------------------------------
@@ -395,11 +383,24 @@ class TestJournal:
         with service_fixture(tmp_path, service_workers=1) as (client, _):
             job = client.submit("montecarlo", MC_PARAMS)["job"]
             client.wait(job, timeout=60)
-        with open(journal.path, "a") as f:
-            f.write('{"ev": "done", "job": "xyz"')  # torn final line
+        torn_write(journal.blobs, "xyz", {"state": "done"})
         replayed = journal.replay()
         assert replayed[job]["state"] == "done"
         assert "xyz" not in replayed
+
+    def test_torn_write_loses_no_later_job(self, tmp_path):
+        """A write torn mid-``done`` must not swallow the next job."""
+        journal = JobJournal(tmp_path)
+        a = Job(id="A", campaign="montecarlo", params={}, spec=None,
+                submitted_t=1.0)
+        b = Job(id="B", campaign="montecarlo", params={}, spec=None,
+                submitted_t=2.0)
+        journal.record_submit(a)
+        torn_write(journal.blobs, "A", {"state": "done", "result": {}})
+        journal.record_submit(b)
+        replayed = journal.replay()
+        assert list(replayed) == ["A", "B"]
+        assert replayed["A"]["state"] == "queued"  # resumes on restart
 
 
 # ----------------------------------------------------------------------

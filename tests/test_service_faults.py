@@ -2,7 +2,7 @@
 
 The harness (``repro.service.testing``) simulates worker loss two ways —
 a kill between shards (checkpoint durable, run dies) and a kill
-mid-checkpoint-append (torn JSONL tail) — and the service must resume
+mid-checkpoint-append (torn blob write) — and the service must resume
 each time from the checkpoint store and merge to exactly the result a
 direct, uninterrupted runner call produces.  The Hypothesis test drives
 arbitrary interleavings of submit / kill / torn-write / restart /
@@ -71,7 +71,7 @@ class TestKillRecovery:
             tmp_path, service_workers=0, faults=faults, max_retries=5
         ) as (client, svc):
             job = client.submit("montecarlo", MC_PARAMS)["job"]
-            assert svc.run_once()  # dies mid-append of shard 3's line
+            assert svc.run_once()  # dies mid-write of shard 3's blob
             entry = get_campaign("montecarlo")
             store = entry.store_for(
                 svc.queue.get(job).spec, svc.cache_root

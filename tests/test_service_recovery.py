@@ -2,11 +2,11 @@
 
 Unlike ``test_service_faults.py`` (in-process, simulated kills), this
 test runs ``repro serve`` as a real subprocess, SIGKILLs it while shards
-are streaming into the checkpoint store, garbles the store's tail to
-mimic a write cut off mid-append, and restarts the service on the same
-cache root.  The journal must requeue the unfinished job, the store must
-heal its torn tail, and the resumed run must reuse the surviving
-checkpoints and merge to the exact direct-runner result.
+are streaming into the checkpoint store, leaves a shard write torn as a
+kill mid-write would, and restarts the service on the same cache root.
+The journal must requeue the unfinished job, the torn write must leave
+no trace, and the resumed run must reuse the surviving checkpoints and
+merge to the exact direct-runner result.
 """
 
 import dataclasses
@@ -20,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.runner import MonteCarloSpec, run_montecarlo
+from repro.runner import CheckpointStore, MonteCarloSpec, run_montecarlo
 from repro.service import ServiceClient
+from repro.service.testing import torn_write
 
 PARAMS = {"n_chips": 12000, "chunk_size": 80}  # 150 shards
 
@@ -85,11 +86,14 @@ def test_sigkill_mid_campaign_then_restart_resumes(tmp_path):
     finally:
         _kill(proc)
 
-    # Simulate the kill having landed mid-append: garble the store tail.
-    stores = sorted(tmp_path.glob("montecarlo-*.jsonl"))
-    assert stores, "checkpoint store missing after kill"
-    with open(stores[0], "a") as f:
-        f.write('{"shard": 9999, "payl')  # torn line, no newline
+    # Simulate the kill having landed mid-write of the next shard.
+    store = CheckpointStore.for_spec(
+        "montecarlo", MonteCarloSpec(**PARAMS), tmp_path
+    )
+    done = store.load()
+    assert done, "checkpoint store missing after kill"
+    nxt = min(set(range(150)) - set(done))
+    torn_write(store.blobs, f"{store.prefix}{nxt}", done[min(done)])
 
     proc, url = _spawn_service(tmp_path)
     try:

@@ -296,7 +296,6 @@ class TestRunnerMetrics:
     def test_metrics_ride_in_checkpoints(self, tmp_path):
         from repro.runner import (
             CheckpointStore,
-            config_hash,
             prepare_isolation,
             run_isolation,
         )
@@ -307,11 +306,7 @@ class TestRunnerMetrics:
         with TELEMETRY.collect():
             run_isolation(spec, workers=2, cache_root=tmp_path)
         TELEMETRY.disable()
-        store = CheckpointStore(
-            "isolation",
-            config_hash(dataclasses.asdict(spec)),
-            root=tmp_path,
-        )
+        store = CheckpointStore.for_spec("isolation", spec, tmp_path)
         recs = store.load()
         assert len(recs) == 5
         for rec in recs.values():
@@ -321,7 +316,6 @@ class TestRunnerMetrics:
     def test_disabled_campaign_checkpoints_no_metrics(self, tmp_path):
         from repro.runner import (
             CheckpointStore,
-            config_hash,
             prepare_isolation,
             run_isolation,
         )
@@ -330,11 +324,7 @@ class TestRunnerMetrics:
         prepare_isolation(spec)
         run_isolation(spec, workers=2, cache_root=tmp_path)
         assert TELEMETRY.metrics.is_empty()
-        store = CheckpointStore(
-            "isolation",
-            config_hash(dataclasses.asdict(spec)),
-            root=tmp_path,
-        )
+        store = CheckpointStore.for_spec("isolation", spec, tmp_path)
         for rec in store.load().values():
             assert rec["metrics"] is None
 
