@@ -3,8 +3,12 @@
 Each ``bench_*.py`` file regenerates one of the paper's tables or figures
 (see DESIGN.md's per-experiment index).  Heavy results are cached as
 ``bench-<name>.blob`` under ``.repro_cache`` (or ``REPRO_CACHE_DIR``),
-stamped with the code that computed them, so repeated runs are fast and
-any edit to ``src/repro`` recomputes; delete the directory to force it.
+stamped with the code that computed them — ``src/repro`` and every
+``benchmarks/*.py`` — so repeated runs are fast and any edit to either
+recomputes; delete the directory to force it.  The stamp covers all the
+scripts, not only the one that writes a table, because tables cross
+scripts: ``bench_escapes.py`` reads ``table3``, which
+``bench_table3_scan.py`` writes.
 
 Environment knobs:
 
@@ -22,10 +26,11 @@ Environment knobs:
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 
-from repro.runner.store import Blobs, default_cache_root
+from repro.runner.store import Blobs, default_cache_root, files_fingerprint
 
 
 def env_int(name: str, default: int) -> int:
@@ -41,7 +46,10 @@ FULL_SWEEP = os.environ.get("RESCUE_FULL", "") not in ("", "0")
 N_FAULTS = env_int("RESCUE_FAULTS", 600)
 
 CACHE_DIR = default_cache_root()
-_RESULTS = Blobs("bench", CACHE_DIR)
+_HERE = Path(__file__).resolve().parent
+_RESULTS = Blobs(
+    "bench", CACHE_DIR, extra=files_fingerprint(_HERE.glob("*.py"), _HERE)
+)
 
 
 def cache_json(name: str):

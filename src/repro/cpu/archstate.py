@@ -57,6 +57,8 @@ _MIXK = 0xBF58476D1CE4E5B9
 #: Journal sentinel: the memory block did not exist before the write.
 _ABSENT = object()
 
+_INF = float("inf")
+
 
 def mix(*parts: int) -> int:
     """Deterministic 64-bit hash of integer parts (splitmix64 flavour)."""
@@ -107,7 +109,8 @@ class ArchState:
     Attaching an ``ArchState`` is observation-only: the core's timing is
     bit-identical with or without it (asserted by tests).  Subclasses
     (``repro.inject.models.FaultyArchState``) override ``begin_cycle``
-    and ``on_fetch`` to corrupt state.
+    and ``on_fetch`` to corrupt state, and ``next_active`` to name the
+    cycles at which ``begin_cycle`` acts.
     """
 
     def __init__(self, config: MachineConfig) -> None:
@@ -160,7 +163,17 @@ class ArchState:
 
     # ---- hooks driven by the core ------------------------------------
     def begin_cycle(self, core, cycle: int) -> None:
-        """Called at the top of every cycle (fault application point)."""
+        """Called at the top of every stepped cycle (fault application
+        point)."""
+
+    def next_active(self, core, cycle: int) -> float:
+        """First cycle after the dead ``cycle`` at which
+        :meth:`begin_cycle` would change state; the core may jump to it.
+
+        Never, for the golden layer: every other hook fires only on a
+        live cycle (a commit, an execute, a dispatch or a fetch).
+        """
+        return _INF
 
     def on_fetch(self, core, instr: Instr, way: int, cycle: int) -> Instr:
         """Called per fetched instruction; may return a replacement."""

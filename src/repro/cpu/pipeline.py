@@ -16,7 +16,7 @@ occupancy after issue.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.cpu.bpred import FrontendPredictor
@@ -33,6 +33,11 @@ from repro.cpu.queues import (
 from repro.telemetry import TELEMETRY
 
 _INF = float("inf")
+
+
+def _every_cycle(cycle: int) -> int:
+    """The schedule of an ``on_cycle`` hook that must see every cycle."""
+    return cycle + 1
 
 
 class RobEntry:
@@ -56,6 +61,9 @@ class SimResult:
     load_squashes: int
     issued: int = 0
     iq_occupancy_sum: int = 0
+    #: Dead cycles jumped over rather than stepped (perf bookkeeping: a
+    #: per-cycle run of the same inputs leaves an equal result).
+    skipped_cycles: int = field(default=0, compare=False)
 
     @property
     def ipc(self) -> float:
@@ -189,6 +197,7 @@ class Core:
         max_cycles: Optional[int] = None,
         warmup: int = 0,
         on_cycle=None,
+        schedule=None,
     ) -> SimResult:
         """Simulate until ``max_instructions`` commit (or the trace ends).
 
@@ -196,14 +205,20 @@ class Core:
         predictor but are excluded from IPC and rate statistics.
 
         ``on_cycle(core)`` — when given — runs at the very top of every
-        cycle, before any pipeline activity, with ``core.cycle`` /
-        ``core.committed`` current.  It is the checkpoint/convergence
-        observation point: returning truthy stops the simulation at that
-        boundary.  The callback must not mutate simulator state.
+        cycle the core steps, before any pipeline activity, with
+        ``core.cycle`` / ``core.committed`` current.  It is the
+        checkpoint/convergence observation point: returning truthy stops
+        the simulation at that boundary.  The callback must not mutate
+        simulator state.
 
-        Without ``on_cycle`` and ``arch`` nothing observes the run, so it
-        jumps over dead cycles (see :meth:`_next_event`); the results
-        are identical to stepping every cycle.
+        After a dead cycle ``c`` the core jumps to the first of: the next
+        timer (:meth:`_next_event`), ``max_cycles``, ``schedule(c)`` —
+        the next cycle ``on_cycle`` must see — and
+        ``arch.next_active(core, c)`` — the next cycle the value layer's
+        ``begin_cycle`` would change state.  An ``on_cycle`` without a
+        ``schedule`` sees every cycle.  Every cycle jumped over repeats
+        ``c`` exactly, so the results are identical to stepping every
+        cycle.
 
         A core restored via :meth:`restore` resumes from its snapshot
         position: ``max_instructions`` still names the *total* commit
@@ -217,8 +232,8 @@ class Core:
         snap = None
         total = max_instructions + warmup
         arch = self.arch
-        # Nothing observes the run, so dead cycles can be jumped over.
-        skip = arch is None and on_cycle is None
+        if on_cycle is not None and schedule is None:
+            schedule = _every_cycle
         skipped = 0
         while committed < total and cycle < max_cycles:
             if on_cycle is not None:
@@ -241,21 +256,25 @@ class Core:
             released = self.iq_int.tick(cycle) | self.iq_fp.tick(cycle)
             occupancy = self.iq_int.occupancy() + self.iq_fp.occupancy()
             self.iq_occupancy_sum += occupancy
-            if skip:
-                stalls = self._stall_counters()
+            stalls = self._stall_counters()
             selected = self._issue(cycle)
             dispatched = self._dispatch(cycle)
             fetched = self._fetch(cycle)
             if self.trace_done and not self.rob and not self.dispatch_q:
                 break
-            if not skip or (
-                n or fixed or released or selected or dispatched or fetched
-            ):
+            if n or fixed or released or selected or dispatched or fetched:
                 cycle += 1
                 continue
             # A dead cycle: the machine state is unchanged, so every
-            # cycle up to the next timer repeats it exactly.
-            target = min(self._next_event(cycle), max_cycles)
+            # cycle up to the next timer, observation or fault action
+            # repeats it exactly.
+            target = max_cycles
+            if schedule is not None:
+                target = min(target, schedule(cycle))
+            if arch is not None:
+                target = min(target, arch.next_active(self, cycle))
+            if target > cycle + 1:
+                target = min(target, self._next_event(cycle))
             k = target - cycle - 1
             if k > 0:
                 self.iq_occupancy_sum += k * occupancy
@@ -289,6 +308,7 @@ class Core:
             load_squashes=self.load_squashes - snap[7],
             issued=self.issued_total - snap[9],
             iq_occupancy_sum=self.iq_occupancy_sum - snap[10],
+            skipped_cycles=skipped,
         )
         t = TELEMETRY
         if t.enabled:

@@ -110,6 +110,19 @@ Two refinements keep the scan's conservatism from costing replay:
 
 The scan costs one golden-length simulation amortized over every
 sticky fault in the campaign.
+
+Observation schedules
+---------------------
+
+Every observer here acts only at cycles it can name in advance, so none
+of them stops the core from jumping over dead cycles (see
+:meth:`~repro.cpu.pipeline.Core.run`): ``run_golden`` schedules the next
+checkpoint or profile boundary, the early-exit hook the next checkpoint
+boundary after activation, and the scan no cycle beyond those the core
+steps anyway — its predicates read only machine state, which a jumped
+cycle repeats.  The fault layer names its own next action
+(:meth:`FaultyArchState.next_active`).  Results are bit-identical to
+stepping every cycle, which the from-scratch oracle in the tests does.
 """
 
 from __future__ import annotations
@@ -132,6 +145,8 @@ from repro.telemetry import TELEMETRY
 #: :func:`hang_budget` below (factor 2 = prefix + two suffixes at c=0).
 BUDGET_FACTOR = 2
 BUDGET_SLACK = 512
+
+_INF = float("inf")
 
 
 def hang_budget(golden_cycles: int, fault: FaultSpec) -> int:
@@ -170,29 +185,11 @@ class GoldenRun:
         default_factory=dict, repr=False, compare=False
     )
 
-    @property
-    def checkpoints(self) -> List[Tuple[int, dict]]:
-        """All ``(cycle, snapshot)`` pairs, decoded (compat accessor).
-
-        Decodes the whole arena — prefer indexed access through
-        :attr:`arena` in hot paths.
-        """
-        if self.arena is None:
-            return []
-        return list(self.arena.items())
-
     def fork_index(self, cycle: int) -> Optional[int]:
         """Arena index of the newest checkpoint at or before ``cycle``."""
         if self.arena is None or not len(self.arena):
             return None
         return self.arena.find(cycle)
-
-    def fork_point(self, cycle: int) -> Optional[Tuple[int, dict]]:
-        """Newest checkpoint at or before ``cycle`` (None: run from 0)."""
-        i = self.fork_index(cycle)
-        if i is None:
-            return None
-        return self.arena.cycle_of(i), self.arena.get(i)
 
 
 @dataclass
@@ -218,6 +215,11 @@ class InjectionResult:
     cycles_saved: int = field(default=0, compare=False)
 
 
+def _next_multiple(cycle: int, k: int) -> int:
+    """The first multiple of ``k`` after ``cycle``."""
+    return (cycle // k + 1) * k
+
+
 def run_golden(
     config: MachineConfig,
     trace: List[Instr],
@@ -235,7 +237,9 @@ def run_golden(
     arena thins itself to stay under it).  With ``profile_stride > 0`` a
     :class:`SiteProfile` samples occupancy alongside.  Both observe
     through the ``on_cycle`` hook, so the golden timing and commit
-    stream are bit-identical to an unobserved run.
+    stream are bit-identical to an unobserved run; its schedule names
+    the next multiple of either stride, so the core still jumps the
+    dead cycles in between.
     """
     arch = ArchState(config)
     core = Core(config, iter(trace), arch=arch)
@@ -243,8 +247,9 @@ def run_golden(
     prof = (
         SiteProfile(config, profile_stride) if profile_stride else None
     )
-    on_cycle = None
-    if arena is not None or prof is not None:
+    on_cycle = schedule = None
+    strides = [k for k in (checkpoint_interval, profile_stride) if k]
+    if strides:
         def on_cycle(c: Core) -> bool:
             cyc = c.cycle
             if (
@@ -256,7 +261,12 @@ def run_golden(
             if prof is not None and cyc % prof.stride == 0:
                 prof.observe(c)
             return False
-    result = core.run(n_instructions, on_cycle=on_cycle)
+
+        def schedule(cycle: int) -> int:
+            return min(_next_multiple(cycle, k) for k in strides)
+    result = core.run(
+        n_instructions, on_cycle=on_cycle, schedule=schedule
+    )
     if arch.commits < n_instructions:
         raise RuntimeError(
             f"golden run committed {arch.commits}/{n_instructions}"
@@ -375,7 +385,7 @@ def _execute_and_classify(
     """
     budget = hang_budget(golden.cycles, fault)
     early_cycle: Optional[int] = None
-    on_cycle = None
+    on_cycle = schedule = None
     interval = golden.checkpoint_interval
     arena = golden.arena
     if (
@@ -416,8 +426,12 @@ def _execute_and_classify(
                 return True
             return False
 
-    core.run(
-        golden.n_instructions, max_cycles=budget, on_cycle=on_cycle
+        def schedule(cycle: int) -> int:
+            return _next_multiple(max(cycle, fault.cycle), interval)
+
+    sim = core.run(
+        golden.n_instructions, max_cycles=budget, on_cycle=on_cycle,
+        schedule=schedule,
     )
     end_cycle = core.cycle
     simulated = end_cycle - fork_cycle
@@ -428,6 +442,7 @@ def _execute_and_classify(
     t = TELEMETRY
     if t.enabled:
         t.count("inject.sim_cycles", simulated)
+        t.count("inject.skipped_cycles", sim.skipped_cycles)
         if fork_cycle:
             t.count("inject.fork_restores")
         if early_cycle is not None:
@@ -579,6 +594,11 @@ def synth_never_result(
     )
 
 
+def _never(cycle: int) -> float:
+    """The schedule of a hook that needs only the cycles the core steps."""
+    return _INF
+
+
 class _ScanProbe(FaultyArchState):
     """Fault-free observer for :func:`first_effect_scan`.
 
@@ -628,11 +648,14 @@ def first_effect_scan(
     """First cycle each sticky fault's forcing would change state.
 
     Replays the golden trajectory once (a fresh fault-free run of the
-    same deterministic simulation, observed at the top of every cycle —
-    exactly where :meth:`FaultyArchState.begin_cycle` applies its
-    forcing — and at every fetch) and evaluates, for every pending
-    sticky fault, whether forcing its site bit *right now* would change
-    machine state.
+    same deterministic simulation, observed at the top of every cycle
+    the core steps — exactly where :meth:`FaultyArchState.begin_cycle`
+    applies its forcing — and at every fetch) and evaluates, for every
+    pending sticky fault, whether forcing its site bit *right now* would
+    change machine state.  A jumped dead cycle repeats the stepped cycle
+    before it, whose answer was no; the one cycle-dependent predicate
+    (``rob.done`` stuck-at-1: ``done > cycle``) only turns false as the
+    cycle grows, so the first bite always lands on a stepped cycle.
 
     Returns ``{fault_index: FirstEffect}`` for every eligible fault —
     stuck-ats with activation cycle 0, the campaign's entire sticky
@@ -762,6 +785,7 @@ def first_effect_scan(
         golden.n_instructions,
         max_cycles=golden.cycles + BUDGET_SLACK,
         on_cycle=on_cycle,
+        schedule=_never,
     )
     for i, way in fetch_sites:
         arm = probe.fetch_arm.get(way)

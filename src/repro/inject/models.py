@@ -8,7 +8,9 @@ cycle — so a fault is replayable bit-for-bit in any process.
 state layer's hooks.  Transients activate exactly once at their cycle;
 stuck-ats force the bit every cycle from their cycle onward (cycle 0 for
 manufacturing defects — campaign sampling always uses 0 so a stuck-at
-models the paper's hard-defect scenario).  A fault whose site holds no
+models the paper's hard-defect scenario).  The core skips the dead
+cycles on which re-forcing would be a no-op
+(:meth:`FaultyArchState.next_active`).  A fault whose site holds no
 occupant at activation (an empty queue slot, an unallocated register)
 simply does nothing — that run is masked, which is itself part of the
 taxonomy's derating.
@@ -45,6 +47,8 @@ from repro.inject.sites import Site, field_width
 from repro.runner.seeding import derive_seed
 
 KINDS = ("transient", "stuckat")
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ class FaultyArchState(ArchState):
     **``forced_ready`` aliasing.**  The core captures a reference to
     this set at construction (``Core._forced``) and never re-reads the
     attribute, so the set must only ever be mutated in place — cleared
-    at the top of every cycle by :meth:`begin_cycle` and by the
+    at the top of every stepped cycle by :meth:`begin_cycle` and by the
     restore/rearm paths — never reassigned.  This matters for warm-core
     group reuse: a fault that forced an issue-queue entry ready leaves
     its sequence numbers in the shared set when the run stops, and the
@@ -335,6 +339,36 @@ class FaultyArchState(ArchState):
             cur = self.rmap[cls][site.index]
             if cur is not None:
                 self.rmap[cls][site.index] = self._bits(cur)
+
+    def next_active(self, core, cycle: int) -> float:
+        """First cycle after the dead ``cycle`` at which
+        :meth:`begin_cycle` would change state.
+
+        Machine state at the top of ``cycle + 1`` equals the state
+        :meth:`begin_cycle` left at ``cycle``, so a forcing that is a
+        no-op on its own result may be skipped: every stuck-at here sets
+        a bit to a constant, and ``rob.done`` stuck-at-1 only ever moves
+        ``done`` down to a cycle already passed.  Two forcings are not
+        idempotent: ``forced_ready`` is cleared and rebuilt every cycle,
+        and ``iq.ready`` stuck-at-0 pushes its occupant's
+        ``blocked_until`` to ``cycle + 1``.  Fetch faults act only in
+        :meth:`on_fetch`, which fires on live cycles alone.
+        """
+        if self.forced_ready:
+            return cycle + 1
+        f = self.fault
+        struct = f.site.struct
+        if self.stopped or struct == "fetch":
+            return _INF
+        if cycle < f.cycle:
+            return f.cycle
+        if (
+            f.kind == "stuckat"
+            and f.site.field == "ready"
+            and self._iq_entry(core, struct, f.site.index) is not None
+        ):
+            return cycle + 1
+        return _INF
 
     def on_fetch(self, core, instr: Instr, way: int, cycle: int) -> Instr:
         f = self.fault

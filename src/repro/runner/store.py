@@ -12,15 +12,18 @@ The key is a hash of everything that determines the content
 (:func:`config_hash`); the file is a one-line header and a pickled
 body::
 
-    repro-blob/1 <sha256 of body> <code_fingerprint()>\\n<body>
+    repro-blob/1 <sha256 of body> <stamp()>\\n<body>
 
-A read returns the body only when the checksum and the fingerprint both
-match; anything else is a miss.  A bad checksum or an unreadable header
-counts as ``cache.<kind>.corrupt``, a blob written by other code as
-``cache.<kind>.stale``, and the next write overwrites either.  Writes
-go to a tmp file beside the blob and ``os.replace`` onto its name, so a
-reader sees a whole blob or none; a writer killed mid-write leaves only
-the tmp file, which no read looks at.
+The stamp is :func:`code_fingerprint`, folded with a fingerprint of any
+code outside the package that shapes the content (the benchmark scripts
+for their ``bench`` tables).  A read returns the body only when the
+checksum and the stamp both match; anything else is a miss.  A bad
+checksum or an unreadable header counts as ``cache.<kind>.corrupt``, a
+blob written by other code as ``cache.<kind>.stale``, and the next
+write overwrites either.  Writes go to a tmp file beside the blob and
+``os.replace`` onto its name, so a reader sees a whole blob or none; a
+writer killed mid-write leaves only the tmp file, which no read looks
+at.
 """
 
 from __future__ import annotations
@@ -53,6 +56,15 @@ def config_hash(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
+def files_fingerprint(files: Iterable[Path], base: Path) -> str:
+    """sha256 over ``files``: their paths relative to ``base`` and bytes."""
+    h = hashlib.sha256()
+    for f in sorted(files):
+        h.update(f.relative_to(base).as_posix().encode() + b"\0")
+        h.update(f.read_bytes())
+    return h.hexdigest()
+
+
 @functools.lru_cache(maxsize=None)
 def code_fingerprint() -> str:
     """sha256 over every ``repro/**/*.py`` source file.
@@ -62,11 +74,17 @@ def code_fingerprint() -> str:
     package means no hand-kept list of dependencies can drift.
     """
     pkg = Path(__file__).resolve().parent.parent
-    h = hashlib.sha256()
-    for f in sorted(pkg.rglob("*.py")):
-        h.update(f.relative_to(pkg).as_posix().encode() + b"\0")
-        h.update(f.read_bytes())
-    return h.hexdigest()
+    return files_fingerprint(pkg.rglob("*.py"), pkg)
+
+
+def stamp(extra: str = "") -> str:
+    """The code stamp of a blob: :func:`code_fingerprint`, folded with
+    the fingerprint ``extra`` of any code outside the package that made
+    it."""
+    fp = code_fingerprint()
+    if not extra:
+        return fp
+    return hashlib.sha256(f"{fp} {extra}".encode()).hexdigest()
 
 
 def default_cache_root() -> Path:
@@ -74,17 +92,15 @@ def default_cache_root() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
-def encode(value: Any) -> bytes:
+def encode(value: Any, extra: str = "") -> bytes:
     """The on-disk bytes of one blob holding ``value``."""
     body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(body).hexdigest()
-    header = b" ".join(
-        (MAGIC, digest.encode(), code_fingerprint().encode())
-    )
+    header = b" ".join((MAGIC, digest.encode(), stamp(extra).encode()))
     return header + b"\n" + body
 
 
-def decode(data: bytes) -> Tuple[str, Any]:
+def decode(data: bytes, extra: str = "") -> Tuple[str, Any]:
     """``(outcome, value)`` for one blob's bytes; value None unless hit."""
     head, _, body = data.partition(b"\n")
     fields = head.split(b" ")
@@ -94,7 +110,7 @@ def decode(data: bytes) -> Tuple[str, Any]:
         or fields[1] != hashlib.sha256(body).hexdigest().encode()
     ):
         return CORRUPT, None
-    if fields[2] != code_fingerprint().encode():
+    if fields[2] != stamp(extra).encode():
         return STALE, None
     try:
         return HIT, pickle.loads(body)
@@ -110,11 +126,18 @@ def tmp_path(path: Path) -> Path:
 
 
 class Blobs:
-    """The blobs of one kind under one cache root."""
+    """The blobs of one kind under one cache root.
 
-    def __init__(self, kind: str, root: Optional[Path] = None) -> None:
+    ``extra`` fingerprints code outside the package that shapes the
+    blobs' content (see :func:`stamp`); editing it makes them stale.
+    """
+
+    def __init__(
+        self, kind: str, root: Optional[Path] = None, extra: str = ""
+    ) -> None:
         self.kind = kind
         self.root = Path(root) if root is not None else default_cache_root()
+        self.extra = extra
 
     def path(self, key: str) -> Path:
         return self.root / f"{self.kind}-{key}.blob"
@@ -127,7 +150,7 @@ class Blobs:
             return MISS, None
         except OSError:
             return CORRUPT, None
-        return decode(data)
+        return decode(data, self.extra)
 
     def get(self, key: str) -> Any:
         """The value stored under ``key``, or None on any miss.
@@ -148,7 +171,7 @@ class Blobs:
         tmp = tmp_path(path)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(encode(value))
+            tmp.write_bytes(encode(value, self.extra))
             os.replace(tmp, path)
         except OSError:
             tmp.unlink(missing_ok=True)

@@ -6,8 +6,10 @@ the job table, ``GET /metrics`` for queue depth and telemetry counters)
 every two seconds with ``fetch`` and re-renders the tables.  When the
 telemetry snapshot carries ``inject.*`` counters, a dedicated
 injection-replay panel surfaces the suffix-replay economics — warm-core
-restore reuses, simulated cycles saved, scan-synthesized verdicts —
-ahead of the generic counter dump.  All rendering uses ``textContent``,
+restore reuses, simulated cycles saved, scan-synthesized verdicts,
+dead cycles jumped — ahead of the generic counter dump; its rows are
+``repro trace summarize``'s
+(:data:`repro.telemetry.report.REPLAY_ROWS`).  All rendering uses ``textContent``,
 so job ids, campaign names, and error strings are displayed verbatim
 without HTML injection.
 
@@ -18,7 +20,11 @@ routes beyond serving this string.
 
 from __future__ import annotations
 
-DASHBOARD_HTML = """\
+import json
+
+from repro.telemetry.report import REPLAY_ROWS
+
+_PAGE = """\
 <!DOCTYPE html>
 <html lang="en">
 <head>
@@ -55,15 +61,7 @@ DASHBOARD_HTML = """\
 <table id="metrics"><tbody></tbody></table>
 <script>
 "use strict";
-const REPLAY_ROWS = [
-  ["inject.restore_reuses", "warm-core restore reuses"],
-  ["inject.cycles_saved", "simulated cycles saved"],
-  ["inject.scan_skips", "scan-synthesized verdicts"],
-  ["inject.early_exits", "reconvergence early exits"],
-  ["inject.fork_restores", "checkpoint fork restores"],
-  ["inject.sim_cycles", "faulty cycles simulated"],
-  ["inject.golden_cache_hits", "golden-prefix cache hits"],
-];
+const REPLAY_ROWS = __REPLAY_ROWS__;
 function row(cells, cls) {
   const tr = document.createElement("tr");
   for (const text of cells) {
@@ -141,3 +139,5 @@ setInterval(poll, 2000);
 </body>
 </html>
 """
+
+DASHBOARD_HTML = _PAGE.replace("__REPLAY_ROWS__", json.dumps(REPLAY_ROWS))

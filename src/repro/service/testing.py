@@ -59,7 +59,7 @@ def torn_write(blobs: Blobs, key: str, value: Any) -> None:
     That is half of the blob in its tmp file; the rename onto
     ``blobs.path(key)`` never happens.
     """
-    data = encode(value)
+    data = encode(value, blobs.extra)
     tmp = tmp_path(blobs.path(key))
     tmp.parent.mkdir(parents=True, exist_ok=True)
     tmp.write_bytes(data[: len(data) // 2])

@@ -1,8 +1,8 @@
 """Aggregation and rendering of telemetry metrics and trace files.
 
-Backs ``repro trace summarize``: per-span totals (sorted by time),
-counter tables, histogram summaries, and the top-N hottest individual
-span events from the stream.  :func:`render_metrics` is also used
+Backs ``repro trace summarize``: per-span totals (sorted by time), the
+injection-replay rows, counter tables, histogram summaries, and the
+top-N hottest individual span events from the stream.  :func:`render_metrics` is also used
 directly by commands that print a telemetry recap without a trace file.
 """
 
@@ -12,6 +12,21 @@ from typing import Any, Dict, List
 
 from repro.telemetry.core import Metrics, SpanStat
 from repro.telemetry.trace import read_trace
+
+
+#: The injection-replay economics, one labelled row per counter, shown
+#: ahead of the counter table by ``repro trace summarize`` and by the
+#: service dashboard's replay panel.
+REPLAY_ROWS = (
+    ("inject.restore_reuses", "warm-core restore reuses"),
+    ("inject.cycles_saved", "simulated cycles saved"),
+    ("inject.scan_skips", "scan-synthesized verdicts"),
+    ("inject.early_exits", "reconvergence early exits"),
+    ("inject.fork_restores", "checkpoint fork restores"),
+    ("inject.sim_cycles", "faulty cycles simulated"),
+    ("inject.skipped_cycles", "faulty dead cycles jumped"),
+    ("inject.golden_cache_hits", "golden-prefix cache hits"),
+)
 
 
 def _fmt_seconds(s: float) -> str:
@@ -53,6 +68,15 @@ def render_counters(counters: Dict[str, int]) -> List[str]:
     return lines
 
 
+def render_replay(counters: Dict[str, int]) -> List[str]:
+    """The :data:`REPLAY_ROWS` present in ``counters``."""
+    return [
+        f"  {label:<44} {counters[name]:>14,}"
+        for name, label in REPLAY_ROWS
+        if name in counters
+    ]
+
+
 def render_hists(hists: Dict[str, Any]) -> List[str]:
     """Histogram summary table (n / mean / min / max)."""
     if not hists:
@@ -74,6 +98,11 @@ def render_metrics(metrics: Metrics) -> str:
     """Full text report of one ``Metrics`` collection."""
     out = ["spans:"]
     out += render_spans(metrics.spans)
+    replay_lines = render_replay(metrics.counters)
+    if replay_lines:
+        out.append("")
+        out.append("injection replay:")
+        out += replay_lines
     out.append("")
     out.append("counters:")
     out += render_counters(metrics.counters)

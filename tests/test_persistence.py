@@ -5,10 +5,14 @@ records, golden prefix, first-effect scan, IPC memo) and every kind of
 damage (a truncated body, one flipped body byte, a blob written by other
 code, a leftover tmp file from a killed writer).  Each case must count
 the miss and recompute to a result equal to the cold run, after which
-the entry on disk is whole again.
+the entry on disk is whole again.  A benchmark table also goes stale
+when a benchmark script changes.
 """
 
+import importlib.util
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,7 @@ INJECT_SPEC = InjectionSpec(
     golden_cache=True,
 )
 IPC_POINT = ("gzip", MachineConfig(rescue=True), 800, 1, 400)
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def _shard_run(root, resume):
@@ -144,3 +149,44 @@ def test_damage_is_a_counted_miss_then_recomputes(
     assert warm == cold
     outcome, _ = store.decode(path.read_bytes())
     assert outcome == store.HIT  # the recomputation overwrote the entry
+
+
+def _bench_conftest(scripts, name):
+    """``benchmarks/conftest.py`` loaded from the copy in ``scripts``."""
+    spec = importlib.util.spec_from_file_location(
+        name, scripts / "conftest.py"
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_bench_table_goes_stale_when_a_script_changes(tmp_path, monkeypatch):
+    """A cached ``bench-*.blob`` table is stamped with every benchmark
+    script: editing one (here the reader of another script's table)
+    turns it into a counted stale miss, and the next save is a hit."""
+    scripts = tmp_path / "benchmarks"
+    scripts.mkdir()
+    for name in ("conftest.py", "bench_escapes.py"):
+        shutil.copy(BENCHMARKS / name, scripts / name)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    table = {"rescue": {"coverage_pct": 97.5}}
+    _bench_conftest(scripts, "bench_conftest_a").save_json("table3", table)
+    assert _bench_conftest(scripts, "bench_conftest_b").cache_json(
+        "table3"
+    ) == table
+
+    with open(scripts / "bench_escapes.py", "a") as f:
+        f.write("\n# edited\n")
+    edited = _bench_conftest(scripts, "bench_conftest_c")
+    TELEMETRY.reset()
+    TELEMETRY.enable()
+    try:
+        with TELEMETRY.collect() as metrics:
+            assert edited.cache_json("table3") is None
+    finally:
+        TELEMETRY.disable()
+        TELEMETRY.reset()
+    assert metrics.counters == {"cache.bench.stale": 1}
+    edited.save_json("table3", table)
+    assert edited.cache_json("table3") == table

@@ -153,9 +153,7 @@ class TestForkEquivalence:
             next(s for s in sites if s.struct == "rob"),
             next(s for s in sites if s.struct == "iq_int"),
         ]
-        boundaries = [
-            c for c, _ in golden.checkpoints[:3]
-        ]
+        boundaries = [c for c, _ in golden.arena.items()][:3]
         assert boundaries, "golden run too short for checkpoints"
         for site in picks:
             for cycle in boundaries:

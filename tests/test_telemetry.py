@@ -253,6 +253,21 @@ class TestSpansAndTrace:
         report = summarize(path)
         assert "done" in report and "truncated" in report
 
+    def test_replay_rows_in_summary_and_dashboard(self):
+        from repro.service import DASHBOARD_HTML
+        from repro.telemetry import render_metrics
+        from repro.telemetry.report import REPLAY_ROWS
+
+        counters = {name: 1000 + i for i, (name, _) in enumerate(REPLAY_ROWS)}
+        report = render_metrics(Metrics(counters=counters))
+        head, _, table = report.partition("counters:")
+        assert "injection replay:" in head
+        for name, label in REPLAY_ROWS:
+            assert label in head and name in table
+            assert json.dumps(name) in DASHBOARD_HTML
+        assert "inject.skipped_cycles" in dict(REPLAY_ROWS)
+        assert "injection replay:" not in render_metrics(Metrics())
+
 
 ISO_SPEC = None  # initialized lazily; the tiny model build is ~1 s
 
