@@ -142,7 +142,7 @@ class ArchState:
         self.mem: Dict[int, int] = {}  # committed block -> value
         self.info: Dict[int, _Info] = {}
         self._retired: deque = deque()
-        self.log: List[tuple] = []  # commit records
+        self.log: List[tuple] = []  # commit records since init / load
         self.commits = 0
         # Sequence numbers whose readiness the fault layer forces this
         # cycle; shared with the core (empty in golden runs).
@@ -344,9 +344,13 @@ class ArchState:
         Everything a resumed run needs is here: register files, free
         lists (FIFO order matters), rename maps, committed registers and
         memory image, the live rename/value records, the retirement
-        window, the commit log, and the commit count.  ``golden_log`` and
-        the detection fields are deliberately excluded — they belong to
-        the harness driving a particular run, not to the machine state.
+        window, and the commit count.  The commit log is not: a
+        checkpoint's log is by construction the golden log's first
+        ``commits`` records, which the golden run already holds, and a
+        faulty run compares each new commit against ``golden_log`` by
+        index, so nothing reads the prefix back.  ``golden_log`` and the
+        detection fields are excluded too — they belong to the harness
+        driving a particular run, not to the machine state.
         """
         return {
             "prf": (tuple(self.prf[0]), tuple(self.prf[1])),
@@ -364,13 +368,16 @@ class ArchState:
                 for seq, i in self.info.items()
             },
             "retired": tuple(self._retired),
-            "log": tuple(self.log),
             "commits": self.commits,
         }
 
     def load(self, snap: Dict[str, object]) -> None:
-        """Load a :meth:`capture` back.  ``forced_ready`` is cleared in
-        place (the core aliases the set), never reassigned."""
+        """Load a :meth:`capture` back.
+
+        ``log`` restarts empty: afterwards it holds only the commits
+        made since the load (record ``k`` is commit ``commits + k``).
+        ``forced_ready`` is cleared in place (the core aliases the set),
+        never reassigned."""
         self.prf = [list(snap["prf"][0]), list(snap["prf"][1])]
         self.free = [deque(snap["free"][0]), deque(snap["free"][1])]
         self.free_set = [set(self.free[0]), set(self.free[1])]
@@ -384,7 +391,7 @@ class ArchState:
             for seq, t in snap["info"].items()
         }
         self._retired = deque(snap["retired"])
-        self.log = list(snap["log"])
+        self.log = []
         self.commits = snap["commits"]
         self.forced_ready.clear()
         if self._jprf is not None:
@@ -408,9 +415,10 @@ class ArchState:
         Only valid when the previous run started from a tracked
         :meth:`load` of exactly this snapshot.  The journals undo the
         two unbounded structures (register file, memory image); the
-        append-only commit log truncates in place; everything else is
-        bounded (rename maps, free lists, the ``DEP_WINDOW`` record
-        window) and rebuilds from the snapshot like :meth:`load`.
+        commit log, which holds only the commits since the load, is
+        cleared in place; everything else is bounded (rename maps, free
+        lists, the ``DEP_WINDOW`` record window) and rebuilds from the
+        snapshot like :meth:`load`.
         ``forced_ready`` is cleared in place — the core aliases the set,
         so the clear also discharges any fault-forced readiness left by
         the previous occupant of this machine (see the group-reuse
@@ -438,6 +446,6 @@ class ArchState:
             for seq, t in snap["info"].items()
         }
         self._retired = deque(snap["retired"])
-        del self.log[snap["commits"]:]
+        self.log.clear()
         self.commits = snap["commits"]
         self.forced_ready.clear()

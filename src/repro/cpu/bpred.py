@@ -32,7 +32,8 @@ class HybridPredictor:
     """Bimodal + gshare with a chooser, all 2-bit counters.
 
     Sizes default to 4K entries each (= 8KB of 2-bit state in aggregate,
-    the Table 1 budget).
+    the Table 1 budget).  Each table is a ``bytearray`` of counter
+    states, so a snapshot is one ``bytes`` copy per table.
     """
 
     def __init__(
@@ -41,9 +42,9 @@ class HybridPredictor:
         gshare_bits: int = 12,
         chooser_bits: int = 12,
     ) -> None:
-        self.bimodal = [2] * (1 << bimodal_bits)
-        self.gshare = [2] * (1 << gshare_bits)
-        self.chooser = [2] * (1 << chooser_bits)
+        self.bimodal = bytearray(b"\x02") * (1 << bimodal_bits)
+        self.gshare = bytearray(b"\x02") * (1 << gshare_bits)
+        self.chooser = bytearray(b"\x02") * (1 << chooser_bits)
         self.bim_mask = (1 << bimodal_bits) - 1
         self.gsh_mask = (1 << gshare_bits) - 1
         self.cho_mask = (1 << chooser_bits) - 1
@@ -77,17 +78,19 @@ class HybridPredictor:
 
 
 class Btb:
-    """Set-associative branch target buffer with LRU replacement."""
+    """Set-associative branch target buffer with LRU replacement.
+
+    Each set is an immutable tuple of ``(tag, target)`` pairs in MRU
+    order (front = most recently used), replaced rather than edited, so
+    the table snapshots and restores as one flat copy.
+    """
 
     def __init__(self, entries: int = 1024, assoc: int = 4) -> None:
         if entries % assoc:
             raise ValueError("entries must be a multiple of associativity")
         self.sets = entries // assoc
         self.assoc = assoc
-        # Each set: list of (tag, target) in LRU order (front = MRU).
-        self.table: List[List[Tuple[int, int]]] = [
-            [] for _ in range(self.sets)
-        ]
+        self.table: List[Tuple[Tuple[int, int], ...]] = [()] * self.sets
 
     def _index(self, pc: int) -> Tuple[int, int]:
         line = pc >> 2
@@ -97,22 +100,22 @@ class Btb:
         """Predicted target of ``pc``, or None on a BTB miss."""
         idx, tag = self._index(pc)
         ways = self.table[idx]
-        for i, (t, target) in enumerate(ways):
-            if t == tag:
-                ways.insert(0, ways.pop(i))
-                return target
+        for i, way in enumerate(ways):
+            if way[0] == tag:
+                if i:
+                    self.table[idx] = (way,) + ways[:i] + ways[i + 1:]
+                return way[1]
         return None
 
     def insert(self, pc: int, target: int) -> None:
         """Install/update the target for ``pc`` (LRU within the set)."""
         idx, tag = self._index(pc)
         ways = self.table[idx]
-        for i, (t, _) in enumerate(ways):
-            if t == tag:
-                ways.pop(i)
+        for i, way in enumerate(ways):
+            if way[0] == tag:
+                ways = ways[:i] + ways[i + 1:]
                 break
-        ways.insert(0, (tag, target))
-        del ways[self.assoc:]
+        self.table[idx] = ((tag, target),) + ways[:self.assoc - 1]
 
 
 class ReturnAddressStack:
@@ -146,25 +149,10 @@ class FrontendPredictor:
         self.ras = ReturnAddressStack(params.ras_entries)
         self.lookups = 0
         self.mispredicts = 0
-        # (bimodal, gshare, chooser, btb-set) dirty-index sets, or None.
-        # Installed by track_dirty() so rearm() can undo a run by
-        # reverting only the trained entries.
-        self._dirty = None
 
     def predict_and_update(self, pc: int, taken: bool, target: int) -> bool:
         """One fetch-time prediction + training step; True = mispredicted."""
         self.lookups += 1
-        d = self._dirty
-        if d is not None:
-            # Indices computed with the *pre-update* history, matching
-            # what update() trains; the chooser index is recorded even
-            # when the chooser is not trained (a superset is safe).
-            h = self.hybrid
-            line = pc >> 2
-            d[0].add(line & h.bim_mask)
-            d[1].add((line ^ h.history) & h.gsh_mask)
-            d[2].add(line & h.cho_mask)
-            d[3].add(line % self.btb.sets)
         pred_taken = self.hybrid.predict(pc)
         pred_target = self.btb.lookup(pc)
         wrong = pred_taken != taken
@@ -190,15 +178,18 @@ class FrontendPredictor:
     def snapshot(self) -> dict:
         """Plain-data copy of all predictor state (tables, history, RAS).
 
-        The counters (``lookups``/``mispredicts``) ride along so a
-        restored run reproduces the uninterrupted run's statistics too.
+        Every table is one flat copy: ``bytes`` of the counter tables,
+        a tuple of the BTB's immutable sets.  The counters
+        (``lookups``/``mispredicts``) ride along so a restored run
+        reproduces the uninterrupted run's statistics too.
         """
+        h = self.hybrid
         return {
-            "bimodal": tuple(self.hybrid.bimodal),
-            "gshare": tuple(self.hybrid.gshare),
-            "chooser": tuple(self.hybrid.chooser),
-            "history": self.hybrid.history,
-            "btb": tuple(tuple(ways) for ways in self.btb.table),
+            "bimodal": bytes(h.bimodal),
+            "gshare": bytes(h.gshare),
+            "chooser": bytes(h.chooser),
+            "history": h.history,
+            "btb": tuple(self.btb.table),
             "ras": tuple(self.ras.stack),
             "lookups": self.lookups,
             "mispredicts": self.mispredicts,
@@ -206,44 +197,12 @@ class FrontendPredictor:
 
     def restore(self, snap: dict) -> None:
         """Load a :meth:`snapshot` back into the live structures."""
-        self.hybrid.bimodal = list(snap["bimodal"])
-        self.hybrid.gshare = list(snap["gshare"])
-        self.hybrid.chooser = list(snap["chooser"])
-        self.hybrid.history = snap["history"]
-        self.btb.table = [list(ways) for ways in snap["btb"]]
-        self.ras.stack = list(snap["ras"])
-        self.lookups = snap["lookups"]
-        self.mispredicts = snap["mispredicts"]
-        if self._dirty is not None:
-            for s in self._dirty:
-                s.clear()
-
-    def track_dirty(self) -> None:
-        """Start recording trained indices (enables :meth:`rearm`)."""
-        self._dirty = (set(), set(), set(), set())
-
-    def rearm(self, snap: dict) -> None:
-        """Undo everything since a tracked :meth:`restore` of ``snap``.
-
-        Reverts only dirty table entries plus the scalars; untouched
-        entries are provably unchanged since the restore.
-        """
-        bim, gsh, cho, btbd = self._dirty
         h = self.hybrid
-        sb, sg, sc = snap["bimodal"], snap["gshare"], snap["chooser"]
-        for i in bim:
-            h.bimodal[i] = sb[i]
-        for i in gsh:
-            h.gshare[i] = sg[i]
-        for i in cho:
-            h.chooser[i] = sc[i]
-        stable = snap["btb"]
-        table = self.btb.table
-        for i in btbd:
-            table[i] = list(stable[i])
-        for s in self._dirty:
-            s.clear()
+        h.bimodal = bytearray(snap["bimodal"])
+        h.gshare = bytearray(snap["gshare"])
+        h.chooser = bytearray(snap["chooser"])
         h.history = snap["history"]
+        self.btb.table = list(snap["btb"])
         self.ras.stack = list(snap["ras"])
         self.lookups = snap["lookups"]
         self.mispredicts = snap["mispredicts"]

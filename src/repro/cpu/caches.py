@@ -11,11 +11,18 @@ Rescue transformations perturb.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 
 class Cache:
-    """One set-associative LRU cache level (timing only)."""
+    """One set-associative LRU cache level (timing only).
+
+    Each set is an immutable tuple of tags in MRU order (front = most
+    recently used); an access replaces the set's tuple rather than
+    editing it.  The tag table is therefore a flat list of immutable
+    values, so :meth:`snapshot` and :meth:`restore` are one C-level
+    copy each, and a restored table can never alias its snapshot.
+    """
 
     def __init__(self, size_kb: int, assoc: int, block: int, latency: int,
                  name: str = "cache") -> None:
@@ -27,31 +34,25 @@ class Cache:
         self.block = block
         self.latency = latency
         self.name = name
-        self.tags: List[List[int]] = [[] for _ in range(self.sets)]
+        self.tags: List[Tuple[int, ...]] = [()] * self.sets
         self.hits = 0
         self.misses = 0
-        # When a set() is installed (track_dirty), every touched set
-        # index is recorded so rearm() can undo a run in O(dirty sets)
-        # instead of rebuilding all self.sets lists.
-        self.dirty = None
 
     def access(self, addr: int) -> bool:
         """Touch ``addr``; returns True on hit.  Misses allocate."""
         line = addr // self.block
         idx = line % self.sets
         tag = line // self.sets
-        d = self.dirty
-        if d is not None:
-            d.add(idx)
-        ways = self.tags[idx]
-        for i, t in enumerate(ways):
-            if t == tag:
-                ways.insert(0, ways.pop(i))
-                self.hits += 1
-                return True
+        tags = self.tags
+        ways = tags[idx]
+        if tag in ways:
+            i = ways.index(tag)
+            if i:
+                tags[idx] = (tag,) + ways[:i] + ways[i + 1:]
+            self.hits += 1
+            return True
         self.misses += 1
-        ways.insert(0, tag)
-        del ways[self.assoc:]
+        tags[idx] = (tag,) + ways[:self.assoc - 1]
         return False
 
     def touch_silent(self, addr: int) -> bool:
@@ -60,16 +61,14 @@ class Cache:
         line = addr // self.block
         idx = line % self.sets
         tag = line // self.sets
-        d = self.dirty
-        if d is not None:
-            d.add(idx)
-        ways = self.tags[idx]
-        for i, t in enumerate(ways):
-            if t == tag:
-                ways.insert(0, ways.pop(i))
-                return True
-        ways.insert(0, tag)
-        del ways[self.assoc:]
+        tags = self.tags
+        ways = tags[idx]
+        if tag in ways:
+            i = ways.index(tag)
+            if i:
+                tags[idx] = (tag,) + ways[:i] + ways[i + 1:]
+            return True
+        tags[idx] = (tag,) + ways[:self.assoc - 1]
         return False
 
     @property
@@ -79,37 +78,16 @@ class Cache:
         return self.misses / total if total else 0.0
 
     def snapshot(self) -> dict:
-        """Plain-data copy: per-set LRU tag order plus demand counters."""
+        """Plain-data copy: per-set MRU tag order plus demand counters."""
         return {
-            "tags": tuple(tuple(ways) for ways in self.tags),
+            "tags": tuple(self.tags),
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def restore(self, snap: dict) -> None:
         """Load a :meth:`snapshot` back (LRU order preserved)."""
-        self.tags = [list(ways) for ways in snap["tags"]]
-        self.hits = snap["hits"]
-        self.misses = snap["misses"]
-        if self.dirty is not None:
-            self.dirty.clear()
-
-    def track_dirty(self) -> None:
-        """Start recording touched set indices (enables :meth:`rearm`)."""
-        self.dirty = set()
-
-    def rearm(self, snap: dict) -> None:
-        """Undo everything since a tracked :meth:`restore` of ``snap``.
-
-        Only valid when the cache was restored from exactly this
-        snapshot with tracking on; touched sets revert, untouched sets
-        are provably already equal.
-        """
-        tags = self.tags
-        snap_tags = snap["tags"]
-        for idx in self.dirty:
-            tags[idx] = list(snap_tags[idx])
-        self.dirty.clear()
+        self.tags = list(snap["tags"])
         self.hits = snap["hits"]
         self.misses = snap["misses"]
 
@@ -165,13 +143,3 @@ class MemoryHierarchy:
         """Load a :meth:`snapshot` back into both levels."""
         self.l1d.restore(snap["l1d"])
         self.l2.restore(snap["l2"])
-
-    def track_dirty(self) -> None:
-        """Enable O(dirty) :meth:`rearm` on both levels."""
-        self.l1d.track_dirty()
-        self.l2.track_dirty()
-
-    def rearm(self, snap: dict) -> None:
-        """Revert both levels to ``snap`` by undoing dirty sets only."""
-        self.l1d.rearm(snap["l1d"])
-        self.l2.rearm(snap["l2"])

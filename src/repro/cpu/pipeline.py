@@ -753,35 +753,33 @@ class Core:
         faulty observer keeps its fault spec while inheriting golden
         machine state.
 
-        ``track=True`` additionally enables dirty journaling in the
-        predictor, caches, and value layer, so the machine can later be
-        reset back to this snapshot with :meth:`rearm` in O(dirty).
+        ``track=True`` additionally enables write journaling in the
+        value layer, so the machine can later be reset back to this
+        snapshot with :meth:`rearm`.  The predictor and cache tables
+        need no journal: each restores as one flat copy.
         """
         self._load_containers(snap, trace)
         self.predictor.restore(snap["predictor"])
         self.mem.restore(snap["caches"])
         if self.arch is not None and snap["arch"] is not None:
             self.arch.load(snap["arch"])
-        if track:
-            self.predictor.track_dirty()
-            self.mem.track_dirty()
-            if self.arch is not None:
+            if track:
                 self.arch.track_dirty()
 
     def rearm(self, snap: dict, trace) -> None:
-        """Reset back to ``snap`` in O(dirty) after a tracked run.
+        """Reset back to ``snap`` after a tracked run.
 
         Only valid when the machine previously ran from
         ``restore(snap, trace, track=True)`` (or a prior ``rearm`` of
-        the same snapshot): the predictor/cache/value-layer journals
-        then hold exactly the entries that diverged, and everything else
-        is bounded and rebuilds from the snapshot.  After rearm the
-        machine is bit-identical to one freshly restored from ``snap``
-        (asserted by the grouped-replay tests), at a fraction of the
-        deserialize cost.
+        the same snapshot): the value-layer journals then hold exactly
+        the register-file and memory entries that diverged.  Everything
+        else is bounded or a flat table copy (predictor, caches) and
+        reloads from the snapshot.  After rearm the machine is
+        bit-identical to one freshly restored from ``snap`` (asserted
+        by the grouped-replay tests).
         """
         self._load_containers(snap, trace)
-        self.predictor.rearm(snap["predictor"])
-        self.mem.rearm(snap["caches"])
+        self.predictor.restore(snap["predictor"])
+        self.mem.restore(snap["caches"])
         if self.arch is not None and snap["arch"] is not None:
             self.arch.rearm(snap["arch"])

@@ -33,8 +33,8 @@ outcome (DAVOS-style simulation-based injection, ITHICA's taxonomy):
   reconvergence early-exit, and warm-core group replay
   (:class:`ReplaySession`); classifications are bit-identical to
   from-scratch replay, kept as a test oracle,
-- :mod:`repro.inject.arena` — the delta-compressed, budget-bounded
-  snapshot arena backing the golden checkpoint stream,
+- :mod:`repro.inject.arena` — the compressed snapshot arena backing
+  the golden checkpoint stream,
 - :mod:`repro.inject.goldencache` — the persistent golden-prefix cache
   under ``REPRO_CACHE_DIR`` (warm campaigns skip golden simulation),
 - :mod:`repro.inject.campaign` — sharded, checkpointable campaigns with

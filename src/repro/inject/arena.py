@@ -1,31 +1,25 @@
 """Compressed checkpoint arena for golden-run snapshots.
 
 A golden run at a fine ``checkpoint_interval`` produces hundreds of
-:meth:`~repro.cpu.pipeline.Core.snapshot` dicts, each a few hundred KB
-of plain data — dominated by slowly-changing arrays (register file,
-cache tags, predictor tables).  Holding them raw makes RSS proportional
-to ``cycles / interval``; the arena instead stores each checkpoint as a
-zlib-compressed pickle **delta-encoded against its predecessor**: the
-previous checkpoint's raw bytes serve as the compression dictionary
-(``zdict``), so the unchanged majority of every snapshot compresses to
-back-references.  Every ``KEYFRAME_EVERY``-th entry is a standalone
-keyframe bounding the decode chain.
+:meth:`~repro.cpu.pipeline.Core.snapshot` dicts.  Each pickles to about
+40 KB of plain data on the reference workloads, dominated by flat
+tables: the register file, the cache tag sets, the predictor's ``bytes``
+tables.  The commit log is not part of a snapshot (see
+:meth:`~repro.cpu.archstate.ArchState.capture`), so the size of one
+entry does not grow with trace length.  Holding the entries raw would
+still make RSS proportional to ``cycles / interval``; the arena instead
+stores each checkpoint as a standalone zlib-compressed pickle, so any
+entry decodes with one decompression.
 
-Decoding walks from the nearest keyframe forward (at most
-``KEYFRAME_EVERY - 1`` extra decompressions); a small LRU of decoded
-snapshot dicts makes the campaign's dominant access pattern — many
-faults forking from the same checkpoint — hit without any decompression
-at all.  Decoded dicts are safe to share between restores: every
-``restore``/``load`` path in the core copies container state rather
-than aliasing it.
-
-A hard ``budget_bytes`` ceiling on the *compressed* footprint keeps the
-arena bounded for arbitrarily fine intervals: when an append pushes the
-total over budget, every other checkpoint is dropped (doubling the
-effective interval) and the survivors re-encoded.  Thinning is
-classification-safe by construction — fork points and reconvergence
-boundaries only accelerate a faulty run, they never change its
-classification (gated by ``bench_inject.py --check``).
+A small LRU of decoded snapshot dicts makes the campaign's dominant
+access pattern — many faults forking from the same checkpoint — hit
+without any decompression at all.  Decoded dicts are safe to share
+between restores: every ``restore``/``load`` path in the core copies
+container state rather than aliasing it.  Decompressions and LRU hits
+are counted as ``inject.arena_decompressions`` /
+``inject.arena_lru_hits``; like ``inject.restore_reuses`` they depend on
+how faults land in shards, so they are scheduling metrics, not part of
+the worker-invariant view.
 
 An uncompressed metadata sidecar of ``(cycle, committed, fetched)``
 triples supports the harness's cheap reconvergence precheck and fork
@@ -40,54 +34,31 @@ from bisect import bisect_right
 from collections import OrderedDict
 from typing import Iterator, List, Optional, Tuple
 
-#: Every n-th entry is compressed standalone, bounding the decode chain.
-KEYFRAME_EVERY = 8
+from repro.telemetry import TELEMETRY
 
-#: zlib dictionaries cap at the 32KB window; feed it the predecessor's
-#: tail (the arrays that change least sit throughout the pickle, so even
-#: a window's worth of shared bytes removes most of the redundancy).
-_ZDICT_MAX = 32768
+#: zlib level 1 compresses the ``inject-mcf`` golden's 650 checkpoints
+#: in half the time level 6 takes, for an arena 6% larger.
+_LEVEL = 1
 
-_LEVEL = 6
-
-
-def _compress(raw: bytes, zdict: Optional[bytes]) -> bytes:
-    if zdict is None:
-        return zlib.compress(raw, _LEVEL)
-    c = zlib.compressobj(
-        _LEVEL, zlib.DEFLATED, zlib.MAX_WBITS, zlib.DEF_MEM_LEVEL,
-        zlib.Z_DEFAULT_STRATEGY, zdict,
-    )
-    return c.compress(raw) + c.flush()
-
-
-def _decompress(blob: bytes, zdict: Optional[bytes]) -> bytes:
-    if zdict is None:
-        return zlib.decompress(blob)
-    d = zlib.decompressobj(zlib.MAX_WBITS, zdict=zdict)
-    return d.decompress(blob) + d.flush()
+#: Decoded snapshots kept for the hot fork indices.
+_LRU_CAPACITY = 4
 
 
 class SnapshotArena:
-    """Delta-compressed, budget-bounded store of checkpoint snapshots.
+    """Compressed store of checkpoint snapshots.
 
     Entries are appended in ascending cycle order (the golden run's
     ``on_cycle`` hook) and read back by index or by fork lookup
-    (:meth:`find`).  ``budget_bytes = 0`` disables the ceiling.
+    (:meth:`find`).
     """
 
-    def __init__(self, budget_bytes: int = 0, lru_capacity: int = 4) -> None:
-        self.budget_bytes = budget_bytes
+    def __init__(self) -> None:
         self.raw_bytes = 0  # pickled size of the stored entries
         self.compressed_bytes = 0
-        self.thinned = 0  # checkpoints dropped to honour the budget
         self._cycles: List[int] = []
         self._meta: List[Tuple[int, int, int]] = []
         self._blobs: List[bytes] = []
-        self._raw_sizes: List[int] = []
-        self._prev_raw: bytes = b""
         self._lru: "OrderedDict[int, dict]" = OrderedDict()
-        self._lru_capacity = lru_capacity
 
     # ---- write side ---------------------------------------------------
     def append(self, cycle: int, snap: dict) -> None:
@@ -95,48 +66,12 @@ class SnapshotArena:
         if self._cycles and cycle <= self._cycles[-1]:
             raise ValueError("checkpoint cycles must ascend")
         raw = pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
-        self._append_raw(cycle, snap["committed"], snap["fetched"], raw)
-        if self.budget_bytes:
-            while (
-                self.compressed_bytes > self.budget_bytes
-                and len(self._blobs) > 1
-            ):
-                self._thin()
-
-    def _append_raw(
-        self, cycle: int, committed: int, fetched: int, raw: bytes
-    ) -> None:
-        zdict = (
-            None
-            if len(self._blobs) % KEYFRAME_EVERY == 0
-            else self._prev_raw[-_ZDICT_MAX:]
-        )
-        blob = _compress(raw, zdict)
+        blob = zlib.compress(raw, _LEVEL)
         self._cycles.append(cycle)
-        self._meta.append((cycle, committed, fetched))
+        self._meta.append((cycle, snap["committed"], snap["fetched"]))
         self._blobs.append(blob)
-        self._raw_sizes.append(len(raw))
-        self._prev_raw = raw
         self.raw_bytes += len(raw)
         self.compressed_bytes += len(blob)
-
-    def _thin(self) -> None:
-        """Drop every other checkpoint and re-encode the survivors."""
-        keep = range(0, len(self._blobs), 2)
-        entries = [
-            (self._meta[i], self._raw_of(i)) for i in keep
-        ]
-        self.thinned += len(self._blobs) - len(entries)
-        self._cycles = []
-        self._meta = []
-        self._blobs = []
-        self._raw_sizes = []
-        self._prev_raw = b""
-        self._lru.clear()  # indices shifted
-        self.raw_bytes = 0
-        self.compressed_bytes = 0
-        for (cycle, committed, fetched), raw in entries:
-            self._append_raw(cycle, committed, fetched, raw)
 
     # ---- read side ----------------------------------------------------
     def __len__(self) -> int:
@@ -161,19 +96,16 @@ class SnapshotArena:
         snap = lru.get(i)
         if snap is not None:
             lru.move_to_end(i)
+            if TELEMETRY.enabled:
+                TELEMETRY.count("inject.arena_lru_hits")
             return snap
-        snap = pickle.loads(self._raw_of(i))
+        if TELEMETRY.enabled:
+            TELEMETRY.count("inject.arena_decompressions")
+        snap = pickle.loads(zlib.decompress(self._blobs[i]))
         lru[i] = snap
-        while len(lru) > self._lru_capacity:
+        while len(lru) > _LRU_CAPACITY:
             lru.popitem(last=False)
         return snap
-
-    def _raw_of(self, i: int) -> bytes:
-        kf = i - (i % KEYFRAME_EVERY)
-        raw = _decompress(self._blobs[kf], None)
-        for k in range(kf + 1, i + 1):
-            raw = _decompress(self._blobs[k], raw[-_ZDICT_MAX:])
-        return raw
 
     def items(self) -> Iterator[Tuple[int, dict]]:
         """All ``(cycle, snapshot)`` pairs, decoded, ascending."""
@@ -191,15 +123,11 @@ class SnapshotArena:
                 if self.compressed_bytes
                 else 0.0
             ),
-            "thinned": self.thinned,
         }
 
     # ---- pickling (golden-prefix cache payload) -----------------------
     def __getstate__(self) -> dict:
-        state = {
-            k: v for k, v in self.__dict__.items() if k != "_lru"
-        }
-        return state
+        return {k: v for k, v in self.__dict__.items() if k != "_lru"}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)

@@ -62,8 +62,6 @@ class InjectionSpec:
     # profiled during the golden run).
     sampling: str = choice("uniform", ("uniform", "weighted"))
     profile_stride: int = 16
-    # Compressed-byte ceiling on the golden snapshot arena (0 = none).
-    snapshot_budget: int = 0
     # Persistent golden-prefix cache under REPRO_CACHE_DIR: warm
     # campaigns skip golden simulation entirely.
     golden_cache: bool = False
@@ -279,7 +277,6 @@ def _inject_init(spec: InjectionSpec) -> None:
         key = golden_key(
             spec.benchmark, spec.n_instructions, spec.trace_seed,
             spec.counts, spec.checkpoint_interval, stride,
-            spec.snapshot_budget,
         )
         golden = load_golden(config, trace, spec.n_instructions, key)
         if golden is not None:
@@ -291,7 +288,6 @@ def _inject_init(spec: InjectionSpec) -> None:
             spec.n_instructions,
             checkpoint_interval=spec.checkpoint_interval,
             profile_stride=stride,
-            snapshot_budget=spec.snapshot_budget,
         )
         if spec.golden_cache:
             store_golden(golden, key)
@@ -340,9 +336,11 @@ def _inject_worker(span: Tuple[int, int]) -> Dict:
     the original fault order, so shard payloads (records, exemplars,
     per-block counts) are bit-identical to from-scratch replay in fault
     order for any worker count or chunking.  The grouping telemetry
-    (``inject.restore_reuses`` / ``inject.group_sizes``) is a scheduling
-    metric: it depends on how faults land in shards and is *not* part of
-    the worker-count-invariant deterministic view.
+    (``inject.restore_reuses`` / ``inject.group_sizes``) and the arena's
+    decode counters (``inject.arena_decompressions`` /
+    ``inject.arena_lru_hits``) are scheduling metrics: they depend on
+    how faults land in shards and are *not* part of the
+    worker-count-invariant deterministic view.
     """
     from repro.inject.harness import (
         ReplaySession, run_with_fault, synth_never_result,

@@ -4,7 +4,7 @@ Every injection campaign begins with the same expensive step: simulate
 the fault-free run to produce the commit log, checkpoint arena, and
 cycle/commit totals.  That result is a pure function of (workload,
 instruction count, machine configuration, checkpoint interval, profile
-stride, snapshot budget) — so repeated campaigns over the same golden
+stride) — so repeated campaigns over the same golden
 inputs (every ``repro decide`` run re-runs injection; every cold worker
 process of an un-``prepare``-d campaign re-simulates) can skip golden
 simulation entirely by memoizing it on disk.
@@ -45,7 +45,6 @@ def golden_key(
     counts,
     checkpoint_interval: int,
     profile_stride: int,
-    snapshot_budget: int,
 ) -> str:
     """Cache key over everything that determines the golden result."""
     return config_hash(
@@ -56,7 +55,6 @@ def golden_key(
             "counts": list(counts),
             "checkpoint_interval": checkpoint_interval,
             "profile_stride": profile_stride,
-            "snapshot_budget": snapshot_budget,
         }
     )
 

@@ -25,7 +25,7 @@ test oracle they are checked against:
 
 1. **Checkpointed fork** — ``run_golden`` snapshots the machine every
    ``checkpoint_interval`` cycles (:meth:`~repro.cpu.pipeline.Core.
-   snapshot` at the top-of-cycle hook) into a delta-compressed
+   snapshot` at the top-of-cycle hook) into a compressed
    :class:`~repro.inject.arena.SnapshotArena`.  A faulty run restores
    the newest checkpoint at or before the fault's activation cycle and
    simulates only the suffix.  Until activation the faulty run is
@@ -67,7 +67,8 @@ campaign layer groups faults sharing a fork checkpoint, the session
 restores that checkpoint once with dirty tracking enabled
 (``Core.restore(..., track=True)``), and every subsequent fault in the
 group re-arms the same live core via :meth:`~repro.cpu.pipeline.Core.
-rearm` — an O(dirty) in-place undo instead of a fresh deserialize.
+rearm` — an in-place undo (value-layer journals, flat predictor and
+cache table copies) instead of a fresh restore.
 Classifications are bit-identical to per-fault forking (rearm restores
 the machine to exactly the snapshot; asserted by the grouped-replay
 property tests and the ``bench_inject.py --check`` gate).
@@ -226,24 +227,21 @@ def run_golden(
     n_instructions: int,
     checkpoint_interval: int = 0,
     profile_stride: int = 0,
-    snapshot_budget: int = 0,
 ) -> GoldenRun:
     """Run the fault-free reference and record its commit stream.
 
     With ``checkpoint_interval > 0`` a machine snapshot is taken at
     every multiple of the interval (cycle 0 excluded: forking there is
-    just a from-scratch run) into a :class:`SnapshotArena`;
-    ``snapshot_budget > 0`` caps the arena's compressed footprint (the
-    arena thins itself to stay under it).  With ``profile_stride > 0`` a
-    :class:`SiteProfile` samples occupancy alongside.  Both observe
-    through the ``on_cycle`` hook, so the golden timing and commit
-    stream are bit-identical to an unobserved run; its schedule names
-    the next multiple of either stride, so the core still jumps the
-    dead cycles in between.
+    just a from-scratch run) into a :class:`SnapshotArena`.  With
+    ``profile_stride > 0`` a :class:`SiteProfile` samples occupancy
+    alongside.  Both observe through the ``on_cycle`` hook, so the
+    golden timing and commit stream are bit-identical to an unobserved
+    run; its schedule names the next multiple of either stride, so the
+    core still jumps the dead cycles in between.
     """
     arch = ArchState(config)
     core = Core(config, iter(trace), arch=arch)
-    arena = SnapshotArena(snapshot_budget) if checkpoint_interval else None
+    arena = SnapshotArena() if checkpoint_interval else None
     prof = (
         SiteProfile(config, profile_stride) if profile_stride else None
     )
@@ -304,9 +302,10 @@ def _live_view(snap: dict, at_cycle: int) -> tuple:
     evolve identically from there (given the same trace and no further
     state perturbation).  Excluded, with the reason it is safe:
 
-    - committed memory / architectural registers / commit log /
-      retirement window — pure functions of the commit log, which is a
-      golden prefix for any un-stopped faulty run (incremental diff);
+    - committed memory / architectural registers / retirement window —
+      pure functions of the commit stream, which is a golden prefix for
+      any un-stopped faulty run (incremental diff; a snapshot carries
+      only the commit count, never the log);
     - statistic counters (cache hit/miss, predictor accuracy, stalls,
       occupancy sums) — never read back by the machine;
     - ``forced_ready`` — cleared at the top of every cycle before use.
@@ -413,7 +412,7 @@ def _execute_and_classify(
                 return False
             mcycle, mcommitted, mfetched = arena.meta_of(i)
             if mcycle != cyc:
-                return False  # boundary thinned away under the budget
+                return False  # past the golden run's last checkpoint
             # Cheap position precheck (uncompressed metadata) before
             # paying for a snapshot decode + comparison.
             if c.committed != mcommitted or c.fetched != mfetched:
@@ -804,8 +803,8 @@ class ReplaySession:
 
     The first fault restores the checkpoint with dirty tracking on;
     every later fault re-targets the same live machine via
-    ``arch.reset_run`` + ``core.rearm`` — an O(dirty) undo of the
-    previous run instead of a fresh restore (counted as
+    ``arch.reset_run`` + ``core.rearm`` — a journaled undo of the
+    previous run's value layer instead of a fresh restore (counted as
     ``inject.restore_reuses``).  Classifications are bit-identical to
     per-fault :func:`run_with_fault` calls for any grouping.
     """

@@ -7,8 +7,10 @@ generation.  It has one fault-replay path: checkpoint-forked, grouped
 replay guided by the first-effect scan.  The straightforward
 implementations they replaced live here, where the equivalence tests and
 the ``benchmarks/bench_faultsim.py`` / ``bench_atpg.py`` /
-``bench_inject.py`` ``--check`` gates compare against them.  Nothing
-under ``src/`` imports this package.
+``bench_inject.py`` ``--check`` gates compare against them.  The
+list-based cache, BTB and predictor tables the flat checkpointable ones
+replaced are in :mod:`tests.oracles.tables`.  Nothing under ``src/``
+imports this package.
 """
 
 from tests.oracles.inject import scratch_campaign, scratch_run

@@ -1,7 +1,7 @@
 """Tests for checkpoint-grouped warm-core replay (PR 9).
 
-Covers the compressed snapshot arena (round-trip through delta
-encoding, LRU eviction, budget thinning), the O(dirty) rearm invariant
+Covers the compressed snapshot arena (round-trip, LRU eviction, decode
+counters), the rearm invariant
 (a rearmed core is bit-identical to a freshly restored one), the
 ``forced_ready`` aliasing regression for group reuse, the persistent
 golden-prefix cache, and a hypothesis property that the campaign's
@@ -12,7 +12,6 @@ from-scratch oracle for any schedule / interval / worker count.
 from __future__ import annotations
 
 import pickle
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,10 +48,9 @@ def _trace(n=300, bench="gzip", seed=7):
     return generate_trace(profile(bench), n, seed=seed)
 
 
-def _golden(n=300, interval=32, budget=0, seed=7):
+def _golden(n=300, interval=32, seed=7):
     return run_golden(
-        FULL, _trace(n, seed=seed), n,
-        checkpoint_interval=interval, snapshot_budget=budget,
+        FULL, _trace(n, seed=seed), n, checkpoint_interval=interval,
     )
 
 
@@ -77,7 +75,7 @@ class TestSnapshotArena:
 
     def test_lru_eviction_round_trip(self):
         # More checkpoints than the LRU holds: every get() after the
-        # sweep re-decodes from a keyframe through the delta chain.
+        # sweep decodes its entry again.
         snaps = self._snaps(n=12)
         assert len(snaps) > 4  # must exceed the LRU capacity
         arena = SnapshotArena()
@@ -89,27 +87,32 @@ class TestSnapshotArena:
         for i, (_, snap) in enumerate(snaps):
             assert arena.get(i) == snap
 
+    def test_decode_work_is_counted(self):
+        arena = _golden(600).arena
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            with TELEMETRY.collect() as metrics:
+                for i in range(len(arena)):
+                    arena.get(i)
+                    arena.get(i)
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        assert metrics.counters["inject.arena_decompressions"] == len(arena)
+        assert metrics.counters["inject.arena_lru_hits"] == len(arena)
+
+    def test_entries_carry_commits_not_log(self):
+        golden = _golden(600)
+        for _, snap in golden.arena.items():
+            assert "log" not in snap["arch"]
+            assert snap["arch"]["commits"] == snap["committed"]
+
     def test_compressed_smaller_than_raw(self):
         arena = _golden(600).arena
         stats = arena.stats()
         assert stats["compressed_bytes"] < stats["raw_bytes"]
         assert stats["ratio"] > 1.0
-
-    def test_budget_thinning(self):
-        unbounded = _golden(600, 32).arena
-        budget = unbounded.stats()["compressed_bytes"] // 3
-        thinned = _golden(600, 32, budget=budget).arena
-        stats = thinned.stats()
-        assert stats["compressed_bytes"] <= budget
-        assert stats["thinned"] > 0
-        assert len(thinned) < len(unbounded)
-        # Surviving checkpoints are a subset of the original stream and
-        # still round-trip bit-exactly.
-        kept = {unbounded.cycle_of(i): i for i in range(len(unbounded))}
-        for i in range(len(thinned)):
-            cyc = thinned.cycle_of(i)
-            assert cyc in kept
-            assert thinned.get(i) == unbounded.get(kept[cyc])
 
     def test_find(self):
         arena = SnapshotArena()
@@ -313,18 +316,6 @@ class TestGroupedEquivalence:
         grouped = run_injection(spec, workers=workers, checkpoint=False)
         assert grouped == scratch_campaign(spec)
 
-    def test_budget_thinning_identical(self):
-        spec = InjectionSpec(
-            n_instructions=400, n_faults=12, chunk_size=6,
-            checkpoint_interval=32,
-        )
-        full = run_injection(spec, workers=1, checkpoint=False)
-        thinned = run_injection(
-            replace(spec, snapshot_budget=20_000), workers=1,
-            checkpoint=False,
-        )
-        assert full.records == thinned.records
-
     def test_resume_grouped(self, tmp_path):
         spec = InjectionSpec(
             n_instructions=300, n_faults=12, chunk_size=4,
@@ -347,7 +338,7 @@ class TestGroupedEquivalence:
 class TestGoldenCache:
     def test_store_load_round_trip(self, tmp_path):
         golden = _golden(300, 32)
-        key = golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0, 0)
+        key = golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0)
         store_golden(golden, key, root=tmp_path)
         loaded = load_golden(FULL, golden.trace, 300, key, root=tmp_path)
         assert loaded is not None
@@ -368,7 +359,7 @@ class TestGoldenCache:
 
     def test_miss_on_absent_and_corrupt(self, tmp_path):
         golden = _golden(300, 32)
-        key = golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0, 0)
+        key = golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0)
         assert load_golden(FULL, golden.trace, 300, key,
                            root=tmp_path) is None
         store_golden(golden, key, root=tmp_path)
@@ -378,15 +369,12 @@ class TestGoldenCache:
                            root=tmp_path) is None
 
     def test_key_invalidation(self):
-        base = golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0, 0)
-        assert golden_key("gzip", 400, 7, (2, 2, 2, 2, 2, 2), 32, 0,
-                          0) != base
-        assert golden_key("mcf", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0,
-                          0) != base
-        assert golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 64, 0,
-                          0) != base
-        assert golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0,
-                          4096) != base
+        counts = (2, 2, 2, 2, 2, 2)
+        base = golden_key("gzip", 300, 7, counts, 32, 0)
+        assert golden_key("gzip", 400, 7, counts, 32, 0) != base
+        assert golden_key("mcf", 300, 7, counts, 32, 0) != base
+        assert golden_key("gzip", 300, 7, counts, 64, 0) != base
+        assert golden_key("gzip", 300, 7, counts, 32, 16) != base
 
     def test_campaign_cold_then_warm(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -408,13 +396,13 @@ class TestGoldenCache:
         """``golden_key`` never folded in the retired ``fork`` /
         ``grouped`` / ``first_effect`` spec fields: an entry stored
         under the key the forking path always used (the spec's interval,
-        no profile stride, no budget) is what the campaign looks up."""
+        no profile stride) is what the campaign looks up."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         spec = InjectionSpec(
             n_instructions=300, n_faults=4, chunk_size=4,
             checkpoint_interval=32, golden_cache=True,
         )
-        key = golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0, 0)
+        key = golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0)
         store_golden(_golden(300, 32), key, root=tmp_path)
         campaign_mod._INJECT.clear()
         TELEMETRY.reset()

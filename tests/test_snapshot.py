@@ -13,6 +13,7 @@ boundary and cycle-0 stuck-ats.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import ArchState, Core, MachineConfig
@@ -75,7 +76,8 @@ class TestSnapshotRoundTrip:
 
         assert resumed.cycle == ref.cycle
         assert arch2.commits == ref_arch.commits
-        assert arch2.log == ref_arch.log
+        # The resumed log holds only the commits made since the restore.
+        assert arch2.log == ref_arch.log[snap["arch"]["commits"]:]
         assert arch2.state_digest() == ref_arch.state_digest()
         assert resumed.snapshot() == ref.snapshot()
 
@@ -138,6 +140,30 @@ class TestForkEquivalence:
             forked = run_with_fault(golden, fault)
             scratch = scratch_run(golden, fault)
             assert forked == scratch, fault.label
+
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_forked_sdc_commit_distance_matches_scratch(self, seed):
+        """A checkpoint carries the commit count, not the commit log; a
+        faulty run forked from it still counts its corruption distance
+        from the same absolute commit as the from-scratch run."""
+        n = 300
+        golden = run_golden(FULL, _trace(n, seed=seed), n,
+                            checkpoint_interval=32)
+        sites = [
+            s for s in enumerate_sites(FULL)
+            if s.struct in ("iq_int", "fetch", "rob")
+        ]
+        forked_sdc = 0
+        for fault in sample_faults(sites, 40, seed, "transient", FULL,
+                                   golden.cycles):
+            got = run_with_fault(golden, fault)
+            if got.outcome != "sdc" or not got.fork_cycle:
+                continue
+            ref = scratch_run(golden, fault)
+            assert got.commit_distance == ref.commit_distance
+            assert got == ref, fault.label
+            forked_sdc += 1
+        assert forked_sdc > 0
 
     def test_transient_on_checkpoint_boundary(self):
         """A fault activating exactly at a checkpoint cycle forks from
