@@ -54,9 +54,6 @@ _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15
 _MIXK = 0xBF58476D1CE4E5B9
 
-#: Journal sentinel: the memory block did not exist before the write.
-_ABSENT = object()
-
 _INF = float("inf")
 
 
@@ -155,11 +152,6 @@ class ArchState:
         # Set by the harness on faulty runs: commits are compared against
         # this record and the run stops at the first divergence.
         self.golden_log: Optional[List[tuple]] = None
-        # Undo journals (track_dirty): first-write pre-values for the two
-        # unbounded structures, letting rearm() revert a run in O(dirty)
-        # instead of recopying the register file and memory image.
-        self._jprf: Optional[Dict[Tuple[int, int], int]] = None
-        self._jmem: Optional[Dict[int, object]] = None
 
     # ---- hooks driven by the core ------------------------------------
     def begin_cycle(self, core, cycle: int) -> None:
@@ -246,11 +238,6 @@ class ArchState:
             else:
                 mval = self.mem.get(blk, mix(7, blk))
             parts.append(mval)
-        j = self._jprf
-        if j is not None:
-            k = (info.cls, info.preg)
-            if k not in j:
-                j[k] = self.prf[info.cls][info.preg]
         self.prf[info.cls][info.preg] = mix(*parts)
         info.written = True
 
@@ -269,9 +256,6 @@ class ArchState:
         op = instr.op
         if op is OpClass.STORE:
             blk = (instr.addr or 0) // self.block
-            j = self._jmem
-            if j is not None and blk not in j:
-                j[blk] = self.mem.get(blk, _ABSENT)
             self.mem[blk] = info.const
             rec = ("st", blk, info.const)
         elif op is OpClass.BRANCH:
@@ -377,7 +361,8 @@ class ArchState:
         ``log`` restarts empty: afterwards it holds only the commits
         made since the load (record ``k`` is commit ``commits + k``).
         ``forced_ready`` is cleared in place (the core aliases the set),
-        never reassigned."""
+        never reassigned, which also discharges any fault-forced
+        readiness a previous run on the same core left behind."""
         self.prf = [list(snap["prf"][0]), list(snap["prf"][1])]
         self.free = [deque(snap["free"][0]), deque(snap["free"][1])]
         self.free_set = [set(self.free[0]), set(self.free[1])]
@@ -392,60 +377,5 @@ class ArchState:
         }
         self._retired = deque(snap["retired"])
         self.log = []
-        self.commits = snap["commits"]
-        self.forced_ready.clear()
-        if self._jprf is not None:
-            self._jprf.clear()
-            self._jmem.clear()
-
-    def track_dirty(self) -> None:
-        """Start journaling register-file and memory writes.
-
-        Call right after a :meth:`load`; every subsequent first write to
-        a physical register or a committed memory block records its
-        pre-value, so :meth:`rearm` can revert the run without copying
-        the full register file or memory image.
-        """
-        self._jprf = {}
-        self._jmem = {}
-
-    def rearm(self, snap: Dict[str, object]) -> None:
-        """Revert to ``snap`` in O(dirty) after a journaled run.
-
-        Only valid when the previous run started from a tracked
-        :meth:`load` of exactly this snapshot.  The journals undo the
-        two unbounded structures (register file, memory image); the
-        commit log, which holds only the commits since the load, is
-        cleared in place; everything else is bounded (rename maps, free
-        lists, the ``DEP_WINDOW`` record window) and rebuilds from the
-        snapshot like :meth:`load`.
-        ``forced_ready`` is cleared in place — the core aliases the set,
-        so the clear also discharges any fault-forced readiness left by
-        the previous occupant of this machine (see the group-reuse
-        regression tests).
-        """
-        prf = self.prf
-        for (cls, p), old in self._jprf.items():
-            prf[cls][p] = old
-        self._jprf.clear()
-        mem = self.mem
-        for blk, old in self._jmem.items():
-            if old is _ABSENT:
-                mem.pop(blk, None)
-            else:
-                mem[blk] = old
-        self._jmem.clear()
-        self.free = [deque(snap["free"][0]), deque(snap["free"][1])]
-        self.free_set = [set(self.free[0]), set(self.free[1])]
-        self.rmap = [list(snap["rmap"][0]), list(snap["rmap"][1])]
-        self.arch_regs = [
-            list(snap["arch_regs"][0]), list(snap["arch_regs"][1])
-        ]
-        self.info = {
-            seq: _Info(t[0], t[1], t[2], t[3], list(t[4]), t[5], t[6])
-            for seq, t in snap["info"].items()
-        }
-        self._retired = deque(snap["retired"])
-        self.log.clear()
         self.commits = snap["commits"]
         self.forced_ready.clear()

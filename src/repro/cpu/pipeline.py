@@ -694,11 +694,19 @@ class Core:
             "arch": self.arch.capture() if self.arch is not None else None,
         }
 
-    def _load_containers(self, snap: dict, trace) -> None:
-        """Shared restore/rearm step: scalars + bounded containers.
+    def restore(self, snap: dict, trace) -> None:
+        """Load a :meth:`snapshot` and resume from its cycle.
 
-        Everything here is small (ROB/IQ/LSQ-bounded), so rebuilding it
-        from the snapshot is already O(machine width), not O(trace).
+        ``trace`` must be the same trace *list* the snapshotted run was
+        fed (``Instr.seq`` equals the list index, which is how in-flight
+        instructions are resolved).  The deterministic-resume contract:
+        a restored run continues bit-identically to the uninterrupted
+        one — same commit log, digest, cycle count, and statistics.
+        The attached ``arch`` observer (if any) is loaded in place, so a
+        faulty observer keeps its fault spec while inheriting golden
+        machine state.  Restoring a core that has already run puts it
+        at ``snap`` exactly as a fresh core would be: every field is
+        reloaded, nothing of the earlier run survives.
         """
         def resolve(seq: int, pc: int) -> Instr:
             instr = trace[seq]
@@ -740,46 +748,7 @@ class Core:
             self.fetch_redirect_cycles, self.fetch_stall_cycles,
             self.fetch_backpressure_cycles,
         ) = snap["stats"]
-
-    def restore(self, snap: dict, trace, track: bool = False) -> None:
-        """Load a :meth:`snapshot` and resume from its cycle.
-
-        ``trace`` must be the same trace *list* the snapshotted run was
-        fed (``Instr.seq`` equals the list index, which is how in-flight
-        instructions are resolved).  The deterministic-resume contract:
-        a restored run continues bit-identically to the uninterrupted
-        one — same commit log, digest, cycle count, and statistics.
-        The attached ``arch`` observer (if any) is loaded in place, so a
-        faulty observer keeps its fault spec while inheriting golden
-        machine state.
-
-        ``track=True`` additionally enables write journaling in the
-        value layer, so the machine can later be reset back to this
-        snapshot with :meth:`rearm`.  The predictor and cache tables
-        need no journal: each restores as one flat copy.
-        """
-        self._load_containers(snap, trace)
         self.predictor.restore(snap["predictor"])
         self.mem.restore(snap["caches"])
         if self.arch is not None and snap["arch"] is not None:
             self.arch.load(snap["arch"])
-            if track:
-                self.arch.track_dirty()
-
-    def rearm(self, snap: dict, trace) -> None:
-        """Reset back to ``snap`` after a tracked run.
-
-        Only valid when the machine previously ran from
-        ``restore(snap, trace, track=True)`` (or a prior ``rearm`` of
-        the same snapshot): the value-layer journals then hold exactly
-        the register-file and memory entries that diverged.  Everything
-        else is bounded or a flat table copy (predictor, caches) and
-        reloads from the snapshot.  After rearm the machine is
-        bit-identical to one freshly restored from ``snap`` (asserted
-        by the grouped-replay tests).
-        """
-        self._load_containers(snap, trace)
-        self.predictor.restore(snap["predictor"])
-        self.mem.restore(snap["caches"])
-        if self.arch is not None and snap["arch"] is not None:
-            self.arch.rearm(snap["arch"])

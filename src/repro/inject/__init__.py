@@ -31,8 +31,10 @@ outcome (DAVOS-style simulation-based injection, ITHICA's taxonomy):
 - :mod:`repro.inject.harness` — golden/faulty paired execution and
   outcome classification, with checkpointed suffix replay, a
   reconvergence early-exit, and warm-core group replay
-  (:class:`ReplaySession`); classifications are bit-identical to
-  from-scratch replay, kept as a test oracle,
+  (:class:`ReplaySession`: one core and one decoded checkpoint shared by
+  the faults that fork from it, restored in full before each);
+  classifications are bit-identical to from-scratch replay, kept as a
+  test oracle,
 - :mod:`repro.inject.arena` — the compressed snapshot arena backing
   the golden checkpoint stream,
 - :mod:`repro.inject.goldencache` — the persistent golden-prefix cache

@@ -11,15 +11,14 @@ still make RSS proportional to ``cycles / interval``; the arena instead
 stores each checkpoint as a standalone zlib-compressed pickle, so any
 entry decodes with one decompression.
 
-A small LRU of decoded snapshot dicts makes the campaign's dominant
-access pattern — many faults forking from the same checkpoint — hit
-without any decompression at all.  Decoded dicts are safe to share
-between restores: every ``restore``/``load`` path in the core copies
-container state rather than aliasing it.  Decompressions and LRU hits
-are counted as ``inject.arena_decompressions`` /
-``inject.arena_lru_hits``; like ``inject.restore_reuses`` they depend on
-how faults land in shards, so they are scheduling metrics, not part of
-the worker-invariant view.
+Every :meth:`SnapshotArena.get` decodes afresh (one decompression plus
+one unpickle, counted as ``inject.arena_decompressions``); a caller that
+restores the same checkpoint repeatedly keeps its own decoded copy, as
+:class:`~repro.inject.harness.ReplaySession` does.  Decoded dicts are
+safe to restore from more than once: every ``restore``/``load`` path in
+the core copies container state rather than aliasing it.  The counter
+depends on how faults land in shards, so it is a scheduling metric, not
+part of the worker-invariant view.
 
 An uncompressed metadata sidecar of ``(cycle, committed, fetched)``
 triples supports the harness's cheap reconvergence precheck and fork
@@ -31,7 +30,6 @@ from __future__ import annotations
 import pickle
 import zlib
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import Iterator, List, Optional, Tuple
 
 from repro.telemetry import TELEMETRY
@@ -39,9 +37,6 @@ from repro.telemetry import TELEMETRY
 #: zlib level 1 compresses the ``inject-mcf`` golden's 650 checkpoints
 #: in half the time level 6 takes, for an arena 6% larger.
 _LEVEL = 1
-
-#: Decoded snapshots kept for the hot fork indices.
-_LRU_CAPACITY = 4
 
 
 class SnapshotArena:
@@ -58,7 +53,6 @@ class SnapshotArena:
         self._cycles: List[int] = []
         self._meta: List[Tuple[int, int, int]] = []
         self._blobs: List[bytes] = []
-        self._lru: "OrderedDict[int, dict]" = OrderedDict()
 
     # ---- write side ---------------------------------------------------
     def append(self, cycle: int, snap: dict) -> None:
@@ -91,21 +85,10 @@ class SnapshotArena:
         return i if i >= 0 else None
 
     def get(self, i: int) -> dict:
-        """Decoded snapshot dict of entry ``i`` (LRU-cached)."""
-        lru = self._lru
-        snap = lru.get(i)
-        if snap is not None:
-            lru.move_to_end(i)
-            if TELEMETRY.enabled:
-                TELEMETRY.count("inject.arena_lru_hits")
-            return snap
+        """Decoded snapshot dict of entry ``i``."""
         if TELEMETRY.enabled:
             TELEMETRY.count("inject.arena_decompressions")
-        snap = pickle.loads(zlib.decompress(self._blobs[i]))
-        lru[i] = snap
-        while len(lru) > _LRU_CAPACITY:
-            lru.popitem(last=False)
-        return snap
+        return pickle.loads(zlib.decompress(self._blobs[i]))
 
     def items(self) -> Iterator[Tuple[int, dict]]:
         """All ``(cycle, snapshot)`` pairs, decoded, ascending."""
@@ -124,11 +107,3 @@ class SnapshotArena:
                 else 0.0
             ),
         }
-
-    # ---- pickling (golden-prefix cache payload) -----------------------
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_lru"}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lru = OrderedDict()

@@ -330,17 +330,20 @@ def _inject_worker(span: Tuple[int, int]) -> Dict:
     bites.  The remaining faults are grouped by fork checkpoint — a
     stable sort, so original order is preserved within each group — and
     every multi-fault group runs on one warm
-    :class:`~repro.inject.harness.ReplaySession` core, re-armed in place
-    between faults (singleton groups take a plain restore and skip the
-    dirty-tracking overhead).  Results are then folded into the stats in
+    :class:`~repro.inject.harness.ReplaySession` core, restored in full
+    from the session's pinned snapshot before each fault.  Singleton
+    groups and from-cycle-0 faults go through
+    :func:`~repro.inject.harness.run_with_fault`, where a session would
+    save nothing; that is also the path most ``inject-mcf`` faults take,
+    and the benchmark's span check needs it to fire on every inject
+    workload.  Results are then folded into the stats in
     the original fault order, so shard payloads (records, exemplars,
     per-block counts) are bit-identical to from-scratch replay in fault
     order for any worker count or chunking.  The grouping telemetry
     (``inject.restore_reuses`` / ``inject.group_sizes``) and the arena's
-    decode counters (``inject.arena_decompressions`` /
-    ``inject.arena_lru_hits``) are scheduling metrics: they depend on
-    how faults land in shards and are *not* part of the
-    worker-count-invariant deterministic view.
+    decode counter (``inject.arena_decompressions``) are scheduling
+    metrics: they depend on how faults land in shards and are *not*
+    part of the worker-count-invariant deterministic view.
     """
     from repro.inject.harness import (
         ReplaySession, run_with_fault, synth_never_result,
@@ -393,8 +396,7 @@ def _inject_worker(span: Tuple[int, int]) -> Dict:
         with t.span("inject.run"):
             if k is None or group_n[k] == 1:
                 # No checkpoint (plain from-cycle-0 run) or a singleton
-                # group: a one-shot restore without dirty-tracking
-                # overhead beats a session.
+                # group: nothing for a session to reuse.
                 results[i] = run_with_fault(
                     golden, fault, fork_index=k, prearm=prearm[i]
                 )

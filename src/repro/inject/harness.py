@@ -62,16 +62,16 @@ point, so hang records stay bit-identical to from-scratch replay.
 Warm-core group replay
 ----------------------
 
-:class:`ReplaySession` amortizes the per-fault restore itself: the
-campaign layer groups faults sharing a fork checkpoint, the session
-restores that checkpoint once with dirty tracking enabled
-(``Core.restore(..., track=True)``), and every subsequent fault in the
-group re-arms the same live core via :meth:`~repro.cpu.pipeline.Core.
-rearm` — an in-place undo (value-layer journals, flat predictor and
-cache table copies) instead of a fresh restore.
-Classifications are bit-identical to per-fault forking (rearm restores
-the machine to exactly the snapshot; asserted by the grouped-replay
-property tests and the ``bench_inject.py --check`` gate).
+:class:`ReplaySession` reuses one core and one decoded checkpoint across
+the faults that share a fork point: the campaign layer groups faults by
+fork checkpoint, the session decodes that checkpoint once, and every
+fault in the group re-targets the same core (``arch.reset_run``) and
+restores it in full from the pinned snapshot (:meth:`~repro.cpu.
+pipeline.Core.restore` reloads every field, so nothing of the previous
+fault's run survives).  What it saves is the arena decode and the core
+construction, not any restore work.  Classifications are bit-identical
+to per-fault forking (asserted by the grouped-replay property tests and
+the ``bench_inject.py --check`` gate).
 
 Sticky-fault first-effect forking
 ---------------------------------
@@ -377,10 +377,10 @@ def _execute_and_classify(
 
     Shared by the per-fault path (:func:`run_with_fault`) and the
     warm-core group path (:class:`ReplaySession`): the caller positions
-    the machine (fresh, restored, or re-armed) and this function owns
-    the watchdog budget, the reconvergence early-exit, telemetry, and
-    the classification ladder — so both paths are bit-identical by
-    construction.
+    the machine (fresh at cycle 0, or restored from a checkpoint) and
+    this function owns the watchdog budget, the reconvergence
+    early-exit, telemetry, and the classification ladder — so both
+    paths are bit-identical by construction.
     """
     budget = hang_budget(golden.cycles, fault)
     early_cycle: Optional[int] = None
@@ -799,12 +799,11 @@ def first_effect_scan(
 
 
 class ReplaySession:
-    """One warm core reused across faults sharing a fork checkpoint.
+    """One core reused across faults sharing a fork checkpoint.
 
-    The first fault restores the checkpoint with dirty tracking on;
-    every later fault re-targets the same live machine via
-    ``arch.reset_run`` + ``core.rearm`` — a journaled undo of the
-    previous run's value layer instead of a fresh restore (counted as
+    The first fault decodes the checkpoint and builds the core; every
+    later fault re-targets the same observer via ``arch.reset_run`` and
+    restores the core in full from the pinned snapshot (counted as
     ``inject.restore_reuses``).  Classifications are bit-identical to
     per-fault :func:`run_with_fault` calls for any grouping.
     """
@@ -813,8 +812,7 @@ class ReplaySession:
         self.golden = golden
         self.index = index
         self.fork_cycle = golden.arena.cycle_of(index)
-        # Pinned decoded snapshot: immune to arena LRU eviction for the
-        # session's lifetime (rearm re-reads it every fault).
+        # Pinned decoded snapshot, restored from on every fault.
         self._snap: Optional[dict] = None
         self.core: Optional[Core] = None
         self.arch: Optional[FaultyArchState] = None
@@ -825,7 +823,7 @@ class ReplaySession:
         fault: FaultSpec,
         prearm: Optional[Tuple[int, int]] = None,
     ) -> InjectionResult:
-        """Classify one fault on the session's warm core.
+        """Classify one fault on the session's core.
 
         ``prearm=(cycle, commits)`` restores sticky arming bookkeeping
         (see :meth:`FaultyArchState.prearm_sticky`) after positioning.
@@ -835,12 +833,11 @@ class ReplaySession:
             self._snap = g.arena.get(self.index)
             self.arch = FaultyArchState(g.config, fault, golden_log=g.log)
             self.core = Core(g.config, iter(()), arch=self.arch)
-            self.core.restore(self._snap, g.trace, track=True)
         else:
             self.arch.reset_run(fault)
-            self.core.rearm(self._snap, g.trace)
             if TELEMETRY.enabled:
                 TELEMETRY.count("inject.restore_reuses")
+        self.core.restore(self._snap, g.trace)
         if prearm is not None:
             self.arch.prearm_sticky(*prearm)
         self.runs += 1

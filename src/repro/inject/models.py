@@ -164,13 +164,13 @@ class FaultyArchState(ArchState):
     **``forced_ready`` aliasing.**  The core captures a reference to
     this set at construction (``Core._forced``) and never re-reads the
     attribute, so the set must only ever be mutated in place — cleared
-    at the top of every stepped cycle by :meth:`begin_cycle` and by the
-    restore/rearm paths — never reassigned.  This matters for warm-core
-    group reuse: a fault that forced an issue-queue entry ready leaves
-    its sequence numbers in the shared set when the run stops, and the
-    next fault on the same restored core must not inherit them.
-    :meth:`reset_run` relies on the in-place clear to discharge them
-    (regression-tested in ``tests/test_grouped_replay.py``).
+    at the top of every stepped cycle by :meth:`begin_cycle` and by
+    :meth:`~repro.cpu.archstate.ArchState.load` — never reassigned.
+    This matters for warm-core group reuse: a fault that forced an
+    issue-queue entry ready leaves its sequence numbers in the shared
+    set when the run stops, and the next fault on the same restored core
+    must not inherit them (regression-tested in
+    ``tests/test_grouped_replay.py``).
     """
 
     def __init__(
@@ -196,10 +196,9 @@ class FaultyArchState(ArchState):
         """Re-target this observer at a new fault (warm-core reuse).
 
         Clears every per-run harness field — arming state, stop/outcome
-        latches, divergence bookkeeping — and the shared
-        ``forced_ready`` set (in place; the core aliases it).  Machine
-        state itself is reverted separately by
-        :meth:`~repro.cpu.pipeline.Core.rearm`.
+        latches, divergence bookkeeping.  Machine state, including the
+        shared ``forced_ready`` set, is put back separately by the
+        :meth:`~repro.cpu.pipeline.Core.restore` that must follow.
         """
         self.fault = fault
         self.armed = False
@@ -210,7 +209,6 @@ class FaultyArchState(ArchState):
         self.detect_reason = None
         self.detect_cycle = None
         self.first_divergence = None
-        self.forced_ready.clear()
 
     def prearm_sticky(self, cycle: int = 0, commits: int = 0) -> None:
         """Restore a sticky fault's arming bookkeeping on a forked core.
@@ -328,11 +326,6 @@ class FaultyArchState(ArchState):
         elif struct in ("prf_int", "prf_fp"):
             cls = 0 if struct == "prf_int" else 1
             idx = site.index
-            j = self._jprf
-            if j is not None and (cls, idx) not in j:
-                # Fault writes journal like regular writes so a grouped
-                # rearm (warm-core reuse) can undo the corruption.
-                j[(cls, idx)] = self.prf[cls][idx]
             self.prf[cls][idx] = self._bits(self.prf[cls][idx])
         elif struct in ("rmap_int", "rmap_fp"):
             cls = 0 if struct == "rmap_int" else 1

@@ -24,7 +24,6 @@ REPLAY_ROWS = (
     ("inject.early_exits", "reconvergence early exits"),
     ("inject.fork_restores", "checkpoint fork restores"),
     ("inject.arena_decompressions", "checkpoint arena decompressions"),
-    ("inject.arena_lru_hits", "checkpoint arena LRU hits"),
     ("inject.sim_cycles", "faulty cycles simulated"),
     ("inject.skipped_cycles", "faulty dead cycles jumped"),
     ("inject.golden_cache_hits", "golden-prefix cache hits"),

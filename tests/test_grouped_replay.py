@@ -1,16 +1,21 @@
-"""Tests for checkpoint-grouped warm-core replay (PR 9).
+"""Tests for checkpoint-grouped warm-core replay.
 
-Covers the compressed snapshot arena (round-trip, LRU eviction, decode
-counters), the rearm invariant
-(a rearmed core is bit-identical to a freshly restored one), the
-``forced_ready`` aliasing regression for group reuse, the persistent
-golden-prefix cache, and a hypothesis property that the campaign's
-grouped, scan-guided replay classifies every fault exactly like the
-from-scratch oracle for any schedule / interval / worker count.
+Covers the compressed snapshot arena (round-trip, decode counters), the
+warm-core invariant (a core restored after a faulty run is bit-identical
+to a freshly restored one and classifies the next fault like
+:func:`run_with_fault`), the ``forced_ready`` aliasing regression for
+group reuse, the persistent golden-prefix cache, and a hypothesis
+property that the campaign's grouped, scan-guided replay classifies
+every fault exactly like the from-scratch oracle for any schedule /
+interval / worker count.
+
+The ``slow`` variants rerun both properties with many more examples
+(``pytest -m slow tests/test_grouped_replay.py``).
 """
 
 from __future__ import annotations
 
+import functools
 import pickle
 
 import pytest
@@ -21,7 +26,6 @@ from repro.inject import (
     FaultSpec,
     InjectionSpec,
     ReplaySession,
-    Site,
     enumerate_sites,
     first_effect_scan,
     golden_key,
@@ -34,7 +38,9 @@ from repro.inject import (
     synth_never_result,
 )
 from repro.inject.arena import SnapshotArena
+from repro.inject.harness import _execute_and_classify
 from repro.inject.models import FaultyArchState
+from repro.inject.sites import field_width
 import repro.inject.campaign as campaign_mod
 from repro.workloads.generator import generate_trace
 from repro.telemetry import TELEMETRY
@@ -73,20 +79,6 @@ class TestSnapshotArena:
             assert arena.cycle_of(i) == cyc
             assert arena.get(i) == snap
 
-    def test_lru_eviction_round_trip(self):
-        # More checkpoints than the LRU holds: every get() after the
-        # sweep decodes its entry again.
-        snaps = self._snaps(n=12)
-        assert len(snaps) > 4  # must exceed the LRU capacity
-        arena = SnapshotArena()
-        for cyc, snap in snaps:
-            arena.append(cyc, snap)
-        for i in range(len(snaps)):          # populate + churn the LRU
-            arena.get(i)
-        assert len(arena._lru) <= 4
-        for i, (_, snap) in enumerate(snaps):
-            assert arena.get(i) == snap
-
     def test_decode_work_is_counted(self):
         arena = _golden(600).arena
         TELEMETRY.reset()
@@ -99,8 +91,10 @@ class TestSnapshotArena:
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
-        assert metrics.counters["inject.arena_decompressions"] == len(arena)
-        assert metrics.counters["inject.arena_lru_hits"] == len(arena)
+        assert (
+            metrics.counters["inject.arena_decompressions"]
+            == 2 * len(arena)
+        )
 
     def test_entries_carry_commits_not_log(self):
         golden = _golden(600)
@@ -128,7 +122,6 @@ class TestSnapshotArena:
 
     def test_pickle_round_trip(self):
         arena = _golden(600).arena
-        arena.get(0)  # warm the LRU so __getstate__ has work to drop
         clone = pickle.loads(pickle.dumps(arena))
         assert len(clone) == len(arena)
         for i in range(len(arena)):
@@ -136,44 +129,97 @@ class TestSnapshotArena:
 
 
 # ----------------------------------------------------------------------
-# Rearm invariant + forced_ready aliasing
+# Warm-core invariant + forced_ready aliasing
 # ----------------------------------------------------------------------
 
-class TestRearm:
+@functools.lru_cache(maxsize=None)
+def _warm_golden():
+    return _golden(400, 32)
+
+
+_SITES = enumerate_sites(FULL)
+_PRF_SITES = [s for s in _SITES if s.struct in ("prf_int", "prf_fp")]
+
+
+@st.composite
+def _warm_case(draw):
+    """A checkpoint index and a fault pair forking from it: a ``prf``
+    transient shortly after the checkpoint, and a transient in the
+    golden run's last cycles, whose run commits past stores before it
+    activates (the trace stalls on a miss mid-run, so "late" must mean
+    after the stall)."""
+    golden = _warm_golden()
+    index = draw(st.integers(0, len(golden.arena) // 2))
+    cyc = golden.arena.cycle_of(index)
+    prf = draw(st.sampled_from(_PRF_SITES))
+    f_prf = FaultSpec(
+        prf, "transient", draw(st.integers(0, field_width(prf, FULL) - 1)),
+        0, cyc + draw(st.integers(1, 64)),
+    )
+    late = draw(st.sampled_from(_SITES))
+    f_late = FaultSpec(
+        late, "transient",
+        draw(st.integers(0, field_width(late, FULL) - 1)), 0,
+        draw(st.integers(golden.cycles - 16, golden.cycles - 1)),
+    )
+    pair = (f_prf, f_late) if draw(st.booleans()) else (f_late, f_prf)
+    return index, pair
+
+
+def _check_warm_core(index, pair):
+    # Fault 1 dirties the core; each restore must then equal a fresh
+    # restore and classify the next fault like run_with_fault.  Fault 1
+    # runs again after fault 2, so the pair's fault-written registers
+    # and committed stores are each left behind for one restore.
+    golden = _warm_golden()
+    snap = golden.arena.get(index)
+    fork_cycle = golden.arena.cycle_of(index)
+    f1, f2 = pair
+    arch = FaultyArchState(golden.config, f1, golden_log=golden.log)
+    core = Core(golden.config, iter(()), arch=arch)
+    core.restore(snap, golden.trace)
+    _execute_and_classify(golden, f1, core, arch, fork_cycle)
+    stored = False
+    for fault in (f2, f1):
+        assert arch.prf != [list(p) for p in snap["arch"]["prf"]]
+        stored = stored or arch.mem != snap["arch"]["mem"]
+        arch.reset_run(fault)
+        core.restore(snap, golden.trace)
+        ref_arch = FaultyArchState(golden.config, fault,
+                                   golden_log=golden.log)
+        ref = Core(golden.config, iter(()), arch=ref_arch)
+        ref.restore(snap, golden.trace)
+        assert core.snapshot() == ref.snapshot()
+        assert not arch.forced_ready
+        got = _execute_and_classify(golden, fault, core, arch, fork_cycle)
+        assert got == run_with_fault(golden, fault, fork_index=index)
+    assert stored
+
+
+class TestWarmCore:
     def _fault_pair(self, golden, index):
         """Two faults whose fork point is the arena's ``index`` entry."""
         cyc = golden.arena.cycle_of(index)
         hi = (golden.arena.cycle_of(index + 1) - 1
               if index + 1 < len(golden.arena) else golden.cycles)
-        sites = enumerate_sites(golden.config)
-        prf = next(s for s in sites if s.struct == "prf_int")
-        iq = next(s for s in sites
+        prf = next(s for s in _SITES if s.struct == "prf_int")
+        iq = next(s for s in _SITES
                   if s.struct == "iq_int" and s.field == "ready")
         return (
             FaultSpec(prf, "transient", 3, 0, min(cyc + 1, hi)),
             FaultSpec(iq, "transient", 0, 1, min(cyc + 2, hi)),
         )
 
-    def test_rearm_matches_fresh_restore(self):
-        # After a full faulty run, rearm must leave the machine
-        # bit-identical to a fresh restore of the same checkpoint.
-        golden = _golden(400, 32)
-        index = len(golden.arena) // 2
-        f1, f2 = self._fault_pair(golden, index)
-        snap = golden.arena.get(index)
+    @settings(max_examples=8, deadline=None)
+    @given(case=_warm_case())
+    def test_restore_after_run_matches_fresh_restore(self, case):
+        _check_warm_core(*case)
 
-        arch = FaultyArchState(golden.config, f1, golden_log=golden.log)
-        core = Core(golden.config, iter(()), arch=arch)
-        core.restore(snap, golden.trace, track=True)
-        core.run(golden.commits, max_cycles=golden.cycles + 512)
-        arch.reset_run(f2)
-        core.rearm(snap, golden.trace)
-
-        ref_arch = FaultyArchState(golden.config, f2,
-                                   golden_log=golden.log)
-        ref = Core(golden.config, iter(()), arch=ref_arch)
-        ref.restore(snap, golden.trace)
-        assert core.snapshot() == ref.snapshot()
+    @pytest.mark.slow
+    @settings(max_examples=150, deadline=None)
+    @given(case=_warm_case())
+    def test_restore_after_run_matches_fresh_restore_many(self, case):
+        _check_warm_core(*case)
 
     def test_forced_ready_not_inherited_across_reuse(self):
         # Regression for the Core._forced aliasing: a fault that forced
@@ -184,7 +230,7 @@ class TestRearm:
         f_ready, f_next = self._fault_pair(golden, index)[::-1]
         session = ReplaySession(golden, index)
         r1 = session.run(f_ready)
-        # The core aliases the set — reset_run must clear it in place.
+        # The core aliases the set — restore must clear it in place.
         assert session.core._forced is session.arch.forced_ready
         r2 = session.run(f_next)
         assert session.runs == 2
@@ -298,23 +344,38 @@ class TestFirstEffectScan:
 # Campaign equivalence (hypothesis)
 # ----------------------------------------------------------------------
 
+def _check_grouped_campaign(seed, interval, chunk, workers):
+    spec = InjectionSpec(
+        n_instructions=250, n_faults=10, seed=seed,
+        chunk_size=chunk, checkpoint_interval=interval,
+    )
+    grouped = run_injection(spec, workers=workers, checkpoint=False)
+    assert grouped == scratch_campaign(spec)
+
+
+_CAMPAIGN_CASES = dict(
+    seed=st.integers(0, 2**16),
+    interval=st.sampled_from([24, 32, 64, 128]),
+    chunk=st.sampled_from([3, 5, 24]),
+    workers=st.sampled_from([1, 2]),
+)
+
+
 class TestGroupedEquivalence:
     @settings(max_examples=6, deadline=None)
-    @given(
-        seed=st.integers(0, 2**16),
-        interval=st.sampled_from([24, 32, 64, 128]),
-        chunk=st.sampled_from([3, 5, 24]),
-        workers=st.sampled_from([1, 2]),
-    )
+    @given(**_CAMPAIGN_CASES)
     def test_grouped_fork_scratch_identical(
         self, seed, interval, chunk, workers
     ):
-        spec = InjectionSpec(
-            n_instructions=250, n_faults=10, seed=seed,
-            chunk_size=chunk, checkpoint_interval=interval,
-        )
-        grouped = run_injection(spec, workers=workers, checkpoint=False)
-        assert grouped == scratch_campaign(spec)
+        _check_grouped_campaign(seed, interval, chunk, workers)
+
+    @pytest.mark.slow
+    @settings(max_examples=60, deadline=None)
+    @given(**_CAMPAIGN_CASES)
+    def test_grouped_fork_scratch_identical_many(
+        self, seed, interval, chunk, workers
+    ):
+        _check_grouped_campaign(seed, interval, chunk, workers)
 
     def test_resume_grouped(self, tmp_path):
         spec = InjectionSpec(
