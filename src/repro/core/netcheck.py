@@ -21,6 +21,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     List,
     Mapping,
     Optional,
@@ -29,6 +30,7 @@ from typing import (
     Tuple,
 )
 
+from repro.netlist.gates import Flop
 from repro.netlist.netlist import Netlist
 
 
@@ -85,6 +87,21 @@ class ConeViolation:
 
 
 @dataclass
+class IciSweep:
+    """What one check derived, kept so a patched copy can be re-checked
+    incrementally (see :func:`check_netlist_ici`'s ``base``)."""
+
+    #: Per net, the non-exempt blocks whose gates feed it combinationally.
+    net_blocks: Dict[int, FrozenSet[str]]
+    #: Per block, its first gate in topological order (the example gate).
+    examples: Dict[str, int]
+    #: Per observation point (flops, then primary outputs), its violation.
+    verdicts: List[Optional[ConeViolation]]
+    exempt: FrozenSet[str]
+    block_of: Optional[Callable[[str], str]]
+
+
+@dataclass
 class NetIciReport:
     """Result of gate-level ICI verification."""
 
@@ -92,6 +109,10 @@ class NetIciReport:
     violations: List[ConeViolation] = field(default_factory=list)
     checked_observers: int = 0
     cone_blocks: Dict[str, Set[str]] = field(default_factory=dict)
+    #: Set by :func:`check_netlist_ici`; None on a report read from JSON.
+    sweep: Optional[IciSweep] = field(
+        default=None, compare=False, repr=False
+    )
 
     def describe(self) -> str:
         if self.satisfied:
@@ -137,6 +158,7 @@ def check_netlist_ici(
     netlist: Netlist,
     block_of: Optional[Callable[[str], str]] = None,
     exempt_blocks: Sequence[str] = (),
+    base: Optional[Tuple[Netlist, NetIciReport]] = None,
 ) -> NetIciReport:
     """Verify the gate-level ICI property of a netlist.
 
@@ -149,6 +171,14 @@ def check_netlist_ici(
             cones ending in chipkill logic do not break isolation of the
             *disableable* blocks; pass what your fault-map treats as
             non-isolatable).
+        base: ``(original, its report)`` when ``netlist`` is a patched
+            :meth:`~repro.netlist.netlist.Netlist.copy` of ``original``
+            (gates only rewired or appended, flops only relabeled,
+            re-pointed or appended).  Gates are diffed by identity;
+            only the changed gates and their forward cone are re-swept,
+            and only observers whose D net, label or cone blocks changed
+            are re-judged.  The result equals the full check's; anything
+            the diff cannot follow falls back to the full sweep.
 
     Returns:
         A :class:`NetIciReport`; ``violations`` lists every observation
@@ -157,58 +187,203 @@ def check_netlist_ici(
     """
     netlist.validate()
     resolve = block_of or _default_block
-    exempt = set(exempt_blocks)
+    exempt = frozenset(exempt_blocks)
+    prior = None
+    if base is not None:
+        old_nl, old_report = base
+        old = old_report.sweep
+        if (
+            old is not None
+            and old.exempt == exempt
+            and old.block_of is block_of
+        ):
+            prior = _resweep(netlist, old_nl, old, resolve, exempt)
+    if prior is None:
+        net_blocks, examples = _full_sweep(netlist, resolve, exempt)
+        prior = (net_blocks, examples, None)
+    return _judge(netlist, *prior, resolve, exempt, block_of)
 
-    # One topological sweep computes, per net, the set of non-exempt
-    # blocks whose gates feed it combinationally.
-    blocks_of_net: Dict[int, frozenset] = {}
-    empty: frozenset = frozenset()
-    for net in netlist.source_nets():
-        blocks_of_net[net] = empty
+
+def _full_sweep(
+    netlist: Netlist, resolve: Callable[[str], str], exempt: FrozenSet[str]
+) -> Tuple[Dict[int, FrozenSet[str]], Dict[str, int]]:
+    """One topological sweep: per-net cone blocks and example gates."""
+    empty: FrozenSet[str] = frozenset()
+    net_blocks: Dict[int, FrozenSet[str]] = {
+        net: empty for net in netlist.source_nets()
+    }
+    examples: Dict[str, int] = {}
+    gates = netlist.gates
     for gid in netlist.topo_gate_order():
-        g = netlist.gates[gid]
+        g = gates[gid]
         acc: Set[str] = set()
         for src in g.inputs:
-            acc |= blocks_of_net.get(src, empty)
+            acc |= net_blocks.get(src, empty)
+        b = resolve(g.component)
+        if b:
+            examples.setdefault(b, gid)
+            if b not in exempt:
+                acc.add(b)
+        net_blocks[g.output] = frozenset(acc)
+    return net_blocks, examples
+
+
+def _resweep(
+    netlist: Netlist,
+    old_nl: Netlist,
+    old: IciSweep,
+    resolve: Callable[[str], str],
+    exempt: FrozenSet[str],
+) -> Optional[tuple]:
+    """Re-sweep what differs from ``old_nl``; None when the diff cannot
+    be followed (gates removed or re-targeted, sources removed)."""
+    new_gates, old_gates = netlist.gates, old_nl.gates
+    n_old = len(old_gates)
+    if (
+        len(new_gates) < n_old
+        or len(netlist.flops) < len(old_nl.flops)
+        or len(netlist.primary_inputs) < len(old_nl.primary_inputs)
+    ):
+        return None
+    changed = [
+        gid for gid, (a, b) in enumerate(zip(new_gates, old_gates))
+        if a is not b
+    ]
+    if any(new_gates[g].output != old_gates[g].output for g in changed):
+        return None
+    relabeled = any(
+        new_gates[g].component != old_gates[g].component for g in changed
+    )
+    changed += range(n_old, len(new_gates))
+    order = netlist.topo_gate_order()
+    old_order = old_nl.topo_gate_order()
+
+    # Example gates: the first gate of each block in this order.  With
+    # the original order as a prefix and no gate relabeled, only the
+    # appended gates can introduce a block.
+    if not relabeled and order[:len(old_order)] == old_order:
+        examples, tail = dict(old.examples), order[len(old_order):]
+    else:
+        examples, tail = {}, order
+    for gid in tail:
+        b = resolve(new_gates[gid].component)
+        if b:
+            examples.setdefault(b, gid)
+    stale = {
+        b for b in examples.keys() | old.examples.keys()
+        if examples.get(b) != old.examples.get(b)
+    }
+
+    empty: FrozenSet[str] = frozenset()
+    net_blocks = dict(old.net_blocks)
+    for f in netlist.flops[len(old_nl.flops):]:
+        net_blocks[f.q_net] = empty
+    for net in netlist.primary_inputs[len(old_nl.primary_inputs):]:
+        net_blocks[net] = empty
+
+    # Forward cone of the changed gates: their unchanged readers are the
+    # original's readers.
+    seeds = set(changed)
+    cone = set(seeds)
+    stack = [new_gates[gid].output for gid in changed]
+    while stack:
+        for gid, _pin in old_nl.fanout_of(stack.pop()):
+            if gid not in cone:
+                cone.add(gid)
+                stack.append(new_gates[gid].output)
+    moved: Set[int] = set()  # nets whose block set differs from old
+    for gid in order:
+        if gid not in cone:
+            continue
+        g = new_gates[gid]
+        if gid not in seeds and moved.isdisjoint(g.inputs):
+            continue
+        acc: Set[str] = set()
+        for src in g.inputs:
+            acc |= net_blocks.get(src, empty)
         b = resolve(g.component)
         if b and b not in exempt:
             acc.add(b)
-        blocks_of_net[g.output] = frozenset(acc)
+        value = frozenset(acc)
+        if net_blocks.get(g.output) != value:
+            net_blocks[g.output] = value
+            moved.add(g.output)
+    return net_blocks, examples, (old_nl, old.verdicts, moved, stale)
 
-    # Map each block to one example gate for the report.
-    example_gate: Dict[Tuple[int, str], int] = {}
-    for gid in netlist.topo_gate_order():
-        g = netlist.gates[gid]
-        b = resolve(g.component)
-        if b:
-            example_gate.setdefault((0, b), g.gid)
 
-    report = NetIciReport(satisfied=True)
-    observers: List[Tuple[str, str, int]] = [
-        (f.name, resolve(f.component), f.d_net) for f in netlist.flops
+def _judge(
+    netlist: Netlist,
+    net_blocks: Dict[int, FrozenSet[str]],
+    examples: Dict[str, int],
+    reuse,
+    resolve: Callable[[str], str],
+    exempt: FrozenSet[str],
+    block_of: Optional[Callable[[str], str]],
+) -> NetIciReport:
+    """Judge every observation point from the swept cone blocks.
+
+    ``reuse`` is ``(original, its verdicts, moved nets, stale example
+    blocks)`` from :func:`_resweep`, or None: an observer whose name,
+    label and D net match the original's, whose net did not move and
+    whose cone holds no stale example block keeps its old verdict.
+    """
+    empty: FrozenSet[str] = frozenset()
+    old_flops: List[Flop] = []
+    old_pos: List[int] = []
+    old_verdicts: List[Optional[ConeViolation]] = []
+    moved: Set[int] = set()
+    stale: Set[str] = set()
+    if reuse is not None:
+        old_nl, old_verdicts, moved, stale = reuse
+        old_flops, old_pos = old_nl.flops, old_nl.primary_outputs
+    # (name, own block or None to resolve from the flop, net, index,
+    # whether the original had the same observer at that index)
+    observers = [
+        (f.name, None, f.d_net, f.fid,
+         f.fid < len(old_flops) and _same_flop(f, old_flops[f.fid]))
+        for f in netlist.flops
     ]
     observers += [
-        (f"po[{i}]", "", net)
+        (f"po[{i}]", "", net, len(old_flops) + i,
+         i < len(old_pos) and old_pos[i] == net)
         for i, net in enumerate(netlist.primary_outputs)
     ]
-    for name, own_block, net in observers:
-        cone = blocks_of_net.get(net, empty)
-        report.checked_observers += 1
+    report = NetIciReport(satisfied=True)
+    verdicts: List[Optional[ConeViolation]] = []
+    for name, own, net, i, same in observers:
+        cone = net_blocks.get(net, empty)
         report.cone_blocks[name] = set(cone)
-        offending = {b for b in cone if b != own_block}
-        if own_block in exempt:
-            offending = set()
-        if offending:
-            report.satisfied = False
-            report.violations.append(
-                ConeViolation(
-                    observer=name,
-                    observer_block=own_block,
-                    blocks=tuple(sorted(cone)),
-                    example_gates=tuple(
-                        example_gate.get((0, b), -1)
-                        for b in sorted(offending)
-                    )[:4],
-                )
+        if same and net not in moved and stale.isdisjoint(cone):
+            verdicts.append(old_verdicts[i])
+            continue
+        if own is None:
+            own = resolve(netlist.flops[i].component)
+        offending = sorted(b for b in cone if b != own)
+        if own in exempt or not offending:
+            verdicts.append(None)
+            continue
+        verdicts.append(
+            ConeViolation(
+                observer=name,
+                observer_block=own,
+                blocks=tuple(sorted(cone)),
+                example_gates=tuple(
+                    examples.get(b, -1) for b in offending
+                )[:4],
             )
+        )
+    report.checked_observers = len(verdicts)
+    report.violations = [v for v in verdicts if v is not None]
+    report.satisfied = not report.violations
+    report.sweep = IciSweep(
+        net_blocks=net_blocks,
+        examples=examples,
+        verdicts=verdicts,
+        exempt=exempt,
+        block_of=block_of,
+    )
     return report
+
+
+def _same_flop(a: Flop, b: Flop) -> bool:
+    return (a.name, a.component, a.d_net) == (b.name, b.component, b.d_net)

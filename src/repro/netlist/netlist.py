@@ -19,7 +19,17 @@ class NetlistError(Exception):
 
 
 class Netlist:
-    """A mutable gate-level netlist with levelization and cone queries."""
+    """A mutable gate-level netlist with levelization and cone queries.
+
+    The derived structure -- topological gate order, driver map, source
+    set -- is cached, carried over by :meth:`copy`, and kept up to date
+    by the edits that cannot invalidate it: a fresh net, a flop or a
+    primary input, a flop's D input, a gate with a fresh output whose
+    inputs are all sources or driven (appended to the order), and a
+    gate rewired onto source nets only (it keeps its place).  Any other
+    gate edit drops the order, so the next query re-derives it and
+    raises on a cycle or a floating input as before.
+    """
 
     def __init__(self, name: str = "netlist") -> None:
         self.name = name
@@ -29,9 +39,11 @@ class Netlist:
         self.flops: List[Flop] = []
         self.primary_inputs: List[int] = []
         self.primary_outputs: List[int] = []
-        # Caches invalidated on mutation.
-        self._topo: Optional[List[int]] = None
+        # Derived caches.  ``_topo`` is immutable (shared by copies);
+        # while it is set, ``_driver`` and ``_sources`` are set too.
+        self._topo: Optional[Tuple[int, ...]] = None
         self._driver: Optional[Dict[int, int]] = None
+        self._sources: Optional[Set[int]] = None
         self._fanout: Optional[Dict[int, List[Tuple[int, int]]]] = None
 
     # ------------------------------------------------------------------
@@ -43,7 +55,6 @@ class Netlist:
         self.n_nets += 1
         if name:
             self.net_names[nid] = name
-        self._invalidate()
         return nid
 
     def new_nets(self, count: int, prefix: str = "") -> List[int]:
@@ -56,6 +67,8 @@ class Netlist:
         """Create a primary input net."""
         nid = self.new_net(name)
         self.primary_inputs.append(nid)
+        if self._sources is not None:
+            self._sources.add(nid)
         return nid
 
     def mark_output(self, net: int) -> None:
@@ -73,7 +86,8 @@ class Netlist:
         """Add a gate; returns its output net (allocated when not given)."""
         for net in inputs:
             self._check_net(net)
-        if output is None:
+        fresh = output is None
+        if fresh:
             output = self.new_net()
         else:
             self._check_net(output)
@@ -85,7 +99,19 @@ class Netlist:
             component=component,
         )
         self.gates.append(gate)
-        self._invalidate()
+        if not fresh:
+            # May double-drive a net or close a cycle: re-derive.
+            self._invalidate()
+            return output
+        self._fanout = None
+        if self._topo is not None and all(
+            net in self._driver or net in self._sources for net in inputs
+        ):
+            self._topo += (gate.gid,)
+        else:
+            self._topo = None
+        if self._driver is not None:
+            self._driver[output] = gate.gid
         return output
 
     def add_flop(
@@ -102,7 +128,8 @@ class Netlist:
             component=component,
         )
         self.flops.append(flop)
-        self._invalidate()
+        if self._sources is not None:
+            self._sources.add(q_net)
         return flop
 
     # ------------------------------------------------------------------
@@ -120,20 +147,35 @@ class Netlist:
             output=g.output,
             component=g.component,
         )
-        self._invalidate()
+        # The driver map survives (same output).  With every newly read
+        # net a source, the gate keeps a valid place in the order; a newly
+        # read driven net may come later or close a cycle.
+        self._fanout = None
+        if self._topo is not None and not all(
+            net in g.inputs
+            or (net in self._sources and net not in self._driver)
+            for net in inputs
+        ):
+            self._topo = None
 
     def set_flop_d(self, fid: int, d_net: int) -> None:
         """Re-point flop ``fid``'s D input to ``d_net``."""
         self._check_net(d_net)
         self.flops[fid].d_net = d_net
-        self._invalidate()
 
     def copy(self, name: Optional[str] = None) -> "Netlist":
         """Independent copy; edits to either netlist leave the other alone.
 
         Gates are immutable and shared; flops (mutable) are duplicated.
+        The cached order (immutable) is shared; the driver map and
+        source set are copied.
         """
         out = Netlist(name or self.name)
+        out._topo = self._topo
+        if self._driver is not None:
+            out._driver = dict(self._driver)
+        if self._sources is not None:
+            out._sources = set(self._sources)
         out.n_nets = self.n_nets
         out.net_names = dict(self.net_names)
         out.gates = list(self.gates)
@@ -158,9 +200,7 @@ class Netlist:
     # ------------------------------------------------------------------
     def driver_of(self, net: int) -> Optional[int]:
         """Gate id driving ``net``; None for PIs, flop Qs, and floating nets."""
-        if self._driver is None:
-            self._driver = {g.output: g.gid for g in self.gates}
-        return self._driver.get(net)
+        return self._driver_map().get(net)
 
     def fanout_of(self, net: int) -> List[Tuple[int, int]]:
         """List of (gate id, pin index) pairs reading ``net``."""
@@ -180,8 +220,13 @@ class Netlist:
         """All observation points: primary outputs plus flop D nets."""
         return list(self.primary_outputs) + [f.d_net for f in self.flops]
 
-    def topo_gate_order(self) -> List[int]:
+    def topo_gate_order(self) -> Tuple[int, ...]:
         """Gate ids in topological (source-to-sink) order.
+
+        The tuple is the cache itself, shared with every copy, hence
+        immutable.  Edits that keep it valid append to it (see the class
+        docstring), so a patched copy's order is the original's plus its
+        new gates, not necessarily the order a fresh derivation gives.
 
         Raises :class:`NetlistError` if the combinational logic contains a
         cycle — combinational cycles break both simulation and the
@@ -189,7 +234,7 @@ class Netlist:
         """
         if self._topo is not None:
             return self._topo
-        seen_net: Set[int] = set(self.source_nets())
+        seen_net: Set[int] = set(self._source_set())
         fan_by_net: Dict[int, List[int]] = {}
         for g in self.gates:
             for src in set(g.inputs):
@@ -224,8 +269,9 @@ class Netlist:
                 f"levelizable (cycle or floating input); first few: "
                 f"{unscheduled[:5]}"
             )
-        self._topo = order
-        return order
+        self._driver_map()
+        self._topo = tuple(order)
+        return self._topo
 
     def validate(self) -> None:
         """Check double-driven nets and levelizability; raise on failure."""
@@ -349,7 +395,18 @@ class Netlist:
         if not (0 <= net < self.n_nets):
             raise NetlistError(f"unknown net id {net}")
 
+    def _driver_map(self) -> Dict[int, int]:
+        if self._driver is None:
+            self._driver = {g.output: g.gid for g in self.gates}
+        return self._driver
+
+    def _source_set(self) -> Set[int]:
+        if self._sources is None:
+            self._sources = set(self.source_nets())
+        return self._sources
+
     def _invalidate(self) -> None:
+        """Drop the caches a gate edit can break (sources survive)."""
         self._topo = None
         self._driver = None
         self._fanout = None

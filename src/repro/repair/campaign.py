@@ -91,9 +91,8 @@ def build_model(spec: RepairSpec) -> Tuple[Netlist, List[SeededBreak]]:
 
 def repair_items(spec: RepairSpec) -> List[Tuple[int, int]]:
     """The shard list: contiguous index spans over the violation list."""
-    netlist, _breaks = build_model(spec)
-    report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
-    return shard_ranges(len(report.violations), spec.chunk_size)
+    base = _repair_init(spec)
+    return shard_ranges(len(base.report.violations), spec.chunk_size)
 
 
 # Worker-global campaign state: {"spec", "base", "breaks"}.  Built once
@@ -102,14 +101,15 @@ def repair_items(spec: RepairSpec) -> List[Tuple[int, int]]:
 _REPAIR: Dict[str, Any] = {}
 
 
-def _repair_init(spec: RepairSpec) -> None:
-    if _REPAIR.get("spec") == spec and "base" in _REPAIR:
-        return
-    netlist, breaks = build_model(spec)
-    report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
-    base = BaseState.build(netlist, report, spec.n_patterns, spec.seed)
-    _REPAIR.clear()
-    _REPAIR.update(spec=spec, base=base, breaks=breaks)
+def _repair_init(spec: RepairSpec) -> BaseState:
+    """Build (once per spec) the model, its lint and the base simulation."""
+    if _REPAIR.get("spec") != spec or "base" not in _REPAIR:
+        netlist, breaks = build_model(spec)
+        report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
+        base = BaseState.build(netlist, report, spec.n_patterns, spec.seed)
+        _REPAIR.clear()
+        _REPAIR.update(spec=spec, base=base, breaks=breaks)
+    return _REPAIR["base"]
 
 
 def prepare_repair(spec: RepairSpec) -> None:
@@ -378,9 +378,9 @@ def run_repair(
     """
     if spec.n_patterns <= 0:
         raise ValueError("n_patterns must be positive")
-    netlist, breaks = build_model(spec)
-    report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
-    items = shard_ranges(len(report.violations), spec.chunk_size)
+    base = _repair_init(spec)
+    breaks: List[SeededBreak] = _REPAIR["breaks"]
+    items = shard_ranges(len(base.report.violations), spec.chunk_size)
     if store is None and checkpoint:
         store = CheckpointStore.for_spec("repair", spec, cache_root)
     with TELEMETRY.span("repair.campaign"):
@@ -397,21 +397,20 @@ def run_repair(
         entries = [v for p in payloads for v in p["violations"]]
         actions, unrepaired = choose_actions(entries)
         return _compose_and_verify(
-            spec, netlist, report, breaks, entries, actions, unrepaired
+            spec, base, breaks, entries, actions, unrepaired
         )
 
 
 def _compose_and_verify(
     spec: RepairSpec,
-    netlist: Netlist,
-    report,
+    base: BaseState,
     breaks: List[SeededBreak],
     entries: List[Dict[str, Any]],
     actions: List[RepairAction],
     unrepaired: List[str],
 ) -> RepairResult:
     """Compose the chosen plan and re-verify the patched model whole."""
-    base = BaseState.build(netlist, report, spec.n_patterns, spec.seed)
+    netlist, report = base.netlist, base.report
     patched = netlist.copy()
     _log, applied = apply_plan(patched, actions, exempt=spec.exempt)
     preport = check_netlist_ici(patched, exempt_blocks=spec.exempt)

@@ -6,7 +6,12 @@ in increasing order of cost:
 1. **netcheck** — rerun :func:`~repro.core.netcheck.check_netlist_ici`
    on the patched netlist: the target violation must be discharged and
    no observation point may regress (the patched violation set must be a
-   strict subset of the base set).
+   strict subset of the base set).  The re-check is incremental: it
+   diffs the patched copy's gates against the base netlist by identity,
+   re-sweeps only the changed gates and their forward cone against the
+   base report's per-net block sets, and re-judges only the observers
+   whose D net, label or cone changed.  The full sweep stays for the
+   base lint and the composed plan, and the tests hold the two equal.
 2. **equivalence** — a functional-equivalence screen through the packed
    :class:`~repro.netlist.compiled.PackedWordSimulator` (64 patterns per
    uint64 word): on a shared random pattern batch, every primary output
@@ -109,7 +114,8 @@ def _netcheck_stage(
     block_of,
 ) -> Tuple[Optional[OracleVerdict], NetIciReport]:
     report = check_netlist_ici(patched, block_of=block_of,
-                               exempt_blocks=exempt)
+                               exempt_blocks=exempt,
+                               base=(base.netlist, base.report))
     after = {v.observer for v in report.violations}
     if observer in after:
         return OracleVerdict(False, "netcheck", "violation survives"), report
