@@ -1,9 +1,8 @@
 """Decision-support benchmark — Pareto determinism + masking-fold gate.
 
-Runs the ``decide`` campaign (injection phase + composed IPC sweep +
-Pareto fold over all 64 map-out configurations) and records the ranked
-front, the knee point, and the per-phase wall clock.  The CI gate
-(``--check``) asserts the subsystem's two headline properties:
+Runs a small ``decide`` campaign (injection phase + composed IPC sweep
++ Pareto fold over all 64 map-out configurations) and asserts the
+subsystem's two headline properties:
 
 1. **Worker-count invariance** — the Pareto front and the total ranking
    are bit-identical between serial and multi-worker execution, across
@@ -14,32 +13,26 @@ front, the knee point, and the per-phase wall clock.  The CI gate
    residual-SDC score (the PR-5 masking property carried through the
    decision fold), and the fold conserves the measured SDC mass.
 
-Results land in ``BENCH_decide.json`` at the repo root.
-
 Command line:
 
 ```
-python benchmarks/bench_decide.py                 # measure + write JSON
-python benchmarks/bench_decide.py --check         # CI gate, no JSON
-python benchmarks/bench_decide.py --faults 96 --workers 4
+python benchmarks/bench_decide.py --check   # CI gate
 ```
+
+``--check`` exits nonzero on any violation.  The ranked front in
+EXPERIMENTS.md is reprinted by ``repro decide``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:  # script mode: make src/ importable
     sys.path.insert(0, str(_REPO_ROOT / "src"))
-
-RESULT_PATH = _REPO_ROOT / "BENCH_decide.json"
 
 
 def _assert_invariance(spec, workers: int):
@@ -119,75 +112,6 @@ def _assert_front_masking(result) -> None:
             )
 
 
-def _ranked_rows(result, top: int) -> list:
-    from repro.decide.campaign import key_label
-
-    front = set(result.fronts[0]) if result.fronts else set()
-    rows = []
-    for rank_i, key in enumerate(result.ranking[:top]):
-        s = result.objectives[key]
-        rows.append(
-            {
-                "rank": rank_i,
-                "config": key_label(key),
-                "yat": round(s.yat, 6),
-                "ipc_ratio": round(s.ipc_ratio, 6),
-                "sdc": round(s.sdc, 6),
-                "area_saved": round(s.area_saved, 6),
-                "front": key in front,
-                "knee": key == result.knee,
-            }
-        )
-    return rows
-
-
-def measure(n_faults: int = 96, workers: int = 4, seed: int = 0,
-            n_instructions: int = 2000) -> dict:
-    """Run the decision campaign and record the ranked front."""
-    from repro.decide import DecideSpec
-    from repro.decide.campaign import key_label
-
-    spec = DecideSpec(
-        benchmarks=("gzip", "mcf"),
-        n_instructions=n_instructions,
-        warmup=n_instructions // 2,
-        n_faults=n_faults,
-        inject_seed=seed,
-        inject_chunk=max(1, n_faults // (workers * 4)),
-    )
-    t0 = time.perf_counter()
-    result = _assert_invariance(spec, workers)
-    seconds = time.perf_counter() - t0
-    _assert_front_masking(result)
-
-    host_cpus = os.cpu_count() or 1
-    return {
-        "campaign": (
-            "decide: Pareto ranking of all 64 map-out configurations "
-            "(YAT contribution, IPC ratio, residual SDC, area saved)"
-        ),
-        "benchmarks": list(spec.benchmarks),
-        "n_instructions": spec.n_instructions,
-        "n_faults": n_faults,
-        "workers": workers,
-        "host_cpus": host_cpus,
-        "seconds_all_runs": round(seconds, 4),
-        "n_configs": len(result.ranking),
-        "front_size": len(result.front),
-        "n_fronts": len(result.fronts),
-        "knee": key_label(result.knee),
-        "first_map_out": key_label(result.first_map_out()),
-        "full_core_sdc_rate": round(
-            result.objectives[(2,) * 6].sdc, 6
-        ),
-        "ranked_top": _ranked_rows(result, top=10),
-        "agreement": (
-            "bit-exact across workers/chunking/resume; mapped-out "
-            "blocks contribute zero SDC on every front member"
-        ),
-    }
-
-
 def check(workers: int = 2) -> None:
     """CI gate: Pareto determinism + masking fold on a small campaign."""
     from repro.decide import DecideSpec
@@ -214,27 +138,11 @@ def check(workers: int = 2) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="determinism/masking gate, no JSON written")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--faults", type=int, default=96,
-                        help="injections on the full core")
-    parser.add_argument("--instructions", type=int, default=2000)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    if args.check:
-        check(workers=min(args.workers, 2))
-        return 0
-
-    result = measure(
-        n_faults=args.faults, workers=args.workers, seed=args.seed,
-        n_instructions=args.instructions,
-    )
-    RESULT_PATH.write_text(json.dumps(result, indent=1) + "\n")
-    print(json.dumps(result, indent=1))
-    print(f"wrote {RESULT_PATH}")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true", required=True,
+                        help="run the determinism/masking gate")
+    parser.parse_args(argv)
+    check(workers=2)
     return 0
 
 

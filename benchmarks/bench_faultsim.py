@@ -1,7 +1,7 @@
-"""Fault-simulation engine benchmark — fault-pattern evaluations/sec.
+"""Fault-simulation engine equivalence gate.
 
-Grades the full collapsed fault universe of the Rescue core netlist
-against a random pattern set with two engines:
+Grades the collapsed fault universe of the tiny Rescue core netlist
+against a random pattern set with two engines and asserts they agree:
 
 - ``word``   — :class:`repro.netlist.compiled.PackedWordSimulator`
   (levelized structure-of-arrays, 64 bit-packed patterns per uint64 word,
@@ -9,32 +9,24 @@ against a random pattern set with two engines:
 - ``legacy`` — :class:`tests.oracles.PackedSimulator` (dict of per-net
   numpy bool arrays), the reference kept as a test oracle.
 
-Throughput is ``faults x patterns / seconds``.  Results (and the
-word/legacy speedup) are written to ``BENCH_faultsim.json`` at the repo
-root — the repo's perf trajectory record; equivalence between the two
-engines is asserted bit-for-bit before any number is reported.
-
 Command line:
 
 ```
-python benchmarks/bench_faultsim.py           # measure + write JSON
-python benchmarks/bench_faultsim.py --check   # <30 s equivalence smoke
-python benchmarks/bench_faultsim.py --full    # paper-scale RtlParams()
-python benchmarks/bench_faultsim.py --patterns 1024
+python benchmarks/bench_faultsim.py --check   # <30 s equivalence gate
 ```
 
-``--check`` is the pre-merge perf gate (see benchmarks/README.md): it
+``--check`` is the pre-merge gate (see benchmarks/README.md): it
 asserts engine equivalence (detection verdicts + first-detection
 indices + captured responses) on a small netlist and exits nonzero on
-any mismatch, without touching the JSON.
+any mismatch.  The engine's speed is measured by ``benchmarks/perf``
+(the ``gate-tiny`` workload); EXPERIMENTS.md keeps the one-off speedup
+over the reference as a dated figure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +36,6 @@ if "repro" not in sys.modules:  # script mode: make src/ importable
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 if str(_REPO_ROOT) not in sys.path:  # the reference engine is in tests/
     sys.path.insert(0, str(_REPO_ROOT))
-
-RESULT_PATH = _REPO_ROOT / "BENCH_faultsim.json"
 
 
 def _build_netlist(full: bool):
@@ -70,65 +60,6 @@ def _assert_equivalent(grade_a, grade_b, label: str) -> None:
         raise AssertionError(f"{label}: detection maps differ")
     if grade_a.undetected != grade_b.undetected:
         raise AssertionError(f"{label}: undetected lists differ")
-
-
-def measure(
-    full: bool = False, n_patterns: int = 512, seed: int = 0
-) -> dict:
-    """Time both engines on the Rescue core netlist; verify agreement."""
-    from repro.atpg.faultsim import grade_faults
-    from repro.netlist.compiled import PackedWordSimulator
-    from tests import oracles
-
-    netlist = _build_netlist(full)
-    faults = _fault_list(netlist)
-    rng = np.random.default_rng(seed)
-    sims = {"legacy": oracles.PackedSimulator(netlist),
-            "word": PackedWordSimulator(netlist)}
-    graders = {"legacy": oracles.grade_faults, "word": grade_faults}
-    patterns = rng.integers(
-        0, 2, size=(n_patterns, sims["word"].n_sources)
-    ).astype(bool)
-
-    # Captured responses must agree bit-for-bit before timing means
-    # anything.
-    po = {}
-    state = {}
-    for name, sim in sims.items():
-        values = sim.good_values(patterns)
-        po[name], state[name] = sim.capture(values)
-    assert (po["legacy"] == po["word"]).all(), "PO capture differs"
-    assert (state["legacy"] == state["word"]).all(), "state capture differs"
-
-    grades = {}
-    timings = {}
-    for name, sim in sims.items():
-        t0 = time.perf_counter()
-        grades[name] = graders[name](netlist, faults, patterns, sim=sim)
-        timings[name] = time.perf_counter() - t0
-    _assert_equivalent(grades["legacy"], grades["word"], "measure")
-
-    evals = len(faults) * n_patterns
-    backends = {
-        name: {
-            "grade_seconds": round(timings[name], 4),
-            "evals_per_sec": round(evals / timings[name]),
-        }
-        for name in sims
-    }
-    return {
-        "netlist": netlist.stats(),
-        "params": "full" if full else "tiny",
-        "n_faults": len(faults),
-        "n_patterns": n_patterns,
-        "fault_pattern_evals": evals,
-        "coverage": round(grades["word"].coverage, 4),
-        "backends": backends,
-        "speedup_word_over_legacy": round(
-            timings["legacy"] / timings["word"], 2
-        ),
-        "agreement": "bit-exact",
-    }
 
 
 def check(seed: int = 0) -> None:
@@ -180,42 +111,12 @@ def check(seed: int = 0) -> None:
     )
 
 
-def _print_result(data: dict) -> None:
-    print(f"\n=== Fault-simulation engines: {data['params']} Rescue core "
-          f"({data['netlist']['gates']} gates, "
-          f"{data['netlist']['flops']} flops) ===")
-    print(f"{data['n_faults']} faults x {data['n_patterns']} patterns "
-          f"({data['fault_pattern_evals']} fault-pattern evals), "
-          f"coverage {100 * data['coverage']:.1f}%")
-    for name, row in data["backends"].items():
-        print(f"  {name:>7}: {row['grade_seconds']:8.3f} s   "
-              f"{row['evals_per_sec']:>12,} evals/s")
-    print(f"  speedup: {data['speedup_word_over_legacy']}x "
-          f"(agreement: {data['agreement']})")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument(
-        "--check", action="store_true",
-        help="equivalence smoke gate only (no JSON written)",
-    )
-    parser.add_argument(
-        "--full", action="store_true",
-        help="use the paper-scale RtlParams() netlist",
-    )
-    parser.add_argument("--patterns", type=int, default=512)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    if args.check:
-        check(seed=args.seed)
-        return 0
-    data = measure(
-        full=args.full, n_patterns=args.patterns, seed=args.seed
-    )
-    _print_result(data)
-    RESULT_PATH.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"wrote {RESULT_PATH}")
+    parser.add_argument("--check", action="store_true", required=True,
+                        help="run the engine equivalence gate")
+    parser.parse_args(argv)
+    check()
     return 0
 
 

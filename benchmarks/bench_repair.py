@@ -1,9 +1,7 @@
 """Auto-repair benchmark — verified-patch and plan-determinism gate.
 
 Runs the ``repair`` campaign on the baseline RTL and on a hand-broken
-Rescue variant, records the plan (violations found, candidates searched,
-area added, verification outcome), and wall clock.  The CI gate
-(``--check``) asserts the subsystem's headline properties:
+Rescue variant and asserts the subsystem's headline properties:
 
 1. **Every repair verifies** — the composed patched model passes the
    gate-level ICI netcheck and is bit-exact through the packed
@@ -12,32 +10,27 @@ area added, verification outcome), and wall clock.  The CI gate
    serial and multi-worker execution, across a different chunking, and
    across a checkpoint/resume cycle.
 
-Results land in ``BENCH_repair.json`` at the repo root.
-
 Command line:
 
 ```
-python benchmarks/bench_repair.py                 # measure + write JSON
-python benchmarks/bench_repair.py --check         # CI gate, no JSON
-python benchmarks/bench_repair.py --patterns 256 --workers 4
+python benchmarks/bench_repair.py --check   # CI gate
 ```
+
+``--check`` exits nonzero on any violation.  The repair oracle's speed
+is measured by ``benchmarks/perf`` (the ``repair.*`` layers of
+``gate-tiny``); ``repro repair`` reprints the plans in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:  # script mode: make src/ importable
     sys.path.insert(0, str(_REPO_ROOT / "src"))
-
-RESULT_PATH = _REPO_ROOT / "BENCH_repair.json"
 
 
 def _assert_invariance(spec, workers: int):
@@ -117,68 +110,6 @@ def _assert_verified(result, spec) -> None:
         )
 
 
-def _model_row(result, seconds: float) -> dict:
-    counts = result.candidate_counts()
-    kinds: dict = {}
-    for a in result.actions:
-        kinds[a.kind] = kinds.get(a.kind, 0) + 1
-    return {
-        "model": result.model,
-        "seconds_all_runs": round(seconds, 4),
-        "n_observers": result.n_observers,
-        "n_violations": result.n_violations,
-        "n_repaired": result.n_repaired,
-        "n_unrepaired": len(result.unrepaired),
-        "candidates_generated": counts["generated"],
-        "candidates_verified": counts["verified"],
-        "candidates_rejected": counts["rejected"],
-        "actions_by_kind": kinds,
-        "base_area": round(result.base_area, 4),
-        "extra_area": round(result.extra_area, 4),
-        "area_overhead_pct": round(
-            100.0 * result.extra_area / result.base_area, 4
-        ) if result.base_area else 0.0,
-        "patched_satisfied": result.patched_satisfied,
-        "equivalent": result.equivalent,
-        "seeded_breaks": list(result.breaks),
-    }
-
-
-def measure(workers: int = 4, n_patterns: int = 192,
-            seed: int = 0) -> dict:
-    """Repair both violation-bearing models and record the plans."""
-    from repro.repair import RepairSpec
-
-    rows = []
-    for model in ("baseline", "rescue-broken"):
-        spec = RepairSpec(
-            model=model, tiny=True, n_patterns=n_patterns, seed=seed
-        )
-        t0 = time.perf_counter()
-        result = _assert_invariance(spec, workers)
-        seconds = time.perf_counter() - t0
-        _assert_verified(result, spec)
-        rows.append(_model_row(result, seconds))
-
-    host_cpus = os.cpu_count() or 1
-    return {
-        "campaign": (
-            "repair: verified ICI patch search — candidates (relabel / "
-            "cone redrive / latch staging) checked by netcheck + "
-            "bit-exact packed equivalence + stuck-at isolation sample"
-        ),
-        "n_patterns": n_patterns,
-        "workers": workers,
-        "host_cpus": host_cpus,
-        "models": rows,
-        "agreement": (
-            "plan bit-exact across workers/chunking/resume; every "
-            "violation repaired and the composed patch re-verifies "
-            "from the plan alone on both models"
-        ),
-    }
-
-
 def check(workers: int = 2) -> None:
     """CI gate: verified repair + plan determinism on small specs."""
     from repro.repair import RepairSpec
@@ -203,26 +134,11 @@ def check(workers: int = 2) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="verified-repair/determinism gate, no JSON "
-                             "written")
-    parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--patterns", type=int, default=192,
-                        help="equivalence patterns per candidate")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
-    if args.check:
-        check(workers=min(args.workers, 2))
-        return 0
-
-    result = measure(
-        workers=args.workers, n_patterns=args.patterns, seed=args.seed
-    )
-    RESULT_PATH.write_text(json.dumps(result, indent=1) + "\n")
-    print(json.dumps(result, indent=1))
-    print(f"wrote {RESULT_PATH}")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true", required=True,
+                        help="run the verified-repair/determinism gate")
+    parser.parse_args(argv)
+    check(workers=2)
     return 0
 
 

@@ -1,37 +1,26 @@
-"""Parallel-runner benchmark — serial vs N-worker isolation campaign.
+"""Parallel-runner equivalence gate — serial vs N-worker isolation campaign.
 
-Times the Section 6.1 random-fault isolation campaign on the Rescue core
-through ``repro.runner`` at 1 worker (in-process, no pool) and at
-``--workers`` processes, asserting first that the two produce
+Runs a small Section 6.1 random-fault isolation campaign on the tiny
+Rescue core through ``repro.runner`` at 1 worker (in-process, no pool)
+and at ``--workers`` processes, and asserts the two produce
 bit-identical ``IsolationStats``.  The test setup (netlist + ATPG
-vectors + fault sample) is prepared once in the parent before timing, so
-the measurement covers the campaign itself; under the POSIX ``fork``
-start method the workers inherit the setup copy-free.
-
-Results land in ``BENCH_runner.json`` at the repo root, including
-``host_cpus``: the speedup is bounded by physical cores, and a 1-core
-container can only demonstrate equivalence and overhead, not speedup —
-the JSON records which situation produced the numbers.
+vectors + fault sample) is prepared once in the parent; under the POSIX
+``fork`` start method the workers inherit it copy-free.
 
 Command line:
 
 ```
-python benchmarks/bench_runner.py                 # measure + write JSON
-python benchmarks/bench_runner.py --check         # quick equivalence gate
-python benchmarks/bench_runner.py --workers 8
-python benchmarks/bench_runner.py --faults 2000
+python benchmarks/bench_runner.py --check --workers 2   # CI gate
 ```
 
-``--check`` runs a small campaign serial and parallel, asserts the
-merged stats are identical, and exits nonzero on mismatch without
-touching the JSON.
+``--check`` exits nonzero on any mismatch.  Runner overhead is measured
+by ``benchmarks/perf`` (``runner.*`` layers); EXPERIMENTS.md keeps the
+one-off serial-vs-parallel record as a dated figure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -40,18 +29,6 @@ _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:  # script mode: make src/ importable
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
-RESULT_PATH = _REPO_ROOT / "BENCH_runner.json"
-
-
-def _peak_rss_kb() -> int:
-    """Peak resident set of this process and its workers, in KiB."""
-    import resource
-
-    return max(
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
-    )
-
 
 def _run(spec, workers: int):
     from repro.runner import run_isolation
@@ -59,68 +36,6 @@ def _run(spec, workers: int):
     t0 = time.perf_counter()
     stats = run_isolation(spec, workers=workers, checkpoint=False)
     return stats, time.perf_counter() - t0
-
-
-def measure(n_faults: int = 6000, workers: int = 4, seed: int = 1,
-            tiny: bool = False) -> dict:
-    """Time the campaign serial and parallel; verify bit-identity.
-
-    Defaults to the paper's full 6000-fault count on the full-size
-    Rescue model (random-pattern vectors; PODEM would only lengthen the
-    one-time setup excluded from the timing).
-    """
-    from repro.runner import IsolationSpec, prepare_isolation
-
-    spec = IsolationSpec(
-        tiny=tiny,
-        n_faults=n_faults,
-        fault_seed=seed,
-        max_deterministic=0,
-        chunk_size=max(1, n_faults // (workers * 8)),
-    )
-    prepare_isolation(spec)  # exclude netlist/ATPG build from the timing
-
-    serial_stats, serial_s = _run(spec, workers=1)
-    parallel_stats, parallel_s = _run(spec, workers=workers)
-    if serial_stats != parallel_stats:
-        raise AssertionError(
-            "parallel IsolationStats differ from serial: "
-            f"{parallel_stats} vs {serial_stats}"
-        )
-
-    host_cpus = os.cpu_count() or 1
-    # On a single-core host a parallel run can only measure pool
-    # overhead, never scaling — publishing a sub-1x "speedup" from such
-    # a box would misrepresent the runner.  Record equivalence only;
-    # a multi-core host re-records the scaling numbers automatically.
-    single_core = host_cpus <= 1
-    return {
-        "campaign": (
-            "isolation (Rescue core, "
-            f"{'tiny' if tiny else 'full'} params, random vectors)"
-        ),
-        "n_faults": serial_stats.inserted,
-        "chunk_size": spec.chunk_size,
-        "workers": workers,
-        "host_cpus": host_cpus,
-        "mode": "equivalence-only" if single_core else "scaling",
-        "serial_seconds": round(serial_s, 4),
-        "parallel_seconds": round(parallel_s, 4),
-        "speedup": (
-            None
-            if single_core
-            else (round(serial_s / parallel_s, 2) if parallel_s else None)
-        ),
-        "agreement": "bit-exact",
-        "peak_rss_kb": _peak_rss_kb(),
-        "note": (
-            "single-core host: the parallel run demonstrates bit-exact "
-            "merge equivalence and bounds pool overhead; speedup is not "
-            "meaningful and is recorded as null"
-            if single_core
-            else "speedup is bounded by host_cpus"
-        ),
-    }
 
 
 def check(workers: int = 4) -> None:
@@ -144,27 +59,12 @@ def check(workers: int = 4) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--check", action="store_true",
-                        help="equivalence smoke test, no JSON written")
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true", required=True,
+                        help="run the serial-vs-parallel equivalence gate")
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--faults", type=int, default=6000)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--tiny", action="store_true",
-                        help="small model (quick look, not the record)")
     args = parser.parse_args(argv)
-
-    if args.check:
-        check(workers=args.workers)
-        return 0
-
-    result = measure(
-        n_faults=args.faults, workers=args.workers, seed=args.seed,
-        tiny=args.tiny,
-    )
-    RESULT_PATH.write_text(json.dumps(result, indent=1) + "\n")
-    print(json.dumps(result, indent=1))
-    print(f"wrote {RESULT_PATH}")
+    check(workers=args.workers)
     return 0
 
 

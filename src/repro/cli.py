@@ -2,8 +2,9 @@
 
 Thin wrappers over the library for the common flows:
 
-- ``repro isolate`` — build the gate-level Rescue model, run ATPG, inject
-  random faults, and report isolation accuracy (Section 6.1);
+- ``repro isolate`` — the isolation campaign: build the gate-level Rescue
+  model, run ATPG, inject random faults, and report isolation accuracy
+  (Section 6.1);
 - ``repro ipc`` — baseline-vs-Rescue IPC for chosen benchmarks (Figure 8);
 - ``repro yat`` — relative YAT of no-redundancy / core-sparing / Rescue
   chips for a scenario (Figure 9, analytic IPC penalties for speed);
@@ -29,8 +30,9 @@ Thin wrappers over the library for the common flows:
 A campaign's flags are generated from its spec dataclass: one
 ``--field-name`` per field, with the spec's default, so ``repro run C``
 with no flags builds the same spec (and job key) as the service does
-for empty params.  ``repro inject`` / ``decide`` / ``repair`` are the
-same campaigns with a few presets and extras on top.
+for empty params.  ``repro isolate`` is ``repro run isolation`` under
+the command's own name; ``repro inject`` / ``decide`` / ``repair`` are
+the same campaigns with a few presets and extras on top.
 
 The compute commands accept ``--trace PATH``: telemetry is enabled for
 the run, span events stream to ``PATH`` as JSONL, and the final merged
@@ -85,20 +87,6 @@ def _rtl_model(args: argparse.Namespace):
     return builder(params)
 
 
-def _cmd_isolate(args: argparse.Namespace) -> int:
-    from repro.rtl.experiment import generate_tests, isolation_experiment
-
-    print(f"building {'baseline' if args.baseline else 'Rescue'} gate-level "
-          f"model ({'tiny' if args.tiny else 'default'} size)...")
-    model = _rtl_model(args)
-    print(f"  {model.netlist.stats()}")
-    setup = generate_tests(model, seed=args.seed)
-    print(f"  ATPG: {setup.atpg.summary()}")
-    stats = isolation_experiment(setup, n_faults=args.faults, seed=args.seed)
-    print(stats.summary())
-    return 0 if stats.correct_rate == 1.0 or args.baseline else 1
-
-
 def _cmd_ipc(args: argparse.Namespace) -> int:
     from repro.cpu import Core, MachineConfig
     from repro.workloads import PROFILES, generate_trace, profile
@@ -131,7 +119,7 @@ def _cmd_yat(args: argparse.Namespace) -> int:
     anchor = (90.0, 1) if args.stagnation == 90 else (65.0, 2)
     model = YatModel(
         density=FaultDensityModel(stagnation_node_nm=args.stagnation),
-        growth=args.growth / 100,
+        growth=args.growth,
         baseline_ipc=2.05,
         rescue_ipc=analytic_penalty_table(2.0),
         anchor=anchor,
@@ -140,7 +128,7 @@ def _cmd_yat(args: argparse.Namespace) -> int:
           f"{'Rescue':>7s} {'gain':>7s}")
     for node in (90, 65, 45, 32, 22, 18):
         r = model.evaluate(node)
-        k = cores_per_chip(node, args.growth / 100,
+        k = cores_per_chip(node, args.growth,
                            anchor_node_nm=anchor[0], anchor_cores=anchor[1])
         print(f"{node:>5}n {k:5d} {r.no_redundancy:6.3f} "
               f"{r.core_sparing:6.3f} {r.rescue:7.3f} "
@@ -480,16 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "(inspect with `repro trace summarize PATH`)",
         )
 
-    p = sub.add_parser("isolate", help="fault-isolation experiment (§6.1)")
-    p.add_argument("--faults", type=int, default=300)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--tiny", action="store_true",
-                   help="use the small model (fast)")
-    p.add_argument("--baseline", action="store_true",
-                   help="run on the non-ICI baseline instead")
-    add_trace_flag(p)
-    p.set_defaults(func=_cmd_isolate)
-
     p = sub.add_parser("ipc", help="baseline vs Rescue IPC (Figure 8)")
     p.add_argument("benchmarks", nargs="*",
                    help="benchmark names (default: all 23)")
@@ -499,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ipc)
 
     p = sub.add_parser("yat", help="yield-adjusted throughput (Figure 9)")
-    p.add_argument("--growth", type=int, default=30,
-                   help="core growth percent per generation")
+    p.add_argument("--growth", type=float, default=0.3,
+                   help="core growth per generation (0.3 = 30%%)")
     p.add_argument("--stagnation", type=int, default=90, choices=(90, 65),
                    help="node where PWP stops improving")
     add_trace_flag(p)
@@ -529,13 +507,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "violation ids) instead of prose")
     p.set_defaults(func=_cmd_lint)
 
-    def campaign_parser(subs, name: str, func, skip=(), **kw):
-        """A campaign's parser: its spec's flags plus the runner flags."""
+    def campaign_parser(subs, name: str, func, skip=(), campaign=None,
+                        **kw):
+        """A campaign's parser: its spec's flags plus the runner flags.
+
+        The command is ``name``; it runs ``campaign`` (default: ``name``).
+        """
+        campaign = campaign or name
         p = subs.add_parser(
             name, allow_abbrev=False,
             formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kw,
         )
-        _add_spec_flags(p, REGISTRY[name].spec_cls, skip)
+        _add_spec_flags(p, REGISTRY[campaign].spec_cls, skip)
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (1 = in-process)")
         p.add_argument("--resume", action="store_true",
@@ -547,8 +530,21 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpoint root (None: .repro_cache or "
                             "$REPRO_CACHE_DIR)")
         add_trace_flag(p)
-        p.set_defaults(func=func, campaign=name)
+        p.set_defaults(func=func, campaign=campaign)
         return p
+
+    campaign_parser(
+        sub, "isolate", _cmd_run, campaign="isolation",
+        help="fault-isolation experiment (§6.1)",
+        description=(
+            "Build the gate-level model, generate scan tests (random "
+            "patterns, then PODEM), insert random stuck-at faults and "
+            "isolate each detected one to its ICI block by scan-bit "
+            "lookup.  The same campaign as `repro run isolation`.  Exit "
+            "0 when every detected fault isolates to the correct block "
+            "(always on --baseline); 1 otherwise."
+        ),
+    )
 
     p = campaign_parser(
         sub, "repair", _cmd_repair,

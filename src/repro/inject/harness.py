@@ -173,7 +173,8 @@ class GoldenRun:
     cycles: int
     commits: int
     digest: int
-    #: Delta-compressed checkpoint store (None: no checkpoints taken).
+    #: Checkpoint store, one standalone zlib blob per entry (None: no
+    #: checkpoints taken).
     arena: Optional[SnapshotArena] = field(
         default=None, repr=False, compare=False
     )

@@ -21,8 +21,8 @@ and the ATPG flow), so later patterns never pay for it again.
 
 It is the only gate-level simulator in the program.  The test suite keeps
 a dict-of-bool-arrays reference simulator as an oracle;
-``benchmarks/bench_faultsim.py`` measures both and asserts they agree
-bit-for-bit.
+``benchmarks/bench_faultsim.py --check`` asserts they agree bit-for-bit,
+and ``benchmarks/perf`` measures this engine's speed.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ for any ``--workers`` count, extending the PR-2 determinism contract to
 the metrics themselves.
 
 See DESIGN.md §"Telemetry" for the subsystem contract and
-``benchmarks/bench_telemetry.py`` for the overhead/equivalence gate.
+``benchmarks/bench_telemetry.py --check`` for the invariance gate
+(``benchmarks/perf`` measures the tracing overhead).
 """
 
 from repro.telemetry.core import (

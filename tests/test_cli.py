@@ -20,7 +20,7 @@ class TestParser:
 
     def test_isolate_defaults(self):
         args = build_parser().parse_args(["isolate", "--tiny"])
-        assert args.tiny and args.faults == 300
+        assert _spec(args) == REGISTRY["isolation"].make_spec({})
 
     def test_isolate_has_no_engine_switch(self):
         with pytest.raises(SystemExit):
@@ -75,7 +75,7 @@ class TestCommands:
         assert "transformation log" in out
 
     def test_yat_command(self, capsys):
-        assert main(["yat", "--growth", "40"]) == 0
+        assert main(["yat", "--growth", "0.4"]) == 0
         out = capsys.readouterr().out
         assert "18n" in out and "Rescue" in out
 
@@ -87,10 +87,11 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "gzip" in out and "average" in out
 
-    @pytest.mark.slow  # full scan+ATPG flow (PODEM-bound), ~90 s
+    @pytest.mark.slow  # full scan+ATPG flow (PODEM-bound), ~15 s
     def test_isolate_command_tiny(self, capsys):
         code = main([
-            "isolate", "--tiny", "--faults", "40", "--seed", "2",
+            "isolate", "--n-faults", "40", "--atpg-seed", "2",
+            "--fault-seed", "2", "--no-checkpoint",
         ])
         out = capsys.readouterr().out
         assert "isolated to the correct block" in out
