@@ -26,7 +26,7 @@ from conftest import (
 )
 
 from repro.cpu import MachineConfig
-from repro.cpu.degraded import rescue_ipc_table
+from repro.cpu.degraded import degraded_params, ipc_tables, measured_configs
 from repro.workloads import PROFILES
 from repro.yieldmodel import FaultDensityModel, YatModel, cores_per_chip
 
@@ -37,19 +37,21 @@ _CACHE = f"fig9_{BENCH_INSTRUCTIONS}_{'full' if FULL_SWEEP else 'compose'}"
 
 def _collect_ipcs(ipc_cache):
     """(baseline IPC, Rescue config→IPC table) per benchmark."""
-    out = {}
+    compose = not FULL_SWEEP
     base_cfg = MachineConfig(rescue=False)
     resc_cfg = MachineConfig(rescue=True)
+    bases, points = {}, {}
     for prof in PROFILES:
-        base = ipc_cache.get_or_run(
+        bases[prof.name] = ipc_cache.get_or_run(
             prof.name, base_cfg, n_instructions=BENCH_INSTRUCTIONS
         )
-        table = rescue_ipc_table(
-            prof.name, resc_cfg, cache=ipc_cache,
-            n_instructions=BENCH_INSTRUCTIONS, compose=not FULL_SWEEP,
-        )
-        out[prof.name] = (base, table)
-    return out
+        for counts in measured_configs(compose):
+            points[(prof.name, counts.key())] = ipc_cache.get_or_run(
+                prof.name, degraded_params(resc_cfg, counts),
+                n_instructions=BENCH_INSTRUCTIONS,
+            )
+    tables = ipc_tables(points, compose)
+    return {name: (base, tables[name]) for name, base in bases.items()}
 
 
 def _grid(ipcs):

@@ -88,25 +88,20 @@ def _rtl_model(args: argparse.Namespace):
 
 
 def _cmd_ipc(args: argparse.Namespace) -> int:
-    from repro.cpu import Core, MachineConfig
-    from repro.workloads import PROFILES, generate_trace, profile
+    from repro.cpu import MachineConfig
+    from repro.cpu.degraded import simulate_config
+    from repro.workloads import PROFILES
 
     names = args.benchmarks or [p.name for p in PROFILES]
-    total = args.instructions + args.warmup
     deltas = []
     print(f"{'benchmark':10s} {'base':>6s} {'rescue':>7s} {'delta':>7s}")
+    run = dict(n_instructions=args.instructions, warmup=args.warmup)
     for name in names:
-        prof = profile(name)
-        trace = generate_trace(prof, total)
-        base = Core(MachineConfig(rescue=False), iter(trace)).run(
-            args.instructions, warmup=args.warmup
-        )
-        resc = Core(MachineConfig(rescue=True), iter(trace)).run(
-            args.instructions, warmup=args.warmup
-        )
-        delta = 100 * (1 - resc.ipc / base.ipc) if base.ipc else 0.0
+        base = simulate_config(name, MachineConfig(rescue=False), **run)
+        resc = simulate_config(name, MachineConfig(rescue=True), **run)
+        delta = 100 * (1 - resc / base) if base else 0.0
         deltas.append(delta)
-        print(f"{name:10s} {base.ipc:6.2f} {resc.ipc:7.2f} {delta:+6.1f}%")
+        print(f"{name:10s} {base:6.2f} {resc:7.2f} {delta:+6.1f}%")
     print(f"{'average':10s} {'':6s} {'':7s} "
           f"{sum(deltas) / len(deltas):+6.1f}%")
     return 0
@@ -239,9 +234,8 @@ def _cmd_run(args: argparse.Namespace, **summary) -> int:
 
 def _inject_spec(args: argparse.Namespace):
     """The spec, ``counts`` / ``blocks`` set by ``repro inject``'s presets."""
-    from repro.inject.campaign import DIMENSIONS
     from repro.inject.sites import mapped_out_blocks
-    from repro.yieldmodel.configs import CoreCounts
+    from repro.yieldmodel.configs import DIMENSIONS, CoreCounts
 
     return _spec(
         args,
@@ -734,8 +728,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     With ``--trace PATH`` the whole command runs under an enabled
     telemetry registry: spans stream to ``PATH`` and the final merged
     metrics become the trace's summary record.
+
+    A reader that closes stdout early (``repro yat | head -2``) stops
+    the command without a traceback: stdout is pointed at
+    ``os.devnull`` so the interpreter's exit flush cannot fail again,
+    and the exit code is 1.
     """
-    args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(build_parser().parse_args(argv), argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(
+    args: argparse.Namespace, argv: Optional[List[str]]
+) -> int:
+    """Run the parsed command, under ``--trace`` telemetry if given."""
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return args.func(args)

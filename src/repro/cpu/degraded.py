@@ -3,17 +3,23 @@
 Bridges the fault-map configuration space (:class:`CoreCounts`) to the
 performance simulator, with an on-disk cache — the Figure 9 grid needs
 64 configurations × 23 benchmarks and the cache keeps re-runs instant.
+It is the one place that decides which configurations are simulated
+(:func:`measured_configs`) and how measured points become the 64-entry
+IPC tables (:func:`ipc_tables`); the ``ipc`` and ``decide`` campaigns
+and the Figure 9 script all go through both.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.cpu.params import MachineConfig
 from repro.cpu.pipeline import Core
 from repro.runner.store import Blobs, config_hash
-from repro.yieldmodel.configs import CoreCounts
+from repro.yieldmodel.configs import DIMENSIONS, CoreCounts, enumerate_configs
+
+Key = Tuple[int, ...]
 
 
 def degraded_params(
@@ -103,27 +109,30 @@ class IpcCache:
         return ipc
 
 
-def single_degradation_counts() -> Tuple[CoreCounts, ...]:
-    """The six one-dimension-degraded configurations, in DIMENSIONS order."""
-    from repro.yieldmodel.configs import DIMENSIONS
+def measured_configs(compose: bool = True) -> Tuple[CoreCounts, ...]:
+    """The configurations simulated to build a benchmark's IPC table.
 
-    return tuple(CoreCounts(**{dim: 1}) for dim in DIMENSIONS)
+    Compose mode: the full configuration, then the six single-degradation
+    configurations in DIMENSIONS order.  Full mode: all 64.
+    """
+    if not compose:
+        return tuple(enumerate_configs())
+    return (CoreCounts(),) + tuple(
+        CoreCounts(**{dim: 1}) for dim in DIMENSIONS
+    )
 
 
 def compose_ipc_table(
     full_ipc: float, ratios: Dict[str, float]
-) -> Dict[Tuple[int, ...], float]:
+) -> Dict[Key, float]:
     """Multiplicatively compose the 64-entry IPC table.
 
     ``ratios`` maps each dimension to its single-degradation IPC ratio
     (degraded / full, already clamped by the caller); a multi-degraded
     configuration's IPC is the full IPC times the product of its degraded
-    dimensions' ratios.  Shared by :func:`rescue_ipc_table` and the
-    parallel sweep campaign so both compose identically.
+    dimensions' ratios.  :func:`ipc_tables` computes and clamps them.
     """
-    from repro.yieldmodel.configs import DIMENSIONS, enumerate_configs
-
-    table: Dict[Tuple[int, ...], float] = {CoreCounts().key(): full_ipc}
+    table: Dict[Key, float] = {CoreCounts().key(): full_ipc}
     for cfg in enumerate_configs():
         if cfg.key() in table:
             continue
@@ -135,47 +144,33 @@ def compose_ipc_table(
     return table
 
 
-def rescue_ipc_table(
-    benchmark: str,
-    base: MachineConfig,
-    cache: Optional[IpcCache] = None,
-    n_instructions: int = 20_000,
-    seed: int = 12345,
-    warmup: int = 12_000,
-    compose: bool = True,
-) -> Dict[Tuple[int, ...], float]:
-    """IPC per degraded configuration for one benchmark.
+def ipc_tables(
+    points: Mapping[Tuple[str, Key], float], compose: bool = True
+) -> Dict[str, Dict[Key, float]]:
+    """Per-benchmark 64-entry IPC tables, in sorted-benchmark order.
 
-    With ``compose=True`` (the quick mode), only the full configuration
-    and the six single-degradation configurations are simulated; the
-    remaining 57 multi-degradation IPCs are composed multiplicatively from
-    the single-degradation ratios.  ``compose=False`` simulates all 64.
+    ``points`` maps (benchmark, configuration key) to measured IPC and
+    covers :func:`measured_configs` of each benchmark.  With
+    ``compose=True`` the 57 multi-degradation entries are composed from
+    the single-degradation ratios; otherwise every entry is measured.
+    Degradation never *helps* in the paper's model, but our degraded
+    single-half queue occasionally beats the full segmented policy by a
+    percent or two (the simpler selection has no replay), so every entry
+    is clamped at the full configuration's IPC to keep YAT conservative.
     """
-    from repro.yieldmodel.configs import DIMENSIONS, enumerate_configs
-
-    cache = cache or IpcCache()
-
-    def ipc_of(counts: CoreCounts) -> float:
-        return cache.get_or_run(
-            benchmark, degraded_params(base, counts), n_instructions, seed,
-            warmup,
-        )
-
-    full = ipc_of(CoreCounts())
-    table: Dict[Tuple[int, ...], float] = {CoreCounts().key(): full}
-    if compose:
-        ratios = {}
-        for dim in DIMENSIONS:
-            counts = CoreCounts(**{dim: 1})
-            measured = ipc_of(counts) / full if full else 0.0
-            # Degradation never *helps* in the paper's model; our degraded
-            # single-half queue occasionally beats the full segmented
-            # policy by a percent or two (the simpler selection has no
-            # replay), so clamp to keep the YAT composition conservative.
-            ratios[dim] = min(1.0, measured)
-        table = compose_ipc_table(full, ratios)
-    else:
-        for cfg in enumerate_configs():
-            if cfg.key() not in table:
-                table[cfg.key()] = min(full, ipc_of(cfg))
-    return table
+    full_key = CoreCounts().key()
+    tables: Dict[str, Dict[Key, float]] = {}
+    for bench in sorted({bench for bench, _ in points}):
+        full = points[(bench, full_key)]
+        if compose:
+            ratios = {}
+            for dim, cfg in zip(DIMENSIONS, measured_configs()[1:]):
+                ipc = points[(bench, cfg.key())]
+                ratios[dim] = min(1.0, ipc / full) if full else 0.0
+            tables[bench] = compose_ipc_table(full, ratios)
+        else:
+            tables[bench] = {
+                cfg.key(): min(full, points[(bench, cfg.key())])
+                for cfg in enumerate_configs()
+            }
+    return tables

@@ -28,6 +28,7 @@ from repro.decide.campaign import (
     decide_items,
     evaluate,
     injection_spec,
+    ipc_spec,
     key_label,
     label_key,
     prepare_decide,
@@ -68,6 +69,7 @@ __all__ = [
     "evaluate",
     "evaluate_objectives",
     "injection_spec",
+    "ipc_spec",
     "key_label",
     "label_key",
     "masked_sdc",

@@ -8,12 +8,15 @@ million-chip fleet map out first, and at what cost?* — by sweeping all
    core (``InjectionStats.by_block``), sharded by contiguous fault
    spans exactly like ``repro.inject``;
 2. an **IPC** phase measures the full configuration plus the six
-   single-degradation configurations per benchmark, sharded by
-   (benchmark, configuration) items exactly like the Figure-9 sweep;
+   single-degradation configurations per benchmark, sharded exactly
+   like the Figure-9 sweep: its shards *are* the ``ipc`` campaign's
+   shards for :func:`ipc_spec`, run by that campaign's worker and
+   merged by ``IpcSweepResult.merge``;
 3. a deterministic **fold** (no shards) composes the 64-entry IPC
-   table, evaluates YAT contributions / IPC ratios / residual SDC /
-   area saved, and runs non-dominated sorting with crowding-distance
-   knee selection into a stable total ranking.
+   table (:func:`repro.cpu.degraded.ipc_tables`), evaluates YAT
+   contributions / IPC ratios / residual SDC / area saved, and runs
+   non-dominated sorting with crowding-distance knee selection into a
+   stable total ranking.
 
 Both measurement phases ride one shard list through
 :func:`~repro.runner.executor.run_shards` with one spec-hash
@@ -34,6 +37,9 @@ from repro.decide.objectives import ConfigScore, evaluate_objectives
 from repro.decide.pareto import ParetoRanking, rank
 from repro.inject.campaign import (
     FAULT_MODELS, InjectionSpec, InjectionStats,
+)
+from repro.runner.campaigns import (
+    IpcSweepResult, IpcSweepSpec, _ipc_worker, ipc_sweep_shards,
 )
 from repro.runner.executor import ProgressFn, run_shards
 from repro.runner.registry import check_spec, choice
@@ -108,32 +114,33 @@ def injection_spec(spec: DecideSpec) -> InjectionSpec:
     )
 
 
-def ipc_items(spec: DecideSpec) -> List[Tuple[str, Key]]:
-    """The IPC phase's work list, in deterministic campaign order."""
-    configs = [CoreCounts()] + [
-        CoreCounts(**{dim: 1}) for dim in DIMENSIONS
-    ]
-    return [
-        (bench, cfg.key())
-        for bench in spec.benchmarks
-        for cfg in configs
-    ]
+def ipc_spec(spec: DecideSpec) -> IpcSweepSpec:
+    """The composed IPC sweep campaign decide embeds."""
+    return IpcSweepSpec(
+        benchmarks=tuple(spec.benchmarks),
+        n_instructions=spec.n_instructions,
+        warmup=spec.warmup,
+        seed=spec.ipc_seed,
+        compose=True,
+        chunk_size=spec.chunk_size,
+    )
 
 
 def decide_items(spec: DecideSpec) -> List[Tuple]:
     """The campaign's shard list: injection spans, then IPC chunks.
 
     Every shard spec is self-describing (``("inject", start, stop)`` or
-    ``("ipc", ((benchmark, key), ...))``), so shard ``i``'s payload is a
-    function of ``specs[i]`` alone — the runner determinism contract.
+    ``("ipc", chunk)`` with one of the ``ipc`` campaign's own shards),
+    so shard ``i``'s payload is a function of ``specs[i]`` alone — the
+    runner determinism contract.
     """
     items: List[Tuple] = [
         ("inject", start, stop)
         for start, stop in shard_ranges(spec.n_faults, spec.inject_chunk)
     ]
-    points = ipc_items(spec)
-    for start, stop in shard_ranges(len(points), spec.chunk_size):
-        items.append(("ipc", tuple(points[start:stop])))
+    items.extend(
+        ("ipc", chunk) for chunk in ipc_sweep_shards(ipc_spec(spec))
+    )
     return items
 
 
@@ -160,24 +167,10 @@ def _decide_worker(item: Tuple) -> Dict[str, Any]:
         if t.enabled:
             t.count("decide.inject_faults", item[2] - item[1])
         return {"kind": "inject", "stats": payload}
-    from repro.cpu.degraded import degraded_params, simulate_config
-    from repro.cpu.params import MachineConfig
-
-    out = []
-    for bench, key in item[1]:
-        counts = CoreCounts(**dict(zip(DIMENSIONS, key)))
-        config = degraded_params(MachineConfig(rescue=True), counts)
-        with t.span("decide.ipc_point"):
-            ipc = simulate_config(
-                bench,
-                config,
-                n_instructions=spec.n_instructions,
-                seed=spec.ipc_seed,
-                warmup=spec.warmup,
-            )
-        if t.enabled:
-            t.count("decide.ipc_points")
-        out.append({"benchmark": bench, "key": list(key), "ipc": ipc})
+    with t.span("decide.ipc_shard"):
+        out = _ipc_worker(item[1])
+    if t.enabled:
+        t.count("decide.ipc_points", len(out))
     return {"kind": "ipc", "measurements": out}
 
 
@@ -336,22 +329,16 @@ def merge_payloads(
 ) -> Tuple[InjectionStats, Dict[Tuple[str, Key], float]]:
     """Merge shard payloads in shard-index order (worker-invariant)."""
     stats = InjectionStats()
-    measured: Dict[Tuple[str, Key], float] = {}
+    ipc = IpcSweepResult({})
     for payload in payloads:
         if payload["kind"] == "inject":
             stats = stats.merge(
                 InjectionStats.from_json(payload["stats"])
             )
-            continue
-        for rec in payload["measurements"]:
-            item = (rec["benchmark"], tuple(rec["key"]))
-            if item in measured and measured[item] != rec["ipc"]:
-                raise ValueError(
-                    f"conflicting IPC for {item}: "
-                    f"{measured[item]} vs {rec['ipc']}"
-                )
-            measured[item] = rec["ipc"]
-    return stats, measured
+        else:
+            points = IpcSweepResult.from_json(payload["measurements"])
+            ipc = ipc.merge(points)
+    return stats, ipc.measured
 
 
 def run_decide(

@@ -41,7 +41,6 @@ from repro.decide.vulnerability import vulnerability_table
 from repro.yieldmodel.area import AreaModel
 from repro.yieldmodel.configs import (
     CoreCounts,
-    DIMENSIONS,
     config_probabilities,
     enumerate_configs,
 )
@@ -105,28 +104,16 @@ def mean_ipc_table(
     """Mean composed IPC per configuration across benchmarks.
 
     ``measured`` holds the campaign's (benchmark, config key) → IPC
-    points: the full configuration plus the six single-degradation
-    configurations per benchmark.  Each benchmark's 64-entry table is
-    composed multiplicatively exactly as
-    :func:`repro.cpu.degraded.compose_ipc_table` (ratios clamped at 1),
-    then averaged in sorted-benchmark order so the result never depends
-    on measurement arrival order.
+    points; :func:`repro.cpu.degraded.ipc_tables` composes each
+    benchmark's 64-entry table, and the tables are averaged in
+    sorted-benchmark order so the result never depends on measurement
+    arrival order.
     """
-    from repro.cpu.degraded import compose_ipc_table
+    from repro.cpu.degraded import ipc_tables
 
-    benches = sorted({bench for bench, _ in measured})
-    if not benches:
+    tables = list(ipc_tables(measured).values())
+    if not tables:
         raise ValueError("no IPC measurements")
-    full_key = CoreCounts().key()
-    tables = []
-    for bench in benches:
-        full = measured[(bench, full_key)]
-        ratios = {}
-        for dim in DIMENSIONS:
-            key = CoreCounts(**{dim: 1}).key()
-            ratio = measured[(bench, key)] / full if full else 0.0
-            ratios[dim] = min(1.0, ratio)
-        tables.append(compose_ipc_table(full, ratios))
     return {
         cfg.key(): sum(t[cfg.key()] for t in tables) / len(tables)
         for cfg in enumerate_configs()

@@ -26,16 +26,12 @@ from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
 from repro.runner.store import CheckpointStore
 from repro.telemetry import TELEMETRY
+from repro.yieldmodel.configs import DIMENSIONS
 
 OUTCOMES = ("masked", "sdc", "detected", "hang")
 
 #: Values of :attr:`InjectionSpec.model`.
 FAULT_MODELS = KINDS + ("both",)
-
-#: Fault-map dimension order for the ``counts`` tuple.
-DIMENSIONS = (
-    "frontend", "int_backend", "fp_backend", "iq_int", "iq_fp", "lsq"
-)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from typing import Dict, List, Tuple
 
 from repro.cpu.archstate import preg_count, preg_tag_bits
 from repro.cpu.params import MachineConfig
-from repro.yieldmodel.configs import CoreCounts
+from repro.yieldmodel.configs import DIMENSIONS, CoreCounts
 
 #: Chipkill block name (ROB, rename map, compaction latches).
 CHIPKILL = "chipkill"
@@ -173,9 +173,7 @@ def site_inert(site: Site, config: MachineConfig) -> bool:
 def mapped_out_blocks(counts: CoreCounts) -> Tuple[str, ...]:
     """ICI blocks the fault map has isolated (half 1 of degraded dims)."""
     out = []
-    for dim in (
-        "frontend", "int_backend", "fp_backend", "iq_int", "iq_fp", "lsq"
-    ):
+    for dim in DIMENSIONS:
         if getattr(counts, dim) == 1:
             out.append(f"{dim}.1")
     return tuple(out)

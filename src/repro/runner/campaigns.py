@@ -337,37 +337,10 @@ class IpcSweepResult:
     def tables(
         self, compose: bool = True
     ) -> Dict[str, Dict[Tuple[int, ...], float]]:
-        """Per-benchmark 64-entry IPC tables (the ``YatModel`` input).
+        """Per-benchmark 64-entry IPC tables (the ``YatModel`` input)."""
+        from repro.cpu.degraded import ipc_tables
 
-        With ``compose=True`` the 57 multi-degradation entries are
-        composed multiplicatively from the measured single-degradation
-        ratios (clamped at 1, as in ``rescue_ipc_table``); otherwise
-        every measured entry is used directly.
-        """
-        from repro.cpu.degraded import compose_ipc_table
-        from repro.yieldmodel.configs import DIMENSIONS, CoreCounts
-
-        full_key = CoreCounts().key()
-        by_bench: Dict[str, Dict[Tuple[int, ...], float]] = {}
-        benches = sorted({bench for bench, _ in self.measured})
-        for bench in benches:
-            full = self.measured[(bench, full_key)]
-            if compose:
-                ratios = {}
-                for dim in DIMENSIONS:
-                    key = CoreCounts(**{dim: 1}).key()
-                    measured = (
-                        self.measured[(bench, key)] / full if full else 0.0
-                    )
-                    ratios[dim] = min(1.0, measured)
-                by_bench[bench] = compose_ipc_table(full, ratios)
-            else:
-                by_bench[bench] = {
-                    key: min(full, ipc) if key != full_key else full
-                    for (b, key), ipc in self.measured.items()
-                    if b == bench
-                }
-        return by_bench
+        return ipc_tables(self.measured, compose)
 
 
 def ipc_sweep_items(
@@ -375,23 +348,32 @@ def ipc_sweep_items(
 ) -> List[Tuple[str, Tuple[int, ...]]]:
     """The campaign's work list: (benchmark, configuration key) pairs.
 
-    Compose mode simulates the full configuration plus the six
-    single-degradation points per benchmark; full mode all 64.
+    Per benchmark, the configurations
+    :func:`~repro.cpu.degraded.measured_configs` names.
     """
-    from repro.yieldmodel.configs import CoreCounts, enumerate_configs
+    from repro.cpu.degraded import measured_configs
 
-    if spec.compose:
-        configs = [CoreCounts()] + [
-            CoreCounts(**{dim: 1})
-            for dim in ("frontend", "int_backend", "fp_backend",
-                        "iq_int", "iq_fp", "lsq")
-        ]
-    else:
-        configs = list(enumerate_configs())
+    configs = measured_configs(spec.compose)
     return [
         (bench, cfg.key())
         for bench in spec.benchmarks
         for cfg in configs
+    ]
+
+
+def ipc_sweep_shards(spec: IpcSweepSpec) -> List[List[Tuple]]:
+    """The campaign's shard specs, ``chunk_size`` items each.
+
+    Every item carries its run shape ``(benchmark, key, n_instructions,
+    seed, warmup)``, so :func:`_ipc_worker` needs no worker-global state.
+    """
+    items = ipc_sweep_items(spec)
+    return [
+        [
+            (bench, key, spec.n_instructions, spec.seed, spec.warmup)
+            for bench, key in items[start:stop]
+        ]
+        for start, stop in shard_ranges(len(items), spec.chunk_size)
     ]
 
 
@@ -430,18 +412,10 @@ def run_ipc_sweep(
     worker initializer needed).  An explicit ``store`` overrides the
     default checkpoint store.
     """
-    items = ipc_sweep_items(spec)
-    chunks: List[List] = [
-        [
-            (bench, key, spec.n_instructions, spec.seed, spec.warmup)
-            for bench, key in items[start:stop]
-        ]
-        for start, stop in shard_ranges(len(items), spec.chunk_size)
-    ]
     if store is None and checkpoint:
         store = CheckpointStore.for_spec("ipc", spec, cache_root)
     payloads = run_shards(
-        chunks,
+        ipc_sweep_shards(spec),
         _ipc_worker,
         workers=workers,
         store=store,

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
+from repro.yieldmodel.configs import DIMENSIONS
 from repro.yieldmodel.pwp import generations
 
 #: Relative areas of the Rescue core's fault-equivalent components.
@@ -40,11 +41,6 @@ TABLE2_FRACTIONS: Mapping[str, float] = {
     "lsq": 0.07,
     "chipkill": 0.40,
 }
-
-#: Components that split into two independently disableable groups.
-REDUNDANT_COMPONENTS = (
-    "frontend", "int_backend", "fp_backend", "iq_int", "iq_fp", "lsq",
-)
 
 RESCUE_CORE_AREA_90NM = 107.0
 BASELINE_CORE_AREA_90NM = 96.0
@@ -93,7 +89,7 @@ class AreaModel:
         total = self.rescue_core_area(node_nm)
         out: Dict[str, float] = {}
         for name, frac in self.fractions.items():
-            if name in REDUNDANT_COMPONENTS:
+            if name in DIMENSIONS:
                 out[name] = frac * total / 2.0
             else:
                 out[name] = frac * total

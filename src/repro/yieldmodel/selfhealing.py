@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.yieldmodel.area import AreaModel, REDUNDANT_COMPONENTS
+from repro.yieldmodel.area import AreaModel
+from repro.yieldmodel.configs import DIMENSIONS
 
 #: Fraction of the paper's 40% chipkill budget that is array-structured
 #: (branch predictor tables, BTB, active list, TLBs — Section 5 lists
@@ -70,7 +71,7 @@ class SelfHealingModel:
         )
         groups["chipkill"] = groups["chipkill"] - protected_ck
         if self.copy_coverage:
-            for name in REDUNDANT_COMPONENTS:
+            for name in DIMENSIONS:
                 groups[name] = groups[name] * (1.0 - self.copy_coverage * 0.5)
         return groups
 

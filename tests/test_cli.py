@@ -1,10 +1,15 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import RUN_CAMPAIGNS, _inject_spec, _spec, build_parser, main
 from repro.runner.registry import REGISTRY
 from repro.telemetry import TELEMETRY
@@ -86,6 +91,25 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "gzip" in out and "average" in out
+
+    def test_closed_reader_stops_without_traceback(self):
+        # `repro ipc | head -n 1`: the reader takes the header line and
+        # exits while the first benchmark is still simulating.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "ipc", "gzip", "swim",
+             "--instructions", "2000", "--warmup", "500"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"benchmark")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
 
     @pytest.mark.slow  # full scan+ATPG flow (PODEM-bound), ~15 s
     def test_isolate_command_tiny(self, capsys):

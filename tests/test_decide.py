@@ -23,6 +23,7 @@ from repro.decide import (
     DecideSpec,
     dominates,
     evaluate,
+    ipc_spec,
     key_label,
     label_key,
     masked_sdc,
@@ -36,6 +37,7 @@ from repro.decide import (
 from repro.decide.objectives import OBJECTIVES, area_saved_fractions
 from repro.inject import InjectionSpec, InjectionStats, run_injection
 from repro.inject.campaign import OUTCOMES
+from repro.runner import run_ipc_sweep
 from repro.yieldmodel import FaultDensityModel
 from repro.yieldmodel.configs import CoreCounts, DIMENSIONS, enumerate_configs
 from repro.yieldmodel.yat import YatModel
@@ -368,6 +370,39 @@ class TestDecideCampaign:
     def test_key_label_roundtrip(self):
         for cfg in enumerate_configs():
             assert label_key(key_label(cfg.key())) == cfg.key()
+
+
+class TestIpcPhase:
+    """decide's IPC phase is the ``ipc`` campaign run on ``ipc_spec``."""
+
+    SPEC = replace(TINY, benchmarks=("swim", "gzip"), chunk_size=3)
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return run_ipc_sweep(ipc_spec(self.SPEC), checkpoint=False)
+
+    def test_measured_points_equal_the_ipc_campaign(
+        self, sweep, monkeypatch
+    ):
+        import repro.decide.campaign as campaign
+
+        seen = {}
+        fold = campaign.evaluate
+
+        def spy(spec, measured, stats):
+            seen.update(measured)
+            return fold(spec, measured, stats)
+
+        monkeypatch.setattr(campaign, "evaluate", spy)
+        run_decide(self.SPEC, checkpoint=False)
+        assert seen == sweep.measured
+
+    def test_mean_table_is_the_mean_of_the_sweep_tables(self, sweep):
+        tables = [table for _, table in sorted(sweep.tables().items())]
+        result = _run(self.SPEC)
+        assert len(result.objectives) == 64
+        for key, score in result.objectives.items():
+            assert score.ipc == sum(t[key] for t in tables) / len(tables)
 
 
 # ----------------------------------------------------------------------

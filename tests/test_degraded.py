@@ -8,7 +8,8 @@ from repro.cpu import MachineConfig
 from repro.cpu.degraded import (
     IpcCache,
     degraded_params,
-    rescue_ipc_table,
+    ipc_tables,
+    measured_configs,
     simulate_config,
 )
 from repro.yieldmodel.configs import CoreCounts, enumerate_configs
@@ -132,22 +133,30 @@ class TestIpcCache:
         assert ipc > 0
 
 
-class TestRescueIpcTable:
-    def test_compose_covers_all_64(self, tmp_path):
-        cache = IpcCache(tmp_path)
-        table = rescue_ipc_table(
-            "gzip", MachineConfig(rescue=True), cache=cache,
-            n_instructions=1200, warmup=400, compose=True,
+def _rescue_table(benchmark, n_instructions, warmup):
+    """One benchmark's composed table from its measured points."""
+    points = {
+        (benchmark, counts.key()): simulate_config(
+            benchmark,
+            degraded_params(MachineConfig(rescue=True), counts),
+            n_instructions=n_instructions,
+            warmup=warmup,
         )
+        for counts in measured_configs()
+    }
+    return ipc_tables(points)[benchmark]
+
+
+class TestRescueIpcTable:
+    """The Rescue machine's 64-entry table through ``ipc_tables``."""
+
+    def test_compose_covers_all_64(self):
+        table = _rescue_table("gzip", 1200, 400)
         assert len(table) == 64
         assert all(v >= 0 for v in table.values())
 
-    def test_composed_values_multiply(self, tmp_path):
-        cache = IpcCache(tmp_path)
-        table = rescue_ipc_table(
-            "gzip", MachineConfig(rescue=True), cache=cache,
-            n_instructions=1200, warmup=400, compose=True,
-        )
+    def test_composed_values_multiply(self):
+        table = _rescue_table("gzip", 1200, 400)
         full = table[CoreCounts().key()]
         fe = table[CoreCounts(frontend=1).key()]
         lsq = table[CoreCounts(lsq=1).key()]
@@ -159,14 +168,24 @@ class TestRescueIpcTable:
             assert both == pytest.approx(expected, rel=1e-9)
             assert fe <= full + 1e-12 and lsq <= full + 1e-12
 
-    def test_full_config_present(self, tmp_path):
-        cache = IpcCache(tmp_path)
-        table = rescue_ipc_table(
-            "mcf", MachineConfig(rescue=True), cache=cache,
-            n_instructions=800, warmup=200, compose=True,
-        )
+    def test_full_config_present(self):
+        table = _rescue_table("mcf", 800, 200)
         assert CoreCounts().key() in table
         # Degraded configurations never beat full: ratios are clamped.
         full = table[CoreCounts().key()]
         for cfg in enumerate_configs():
             assert table[cfg.key()] <= full + 1e-9
+
+    def test_measured_configs(self):
+        composed = measured_configs()
+        assert composed[0] == CoreCounts()
+        assert [c.key().count(1) for c in composed] == [0] + [1] * 6
+        assert measured_configs(compose=False) == tuple(enumerate_configs())
+
+    def test_full_mode_clamps_every_entry(self):
+        # Every degraded point beats the full one; all clamp to it.
+        points = {("b", cfg.key()): 1.0 + cfg.key().count(1) / 100
+                  for cfg in enumerate_configs()}
+        table = ipc_tables(points, compose=False)["b"]
+        assert len(table) == 64
+        assert set(table.values()) == {1.0}

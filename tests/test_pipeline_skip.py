@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import Core, MachineConfig
-from repro.cpu.degraded import degraded_params, single_degradation_counts
+from repro.cpu.degraded import degraded_params, measured_configs
 from repro.inject import (
     FaultSpec,
     enumerate_sites,
@@ -60,7 +60,7 @@ CONFIGS = {
     "trim": MachineConfig(rescue=True, replay_policy="trim"),
     **{
         f"degraded-{dim}": degraded_params(_RESCUE, counts)
-        for dim, counts in zip(DIMENSIONS, single_degradation_counts())
+        for dim, counts in zip(DIMENSIONS, measured_configs()[1:])
     },
 }
 ALL_DEGRADED = degraded_params(_RESCUE, CoreCounts(*(1,) * 6))
