@@ -6,7 +6,7 @@ choice is not critical — the buffer only bounds how fast the old half
 refills, which back-to-back selection in the new half mostly hides.
 """
 
-from conftest import BENCH_INSTRUCTIONS, print_table
+from conftest import BENCH_INSTRUCTIONS, BENCH_WARMUP, print_table
 
 from repro.cpu import MachineConfig
 
@@ -23,7 +23,8 @@ def test_compaction_buffer_sweep(benchmark, ipc_cache):
             cfg = MachineConfig(rescue=True, compaction_buffer=size)
             ipcs.append(
                 ipc_cache.get_or_run(
-                    name, cfg, n_instructions=BENCH_INSTRUCTIONS
+                    name, cfg, n_instructions=BENCH_INSTRUCTIONS,
+                    warmup=BENCH_WARMUP,
                 )
             )
         spread = 100 * (max(ipcs) - min(ipcs)) / max(ipcs)
@@ -42,6 +43,7 @@ def test_compaction_buffer_sweep(benchmark, ipc_cache):
     cfg = MachineConfig(rescue=True, compaction_buffer=4)
     benchmark(
         lambda: ipc_cache.get_or_run(
-            "gzip", cfg, n_instructions=BENCH_INSTRUCTIONS
+            "gzip", cfg, n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
     )

@@ -6,7 +6,7 @@ the most common degradation.  This sweep measures per-benchmark IPC with
 a halved integer queue so the cheap-degradation claim is visible directly.
 """
 
-from conftest import BENCH_INSTRUCTIONS, print_table
+from conftest import BENCH_INSTRUCTIONS, BENCH_WARMUP, print_table
 
 from repro.cpu import MachineConfig
 
@@ -20,10 +20,12 @@ def test_iq_size_sensitivity(benchmark, ipc_cache):
         full = ipc_cache.get_or_run(
             name, MachineConfig(rescue=True),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
         half = ipc_cache.get_or_run(
             name, MachineConfig(rescue=True, iq_int_halves=1),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
         loss = 100 * (1 - half / full) if full else 0.0
         losses.append(loss)
@@ -43,5 +45,6 @@ def test_iq_size_sensitivity(benchmark, ipc_cache):
         lambda: ipc_cache.get_or_run(
             "bzip2", MachineConfig(rescue=True, iq_int_halves=1),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
     )

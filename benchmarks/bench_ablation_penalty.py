@@ -12,7 +12,7 @@ Separates the two sources of the Figure 8 degradation:
 
 import dataclasses
 
-from conftest import BENCH_INSTRUCTIONS, print_table
+from conftest import BENCH_INSTRUCTIONS, BENCH_WARMUP, print_table
 
 from repro.cpu import CoreParams, MachineConfig
 
@@ -29,20 +29,24 @@ def test_penalty_decomposition(benchmark, ipc_cache):
         base = ipc_cache.get_or_run(
             name, MachineConfig(core=base_core, rescue=False),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
         # Baseline queue, Rescue's frontend penalty (15 + 2).
         mispredict_only = ipc_cache.get_or_run(
             name, MachineConfig(core=long_core, rescue=False),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
         # Rescue queue, baseline's frontend penalty (13 + 2 = 15).
         policy_only = ipc_cache.get_or_run(
             name, MachineConfig(core=short_core, rescue=True),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
         full = ipc_cache.get_or_run(
             name, MachineConfig(core=base_core, rescue=True),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
 
         def pct(x):
@@ -63,5 +67,6 @@ def test_penalty_decomposition(benchmark, ipc_cache):
         lambda: ipc_cache.get_or_run(
             "gzip", MachineConfig(core=short_core, rescue=True),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
     )

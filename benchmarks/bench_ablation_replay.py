@@ -7,7 +7,7 @@ cross-half communication ICI forbids.  The gap between the two bounds what
 the simple policy costs.
 """
 
-from conftest import BENCH_INSTRUCTIONS, print_table
+from conftest import BENCH_INSTRUCTIONS, BENCH_WARMUP, print_table
 
 from repro.cpu import MachineConfig
 
@@ -21,10 +21,12 @@ def test_replay_policy_ablation(benchmark, ipc_cache):
         paper = ipc_cache.get_or_run(
             name, MachineConfig(rescue=True, replay_policy="paper"),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
         trim = ipc_cache.get_or_run(
             name, MachineConfig(rescue=True, replay_policy="trim"),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
         cost = 100 * (1 - paper / trim) if trim else 0.0
         costs.append(cost)
@@ -42,5 +44,6 @@ def test_replay_policy_ablation(benchmark, ipc_cache):
         lambda: ipc_cache.get_or_run(
             "eon", MachineConfig(rescue=True, replay_policy="trim"),
             n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
     )

@@ -14,13 +14,15 @@ from repro.workloads import PROFILES, generate_trace
 
 
 def _ipc_pair(prof, cache):
-    from repro.cpu.degraded import IpcCache
-
-    base_cfg = MachineConfig(rescue=False)
-    resc_cfg = MachineConfig(rescue=True)
-    n = BENCH_INSTRUCTIONS
-    base = cache.get_or_run(prof.name, base_cfg, n_instructions=n)
-    resc = cache.get_or_run(prof.name, resc_cfg, n_instructions=n)
+    n, warmup = BENCH_INSTRUCTIONS, BENCH_WARMUP
+    base = cache.get_or_run(
+        prof.name, MachineConfig(rescue=False), n_instructions=n,
+        warmup=warmup,
+    )
+    resc = cache.get_or_run(
+        prof.name, MachineConfig(rescue=True), n_instructions=n,
+        warmup=warmup,
+    )
     return base, resc
 
 

@@ -19,6 +19,7 @@ all 64 degraded configurations instead of composing.
 
 from conftest import (
     BENCH_INSTRUCTIONS,
+    BENCH_WARMUP,
     FULL_SWEEP,
     cache_json,
     print_table,
@@ -32,7 +33,10 @@ from repro.yieldmodel import FaultDensityModel, YatModel, cores_per_chip
 
 NODES = (90, 65, 32, 18)
 GROWTHS = (0.2, 0.3, 0.4, 0.5)
-_CACHE = f"fig9_{BENCH_INSTRUCTIONS}_{'full' if FULL_SWEEP else 'compose'}"
+_CACHE = (
+    f"fig9_{BENCH_INSTRUCTIONS}_{BENCH_WARMUP}_"
+    f"{'full' if FULL_SWEEP else 'compose'}"
+)
 
 
 def _collect_ipcs(ipc_cache):
@@ -43,12 +47,13 @@ def _collect_ipcs(ipc_cache):
     bases, points = {}, {}
     for prof in PROFILES:
         bases[prof.name] = ipc_cache.get_or_run(
-            prof.name, base_cfg, n_instructions=BENCH_INSTRUCTIONS
+            prof.name, base_cfg, n_instructions=BENCH_INSTRUCTIONS,
+            warmup=BENCH_WARMUP,
         )
         for counts in measured_configs(compose):
             points[(prof.name, counts.key())] = ipc_cache.get_or_run(
                 prof.name, degraded_params(resc_cfg, counts),
-                n_instructions=BENCH_INSTRUCTIONS,
+                n_instructions=BENCH_INSTRUCTIONS, warmup=BENCH_WARMUP,
             )
     tables = ipc_tables(points, compose)
     return {name: (base, tables[name]) for name, base in bases.items()}

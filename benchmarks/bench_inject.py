@@ -30,7 +30,6 @@ import argparse
 import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -43,9 +42,7 @@ if str(_REPO_ROOT) not in sys.path:  # the scratch oracle is in tests/
 def _masking(spec, workers: int):
     from repro.inject import masking_validation
 
-    t0 = time.perf_counter()
-    val = masking_validation(spec, workers=workers, checkpoint=False)
-    return val, time.perf_counter() - t0
+    return masking_validation(spec, workers=workers, checkpoint=False)
 
 
 def _assert_masking(val) -> None:
@@ -124,8 +121,7 @@ def _assert_fork_equivalence(spec) -> None:
 
 def _measure_suffix_replay(spec, workers: int) -> dict:
     """Run the masking campaign forked and from-scratch (the oracle,
-    serial) under telemetry and compare total simulated cycles and wall
-    clock."""
+    serial) under telemetry and compare total simulated cycles."""
     from repro.inject import run_injection
     from repro.telemetry import TELEMETRY
     from tests.oracles import scratch_campaign
@@ -134,15 +130,11 @@ def _measure_suffix_replay(spec, workers: int) -> dict:
     TELEMETRY.enable()
     try:
         with TELEMETRY.collect() as m_fork:
-            t0 = time.perf_counter()
             for s in specs.values():
                 run_injection(s, workers=workers, checkpoint=False)
-            fork_wall = time.perf_counter() - t0
         with TELEMETRY.collect() as m_scratch:
-            t0 = time.perf_counter()
             for s in specs.values():
                 scratch_campaign(s)
-            scratch_wall = time.perf_counter() - t0
     finally:
         TELEMETRY.disable()
         TELEMETRY.reset()
@@ -163,11 +155,6 @@ def _measure_suffix_replay(spec, workers: int) -> dict:
             "forked": forked,
             "scratch": scratch,
             "ratio": round(ratio, 2),
-        },
-        "wall_seconds": {
-            "forked": round(fork_wall, 4),
-            "scratch": round(scratch_wall, 4),
-            "speedup": round(scratch_wall / fork_wall, 2),
         },
         "fork_restores": m_fork.counters.get("inject.fork_restores", 0),
         "early_exits": m_fork.counters.get("inject.early_exits", 0),
@@ -247,7 +234,7 @@ def check(workers: int = 2) -> None:
     from repro.inject import InjectionSpec
 
     spec = InjectionSpec(n_instructions=1200, n_faults=24, chunk_size=6)
-    val, _ = _masking(spec, workers)
+    val = _masking(spec, workers)
     _assert_masking(val)
     _assert_invariance(spec, workers)
     _assert_fork_equivalence(spec)

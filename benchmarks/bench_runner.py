@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -33,9 +32,7 @@ if "repro" not in sys.modules:  # script mode: make src/ importable
 def _run(spec, workers: int):
     from repro.runner import run_isolation
 
-    t0 = time.perf_counter()
-    stats = run_isolation(spec, workers=workers, checkpoint=False)
-    return stats, time.perf_counter() - t0
+    return run_isolation(spec, workers=workers, checkpoint=False)
 
 
 def check(workers: int = 4) -> None:
@@ -46,8 +43,8 @@ def check(workers: int = 4) -> None:
         tiny=True, n_faults=120, max_deterministic=0, chunk_size=17
     )
     prepare_isolation(spec)
-    serial_stats, _ = _run(spec, workers=1)
-    parallel_stats, _ = _run(spec, workers=workers)
+    serial_stats = _run(spec, workers=1)
+    parallel_stats = _run(spec, workers=workers)
     assert serial_stats == parallel_stats, (
         f"parallel != serial: {parallel_stats} vs {serial_stats}"
     )

@@ -20,7 +20,8 @@ Thin wrappers over the library for the common flows:
   for every lint violation (``--apply`` writes the patched Verilog);
 - ``repro run CAMPAIGN`` — the sharded campaign runner (``--workers N``
   processes, ``--resume`` to continue from ``.repro_cache/``
-  checkpoints) for any registered campaign;
+  checkpoints; ``--resume`` with ``--no-checkpoint`` is a usage error)
+  for any registered campaign;
 - ``repro serve`` — the long-lived HTTP campaign service (job submission,
   live shard-level status, ``/metrics`` monitoring, crash recovery);
 - ``repro submit`` / ``repro status`` / ``repro result`` — thin clients
@@ -515,11 +516,12 @@ def build_parser() -> argparse.ArgumentParser:
         _add_spec_flags(p, REGISTRY[campaign].spec_cls, skip)
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (1 = in-process)")
-        p.add_argument("--resume", action="store_true",
-                       help="reuse completed shards from the checkpoint "
-                            "store")
-        p.add_argument("--no-checkpoint", action="store_true",
-                       help="do not write shard checkpoints")
+        store = p.add_mutually_exclusive_group()
+        store.add_argument("--resume", action="store_true",
+                           help="reuse completed shards from the "
+                                "checkpoint store")
+        store.add_argument("--no-checkpoint", action="store_true",
+                           help="do not write shard checkpoints")
         p.add_argument("--cache-dir", default=None,
                        help="checkpoint root (None: .repro_cache or "
                             "$REPRO_CACHE_DIR)")

@@ -41,10 +41,9 @@ from repro.inject.campaign import (
 from repro.runner.campaigns import (
     IpcSweepResult, IpcSweepSpec, _ipc_worker, ipc_sweep_shards,
 )
-from repro.runner.executor import ProgressFn, run_shards
+from repro.runner.executor import run_shards
 from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore
 from repro.telemetry import TELEMETRY
 from repro.yieldmodel.configs import CoreCounts, DIMENSIONS
 
@@ -129,13 +128,15 @@ def ipc_spec(spec: DecideSpec) -> IpcSweepSpec:
 def decide_items(spec: DecideSpec) -> List[Tuple]:
     """The campaign's shard list: injection spans, then IPC chunks.
 
-    Every shard spec is self-describing (``("inject", start, stop)`` or
-    ``("ipc", chunk)`` with one of the ``ipc`` campaign's own shards),
-    so shard ``i``'s payload is a function of ``specs[i]`` alone — the
-    runner determinism contract.
+    Every shard spec is self-describing (``("inject", inject_spec,
+    start, stop)`` or ``("ipc", chunk)`` with one of the ``ipc``
+    campaign's own shards), so shard ``i``'s payload is a function of
+    ``shards[i]`` alone — the runner determinism contract — and the
+    campaign needs no worker init.
     """
+    inject = injection_spec(spec)
     items: List[Tuple] = [
-        ("inject", start, stop)
+        ("inject", inject, start, stop)
         for start, stop in shard_ranges(spec.n_faults, spec.inject_chunk)
     ]
     items.extend(
@@ -144,28 +145,21 @@ def decide_items(spec: DecideSpec) -> List[Tuple]:
     return items
 
 
-# Worker-global state: {"spec": DecideSpec}.  The injection phase's
-# heavy state (trace, golden run, fault sample) lives in the inject
-# campaign's own worker global, built lazily on the first inject shard
-# and shared copy-free by forked workers when the parent prepared it.
-_DECIDE: Dict[str, Any] = {}
-
-
-def _decide_init(spec: DecideSpec) -> None:
-    _DECIDE["spec"] = spec
-
-
 def _decide_worker(item: Tuple) -> Dict[str, Any]:
-    spec: DecideSpec = _DECIDE["spec"]
+    """One shard.  The injection phase's heavy state (trace, golden run,
+    fault sample) lives in the inject campaign's own worker global,
+    built lazily on the first inject shard and shared copy-free by
+    forked workers when the parent prepared it."""
     t = TELEMETRY
     if item[0] == "inject":
         from repro.inject.campaign import _inject_init, _inject_worker
 
+        _, inject, start, stop = item
         with t.span("decide.inject_shard"):
-            _inject_init(injection_spec(spec))
-            payload = _inject_worker((item[1], item[2]))
+            _inject_init(inject)
+            payload = _inject_worker((start, stop))
         if t.enabled:
-            t.count("decide.inject_faults", item[2] - item[1])
+            t.count("decide.inject_faults", stop - start)
         return {"kind": "inject", "stats": payload}
     with t.span("decide.ipc_shard"):
         out = _ipc_worker(item[1])
@@ -341,41 +335,22 @@ def merge_payloads(
     return stats, ipc.measured
 
 
-def run_decide(
-    spec: DecideSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> DecideResult:
+def run_decide(spec: DecideSpec, **runner) -> DecideResult:
     """Run the sharded decision campaign; returns the ranked result.
 
     Bit-identical for any ``workers``/chunking/resume history: each
     shard is an independent deterministic computation, payloads merge
     in shard-index order, and the fold is pure arithmetic on the merged
-    data.  An explicit ``store`` overrides the default checkpoint store
-    (the campaign service's seam).
+    data.  ``runner`` options go to
+    :func:`~repro.runner.executor.run_shards`.
     """
     if spec.n_faults <= 0:
         raise ValueError("n_faults must be positive")
     if not spec.benchmarks:
         raise ValueError("at least one benchmark required")
-    items = decide_items(spec)
-    if store is None and checkpoint:
-        store = CheckpointStore.for_spec("decide", spec, cache_root)
     with TELEMETRY.span("decide.campaign"):
         payloads = run_shards(
-            items,
-            _decide_worker,
-            workers=workers,
-            initializer=_decide_init,
-            initargs=(spec,),
-            store=store,
-            resume=resume,
-            progress=progress,
+            "decide", spec, decide_items(spec), _decide_worker, **runner
         )
         stats, measured = merge_payloads(payloads)
         return evaluate(spec, measured, stats)
@@ -390,5 +365,4 @@ def prepare_decide(spec: DecideSpec) -> None:
     """
     from repro.inject.campaign import prepare_injection
 
-    _decide_init(spec)
     prepare_injection(injection_spec(spec))

@@ -2,8 +2,8 @@
 
 Follows the runner's campaign recipe: a frozen :class:`InjectionSpec`
 captures every parameter that affects the result and is hashed into the
-checkpoint key; a worker-global initializer builds the heavy shared
-state (trace, golden run, fault sample) once per process; shards are
+checkpoint key; a worker-global init builds the heavy shared state
+(trace, golden run, fault sample) once per process; shards are
 contiguous fault-index spans whose JSON payloads merge in shard order
 into an :class:`InjectionStats` that is bit-identical for any worker
 count, chunk size, or checkpoint/resume history.
@@ -21,10 +21,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.inject.models import KINDS
-from repro.runner.executor import ProgressFn, run_shards
+from repro.runner.executor import run_shards
 from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore
 from repro.telemetry import TELEMETRY
 from repro.yieldmodel.configs import DIMENSIONS
 
@@ -425,37 +424,19 @@ def prepare_injection(spec: InjectionSpec):
     return _INJECT["golden"], _INJECT["faults"]
 
 
-def run_injection(
-    spec: InjectionSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> InjectionStats:
+def run_injection(spec: InjectionSpec, **runner) -> InjectionStats:
     """Run the sharded injection campaign; returns merged stats.
 
     Bit-identical for any ``workers``/``chunk_size``/resume history:
     faults are sampled from per-index seed streams, each injection is an
     independent deterministic simulation, and shard payloads merge in
-    shard-index order.  An explicit ``store`` overrides the default
-    checkpoint store (the campaign service's injection seam).
+    shard-index order.  ``runner`` options go to
+    :func:`~repro.runner.executor.run_shards`.
     """
     prepare_injection(spec)
     spans = shard_ranges(len(_INJECT["faults"]), spec.chunk_size)
-    if store is None and checkpoint:
-        store = CheckpointStore.for_spec("inject", spec, cache_root)
     payloads = run_shards(
-        spans,
-        _inject_worker,
-        workers=workers,
-        initializer=_inject_init,
-        initargs=(spec,),
-        store=store,
-        resume=resume,
-        progress=progress,
+        "inject", spec, spans, _inject_worker, init=_inject_init, **runner
     )
     merged = InjectionStats()
     for payload in payloads:
@@ -464,13 +445,7 @@ def run_injection(
 
 
 def masking_validation(
-    base_spec: Optional[InjectionSpec] = None,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
+    base_spec: Optional[InjectionSpec] = None, **runner
 ) -> Dict[str, InjectionStats]:
     """The degraded-mode masking experiment (paper's headline property).
 
@@ -479,21 +454,18 @@ def masking_validation(
     are mapped out — every fault must classify ``masked`` — and (b) the
     full configuration, where the same blocks are live and the sample
     produces SDCs/hangs/detections.  Returns ``{"degraded": stats,
-    "full": stats}``.
+    "full": stats}``.  ``runner`` options go to both runs; each run
+    checkpoints to its own spec's store, so pass no ``store``.
     """
     from repro.inject.sites import mapped_out_blocks
     from repro.yieldmodel.configs import CoreCounts
 
     spec = base_spec if base_spec is not None else InjectionSpec()
     shadow = mapped_out_blocks(CoreCounts(**{d: 1 for d in DIMENSIONS}))
-    kwargs = dict(
-        workers=workers, resume=resume, checkpoint=checkpoint,
-        cache_root=cache_root, progress=progress,
-    )
     degraded = run_injection(
-        replace(spec, counts=(1,) * 6, blocks=shadow), **kwargs
+        replace(spec, counts=(1,) * 6, blocks=shadow), **runner
     )
     full = run_injection(
-        replace(spec, counts=(2,) * 6, blocks=shadow), **kwargs
+        replace(spec, counts=(2,) * 6, blocks=shadow), **runner
     )
     return {"degraded": degraded, "full": full}

@@ -40,10 +40,9 @@ from repro.repair.candidates import (
 )
 from repro.repair.oracle import BaseState, _equivalence_stage, verify_candidate
 from repro.repair.seedbreak import SeededBreak, seed_breaks
-from repro.runner.executor import ProgressFn, run_shards
+from repro.runner.executor import run_shards
 from repro.runner.registry import check_spec, choice
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore
 from repro.telemetry import TELEMETRY
 
 #: Model variants the campaign can repair.
@@ -357,42 +356,24 @@ class RepairResult:
         return "\n".join(lines)
 
 
-def run_repair(
-    spec: RepairSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> RepairResult:
+def run_repair(spec: RepairSpec, **runner) -> RepairResult:
     """Run the sharded repair campaign; returns the verified plan.
 
     Bit-identical for any ``workers``/chunking/resume history: shards
     are independent deterministic searches over index spans of the
     (deterministic) violation list, payloads merge in shard-index
     order, and plan selection plus final verification are pure
-    functions of the merged data.  An explicit ``store`` overrides the
-    default checkpoint store (the campaign service's seam).
+    functions of the merged data.  ``runner`` options go to
+    :func:`~repro.runner.executor.run_shards`.
     """
     if spec.n_patterns <= 0:
         raise ValueError("n_patterns must be positive")
     base = _repair_init(spec)
     breaks: List[SeededBreak] = _REPAIR["breaks"]
-    items = shard_ranges(len(base.report.violations), spec.chunk_size)
-    if store is None and checkpoint:
-        store = CheckpointStore.for_spec("repair", spec, cache_root)
     with TELEMETRY.span("repair.campaign"):
         payloads = run_shards(
-            items,
-            _repair_worker,
-            workers=workers,
-            initializer=_repair_init,
-            initargs=(spec,),
-            store=store,
-            resume=resume,
-            progress=progress,
+            "repair", spec, repair_items(spec), _repair_worker,
+            init=_repair_init, **runner,
         )
         entries = [v for p in payloads for v in p["violations"]]
         actions, unrepaired = choose_actions(entries)

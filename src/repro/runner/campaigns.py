@@ -12,7 +12,10 @@ Each campaign follows the same recipe:
    shard from its spec alone;
 3. shard payloads are JSON-serializable and merge through explicit,
    order-insensitive ``merge()`` methods, so the final result is
-   bit-identical for any worker count and chunk size.
+   bit-identical for any worker count and chunk size;
+4. the ``run_*(spec, **runner)`` entry point is only the shard list, one
+   :func:`~repro.runner.executor.run_shards` call (which owns the runner
+   options, the checkpoint store and the worker init) and the fold.
 
 Campaigns:
 
@@ -27,11 +30,10 @@ Campaigns:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runner.executor import ProgressFn, run_shards
+from repro.runner.executor import run_shards
 from repro.runner.seeding import shard_ranges
-from repro.runner.store import CheckpointStore
 
 
 # ----------------------------------------------------------------------
@@ -101,46 +103,27 @@ def prepare_isolation(spec: IsolationSpec):
     vectors, and fault sample are built exactly once, and (b) forked
     workers inherit them instead of rebuilding — the compiled netlist is
     never pickled per fault.  (Under a ``spawn`` start method workers
-    cannot inherit; the initializer rebuilds there.)
+    cannot inherit; ``_isolation_init`` rebuilds there.)
     """
     _isolation_init(spec)
     return _ISOLATION["setup"]
 
 
-def run_isolation(
-    spec: IsolationSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-):
+def run_isolation(spec: IsolationSpec, **runner):
     """Run the sharded Section 6.1 campaign; returns ``IsolationStats``.
 
     Bit-identical to the serial ``isolation_experiment`` for any
     ``workers``/``chunk_size`` (all stats are integer counts over a
     deterministic fault sample partitioned by contiguous chunks).
-    An explicit ``store`` overrides the default checkpoint store (the
-    campaign service injects instrumented stores through this seam).
+    ``runner`` options go to :func:`~repro.runner.executor.run_shards`.
     """
     from repro.rtl.experiment import IsolationStats
 
     prepare_isolation(spec)
-    n = len(_ISOLATION["faults"])
-    spans = shard_ranges(n, spec.chunk_size)
-    if store is None and checkpoint:
-        store = CheckpointStore.for_spec("isolation", spec, cache_root)
+    spans = shard_ranges(len(_ISOLATION["faults"]), spec.chunk_size)
     payloads = run_shards(
-        spans,
-        _isolation_worker,
-        workers=workers,
-        initializer=_isolation_init,
-        initargs=(spec,),
-        store=store,
-        resume=resume,
-        progress=progress,
+        "isolation", spec, spans, _isolation_worker,
+        init=_isolation_init, **runner,
     )
     merged = IsolationStats()
     for payload in payloads:
@@ -232,38 +215,20 @@ def _montecarlo_worker(span: Tuple[int, int]) -> Dict:
     return result.to_json()
 
 
-def run_montecarlo(
-    spec: MonteCarloSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-):
+def run_montecarlo(spec: MonteCarloSpec, **runner):
     """Run the sharded chip-sampling campaign; returns ``MonteCarloResult``.
 
     Bit-identical to ``simulate_chips`` with the same parameters: chips
     carry index-derived RNG streams, spans merge by concatenation, and
     the single final reduction uses exactly-rounded summation.
-    An explicit ``store`` overrides the default checkpoint store.
+    ``runner`` options go to :func:`~repro.runner.executor.run_shards`.
     """
     from repro.yieldmodel.montecarlo import ChipSpan, MonteCarloResult
 
     _montecarlo_init(spec)
-    spans = shard_ranges(spec.n_chips, spec.chunk_size)
-    if store is None and checkpoint:
-        store = CheckpointStore.for_spec("montecarlo", spec, cache_root)
     payloads = run_shards(
-        spans,
-        _montecarlo_worker,
-        workers=workers,
-        initializer=_montecarlo_init,
-        initargs=(spec,),
-        store=store,
-        resume=resume,
-        progress=progress,
+        "montecarlo", spec, shard_ranges(spec.n_chips, spec.chunk_size),
+        _montecarlo_worker, init=_montecarlo_init, **runner,
     )
     if not payloads:
         return MonteCarloResult(0, 0.0, 0.0, 0.0, 0.0)
@@ -394,33 +359,17 @@ def _ipc_worker(chunk: List) -> List[Dict]:
     return out
 
 
-def run_ipc_sweep(
-    spec: IpcSweepSpec,
-    *,
-    workers: int = 1,
-    resume: bool = False,
-    checkpoint: bool = True,
-    cache_root: Optional[str] = None,
-    store: Optional[CheckpointStore] = None,
-    progress: Optional[ProgressFn] = None,
-) -> IpcSweepResult:
+def run_ipc_sweep(spec: IpcSweepSpec, **runner) -> IpcSweepResult:
     """Run the sharded degraded-IPC sweep.
 
     Each item is an independent deterministic simulation (trace seeded,
     machine config derived from the key), so results are trivially
     bit-identical across worker counts; shards are self-contained (no
-    worker initializer needed).  An explicit ``store`` overrides the
-    default checkpoint store.
+    worker init needed).  ``runner`` options go to
+    :func:`~repro.runner.executor.run_shards`.
     """
-    if store is None and checkpoint:
-        store = CheckpointStore.for_spec("ipc", spec, cache_root)
     payloads = run_shards(
-        ipc_sweep_shards(spec),
-        _ipc_worker,
-        workers=workers,
-        store=store,
-        resume=resume,
-        progress=progress,
+        "ipc", spec, ipc_sweep_shards(spec), _ipc_worker, **runner
     )
     result = IpcSweepResult({})
     for payload in payloads:

@@ -1,24 +1,27 @@
-"""Sharded campaign execution over a process pool.
+"""The one campaign driver: sharded execution with checkpoint/resume.
 
-:func:`run_shards` is the one orchestration primitive the campaigns
-share: given a list of picklable shard specs and a top-level worker
-function, it runs the shards inline (``workers <= 1``) or across a
+Every campaign's ``run_*`` is its shard list, one :func:`run_shards`
+call and its fold.  The runner options (``workers``, ``resume``,
+``checkpoint``, ``cache_root``, ``store``, ``progress``) are declared
+and documented here only; a campaign takes them as ``**runner`` and
+passes them through.  :func:`run_shards` builds the campaign's
+:class:`~repro.runner.store.CheckpointStore` from its name and spec,
+runs the campaign's ``init(spec)`` inline or as the pool initializer,
+runs the shards inline (``workers <= 1``) or across a
 ``concurrent.futures.ProcessPoolExecutor``, checkpoints each completed
-shard to a :class:`~repro.runner.store.CheckpointStore`, and returns the
-payloads in shard order.
+shard, and returns the payloads in shard order.
 
 Determinism contract: the worker must compute shard ``i``'s payload from
-``specs[i]`` (plus worker-global state installed by ``initializer``)
-alone — never from completion order or worker identity.  Under that
-contract the merged result is identical for any worker count and any
-scheduling, which is what ``tests/test_runner_determinism.py`` asserts.
+``shards[i]`` (plus worker-global state installed by ``init``) alone —
+never from completion order or worker identity.  Under that contract the
+merged result is identical for any worker count and any scheduling,
+which is what ``tests/test_runner_determinism.py`` asserts.
 
 Heavy shared state (a compiled netlist with its ATPG vectors) is *not*
-pickled per shard: ``initializer`` runs once per worker process and
-parks the state in a module global.  On POSIX the default ``fork`` start
-method lets workers inherit state already built in the parent, so the
-initializer's rebuild is skipped entirely (see
-``campaigns.prepare_isolation``).
+pickled per shard: ``init`` runs once per worker process and parks the
+state in a module global.  On POSIX the default ``fork`` start method
+lets workers inherit state already built in the parent, so the init's
+rebuild is skipped entirely (see ``campaigns.prepare_isolation``).
 
 Telemetry: when the parent's :data:`~repro.telemetry.TELEMETRY` is
 enabled, each shard runs inside a fresh
@@ -57,6 +60,7 @@ class ShardProgress:
 
 
 ProgressFn = Callable[[ShardProgress], None]
+InitFn = Callable[[Any], Any]
 
 
 def _emit(
@@ -94,9 +98,7 @@ class _MeteredWorker:
 
 
 def _pool_init(
-    tele_enabled: bool,
-    inner: Optional[Callable[..., None]],
-    inner_args: Tuple[Any, ...],
+    tele_enabled: bool, init: Optional[InitFn], spec: Any
 ) -> None:
     """Per-worker-process setup: telemetry state, then the campaign's own.
 
@@ -107,8 +109,8 @@ def _pool_init(
     """
     TELEMETRY.sink = None
     TELEMETRY.enabled = tele_enabled
-    if inner is not None:
-        inner(*inner_args)
+    if init is not None:
+        init(spec)
 
 
 def _unwrap(rec: Any) -> Tuple[Any, Optional[Dict[str, Any]]]:
@@ -127,24 +129,50 @@ def _unwrap(rec: Any) -> Tuple[Any, Optional[Dict[str, Any]]]:
 
 
 def run_shards(
-    specs: Sequence[Any],
+    campaign: str,
+    spec: Any,
+    shards: Sequence[Any],
     worker: Callable[[Any], Any],
     *,
+    init: Optional[InitFn] = None,
     workers: int = 1,
-    initializer: Optional[Callable[..., None]] = None,
-    initargs: Tuple[Any, ...] = (),
-    store: Optional[CheckpointStore] = None,
     resume: bool = False,
+    checkpoint: bool = True,
+    cache_root: Optional[str] = None,
+    store: Optional[CheckpointStore] = None,
     progress: Optional[ProgressFn] = None,
 ) -> List[Any]:
-    """Run every shard, return payloads ordered by shard index.
+    """Run every shard of ``campaign``; return payloads by shard index.
 
-    With ``store`` set and ``resume=True``, shards already present in the
-    checkpoint are reported as cached and skipped; without ``resume`` the
-    store is cleared first so a fresh run never merges stale partials.
+    ``worker(shards[i])`` computes shard ``i``; ``init(spec)``, when
+    given, installs the worker-global state it reads, once per process
+    (inline before the first pending shard, or as the pool initializer).
+    The runner options:
+
+    - ``workers``: processes (``<= 1`` runs in this process, no pool);
+    - ``checkpoint``: write each completed shard to the campaign's store,
+      ``CheckpointStore.for_spec(campaign, spec, cache_root)``;
+    - ``cache_root``: that store's root (None: ``REPRO_CACHE_DIR`` or
+      ``.repro_cache``);
+    - ``store``: an explicit store instead (the campaign service's seam);
+      it is used even when ``checkpoint`` is false;
+    - ``resume``: reuse the shards already in the store, reported as
+      cached; without it the store is cleared first so a fresh run never
+      merges stale partials.  ``ValueError`` when there is no store to
+      resume from;
+    - ``progress``: called with a :class:`ShardProgress` as each shard
+      lands.
+
     Payloads must be picklable when a store is used.
     """
-    n = len(specs)
+    if store is None and checkpoint:
+        store = CheckpointStore.for_spec(campaign, spec, cache_root)
+    if resume and store is None:
+        raise ValueError(
+            f"{campaign}: resume needs a checkpoint store "
+            f"(checkpoint is off)"
+        )
+    n = len(shards)
     tele_enabled = TELEMETRY.enabled
     metered = _MeteredWorker(worker, tele_enabled)
     completed: Dict[int, Any] = {}
@@ -174,24 +202,24 @@ def run_shards(
 
     if pending:
         if workers <= 1:
-            if initializer is not None:
-                initializer(*initargs)
+            if init is not None:
+                init(spec)
             for shard in pending:
                 t0 = time.perf_counter()
-                rec = metered(specs[shard])
+                rec = metered(shards[shard])
                 _record(shard, rec, time.perf_counter() - t0)
         else:
             pool_size = min(workers, len(pending))
             with ProcessPoolExecutor(
                 max_workers=pool_size,
                 initializer=_pool_init,
-                initargs=(tele_enabled, initializer, initargs),
+                initargs=(tele_enabled, init, spec),
             ) as pool:
                 t_start = {}
                 futures = {}
                 for shard in pending:
                     t_start[shard] = time.perf_counter()
-                    futures[pool.submit(metered, specs[shard])] = shard
+                    futures[pool.submit(metered, shards[shard])] = shard
                 for fut in as_completed(futures):
                     shard = futures[fut]
                     rec = fut.result()  # propagate worker exceptions

@@ -2,9 +2,9 @@
 
 The six registered campaigns (isolation, montecarlo, ipc, inject,
 decide, repair) share the runner recipe — a frozen spec dataclass, a
-``run_*`` entry point with the ``(spec, *, workers, resume, checkpoint,
-cache_root, store, progress)`` signature, and a result class with
-``to_json()`` / ``from_json()`` / ``summary()``.  :data:`REGISTRY`
+``run_*(spec, **runner)`` entry point whose ``runner`` options are
+those of :func:`~repro.runner.executor.run_shards`, and a result class
+with ``to_json()`` / ``from_json()`` / ``summary()``.  :data:`REGISTRY`
 centralizes them behind :class:`CampaignEntry` so generic
 infrastructure (the campaign service, the ``repro`` CLI's generated
 flags) can drive *any* registered campaign from a ``(name,
@@ -14,9 +14,10 @@ params-dict)`` pair:
   JSON params dict (lists are coerced to tuples, unknown keys raise
   ``TypeError`` and values outside a field's declared choices raise
   ``ValueError`` — both are the service's 400 path);
-- :meth:`CampaignEntry.store_for` derives the same
-  :class:`~repro.runner.store.CheckpointStore` the campaign would build
-  itself, so service runs and direct CLI runs share checkpoints;
+- the entry's ``name`` is the campaign name ``run_shards`` keys its
+  checkpoint store by
+  (:meth:`~repro.runner.store.CheckpointStore.for_spec`), so service
+  runs and direct CLI runs share checkpoints;
 - :attr:`CampaignEntry.result_cls` is the result class whose
   ``to_json`` / ``from_json`` / ``summary`` round-trip the merged result
   across the HTTP boundary.
@@ -38,7 +39,7 @@ from dataclasses import asdict, dataclass
 from importlib import import_module
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.runner.store import CheckpointStore, config_hash
+from repro.runner.store import config_hash
 
 
 def choice(default: str, choices: Tuple[str, ...]) -> Any:
@@ -64,9 +65,8 @@ class CampaignEntry:
 
     ``module`` / ``spec_name`` / ``run_name`` / ``result`` are resolved
     lazily so the registry itself imports nothing heavy; ``result`` is a
-    ``"module:Class"`` path.  ``name`` doubles as the checkpoint key
-    prefix the campaign's own store uses (keeping service and CLI
-    checkpoints interchangeable).
+    ``"module:Class"`` path.  ``name`` is also the campaign name
+    ``run_shards`` keys its checkpoint store by.
     """
 
     name: str
@@ -86,7 +86,7 @@ class CampaignEntry:
 
     @property
     def run(self) -> Callable[..., Any]:
-        """The campaign's ``run_*`` entry point."""
+        """The campaign's ``run_*(spec, **runner)`` entry point."""
         return getattr(self._mod(), self.run_name)
 
     @property
@@ -95,7 +95,7 @@ class CampaignEntry:
         module, name = self.result.split(":")
         return getattr(import_module(module), name)
 
-    # -- spec / store ---------------------------------------------------
+    # -- spec ----------------------------------------------------------
     def make_spec(self, params: Optional[Mapping[str, Any]] = None):
         """Build the frozen spec from a plain JSON params dict.
 
@@ -124,17 +124,6 @@ class CampaignEntry:
         return config_hash(
             {"campaign": self.name, "spec": self.canonical_params(spec)}
         )
-
-    def store_for(
-        self, spec: Any, cache_root: Optional[str] = None
-    ) -> CheckpointStore:
-        """The checkpoint store this campaign would build for ``spec``.
-
-        The same :meth:`CheckpointStore.for_spec` the campaign calls, so
-        a service job resumes a checkpoint left by ``repro run`` and
-        vice versa.
-        """
-        return CheckpointStore.for_spec(self.name, spec, cache_root)
 
 
 #: The registered campaigns, in CLI/choices order.

@@ -4,7 +4,12 @@
 system: clients POST a campaign spec, a bounded queue with backpressure
 feeds a small pool of worker threads, and each job fans its shards out
 through the existing :func:`~repro.runner.executor.run_shards` machinery
-(process-pool sharding, checkpoint stores, telemetry).  The interesting
+(process-pool sharding, checkpoint stores, telemetry).  The one store
+the service builds itself is the job's
+:meth:`~repro.runner.store.CheckpointStore.for_spec` — the store
+``run_shards`` would build for the same campaign and spec — so it can
+hand it to the test-only fault injector; the campaign then receives it
+through the ``store`` runner option.  The interesting
 properties all follow from reusing the runner's determinism contract:
 
 - **Idempotency.**  Jobs are keyed by the spec hash; submitting the same
@@ -56,7 +61,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.runner.registry import REGISTRY, CampaignEntry, get_campaign
-from repro.runner.store import default_cache_root
+from repro.runner.store import CheckpointStore, default_cache_root
 from repro.service.dashboard import DASHBOARD_HTML
 from repro.service.jobs import (
     Job,
@@ -262,7 +267,9 @@ class CampaignService:
             job.shards_done = 0
             job.shards_cached = 0
         resume = job.resume
-        store = entry.store_for(job.spec, self.cache_root)
+        store = CheckpointStore.for_spec(
+            entry.name, job.spec, self.cache_root
+        )
         if TELEMETRY.enabled:
             TELEMETRY.count("service.jobs.started")
 

@@ -233,6 +233,8 @@ class TestGeneratedFlags:
         ["run", "montecarlo", "--chips", "8"],
         ["run", "ipc", "--benchmarks", "gzip", "--full"],
         ["run", "ipc"],  # benchmarks has no default: required
+        # Nothing to resume from without a checkpoint store.
+        ["run", "montecarlo", "--resume", "--no-checkpoint"],
     ])
     def test_retired_flags_are_usage_errors(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_:

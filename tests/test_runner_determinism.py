@@ -21,6 +21,7 @@ from repro.runner import (
     run_ipc_sweep,
     run_isolation,
     run_montecarlo,
+    run_shards,
     shard_ranges,
 )
 from repro.runner.campaigns import analytic_penalty_table
@@ -86,6 +87,19 @@ class TestCheckpointStore:
         assert config_hash(dataclasses.asdict(spec)) != config_hash(
             dataclasses.asdict(other)
         )
+
+
+class TestRunShards:
+    def test_resume_without_store_fails_loudly(self):
+        # Resuming with checkpoints off would silently recompute every
+        # shard; it must raise before any shard runs.
+        ran = []
+        with pytest.raises(ValueError, match="resume"):
+            run_shards(
+                "probe", MC_SPEC, [0, 1], ran.append, init=ran.append,
+                resume=True, checkpoint=False,
+            )
+        assert ran == []
 
 
 # One small campaign spec shared by the isolation tests: the tiny Rescue

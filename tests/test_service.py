@@ -38,6 +38,21 @@ def mc_direct():
 # Registry
 # ----------------------------------------------------------------------
 
+#: A spec per campaign small enough to run twice in a test, with at
+#: least two shards each.
+TINY_PARAMS = {
+    "isolation": {"n_faults": 8, "max_deterministic": 0, "chunk_size": 4},
+    "montecarlo": {"n_chips": 40, "chunk_size": 20},
+    "ipc": {"benchmarks": ["gzip"], "n_instructions": 300, "warmup": 100},
+    "inject": {"n_instructions": 300, "n_faults": 4, "chunk_size": 2},
+    "decide": {
+        "benchmarks": ["gzip"], "n_instructions": 300, "warmup": 100,
+        "inject_instructions": 300, "n_faults": 2, "inject_chunk": 2,
+        "chunk_size": 7,
+    },
+    "repair": {"n_patterns": 64, "n_isolation_faults": 2},
+}
+
 class TestRegistry:
     def test_all_six_campaigns_registered(self):
         assert tuple(REGISTRY) == ("isolation", "montecarlo", "ipc",
@@ -90,11 +105,27 @@ class TestRegistry:
         )
         assert a == b
 
-    def test_store_for_matches_campaign_internal_store(self):
-        entry = get_campaign("montecarlo")
-        spec = entry.make_spec(MC_PARAMS)
-        expected = CheckpointStore.for_spec("montecarlo", spec, "/tmp/x")
-        assert entry.store_for(spec, "/tmp/x").path(0) == expected.path(0)
+    @pytest.mark.parametrize("name", list(REGISTRY))
+    def test_run_writes_exactly_the_for_spec_blobs(self, name, tmp_path):
+        """Every campaign checkpoints to the store the service builds:
+        the blobs ``CheckpointStore.for_spec`` names, one per shard and
+        nothing else; ``checkpoint=False`` writes nothing."""
+        entry = get_campaign(name)
+        spec = entry.make_spec(TINY_PARAMS[name])
+        events = []
+        on = entry.run(
+            spec, cache_root=tmp_path / "on", progress=events.append
+        )
+        store = CheckpointStore.for_spec(name, spec, tmp_path / "on")
+        assert events and len(events) == events[0].total
+        assert set((tmp_path / "on").iterdir()) == {
+            store.path(i) for i in range(events[0].total)
+        }
+        off = entry.run(
+            spec, checkpoint=False, cache_root=tmp_path / "off"
+        )
+        assert not (tmp_path / "off").exists()
+        assert off.to_json() == on.to_json()
 
     @pytest.mark.parametrize("name", list(REGISTRY))
     def test_result_codec_roundtrip(self, name):

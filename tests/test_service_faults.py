@@ -17,7 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.runner import MonteCarloSpec, get_campaign, run_montecarlo
+from repro.runner import (
+    CheckpointStore,
+    MonteCarloSpec,
+    get_campaign,
+    run_montecarlo,
+)
 from repro.service import JobFailedError
 from repro.service.testing import (
     FaultInjector,
@@ -72,9 +77,8 @@ class TestKillRecovery:
         ) as (client, svc):
             job = client.submit("montecarlo", MC_PARAMS)["job"]
             assert svc.run_once()  # dies mid-write of shard 3's blob
-            entry = get_campaign("montecarlo")
-            store = entry.store_for(
-                svc.queue.get(job).spec, svc.cache_root
+            store = CheckpointStore.for_spec(
+                "montecarlo", svc.queue.get(job).spec, svc.cache_root
             )
             # The torn shard is absent; its two predecessors survived.
             assert sorted(store.load()) == [0, 1]
