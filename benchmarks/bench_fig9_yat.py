@@ -55,7 +55,7 @@ def _collect_ipcs(ipc_cache):
                 prof.name, degraded_params(resc_cfg, counts),
                 n_instructions=BENCH_INSTRUCTIONS, warmup=BENCH_WARMUP,
             )
-    tables = ipc_tables(points, compose)
+    tables = ipc_tables(points)
     return {name: (base, tables[name]) for name, base in bases.items()}
 
 

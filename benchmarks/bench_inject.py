@@ -185,12 +185,12 @@ def _golden_cache_probe(spec, workers: int = 1) -> dict:
         os.environ["REPRO_CACHE_DIR"] = cache
         TELEMETRY.enable()
         try:
-            campaign_mod._INJECT.clear()
+            campaign_mod.prepare_injection.cache_clear()
             with TELEMETRY.collect() as cold:
                 cold_stats = run_injection(
                     s, workers=workers, checkpoint=False
                 )
-            campaign_mod._INJECT.clear()
+            campaign_mod.prepare_injection.cache_clear()
             with TELEMETRY.collect() as warm:
                 warm_stats = run_injection(
                     s, workers=workers, checkpoint=False
@@ -198,7 +198,7 @@ def _golden_cache_probe(spec, workers: int = 1) -> dict:
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
-            campaign_mod._INJECT.clear()
+            campaign_mod.prepare_injection.cache_clear()
             if saved is None:
                 os.environ.pop("REPRO_CACHE_DIR", None)
             else:

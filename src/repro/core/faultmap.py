@@ -11,7 +11,7 @@ faulty and the routing stages steer instructions around them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -141,10 +141,6 @@ class FaultMapRegister:
         """Indices the fetch routing stage may steer instructions to
         (Section 4.2: earliest instruction to the first fault-free way)."""
         return [i for i, bad in enumerate(self.frontend) if not bad]
-
-    def working_backend_ways(self) -> List[int]:
-        """Backend way indices the issue router may use."""
-        return [i for i, bad in enumerate(self.backend) if not bad]
 
     def route_frontend(self, n_fetched: int) -> List[Tuple[int, int]]:
         """Map fetched instruction slots to fault-free frontend ways.

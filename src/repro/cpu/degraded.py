@@ -145,32 +145,32 @@ def compose_ipc_table(
 
 
 def ipc_tables(
-    points: Mapping[Tuple[str, Key], float], compose: bool = True
+    points: Mapping[Tuple[str, Key], float],
 ) -> Dict[str, Dict[Key, float]]:
     """Per-benchmark 64-entry IPC tables, in sorted-benchmark order.
 
-    ``points`` maps (benchmark, configuration key) to measured IPC and
-    covers :func:`measured_configs` of each benchmark.  With
-    ``compose=True`` the 57 multi-degradation entries are composed from
-    the single-degradation ratios; otherwise every entry is measured.
+    ``points`` maps (benchmark, configuration key) to measured IPC.  A
+    benchmark with all 64 configurations measured gets its measured
+    table; otherwise its 57 multi-degradation entries are composed from
+    the single-degradation ratios of its seven :func:`measured_configs`.
     Degradation never *helps* in the paper's model, but our degraded
     single-half queue occasionally beats the full segmented policy by a
     percent or two (the simpler selection has no replay), so every entry
     is clamped at the full configuration's IPC to keep YAT conservative.
     """
     full_key = CoreCounts().key()
+    every = [cfg.key() for cfg in enumerate_configs()]
     tables: Dict[str, Dict[Key, float]] = {}
     for bench in sorted({bench for bench, _ in points}):
         full = points[(bench, full_key)]
-        if compose:
-            ratios = {}
-            for dim, cfg in zip(DIMENSIONS, measured_configs()[1:]):
-                ipc = points[(bench, cfg.key())]
-                ratios[dim] = min(1.0, ipc / full) if full else 0.0
-            tables[bench] = compose_ipc_table(full, ratios)
-        else:
+        if all((bench, key) in points for key in every):
             tables[bench] = {
-                cfg.key(): min(full, points[(bench, cfg.key())])
-                for cfg in enumerate_configs()
+                key: min(full, points[(bench, key)]) for key in every
             }
+            continue
+        ratios = {}
+        for dim, cfg in zip(DIMENSIONS, measured_configs()[1:]):
+            ipc = points[(bench, cfg.key())]
+            ratios[dim] = min(1.0, ipc / full) if full else 0.0
+        tables[bench] = compose_ipc_table(full, ratios)
     return tables

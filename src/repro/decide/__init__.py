@@ -31,7 +31,6 @@ from repro.decide.campaign import (
     ipc_spec,
     key_label,
     label_key,
-    prepare_decide,
     run_decide,
 )
 from repro.decide.objectives import (
@@ -49,7 +48,6 @@ from repro.decide.pareto import (
     rank,
 )
 from repro.decide.vulnerability import (
-    block_sdc_counts,
     masked_sdc,
     residual_sdc,
     sdc_contributions,
@@ -62,7 +60,6 @@ __all__ = [
     "OBJECTIVES",
     "ConfigScore",
     "ParetoRanking",
-    "block_sdc_counts",
     "crowding_distances",
     "decide_items",
     "dominates",
@@ -75,7 +72,6 @@ __all__ = [
     "masked_sdc",
     "mean_ipc_table",
     "non_dominated_fronts",
-    "prepare_decide",
     "rank",
     "residual_sdc",
     "run_decide",

@@ -20,12 +20,15 @@ million-chip fleet map out first, and at what cost?* — by sweeping all
 
 Both measurement phases ride one shard list through
 :func:`~repro.runner.executor.run_shards` with one spec-hash
-checkpoint store, so the campaign registers in the runner registry like
-any other and the HTTP service serves decision jobs with **zero new
-server code**.  Shard payloads merge in shard-index order and the fold
-is pure arithmetic on the merged data, so the Pareto front and total
-ranking are bit-identical for any worker count, chunking, or resume
-history (gated by ``benchmarks/bench_decide.py --check``).
+checkpoint store; its campaign state is the injection phase's, built
+once in the calling process by
+:func:`~repro.inject.campaign.prepare_injection`.  So the campaign
+registers in the runner registry like any other and the HTTP service
+serves decision jobs with **zero new server code**.  Shard payloads
+merge in shard-index order and the fold is pure arithmetic on the merged
+data, so the Pareto front and total ranking are bit-identical for any
+worker count, chunking, or resume history (gated by
+``benchmarks/bench_decide.py --check``).
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.decide.objectives import ConfigScore, evaluate_objectives
 from repro.decide.pareto import ParetoRanking, rank
 from repro.inject.campaign import (
-    FAULT_MODELS, InjectionSpec, InjectionStats,
+    FAULT_MODELS, InjectionSpec, InjectionStats, _injection_state,
+    _inject_worker,
 )
 from repro.runner.campaigns import (
     IpcSweepResult, IpcSweepSpec, _ipc_worker, ipc_sweep_shards,
@@ -128,15 +132,13 @@ def ipc_spec(spec: DecideSpec) -> IpcSweepSpec:
 def decide_items(spec: DecideSpec) -> List[Tuple]:
     """The campaign's shard list: injection spans, then IPC chunks.
 
-    Every shard spec is self-describing (``("inject", inject_spec,
-    start, stop)`` or ``("ipc", chunk)`` with one of the ``ipc``
-    campaign's own shards), so shard ``i``'s payload is a function of
-    ``shards[i]`` alone — the runner determinism contract — and the
-    campaign needs no worker init.
+    Every shard spec is ``("inject", start, stop)`` — a fault span of
+    the injection state — or ``("ipc", chunk)`` with one of the ``ipc``
+    campaign's own shards, so shard ``i``'s payload is a function of the
+    state and ``shards[i]`` alone: the runner determinism contract.
     """
-    inject = injection_spec(spec)
     items: List[Tuple] = [
-        ("inject", inject, start, stop)
+        ("inject", start, stop)
         for start, stop in shard_ranges(spec.n_faults, spec.inject_chunk)
     ]
     items.extend(
@@ -145,24 +147,18 @@ def decide_items(spec: DecideSpec) -> List[Tuple]:
     return items
 
 
-def _decide_worker(item: Tuple) -> Dict[str, Any]:
-    """One shard.  The injection phase's heavy state (trace, golden run,
-    fault sample) lives in the inject campaign's own worker global,
-    built lazily on the first inject shard and shared copy-free by
-    forked workers when the parent prepared it."""
+def _decide_worker(state: Dict[str, Any], item: Tuple) -> Dict[str, Any]:
+    """One shard; ``state`` is the injection phase's campaign state."""
     t = TELEMETRY
     if item[0] == "inject":
-        from repro.inject.campaign import _inject_init, _inject_worker
-
-        _, inject, start, stop = item
+        _, start, stop = item
         with t.span("decide.inject_shard"):
-            _inject_init(inject)
-            payload = _inject_worker((start, stop))
+            payload = _inject_worker(state, (start, stop))
         if t.enabled:
             t.count("decide.inject_faults", stop - start)
         return {"kind": "inject", "stats": payload}
     with t.span("decide.ipc_shard"):
-        out = _ipc_worker(item[1])
+        out = _ipc_worker(None, item[1])
     if t.enabled:
         t.count("decide.ipc_points", len(out))
     return {"kind": "ipc", "measurements": out}
@@ -349,20 +345,12 @@ def run_decide(spec: DecideSpec, **runner) -> DecideResult:
     if not spec.benchmarks:
         raise ValueError("at least one benchmark required")
     with TELEMETRY.span("decide.campaign"):
+        state = _injection_state(
+            injection_spec(spec), runner.get("cache_root")
+        )
         payloads = run_shards(
-            "decide", spec, decide_items(spec), _decide_worker, **runner
+            "decide", spec, decide_items(spec), _decide_worker,
+            state=state, **runner,
         )
         stats, measured = merge_payloads(payloads)
         return evaluate(spec, measured, stats)
-
-
-def prepare_decide(spec: DecideSpec) -> None:
-    """Pre-build the injection phase's golden state in this process.
-
-    Optional warm-up mirroring :func:`~repro.inject.campaign.
-    prepare_injection`: forked workers then inherit the golden run
-    instead of re-simulating it once per process.
-    """
-    from repro.inject.campaign import prepare_injection
-
-    prepare_injection(injection_spec(spec))

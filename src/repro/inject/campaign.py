@@ -2,11 +2,13 @@
 
 Follows the runner's campaign recipe: a frozen :class:`InjectionSpec`
 captures every parameter that affects the result and is hashed into the
-checkpoint key; a worker-global init builds the heavy shared state
-(trace, golden run, fault sample) once per process; shards are
-contiguous fault-index spans whose JSON payloads merge in shard order
-into an :class:`InjectionStats` that is bit-identical for any worker
-count, chunk size, or checkpoint/resume history.
+checkpoint key; :func:`prepare_injection` builds the campaign state
+(golden run, fault sample, first-effect scan) once in the calling
+process and :func:`~repro.runner.executor.run_shards` hands it to every
+worker; shards are contiguous fault-index spans whose JSON payloads
+merge in shard order into an :class:`InjectionStats` that is
+bit-identical for any worker count, chunk size, or checkpoint/resume
+history.
 
 :func:`masking_validation` runs the paper's headline experiment: the
 same fault sample restricted to mapped-out ICI blocks, once on the
@@ -17,6 +19,7 @@ sample produces a nonzero SDC rate).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -232,12 +235,6 @@ class InjectionStats:
         return "\n".join(lines)
 
 
-# Worker-global campaign state: {"spec", "golden", "faults"}.  Built once
-# per worker by _inject_init; forked workers inherit it copy-free when
-# the parent called prepare_injection() first.
-_INJECT: Dict[str, Any] = {}
-
-
 def machine_config(spec: InjectionSpec):
     """The Rescue core with ``spec.counts`` applied as its fault map."""
     from repro.cpu.degraded import degraded_params
@@ -248,9 +245,18 @@ def machine_config(spec: InjectionSpec):
     return degraded_params(MachineConfig(rescue=True), counts)
 
 
-def _inject_init(spec: InjectionSpec) -> None:
-    if _INJECT.get("spec") == spec and "golden" in _INJECT:
-        return
+@functools.lru_cache(maxsize=1)
+def prepare_injection(
+    spec: InjectionSpec, cache_root: Optional[str] = None
+) -> Dict[str, Any]:
+    """The campaign state: ``{"spec", "golden", "faults", "first_effect"}``.
+
+    Simulates (or, with ``spec.golden_cache``, loads from ``cache_root``)
+    the golden run, samples the faults and runs the first-effect scan,
+    once per ``(spec, cache_root)``: :func:`run_injection` reuses a
+    prepared state, and forked workers inherit it instead of
+    re-simulating.
+    """
     from repro.inject.goldencache import (
         golden_key, load_golden, load_scan, scan_key, store_golden,
         store_scan,
@@ -273,7 +279,9 @@ def _inject_init(spec: InjectionSpec) -> None:
             spec.benchmark, spec.n_instructions, spec.trace_seed,
             spec.counts, spec.checkpoint_interval, stride,
         )
-        golden = load_golden(config, trace, spec.n_instructions, key)
+        golden = load_golden(
+            config, trace, spec.n_instructions, key, root=cache_root
+        )
         if golden is not None:
             TELEMETRY.count("inject.golden_cache_hits")
     if golden is None:
@@ -285,7 +293,7 @@ def _inject_init(spec: InjectionSpec) -> None:
             profile_stride=stride,
         )
         if spec.golden_cache:
-            store_golden(golden, key)
+            store_golden(golden, key, root=cache_root)
     sites = enumerate_sites(config)
     if spec.blocks is not None:
         sites = sites_in_blocks(sites, spec.blocks)
@@ -300,21 +308,19 @@ def _inject_init(spec: InjectionSpec) -> None:
             key, len(faults), spec.seed, spec.model, spec.blocks,
             spec.sampling,
         )
-        first_effect = load_scan(skey, len(faults))
+        first_effect = load_scan(skey, len(faults), root=cache_root)
     if first_effect is not None:
         TELEMETRY.count("inject.scan_cache_hits")
     else:
         first_effect = first_effect_scan(golden, faults)
         if skey is not None:
-            store_scan(first_effect, skey, len(faults))
-    _INJECT.clear()
-    _INJECT.update(
-        spec=spec, golden=golden, faults=faults,
-        first_effect=first_effect,
+            store_scan(first_effect, skey, len(faults), root=cache_root)
+    return dict(
+        spec=spec, golden=golden, faults=faults, first_effect=first_effect
     )
 
 
-def _inject_worker(span: Tuple[int, int]) -> Dict:
+def _inject_worker(state: Dict[str, Any], span: Tuple[int, int]) -> Dict:
     """Classify one contiguous fault span; returns shard JSON.
 
     Each fault's fork point comes from a shared plan: transients fork at
@@ -345,10 +351,10 @@ def _inject_worker(span: Tuple[int, int]) -> Dict:
     )
 
     start, stop = span
-    spec = _INJECT["spec"]
-    golden = _INJECT["golden"]
-    faults = _INJECT["faults"][start:stop]
-    scan = _INJECT["first_effect"]
+    spec = state["spec"]
+    golden = state["golden"]
+    faults = state["faults"][start:stop]
+    scan = state["first_effect"]
     stats = InjectionStats(
         keep_records=spec.keep_records, exemplar_cap=spec.exemplar_cap
     )
@@ -414,14 +420,18 @@ def _inject_worker(span: Tuple[int, int]) -> Dict:
     return stats.to_json()
 
 
-def prepare_injection(spec: InjectionSpec):
-    """Build trace + golden run + fault sample in the calling process.
+def _injection_state(
+    spec: InjectionSpec, cache_root: Optional[str]
+) -> Dict[str, Any]:
+    """:func:`prepare_injection`, keyed as a caller without a root keys it.
 
-    Call before :func:`run_injection` so forked workers inherit the
-    golden run instead of re-simulating it per process.
+    ``lru_cache`` keys ``f(spec)`` and ``f(spec, None)`` apart, so a run
+    with no ``cache_root`` must hit the state ``prepare_injection(spec)``
+    built.
     """
-    _inject_init(spec)
-    return _INJECT["golden"], _INJECT["faults"]
+    if cache_root is None:
+        return prepare_injection(spec)
+    return prepare_injection(spec, cache_root)
 
 
 def run_injection(spec: InjectionSpec, **runner) -> InjectionStats:
@@ -431,12 +441,13 @@ def run_injection(spec: InjectionSpec, **runner) -> InjectionStats:
     faults are sampled from per-index seed streams, each injection is an
     independent deterministic simulation, and shard payloads merge in
     shard-index order.  ``runner`` options go to
-    :func:`~repro.runner.executor.run_shards`.
+    :func:`~repro.runner.executor.run_shards`; ``cache_root`` is also
+    where the golden-prefix and scan caches live.
     """
-    prepare_injection(spec)
-    spans = shard_ranges(len(_INJECT["faults"]), spec.chunk_size)
+    state = _injection_state(spec, runner.get("cache_root"))
+    spans = shard_ranges(len(state["faults"]), spec.chunk_size)
     payloads = run_shards(
-        "inject", spec, spans, _inject_worker, init=_inject_init, **runner
+        "inject", spec, spans, _inject_worker, state=state, **runner
     )
     merged = InjectionStats()
     for payload in payloads:

@@ -96,11 +96,6 @@ class NetBuilder:
         """Bitwise NOT of a word."""
         return [self.gate(GateType.NOT, x) for x in a]
 
-    def and_w(self, a: Word, b: Word) -> Word:
-        """Bitwise AND of two equal-width words."""
-        self._same_width(a, b)
-        return [self.gate(GateType.AND, x, y) for x, y in zip(a, b)]
-
     def or_w(self, a: Word, b: Word) -> Word:
         """Bitwise OR of two equal-width words."""
         self._same_width(a, b)

@@ -9,7 +9,7 @@ full-scan combinational test model the paper assumes (Section 2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.gates import Flop, Gate, GateType
 
@@ -56,12 +56,6 @@ class Netlist:
         if name:
             self.net_names[nid] = name
         return nid
-
-    def new_nets(self, count: int, prefix: str = "") -> List[int]:
-        """Allocate ``count`` nets; named ``prefix[i]`` when a prefix is given."""
-        return [
-            self.new_net(f"{prefix}[{i}]" if prefix else "") for i in range(count)
-        ]
 
     def add_input(self, name: str = "") -> int:
         """Create a primary input net."""

@@ -26,6 +26,7 @@ HTTP campaign service drive it with zero new server code.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -88,32 +89,22 @@ def build_model(spec: RepairSpec) -> Tuple[Netlist, List[SeededBreak]]:
     return netlist, breaks
 
 
+@functools.lru_cache(maxsize=1)
+def prepare_repair(spec: RepairSpec) -> Tuple[BaseState, List[SeededBreak]]:
+    """The campaign state: the linted model's base simulation and breaks.
+
+    Built once per spec; :func:`run_repair` reuses a prepared state, and
+    forked workers inherit it.
+    """
+    netlist, breaks = build_model(spec)
+    report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
+    return BaseState.build(netlist, report, spec.n_patterns, spec.seed), breaks
+
+
 def repair_items(spec: RepairSpec) -> List[Tuple[int, int]]:
     """The shard list: contiguous index spans over the violation list."""
-    base = _repair_init(spec)
+    base, _breaks = prepare_repair(spec)
     return shard_ranges(len(base.report.violations), spec.chunk_size)
-
-
-# Worker-global campaign state: {"spec", "base", "breaks"}.  Built once
-# per worker by _repair_init; forked workers inherit it copy-free when
-# the parent called prepare_repair() first.
-_REPAIR: Dict[str, Any] = {}
-
-
-def _repair_init(spec: RepairSpec) -> BaseState:
-    """Build (once per spec) the model, its lint and the base simulation."""
-    if _REPAIR.get("spec") != spec or "base" not in _REPAIR:
-        netlist, breaks = build_model(spec)
-        report = check_netlist_ici(netlist, exempt_blocks=spec.exempt)
-        base = BaseState.build(netlist, report, spec.n_patterns, spec.seed)
-        _REPAIR.clear()
-        _REPAIR.update(spec=spec, base=base, breaks=breaks)
-    return _REPAIR["base"]
-
-
-def prepare_repair(spec: RepairSpec) -> None:
-    """Pre-build the model and base simulation in this process."""
-    _repair_init(spec)
 
 
 def _search_violation(spec: RepairSpec, base: BaseState, v) -> Dict[str, Any]:
@@ -168,11 +159,10 @@ def _search_violation(spec: RepairSpec, base: BaseState, v) -> Dict[str, Any]:
     return entry
 
 
-def _repair_worker(span: Tuple[int, int]) -> Dict[str, Any]:
+def _repair_worker(state, span: Tuple[int, int]) -> Dict[str, Any]:
     """Search one contiguous violation span; returns shard JSON."""
     start, stop = span
-    spec: RepairSpec = _REPAIR["spec"]
-    base: BaseState = _REPAIR["base"]
+    spec, base = state
     return {
         "violations": [
             _search_violation(spec, base, v)
@@ -368,12 +358,11 @@ def run_repair(spec: RepairSpec, **runner) -> RepairResult:
     """
     if spec.n_patterns <= 0:
         raise ValueError("n_patterns must be positive")
-    base = _repair_init(spec)
-    breaks: List[SeededBreak] = _REPAIR["breaks"]
+    base, breaks = prepare_repair(spec)
     with TELEMETRY.span("repair.campaign"):
         payloads = run_shards(
             "repair", spec, repair_items(spec), _repair_worker,
-            init=_repair_init, **runner,
+            state=(spec, base), **runner,
         )
         entries = [v for p in payloads for v in p["violations"]]
         actions, unrepaired = choose_actions(entries)

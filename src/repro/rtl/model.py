@@ -442,25 +442,6 @@ class _Builder:
             cnt = b.popcount([s["valid"] for s in slots], 2)
         return slots, granted, cnt
 
-    def _latch_slots(self, label: str, slots, cnt) -> Dict[str, object]:
-        b = self.b
-        with b.component(f"{label}/select"):
-            latched = {
-                "count": b.register(cnt, f"{label}_selcnt"),
-                "slots": [
-                    {
-                        "valid": b.register_bit(s["valid"], f"{label}_sv{k}"),
-                        "dest": b.register(s["dest"], f"{label}_sd{k}"),
-                        "src1": b.register(s["src1"], f"{label}_ss1{k}"),
-                        "src2": b.register(s["src2"], f"{label}_ss2{k}"),
-                        "is_mem": b.register_bit(s["is_mem"], f"{label}_sm{k}"),
-                        "is_xor": b.register_bit(s["is_xor"], f"{label}_sx{k}"),
-                    }
-                    for k, s in enumerate(slots)
-                ],
-            }
-        return latched
-
     def _entry_next_state(
         self,
         label: str,

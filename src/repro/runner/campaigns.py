@@ -6,16 +6,17 @@ Each campaign follows the same recipe:
    result (model, seeds, sizes, chunking) — its ``asdict`` is hashed into
    the checkpoint key, so a resumed run can only ever continue the
    identical campaign;
-2. a module-level ``_*_init`` installs heavy shared state in a worker
-   global (once per worker process; skipped when the parent pre-built it
-   and the pool forked), and a module-level ``_*_worker`` computes one
-   shard from its spec alone;
+2. a ``prepare_*`` function makes the campaign's shared *state* (a
+   one-slot ``functools.lru_cache``, so a prepared state is reused), and
+   a module-level ``_*_worker(state, shard)`` computes one shard from
+   that state and its shard spec alone;
 3. shard payloads are JSON-serializable and merge through explicit,
    order-insensitive ``merge()`` methods, so the final result is
    bit-identical for any worker count and chunk size;
-4. the ``run_*(spec, **runner)`` entry point is only the shard list, one
-   :func:`~repro.runner.executor.run_shards` call (which owns the runner
-   options, the checkpoint store and the worker init) and the fold.
+4. the ``run_*(spec, **runner)`` entry point is only the state, the
+   shard list, one :func:`~repro.runner.executor.run_shards` call (which
+   owns the runner options and the checkpoint store, and hands the state
+   to every worker) and the fold.
 
 Campaigns:
 
@@ -29,6 +30,7 @@ Campaigns:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -53,16 +55,14 @@ class IsolationSpec:
     chunk_size: int = 50
 
 
-# Worker-global test setup: {"spec": IsolationSpec, "setup": TestSetup,
-# "faults": List[StuckAt]}.  Built once per worker by _isolation_init;
-# under the POSIX fork start method a parent that called
-# prepare_isolation() shares it with every worker copy-free.
-_ISOLATION: Dict[str, Any] = {}
+@functools.lru_cache(maxsize=1)
+def prepare_isolation(spec: IsolationSpec):
+    """The campaign state: ``(TestSetup, fault sample)``.
 
-
-def _isolation_init(spec: IsolationSpec) -> None:
-    if _ISOLATION.get("spec") == spec and "setup" in _ISOLATION:
-        return
+    Builds the netlist, ATPG vectors and fault sample once per spec;
+    :func:`run_isolation` reuses a prepared state, and forked workers
+    inherit it — the compiled netlist is never pickled per fault.
+    """
     from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
     from repro.rtl.experiment import generate_tests, sample_isolation_faults
 
@@ -78,35 +78,20 @@ def _isolation_init(spec: IsolationSpec) -> None:
         model.netlist, spec.n_faults, spec.fault_seed
     )
     # Warm the tester's gold-response cache here, not in the first shard:
-    # every process (inline, forked, or spawn-initialized) then enters
-    # its shards with identical cache state, which keeps per-shard
-    # telemetry counters independent of worker count.
+    # every process (inline or pool) then enters its shards with
+    # identical cache state, which keeps per-shard telemetry counters
+    # independent of worker count.
     setup.tester.good_response(setup.atpg.patterns)
-    _ISOLATION.clear()
-    _ISOLATION.update(spec=spec, setup=setup, faults=faults)
+    return setup, faults
 
 
-def _isolation_worker(span: Tuple[int, int]) -> Dict:
+def _isolation_worker(state, span: Tuple[int, int]) -> Dict:
     from repro.rtl.experiment import isolation_experiment
 
+    setup, faults = state
     start, stop = span
-    stats = isolation_experiment(
-        _ISOLATION["setup"], faults=_ISOLATION["faults"][start:stop]
-    )
+    stats = isolation_experiment(setup, faults=faults[start:stop])
     return stats.to_json()
-
-
-def prepare_isolation(spec: IsolationSpec):
-    """Build the test setup in the calling process and return it.
-
-    Call before :func:`run_isolation` so that (a) the netlist, ATPG
-    vectors, and fault sample are built exactly once, and (b) forked
-    workers inherit them instead of rebuilding — the compiled netlist is
-    never pickled per fault.  (Under a ``spawn`` start method workers
-    cannot inherit; ``_isolation_init`` rebuilds there.)
-    """
-    _isolation_init(spec)
-    return _ISOLATION["setup"]
 
 
 def run_isolation(spec: IsolationSpec, **runner):
@@ -119,11 +104,11 @@ def run_isolation(spec: IsolationSpec, **runner):
     """
     from repro.rtl.experiment import IsolationStats
 
-    prepare_isolation(spec)
-    spans = shard_ranges(len(_ISOLATION["faults"]), spec.chunk_size)
+    state = prepare_isolation(spec)
+    _setup, faults = state
+    spans = shard_ranges(len(faults), spec.chunk_size)
     payloads = run_shards(
-        "isolation", spec, spans, _isolation_worker,
-        init=_isolation_init, **runner,
+        "isolation", spec, spans, _isolation_worker, state=state, **runner
     )
     merged = IsolationStats()
     for payload in payloads:
@@ -167,12 +152,8 @@ class MonteCarloSpec:
     chunk_size: int = 250
 
 
-_MONTECARLO: Dict[str, Any] = {}
-
-
-def _montecarlo_init(spec: MonteCarloSpec) -> None:
-    if _MONTECARLO.get("spec") == spec and "cores" in _MONTECARLO:
-        return
+def _montecarlo_state(spec: MonteCarloSpec) -> Dict[str, Any]:
+    """The sampler's inputs: core count, density mix and IPC table."""
     from repro.yieldmodel.montecarlo import campaign_params
     from repro.yieldmodel.pwp import FaultDensityModel
 
@@ -185,8 +166,7 @@ def _montecarlo_init(spec: MonteCarloSpec) -> None:
         spec.growth,
         (spec.anchor_node_nm, spec.anchor_cores),
     )
-    _MONTECARLO.clear()
-    _MONTECARLO.update(
+    return dict(
         spec=spec,
         cores=k,
         alpha=alpha,
@@ -196,20 +176,20 @@ def _montecarlo_init(spec: MonteCarloSpec) -> None:
     )
 
 
-def _montecarlo_worker(span: Tuple[int, int]) -> Dict:
+def _montecarlo_worker(state: Dict[str, Any], span: Tuple[int, int]) -> Dict:
     from repro.yieldmodel.montecarlo import sample_chip_span
 
     start, stop = span
-    spec: MonteCarloSpec = _MONTECARLO["spec"]
+    spec: MonteCarloSpec = state["spec"]
     result = sample_chip_span(
         start,
         stop,
         spec.seed,
-        _MONTECARLO["cores"],
-        _MONTECARLO["alpha"],
-        _MONTECARLO["theta"],
-        _MONTECARLO["groups"],
-        _MONTECARLO["ipc"],
+        state["cores"],
+        state["alpha"],
+        state["theta"],
+        state["groups"],
+        state["ipc"],
         spec.baseline_ipc,
     )
     return result.to_json()
@@ -225,17 +205,17 @@ def run_montecarlo(spec: MonteCarloSpec, **runner):
     """
     from repro.yieldmodel.montecarlo import ChipSpan, MonteCarloResult
 
-    _montecarlo_init(spec)
+    state = _montecarlo_state(spec)
     payloads = run_shards(
         "montecarlo", spec, shard_ranges(spec.n_chips, spec.chunk_size),
-        _montecarlo_worker, init=_montecarlo_init, **runner,
+        _montecarlo_worker, state=state, **runner,
     )
     if not payloads:
         return MonteCarloResult(0, 0.0, 0.0, 0.0, 0.0)
     merged = ChipSpan.from_json(payloads[0])
     for payload in payloads[1:]:
         merged = merged.merge(ChipSpan.from_json(payload))
-    return MonteCarloResult.from_span(merged, _MONTECARLO["cores"])
+    return MonteCarloResult.from_span(merged, state["cores"])
 
 
 # ----------------------------------------------------------------------
@@ -299,13 +279,11 @@ class IpcSweepResult:
             )
         return "\n".join(lines)
 
-    def tables(
-        self, compose: bool = True
-    ) -> Dict[str, Dict[Tuple[int, ...], float]]:
+    def tables(self) -> Dict[str, Dict[Tuple[int, ...], float]]:
         """Per-benchmark 64-entry IPC tables (the ``YatModel`` input)."""
         from repro.cpu.degraded import ipc_tables
 
-        return ipc_tables(self.measured, compose)
+        return ipc_tables(self.measured)
 
 
 def ipc_sweep_items(
@@ -330,7 +308,7 @@ def ipc_sweep_shards(spec: IpcSweepSpec) -> List[List[Tuple]]:
     """The campaign's shard specs, ``chunk_size`` items each.
 
     Every item carries its run shape ``(benchmark, key, n_instructions,
-    seed, warmup)``, so :func:`_ipc_worker` needs no worker-global state.
+    seed, warmup)``, so :func:`_ipc_worker` needs no campaign state.
     """
     items = ipc_sweep_items(spec)
     return [
@@ -342,7 +320,7 @@ def ipc_sweep_shards(spec: IpcSweepSpec) -> List[List[Tuple]]:
     ]
 
 
-def _ipc_worker(chunk: List) -> List[Dict]:
+def _ipc_worker(_state: None, chunk: List) -> List[Dict]:
     from repro.cpu.degraded import degraded_params, simulate_config
     from repro.cpu.params import MachineConfig
     from repro.yieldmodel.configs import DIMENSIONS, CoreCounts
@@ -365,7 +343,7 @@ def run_ipc_sweep(spec: IpcSweepSpec, **runner) -> IpcSweepResult:
     Each item is an independent deterministic simulation (trace seeded,
     machine config derived from the key), so results are trivially
     bit-identical across worker counts; shards are self-contained (no
-    worker init needed).  ``runner`` options go to
+    campaign state).  ``runner`` options go to
     :func:`~repro.runner.executor.run_shards`.
     """
     payloads = run_shards(

@@ -1,27 +1,29 @@
 """The one campaign driver: sharded execution with checkpoint/resume.
 
-Every campaign's ``run_*`` is its shard list, one :func:`run_shards`
-call and its fold.  The runner options (``workers``, ``resume``,
-``checkpoint``, ``cache_root``, ``store``, ``progress``) are declared
-and documented here only; a campaign takes them as ``**runner`` and
-passes them through.  :func:`run_shards` builds the campaign's
-:class:`~repro.runner.store.CheckpointStore` from its name and spec,
-runs the campaign's ``init(spec)`` inline or as the pool initializer,
-runs the shards inline (``workers <= 1``) or across a
+Every campaign's ``run_*`` is its state, its shard list, one
+:func:`run_shards` call and its fold.  The runner options (``workers``,
+``resume``, ``checkpoint``, ``cache_root``, ``store``, ``progress``) are
+declared and documented here only; a campaign takes them as
+``**runner`` and passes them through.  :func:`run_shards` builds the
+campaign's :class:`~repro.runner.store.CheckpointStore` from its name
+and spec, runs the shards inline (``workers <= 1``) or across a
 ``concurrent.futures.ProcessPoolExecutor``, checkpoints each completed
 shard, and returns the payloads in shard order.
 
-Determinism contract: the worker must compute shard ``i``'s payload from
-``shards[i]`` (plus worker-global state installed by ``init``) alone —
-never from completion order or worker identity.  Under that contract the
-merged result is identical for any worker count and any scheduling,
-which is what ``tests/test_runner_determinism.py`` asserts.
+Determinism contract: the worker must compute shard ``i``'s payload
+from the campaign ``state`` and ``shards[i]`` alone — never from
+completion order or worker identity.  Under that contract the merged
+result is identical for any worker count and any scheduling, which is
+what ``tests/test_runner_determinism.py`` asserts.
 
-Heavy shared state (a compiled netlist with its ATPG vectors) is *not*
-pickled per shard: ``init`` runs once per worker process and parks the
-state in a module global.  On POSIX the default ``fork`` start method
-lets workers inherit state already built in the parent, so the init's
-rebuild is skipped entirely (see ``campaigns.prepare_isolation``).
+Campaign state (a compiled netlist with its ATPG vectors, a golden run
+with its fault sample) is an argument: the campaign builds it once in
+the calling process — its ``prepare_*`` function, a one-slot
+``functools.lru_cache``, so a prepared state is reused — and passes it
+as ``state``.  The inline path hands it to the worker directly; pool
+processes receive it once each through the pool initializer, never
+with a task.  On POSIX the default ``fork`` start method lets them
+inherit it, so it is never pickled at all.
 
 Telemetry: when the parent's :data:`~repro.telemetry.TELEMETRY` is
 enabled, each shard runs inside a fresh
@@ -60,7 +62,7 @@ class ShardProgress:
 
 
 ProgressFn = Callable[[ShardProgress], None]
-InitFn = Callable[[Any], Any]
+WorkerFn = Callable[[Any, Any], Any]
 
 
 def _emit(
@@ -75,42 +77,36 @@ def _emit(
         progress(ShardProgress(shard, done, total, cached, seconds))
 
 
-class _MeteredWorker:
-    """Wraps the campaign worker: payload + per-shard telemetry metrics.
-
-    Picklable (the wrapped worker is a module-level function), so the
-    same object serves the inline path and the process pool.  With
-    telemetry off the wrapper adds one attribute test per shard.
-    """
-
-    __slots__ = ("fn", "enabled")
-
-    def __init__(self, fn: Callable[[Any], Any], enabled: bool) -> None:
-        self.fn = fn
-        self.enabled = enabled
-
-    def __call__(self, spec: Any) -> Dict[str, Any]:
-        if not self.enabled:
-            return {"result": self.fn(spec), "metrics": None}
-        with TELEMETRY.collect() as metrics:
-            payload = self.fn(spec)
-        return {"result": payload, "metrics": metrics.to_json()}
+def _metered(worker: WorkerFn, state: Any, shard: Any) -> Dict[str, Any]:
+    """One shard's checkpoint record: payload + its telemetry metrics."""
+    if not TELEMETRY.enabled:
+        return {"result": worker(state, shard), "metrics": None}
+    with TELEMETRY.collect() as metrics:
+        payload = worker(state, shard)
+    return {"result": payload, "metrics": metrics.to_json()}
 
 
-def _pool_init(
-    tele_enabled: bool, init: Optional[InitFn], spec: Any
-) -> None:
-    """Per-worker-process setup: telemetry state, then the campaign's own.
+# In a pool process: the (worker, state) pair _pool_init received.
+_POOL_WORKER: Tuple[Optional[WorkerFn], Any] = (None, None)
+
+
+def _pool_init(tele_enabled: bool, worker: WorkerFn, state: Any) -> None:
+    """Per-worker-process setup: telemetry state, then worker and state.
 
     Runs in the child.  The sink is always detached — a forked worker
     inherits the parent's open trace file and must never write to it —
     and the enabled flag is made explicit so ``spawn`` start methods
     (which inherit nothing) still collect.
     """
+    global _POOL_WORKER
     TELEMETRY.sink = None
     TELEMETRY.enabled = tele_enabled
-    if init is not None:
-        init(spec)
+    _POOL_WORKER = (worker, state)
+
+
+def _pool_task(shard: Any) -> Dict[str, Any]:
+    worker, state = _POOL_WORKER
+    return _metered(worker, state, shard)
 
 
 def _unwrap(rec: Any) -> Tuple[Any, Optional[Dict[str, Any]]]:
@@ -132,9 +128,9 @@ def run_shards(
     campaign: str,
     spec: Any,
     shards: Sequence[Any],
-    worker: Callable[[Any], Any],
+    worker: WorkerFn,
     *,
-    init: Optional[InitFn] = None,
+    state: Any = None,
     workers: int = 1,
     resume: bool = False,
     checkpoint: bool = True,
@@ -144,10 +140,10 @@ def run_shards(
 ) -> List[Any]:
     """Run every shard of ``campaign``; return payloads by shard index.
 
-    ``worker(shards[i])`` computes shard ``i``; ``init(spec)``, when
-    given, installs the worker-global state it reads, once per process
-    (inline before the first pending shard, or as the pool initializer).
-    The runner options:
+    ``worker(state, shards[i])`` computes shard ``i``.  ``state`` is
+    the campaign's shared input; pool processes get it once each
+    through the pool initializer, never with a task.  The runner
+    options:
 
     - ``workers``: processes (``<= 1`` runs in this process, no pool);
     - ``checkpoint``: write each completed shard to the campaign's store,
@@ -163,7 +159,8 @@ def run_shards(
     - ``progress``: called with a :class:`ShardProgress` as each shard
       lands.
 
-    Payloads must be picklable when a store is used.
+    Payloads must be picklable when a store is used; ``worker`` and
+    ``state`` only under a ``spawn`` start method.
     """
     if store is None and checkpoint:
         store = CheckpointStore.for_spec(campaign, spec, cache_root)
@@ -174,7 +171,6 @@ def run_shards(
         )
     n = len(shards)
     tele_enabled = TELEMETRY.enabled
-    metered = _MeteredWorker(worker, tele_enabled)
     completed: Dict[int, Any] = {}
     if store is not None:
         if resume:
@@ -202,24 +198,22 @@ def run_shards(
 
     if pending:
         if workers <= 1:
-            if init is not None:
-                init(spec)
             for shard in pending:
                 t0 = time.perf_counter()
-                rec = metered(shards[shard])
+                rec = _metered(worker, state, shards[shard])
                 _record(shard, rec, time.perf_counter() - t0)
         else:
             pool_size = min(workers, len(pending))
             with ProcessPoolExecutor(
                 max_workers=pool_size,
                 initializer=_pool_init,
-                initargs=(tele_enabled, init, spec),
+                initargs=(tele_enabled, worker, state),
             ) as pool:
                 t_start = {}
                 futures = {}
                 for shard in pending:
                     t_start[shard] = time.perf_counter()
-                    futures[pool.submit(metered, shards[shard])] = shard
+                    futures[pool.submit(_pool_task, shards[shard])] = shard
                 for fut in as_completed(futures):
                     shard = futures[fut]
                     rec = fut.result()  # propagate worker exceptions

@@ -149,13 +149,3 @@ class ServiceClient:
                     f"(state {snap['state']}, progress {snap['progress']})"
                 )
             time.sleep(poll)
-
-    def submit_and_wait(
-        self,
-        campaign: str,
-        params: Optional[Mapping[str, Any]] = None,
-        timeout: float = 120.0,
-    ) -> Dict[str, Any]:
-        """Submit, then wait; returns the result payload."""
-        snap = self.submit(campaign, params)
-        return self.wait(snap["job"], timeout=timeout)

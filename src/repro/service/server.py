@@ -9,8 +9,10 @@ the service builds itself is the job's
 :meth:`~repro.runner.store.CheckpointStore.for_spec` — the store
 ``run_shards`` would build for the same campaign and spec — so it can
 hand it to the test-only fault injector; the campaign then receives it
-through the ``store`` runner option.  The interesting
-properties all follow from reusing the runner's determinism contract:
+through the ``store`` runner option, and the service's root as
+``cache_root`` (where the golden-prefix and scan caches live too).  The
+interesting properties all follow from reusing the runner's determinism
+contract:
 
 - **Idempotency.**  Jobs are keyed by the spec hash; submitting the same
   spec twice — concurrently or after completion — addresses one job and
@@ -30,11 +32,12 @@ properties all follow from reusing the runner's determinism contract:
   ``/metrics`` exposes the telemetry registry's export snapshot.
 
 Concurrency model: worker threads execute jobs; a per-campaign lock
-serializes jobs of the same campaign (the campaign modules cache heavy
-worker-global state), and an additional global lock serializes all job
-execution while telemetry is enabled (the registry is process-global and
-single-writer by design).  Shard-level parallelism inside one job uses
-worker *processes* via the executor, exactly as the CLI does.
+serializes jobs of the same campaign (each campaign caches one heavy
+state, which its inline shards share and may warm), and an additional
+global lock serializes all job execution while telemetry is enabled (the
+registry is process-global and single-writer by design).  Shard-level
+parallelism inside one job uses worker *processes* via the executor,
+exactly as the CLI does.
 
 HTTP endpoints::
 
@@ -94,7 +97,6 @@ class CampaignService:
         shard_workers: int = 1,
         retry_after: float = 1.0,
         max_retries: int = 2,
-        journal: bool = True,
         verbose: bool = False,
         faults: Optional[Any] = None,
     ) -> None:
@@ -104,7 +106,7 @@ class CampaignService:
             else default_cache_root()
         )
         self.queue = JobQueue(queue_size, retry_after=retry_after)
-        self.journal = JobJournal(self.cache_root) if journal else None
+        self.journal = JobJournal(self.cache_root)
         self.service_workers = service_workers
         self.shard_workers = shard_workers
         self.max_retries = max_retries
@@ -133,8 +135,7 @@ class CampaignService:
 
     def start(self) -> "CampaignService":
         """Replay the journal, start workers, and serve HTTP."""
-        if self.journal is not None:
-            self._replay_journal()
+        self._replay_journal()
         for i in range(self.service_workers):
             t = threading.Thread(
                 target=self._worker_loop,
@@ -226,7 +227,7 @@ class CampaignService:
         # Journal fresh admissions *and* revivals of failed jobs — a
         # crash after either must replay the job as unfinished work.
         revived = was_failed and admitted.state == "queued"
-        if (created or revived) and self.journal is not None:
+        if created or revived:
             self.journal.record_submit(admitted)
         return admitted, created
 
@@ -296,6 +297,7 @@ class CampaignService:
                         job.spec,
                         workers=self.shard_workers,
                         resume=resume,
+                        cache_root=self.cache_root,
                         store=store,
                         progress=progress,
                     )
@@ -345,11 +347,10 @@ class CampaignService:
                 job.error = error
                 if TELEMETRY.enabled:
                     TELEMETRY.count("service.jobs.failed")
-        if self.journal is not None:
-            if error is None:
-                self.journal.record_done(job)
-            else:
-                self.journal.record_failed(job)
+        if error is None:
+            self.journal.record_done(job)
+        else:
+            self.journal.record_failed(job)
 
     # ------------------------------------------------------------------
     # Read-side views

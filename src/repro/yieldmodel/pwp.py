@@ -65,10 +65,6 @@ class FaultDensityModel:
         extra = generations(node_nm, self.stagnation_node_nm)
         return self.base_density * (2.0 ** max(0.0, extra))
 
-    def faults_per_chip(self, node_nm: float, area_mm2: float) -> float:
-        """Average faults landing on ``area_mm2`` at this node."""
-        return self.density(node_nm) * area_mm2
-
     def required_pwp_improvement(self, node_nm: float) -> float:
         """EQ 1 run forward: the factor by which particles-per-wafer-pass
         must improve from the 90nm node for fault density to stay at the

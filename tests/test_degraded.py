@@ -186,6 +186,6 @@ class TestRescueIpcTable:
         # Every degraded point beats the full one; all clamp to it.
         points = {("b", cfg.key()): 1.0 + cfg.key().count(1) / 100
                   for cfg in enumerate_configs()}
-        table = ipc_tables(points, compose=False)["b"]
+        table = ipc_tables(points)["b"]
         assert len(table) == 64
         assert set(table.values()) == {1.0}

@@ -443,13 +443,27 @@ class TestGoldenCache:
             n_instructions=300, n_faults=6, chunk_size=6,
             checkpoint_interval=32, golden_cache=True,
         )
-        campaign_mod._INJECT.clear()
+        campaign_mod.prepare_injection.cache_clear()
         cold = run_injection(spec, workers=1, checkpoint=False)
         assert list(tmp_path.glob("golden-*.blob"))
-        campaign_mod._INJECT.clear()
+        campaign_mod.prepare_injection.cache_clear()
         warm = run_injection(spec, workers=1, checkpoint=False)
-        campaign_mod._INJECT.clear()
+        campaign_mod.prepare_injection.cache_clear()
         assert warm.records == cold.records
+
+    def test_campaign_blobs_follow_cache_root(self, tmp_path, monkeypatch):
+        """A run's ``cache_root`` holds its golden and scan blobs too,
+        not only its shard checkpoints."""
+        env, root = tmp_path / "env", tmp_path / "root"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(env))
+        spec = InjectionSpec(
+            n_instructions=300, n_faults=4, chunk_size=4,
+            checkpoint_interval=32, golden_cache=True, seed=13,
+        )
+        run_injection(spec, workers=1, cache_root=root)
+        kinds = sorted(p.name.split("-")[0] for p in root.iterdir())
+        assert kinds == ["golden", "scan", "shard"]
+        assert not env.exists()
 
     def test_entry_keyed_before_strategy_switches_went_still_hits(
         self, tmp_path, monkeypatch
@@ -465,7 +479,7 @@ class TestGoldenCache:
         )
         key = golden_key("gzip", 300, 7, (2, 2, 2, 2, 2, 2), 32, 0)
         store_golden(_golden(300, 32), key, root=tmp_path)
-        campaign_mod._INJECT.clear()
+        campaign_mod.prepare_injection.cache_clear()
         TELEMETRY.reset()
         TELEMETRY.enable()
         try:
@@ -474,6 +488,6 @@ class TestGoldenCache:
         finally:
             TELEMETRY.disable()
             TELEMETRY.reset()
-            campaign_mod._INJECT.clear()
+            campaign_mod.prepare_injection.cache_clear()
         assert metrics.counters["inject.golden_cache_hits"] == 1
         assert "inject.golden_sim_cycles" not in metrics.counters

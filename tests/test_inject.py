@@ -361,7 +361,7 @@ class TestCampaign:
         assert odd == scratch
 
     def test_fork_telemetry_counters(self):
-        # A fresh seed forces _inject_init (and so run_golden's
+        # A fresh seed forces prepare_injection (and so run_golden's
         # checkpoint histogram) to run inside the collect scopes.
         spec = replace(SPEC, seed=5)
         TELEMETRY.reset()

@@ -51,11 +51,11 @@ def _job_run(root, resume):
 
 
 def _inject_run(root, resume):
-    inject_campaign._INJECT.clear()
+    inject_campaign.prepare_injection.cache_clear()
     try:
         return run_injection(INJECT_SPEC, checkpoint=False).to_json()
     finally:
-        inject_campaign._INJECT.clear()
+        inject_campaign.prepare_injection.cache_clear()
 
 
 def _ipc_run(root, resume):

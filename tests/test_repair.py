@@ -351,14 +351,14 @@ class TestDeterminism:
         # Interrupt-and-resume: seed the store with a partial run, then
         # resume; the merged plan must be identical.
         from repro.repair.campaign import (
-            _repair_init, _repair_worker, repair_items,
+            _repair_worker, prepare_repair, repair_items,
         )
         from repro.runner.store import CheckpointStore
 
         store = CheckpointStore.for_spec("repair", BASELINE, tmp_path)
         items = repair_items(BASELINE)
-        _repair_init(BASELINE)
-        store.append(0, _repair_worker(items[0]))
+        base, _breaks = prepare_repair(BASELINE)
+        store.append(0, _repair_worker((BASELINE, base), items[0]))
         resumed = run_repair(
             BASELINE, resume=True, cache_root=tmp_path
         ).to_json()
@@ -543,7 +543,7 @@ class TestScanCache:
         assert any(
             p.name.startswith("scan-") for p in tmp_path.iterdir()
         )
-        ic._INJECT.clear()  # force a cold worker init
+        ic.prepare_injection.cache_clear()  # force a cold state build
         TELEMETRY.reset()
         TELEMETRY.enable()
         try:

@@ -96,7 +96,7 @@ class TestRunShards:
         ran = []
         with pytest.raises(ValueError, match="resume"):
             run_shards(
-                "probe", MC_SPEC, [0, 1], ran.append, init=ran.append,
+                "probe", MC_SPEC, [0, 1], ran.append,
                 resume=True, checkpoint=False,
             )
         assert ran == []

@@ -378,6 +378,54 @@ class TestRunnerMetrics:
         assert fv == rv
 
 
+class TestCampaignState:
+    """Campaign state is built once, in the calling process."""
+
+    def test_decide_metrics_invariant_across_worker_counts(self):
+        from repro.decide import DecideSpec, injection_spec, run_decide
+        from repro.inject.campaign import prepare_injection
+
+        spec = DecideSpec(
+            benchmarks=("gzip",), n_instructions=300, warmup=100,
+            inject_instructions=300, n_faults=8, inject_chunk=4,
+        )
+        TELEMETRY.enable()
+        views, results = {}, {}
+        for w in (1, 2):
+            prepare_injection.cache_clear()  # each run builds its state
+            with TELEMETRY.collect() as m:
+                results[w] = run_decide(spec, workers=w, checkpoint=False)
+            views[w] = m.deterministic()
+        TELEMETRY.disable()
+        assert results[1].to_json() == results[2].to_json()
+        for view in views.values():
+            # A scheduling metric (see ``_inject_worker``): inline shards
+            # share the golden run's lazily filled convergence views,
+            # each pool process fills its own.
+            view["counters"].pop("inject.arena_decompressions")
+        assert views[1] == views[2]
+        golden = prepare_injection(injection_spec(spec))["golden"]
+        assert (
+            views[1]["counters"]["inject.golden_sim_cycles"]
+            == golden.cycles
+        )
+
+    def test_prepared_injection_state_is_reused(self):
+        from repro.inject import InjectionSpec, run_injection
+        from repro.inject.campaign import prepare_injection
+
+        spec = InjectionSpec(
+            n_instructions=300, n_faults=4, chunk_size=2, seed=11
+        )
+        prepare_injection.cache_clear()
+        TELEMETRY.enable()
+        with TELEMETRY.collect() as m:
+            golden = prepare_injection(spec)["golden"]
+            run_injection(spec, checkpoint=False)
+        TELEMETRY.disable()
+        assert m.counters["inject.golden_sim_cycles"] == golden.cycles
+
+
 class TestCliTrace:
     def test_run_with_trace_flag(self, tmp_path, capsys):
         from repro.cli import main
