@@ -42,7 +42,7 @@ def _diagnose_design(builder, seed: int):
     tried = 0
     while tried < N_FAULTS:
         fault = rng.choice(faults)
-        bits, pos = setup.tester.failing_bits(setup.atpg.patterns, fault)
+        bits, pos = setup.tester.failing_bits(fault)
         if not bits and not pos:
             continue
         tried += 1

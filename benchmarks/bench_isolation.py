@@ -86,7 +86,7 @@ def test_isolation_experiment(benchmark):
     fault = full_fault_universe(model.netlist)[20]
 
     def isolate_one():
-        bits, pos = setup.tester.failing_bits(setup.atpg.patterns, fault)
+        bits, pos = setup.tester.failing_bits(fault)
         return setup.table.isolate(bits, pos)
 
     benchmark(isolate_one)

@@ -11,9 +11,10 @@ The telemetry subsystem promises two things this gate holds it to:
    under a loose CI-noise bound.
 
 The run also exercises the campaign-metrics contract: a sharded
-isolation campaign at ``--workers 1`` and ``--workers 2`` must produce
-bit-identical deterministic metric views (counters + histograms), the
-same invariance the campaign results themselves obey.
+isolation campaign and a sharded injection campaign, each at
+``--workers 1`` and ``--workers 2``, must produce bit-identical
+deterministic metric views (counters + histograms), the same invariance
+the campaign results themselves obey.
 
 Command line:
 
@@ -80,31 +81,26 @@ def _assert_same_grade(g_off, g_on) -> None:
         raise AssertionError("telemetry changed undetected lists")
 
 
-def _runner_metric_views(n_faults: int, chunk: int, workers):
-    """Deterministic metric views of the isolation campaign per worker
-    count (payloads asserted identical along the way)."""
-    from repro.runner import IsolationSpec, prepare_isolation, run_isolation
+def _campaign_metric_views(prepare, run, spec, workers):
+    """Deterministic metric views of one campaign per worker count
+    (results asserted identical along the way)."""
     from repro.telemetry import TELEMETRY
 
-    spec = IsolationSpec(
-        tiny=True, n_faults=n_faults, max_deterministic=0,
-        chunk_size=chunk,
-    )
     # Prepare once, outside every collect scope: the first run must not
-    # absorb one-time setup work (ATPG, cache warmup) the others skip.
-    prepare_isolation(spec)
+    # absorb one-time setup work (ATPG, golden run) the others skip.
+    prepare(spec)
     TELEMETRY.enable()
     views = {}
     payload = None
     try:
         for w in workers:
             with TELEMETRY.collect() as m:
-                stats = run_isolation(spec, workers=w, checkpoint=False)
+                result = run(spec, workers=w, checkpoint=False).to_json()
             if payload is None:
-                payload = stats
-            elif stats != payload:
+                payload = result
+            elif result != payload:
                 raise AssertionError(
-                    f"workers={w} campaign result differs from serial"
+                    f"{spec!r}: workers={w} result differs from serial"
                 )
             views[w] = m.deterministic()
     finally:
@@ -148,11 +144,26 @@ def check(seed: int = 0) -> None:
         f"enabled overhead {overhead_pct:.1f}% exceeds the loose CI bound"
     )
 
-    views = _runner_metric_views(n_faults=60, chunk=13, workers=(1, 2))
-    assert views[1] == views[2], (
-        "campaign metrics differ between --workers 1 and --workers 2"
+    from repro.inject import InjectionSpec, prepare_injection, run_injection
+    from repro.runner import IsolationSpec, prepare_isolation, run_isolation
+
+    campaigns = (
+        (prepare_isolation, run_isolation, IsolationSpec(
+            tiny=True, n_faults=60, max_deterministic=0, chunk_size=13,
+        )),
+        # Transients with checkpoints: the early-exit hook reads the
+        # golden run in every shard.
+        (prepare_injection, run_injection, InjectionSpec(
+            n_instructions=600, n_faults=16, chunk_size=2,
+        )),
     )
-    assert views[1]["counters"], "campaign collected no counters"
+    for prepare, run, spec in campaigns:
+        views = _campaign_metric_views(prepare, run, spec, workers=(1, 2))
+        assert views[1] == views[2], (
+            f"{type(spec).__name__} metrics differ between --workers 1 "
+            f"and --workers 2"
+        )
+        assert views[1]["counters"], "campaign collected no counters"
 
     print(
         f"telemetry check OK: {len(faults)} faults x "

@@ -40,7 +40,7 @@ def run_design(name, builder, n_faults, seed=11):
     gate_sizes = []
     while shown < n_faults:
         fault = rng.choice(faults)
-        bits, pos = setup.tester.failing_bits(setup.atpg.patterns, fault)
+        bits, pos = setup.tester.failing_bits(fault)
         if not bits and not pos:
             continue
         shown += 1

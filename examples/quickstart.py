@@ -68,7 +68,7 @@ def step2_fault_isolation() -> None:
     while shown < 5:
         fault = rng.choice(candidates)
         expected = component_of_fault(model.netlist, fault).split("/")[0]
-        bits, pos = setup.tester.failing_bits(setup.atpg.patterns, fault)
+        bits, pos = setup.tester.failing_bits(fault)
         if not bits and not pos:
             continue  # this fault needs the deterministic vectors
         result = setup.table.isolate(bits, pos)

@@ -73,7 +73,7 @@ def main() -> None:
         scrap = False
         hit_blocks = set()
         for fault in faults:
-            bits, pos = setup.tester.failing_bits(setup.atpg.patterns, fault)
+            bits, pos = setup.tester.failing_bits(fault)
             if not bits and not pos:
                 continue  # escaped: not detected by this vector set
             result = setup.table.isolate(bits, pos)

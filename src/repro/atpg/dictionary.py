@@ -16,15 +16,14 @@ verification cross-check of the fault simulator.
 Signatures are produced by :meth:`ScanTester.failing_bits`, which reads
 mismatching observation points straight off packed fault deltas —
 building a dictionary over thousands of faults rides entirely on that
-fast path (the tester caches the good response per pattern set).
+fast path (the tester simulates its pattern set's good response once,
+when it is built).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.netlist.faults import StuckAt
 from repro.scan.tester import ScanTester
@@ -49,16 +48,12 @@ class DictionaryMatch:
 
 
 class FaultDictionary:
-    """Pass/fail fault dictionary over a fixed pattern set."""
+    """Pass/fail fault dictionary over the tester's pattern set."""
 
     def __init__(
-        self,
-        tester: ScanTester,
-        patterns: np.ndarray,
-        faults: Sequence[StuckAt],
+        self, tester: ScanTester, faults: Sequence[StuckAt]
     ) -> None:
         self.tester = tester
-        self.patterns = patterns
         self._by_signature: Dict[Signature, List[StuckAt]] = {}
         self._entries: List[Tuple[StuckAt, Signature]] = []
         for fault in faults:
@@ -71,7 +66,7 @@ class FaultDictionary:
     # ------------------------------------------------------------------
     def signature_of(self, fault: StuckAt) -> Signature:
         """Failing-bit signature of a fault under the pattern set."""
-        bits, pos = self.tester.failing_bits(self.patterns, fault)
+        bits, pos = self.tester.failing_bits(fault)
         return frozenset(bits) | frozenset(-1 - p for p in pos)
 
     @property

@@ -193,14 +193,20 @@ _CLAIMS = {
 
 
 def _spec(args: argparse.Namespace, **presets):
-    """The campaign spec from its generated flags, plus ``presets``."""
+    """The campaign spec from its generated flags, plus ``presets``.
+
+    A value the spec rejects is a usage error: exit 2, no traceback.
+    """
     entry = REGISTRY[args.campaign]
     params = {
         f.name: getattr(args, f.name)
         for f in dataclasses.fields(entry.spec_cls)
         if f.name not in presets
     }
-    return entry.make_spec({**params, **presets})
+    try:
+        return entry.make_spec({**params, **presets})
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def _run(args: argparse.Namespace, spec):
@@ -526,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpoint root (None: .repro_cache or "
                             "$REPRO_CACHE_DIR)")
         add_trace_flag(p)
-        p.set_defaults(func=func, campaign=campaign)
+        p.set_defaults(func=func, campaign=campaign, parser=p)
         return p
 
     campaign_parser(

@@ -301,17 +301,6 @@ class ArchState:
         self.detect_cycle = cycle
         self.stopped = True
 
-    def snapshot(self) -> Dict[str, object]:
-        """Committed architectural state (registers + memory digest)."""
-        return {
-            "regs_int": tuple(self.arch_regs[0]),
-            "regs_fp": tuple(self.arch_regs[1]),
-            "mem_digest": mix(
-                *(v for kv in sorted(self.mem.items()) for v in kv)
-            ),
-            "commits": self.commits,
-        }
-
     def state_digest(self) -> int:
         """Single 64-bit digest of the committed architectural state."""
         return mix(

@@ -46,7 +46,7 @@ from repro.runner.campaigns import (
     IpcSweepResult, IpcSweepSpec, _ipc_worker, ipc_sweep_shards,
 )
 from repro.runner.executor import run_shards
-from repro.runner.registry import check_spec, choice
+from repro.runner.registry import at_least_one, check_spec, choice
 from repro.runner.seeding import shard_ranges
 from repro.telemetry import TELEMETRY
 from repro.yieldmodel.configs import CoreCounts, DIMENSIONS
@@ -70,7 +70,7 @@ class DecideSpec:
 
     # IPC measurement phase (full + six single-degradation configs per
     # benchmark; multi-degradation entries compose multiplicatively).
-    benchmarks: Tuple[str, ...] = ("gzip", "mcf")
+    benchmarks: Tuple[str, ...] = at_least_one(("gzip", "mcf"))
     n_instructions: int = 3000
     warmup: int = 1500
     ipc_seed: int = 12345
@@ -79,9 +79,9 @@ class DecideSpec:
     inject_instructions: int = 1500
     inject_trace_seed: int = 7
     inject_model: str = choice("both", FAULT_MODELS)
-    n_faults: int = 64
+    n_faults: int = at_least_one(64)
     inject_seed: int = 0
-    inject_chunk: int = 8
+    inject_chunk: int = at_least_one(8)
     checkpoint_interval: int = 128
     # Persistent golden-prefix cache for the embedded injection phase:
     # every decide run re-runs injection, so a warm cache skips its
@@ -93,7 +93,7 @@ class DecideSpec:
     stagnation_node_nm: float = 90.0
     baseline_ipc: float = 2.05
     # IPC items per shard.
-    chunk_size: int = 1
+    chunk_size: int = at_least_one(1)
 
     def __post_init__(self) -> None:
         check_spec(self)
@@ -340,10 +340,6 @@ def run_decide(spec: DecideSpec, **runner) -> DecideResult:
     data.  ``runner`` options go to
     :func:`~repro.runner.executor.run_shards`.
     """
-    if spec.n_faults <= 0:
-        raise ValueError("n_faults must be positive")
-    if not spec.benchmarks:
-        raise ValueError("at least one benchmark required")
     with TELEMETRY.span("decide.campaign"):
         state = _injection_state(
             injection_spec(spec), runner.get("cache_root")

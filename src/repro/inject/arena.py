@@ -14,11 +14,13 @@ entry decodes with one decompression.
 Every :meth:`SnapshotArena.get` decodes afresh (one decompression plus
 one unpickle, counted as ``inject.arena_decompressions``); a caller that
 restores the same checkpoint repeatedly keeps its own decoded copy, as
-:class:`~repro.inject.harness.ReplaySession` does.  Decoded dicts are
-safe to restore from more than once: every ``restore``/``load`` path in
-the core copies container state rather than aliasing it.  The counter
-depends on how faults land in shards, so it is a scheduling metric, not
-part of the worker-invariant view.
+:class:`~repro.inject.harness.ReplaySession` does, and the early-exit
+check decodes the golden checkpoint it compares against each time.
+Decoded dicts are safe to restore from more than once: every
+``restore``/``load`` path in the core copies container state rather
+than aliasing it.  The arena is written only by the golden run; a
+campaign's workers only read it, so the counter depends on the
+chunking, never on the worker count.
 
 An uncompressed metadata sidecar of ``(cycle, committed, fetched)``
 triples supports the harness's cheap reconvergence precheck and fork

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.inject.models import KINDS
 from repro.runner.executor import run_shards
-from repro.runner.registry import check_spec, choice
+from repro.runner.registry import at_least_one, check_spec, choice
 from repro.runner.seeding import shard_ranges
 from repro.telemetry import TELEMETRY
 from repro.yieldmodel.configs import DIMENSIONS
@@ -48,7 +48,7 @@ class InjectionSpec:
     n_faults: int = 64
     seed: int = 0
     blocks: Optional[Tuple[str, ...]] = None  # restrict sites to blocks
-    chunk_size: int = 8
+    chunk_size: int = at_least_one(8)
     # Golden checkpoint spacing in cycles for suffix replay (0: every
     # fault replays from cycle 0).
     checkpoint_interval: int = 128
@@ -340,11 +340,12 @@ def _inject_worker(state: Dict[str, Any], span: Tuple[int, int]) -> Dict:
     workload.  Results are then folded into the stats in
     the original fault order, so shard payloads (records, exemplars,
     per-block counts) are bit-identical to from-scratch replay in fault
-    order for any worker count or chunking.  The grouping telemetry
-    (``inject.restore_reuses`` / ``inject.group_sizes``) and the arena's
-    decode counter (``inject.arena_decompressions``) are scheduling
-    metrics: they depend on how faults land in shards and are *not*
-    part of the worker-count-invariant deterministic view.
+    order for any worker count or chunking.  The worker only reads
+    ``state``, so its telemetry is the same inline or in a pool process.
+    The grouping telemetry (``inject.restore_reuses`` /
+    ``inject.group_sizes``) and the arena's decode counter
+    (``inject.arena_decompressions``) follow the chunking, which is part
+    of the spec.
     """
     from repro.inject.harness import (
         ReplaySession, run_with_fault, synth_never_result,

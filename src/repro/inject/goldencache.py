@@ -20,8 +20,7 @@ The golden payload stores only what the caller cannot rebuild: the
 commit log, totals, digest, the compressed :class:`SnapshotArena`, and
 the site profile.  Config and trace are cheap to reconstruct and are
 re-attached on load; a payload whose totals do not match the requesting
-campaign is a miss.  Convergence views are derived data and rebuild
-lazily.
+campaign is a miss.
 """
 
 from __future__ import annotations

@@ -141,10 +141,7 @@ from repro.inject.profiler import SiteProfile
 from repro.inject.sites import site_inert
 from repro.telemetry import TELEMETRY
 
-#: Watchdog: a faulty run may take this factor of the golden cycle count
-#: (plus slack) before it is declared hung.  Kept for the suffix-scaled
-#: :func:`hang_budget` below (factor 2 = prefix + two suffixes at c=0).
-BUDGET_FACTOR = 2
+#: Watchdog slack in cycles on top of :func:`hang_budget`'s suffix scaling.
 BUDGET_SLACK = 512
 
 _INF = float("inf")
@@ -155,16 +152,19 @@ def hang_budget(golden_cycles: int, fault: FaultSpec) -> int:
 
     The prefix before the fault's activation cycle is provably golden,
     so only the suffix earns slack: ``golden + (golden - c) + slack``.
-    At ``c = 0`` this is the classic ``BUDGET_FACTOR * golden + slack``.
+    At ``c = 0`` this is the classic ``2 * golden + slack``.
     Identical for forked and from-scratch runs by construction.
     """
     prefix = min(fault.cycle, golden_cycles)
     return golden_cycles + (golden_cycles - prefix) + BUDGET_SLACK
 
 
-@dataclass
+@dataclass(frozen=True)
 class GoldenRun:
-    """The fault-free reference execution of one (config, trace) pair."""
+    """The fault-free reference execution of one (config, trace) pair.
+
+    Frozen: a campaign builds it once and every worker only reads it.
+    """
 
     config: MachineConfig
     trace: List[Instr]
@@ -182,10 +182,6 @@ class GoldenRun:
     #: Optional per-site occupancy profile (``--profile`` / weighted
     #: sampling).
     profile: Optional[SiteProfile] = field(default=None, compare=False)
-    #: Lazy cache of convergence views per checkpoint cycle.
-    views: Dict[int, tuple] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def fork_index(self, cycle: int) -> Optional[int]:
         """Arena index of the newest checkpoint at or before ``cycle``."""
@@ -397,8 +393,6 @@ def _execute_and_classify(
             or site_inert(fault.site, golden.config)
         )
     ):
-        views = golden.views
-
         def on_cycle(c: Core) -> bool:
             nonlocal early_cycle
             cyc = c.cycle
@@ -418,10 +412,9 @@ def _execute_and_classify(
             # paying for a snapshot decode + comparison.
             if c.committed != mcommitted or c.fetched != mfetched:
                 return False
-            gv = views.get(cyc)
-            if gv is None:
-                gv = views[cyc] = _live_view(arena.get(i), cyc)
-            if _live_view(c.snapshot(), cyc) == gv:
+            if _live_view(c.snapshot(), cyc) == _live_view(
+                arena.get(i), cyc
+            ):
                 early_cycle = cyc
                 return True
             return False

@@ -42,7 +42,7 @@ from repro.repair.candidates import (
 from repro.repair.oracle import BaseState, _equivalence_stage, verify_candidate
 from repro.repair.seedbreak import SeededBreak, seed_breaks
 from repro.runner.executor import run_shards
-from repro.runner.registry import check_spec, choice
+from repro.runner.registry import at_least_one, check_spec, choice
 from repro.runner.seeding import shard_ranges
 from repro.telemetry import TELEMETRY
 
@@ -63,11 +63,11 @@ class RepairSpec:
     exempt: Tuple[str, ...] = ("chipkill",)
     # Oracle budget: equivalence patterns and isolation faults sampled
     # per candidate.
-    n_patterns: int = 192
+    n_patterns: int = at_least_one(192)
     n_isolation_faults: int = 6
     seed: int = 0
     # Violations per shard.
-    chunk_size: int = 2
+    chunk_size: int = at_least_one(2)
 
     def __post_init__(self) -> None:
         check_spec(self)
@@ -356,8 +356,6 @@ def run_repair(spec: RepairSpec, **runner) -> RepairResult:
     functions of the merged data.  ``runner`` options go to
     :func:`~repro.runner.executor.run_shards`.
     """
-    if spec.n_patterns <= 0:
-        raise ValueError("n_patterns must be positive")
     base, breaks = prepare_repair(spec)
     with TELEMETRY.span("repair.campaign"):
         payloads = run_shards(

@@ -74,7 +74,6 @@ def generate_tests(
     """Insert scan, run ATPG, and build the isolation table."""
     nl = model.netlist
     chain = insert_scan(nl)
-    tester = ScanTester(nl, chain)
     atpg = run_atpg(
         nl,
         seed=seed,
@@ -83,6 +82,7 @@ def generate_tests(
         backtrack_limit=backtrack_limit,
         max_deterministic=max_deterministic,
     )
+    tester = ScanTester(nl, chain, atpg.patterns)
     table = IsolationTable(chain, po_components=po_component_labels(nl))
     return TestSetup(
         model=model, chain=chain, tester=tester, atpg=atpg, table=table
@@ -205,10 +205,9 @@ def isolation_experiment(
     if faults is None:
         faults = sample_isolation_faults(nl, n_faults, seed)
     stats = IsolationStats(inserted=len(faults))
-    patterns = setup.atpg.patterns
     for fault in faults:
         expected = _block(component_of_fault(nl, fault))
-        bits, pos = setup.tester.failing_bits(patterns, fault)
+        bits, pos = setup.tester.failing_bits(fault)
         if not bits and not pos:
             stats.undetected += 1
             continue

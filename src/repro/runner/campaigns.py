@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runner.executor import run_shards
+from repro.runner.registry import at_least_one, check_spec
 from repro.runner.seeding import shard_ranges
 
 
@@ -52,7 +53,10 @@ class IsolationSpec:
     fault_seed: int = 1
     n_faults: int = 600
     max_deterministic: Optional[int] = None
-    chunk_size: int = 50
+    chunk_size: int = at_least_one(50)
+
+    def __post_init__(self) -> None:
+        check_spec(self)
 
 
 @functools.lru_cache(maxsize=1)
@@ -77,11 +81,6 @@ def prepare_isolation(spec: IsolationSpec):
     faults = sample_isolation_faults(
         model.netlist, spec.n_faults, spec.fault_seed
     )
-    # Warm the tester's gold-response cache here, not in the first shard:
-    # every process (inline or pool) then enters its shards with
-    # identical cache state, which keeps per-shard telemetry counters
-    # independent of worker count.
-    setup.tester.good_response(setup.atpg.patterns)
     return setup, faults
 
 
@@ -149,7 +148,10 @@ class MonteCarloSpec:
     seed: int = 0
     anchor_node_nm: float = 90.0
     anchor_cores: int = 1
-    chunk_size: int = 250
+    chunk_size: int = at_least_one(250)
+
+    def __post_init__(self) -> None:
+        check_spec(self)
 
 
 def _montecarlo_state(spec: MonteCarloSpec) -> Dict[str, Any]:
@@ -231,7 +233,10 @@ class IpcSweepSpec:
     warmup: int = 12_000
     seed: int = 12345
     compose: bool = True
-    chunk_size: int = 1
+    chunk_size: int = at_least_one(1)
+
+    def __post_init__(self) -> None:
+        check_spec(self)
 
 
 @dataclass

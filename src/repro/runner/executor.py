@@ -31,10 +31,11 @@ enabled, each shard runs inside a fresh
 process or inline — and its metrics ride home next to the payload in the
 checkpoint record (``{"result": ..., "metrics": ...}``).  After all
 shards land, the parent folds the shard metrics back into its own
-registry **in shard-index order**, so the aggregated deterministic view
-(integer counters, histograms) is bit-identical for any worker count,
-chunking, or resume history — the campaign determinism contract extended
-to the metrics.  Workers never stream trace events (a trace file has one
+registry **in shard-index order**, so for one spec the aggregated
+deterministic view (integer counters, histograms) is bit-identical for
+any worker count or resume history — the campaign determinism contract
+extended to the metrics.  This holds because workers only read the
+state.  Workers never stream trace events (a trace file has one
 writer: the parent); their spans aggregate into the shard metrics
 instead.
 """

@@ -12,8 +12,8 @@ params-dict)`` pair:
 
 - :meth:`CampaignEntry.make_spec` builds the frozen spec from a plain
   JSON params dict (lists are coerced to tuples, unknown keys raise
-  ``TypeError`` and values outside a field's declared choices raise
-  ``ValueError`` — both are the service's 400 path);
+  ``TypeError`` and values outside a field's declared choices or bounds
+  raise ``ValueError`` — both are the service's 400 path);
 - the entry's ``name`` is the campaign name ``run_shards`` keys its
   checkpoint store by
   (:meth:`~repro.runner.store.CheckpointStore.for_spec`), so service
@@ -24,8 +24,10 @@ params-dict)`` pair:
 
 The spec dataclass is the only declaration of a campaign's parameters.
 A field restricted to a fixed set of values declares it with
-:func:`choice`; the spec's ``__post_init__`` calls :func:`check_spec`,
-and the CLI reads the same metadata for its ``choices``.
+:func:`choice`, a size that must be at least 1 with :func:`at_least_one`;
+the spec's ``__post_init__`` calls :func:`check_spec`, so a bad value
+fails when the spec is built, never mid-run, and the CLI reads the same
+metadata for its ``choices``.
 
 All heavy imports stay inside the entry methods: importing this module
 costs nothing beyond the runner package itself, so the CLI can list
@@ -47,15 +49,27 @@ def choice(default: str, choices: Tuple[str, ...]) -> Any:
     return dataclasses.field(default=default, metadata={"choices": choices})
 
 
+def at_least_one(default: Any) -> Any:
+    """A spec field whose value (a tuple: its length) must be >= 1."""
+    return dataclasses.field(default=default, metadata={"at_least_one": True})
+
+
 def check_spec(spec: Any) -> None:
-    """Reject any field value outside its declared :func:`choice` set."""
+    """Reject a value outside its :func:`choice` / :func:`at_least_one`."""
     for f in dataclasses.fields(spec):
-        allowed = f.metadata.get("choices")
         value = getattr(spec, f.name)
+        name = f"{type(spec).__name__}.{f.name}"
+        allowed = f.metadata.get("choices")
         if allowed is not None and value not in allowed:
             raise ValueError(
-                f"{type(spec).__name__}.{f.name} must be one of "
-                f"{allowed}, not {value!r}"
+                f"{name} must be one of {allowed}, not {value!r}"
+            )
+        is_tuple = isinstance(value, tuple)
+        size = len(value) if is_tuple else value
+        if f.metadata.get("at_least_one") and size < 1:
+            raise ValueError(
+                f"{name} must be at least 1{' long' if is_tuple else ''}, "
+                f"not {value!r}"
             )
 
 
@@ -101,8 +115,8 @@ class CampaignEntry:
 
         JSON has no tuple type, so lists become tuples (the frozen specs
         want hashable values).  Raises ``TypeError`` on unknown keys and
-        ``ValueError`` on values outside a field's declared choices (the
-        service maps both to HTTP 400).
+        ``ValueError`` on values outside a field's declared choices or
+        bounds (the service maps both to HTTP 400).
         """
         cls = self.spec_cls
         known = {f.name for f in dataclasses.fields(cls)}

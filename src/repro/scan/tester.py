@@ -11,7 +11,7 @@ the paper's fault isolation (Section 3.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -49,51 +49,31 @@ class TestResponse:
 
 
 class ScanTester:
-    """Applies packed scan tests and reports failing bits."""
+    """Applies one packed scan test set and reports failing bits.
 
-    def __init__(self, netlist: Netlist, chain: ScanChain) -> None:
+    The tester is bound to its pattern set: the fault-free net values
+    and the gold response are simulated once, at construction, and only
+    read afterwards.
+    """
+
+    def __init__(
+        self, netlist: Netlist, chain: ScanChain, patterns: np.ndarray
+    ) -> None:
         self.netlist = netlist
         self.chain = chain
         self.sim = PackedWordSimulator(netlist)
-        # id(patterns) -> (pinned array, net values, gold response).
-        self._good_cache: Dict[int, tuple] = {}
-
-    def good_response(self, patterns: np.ndarray) -> TestResponse:
-        """Gold response of the fault-free design for ``patterns``."""
-        _, resp = self._good(patterns)
-        return resp
-
-    def _good(
-        self, patterns: np.ndarray
-    ) -> Tuple[WordValues, TestResponse]:
-        key = id(patterns)
-        cached = self._good_cache.get(key)
-        if cached is not None:
-            if TELEMETRY.enabled:
-                TELEMETRY.count("scan.good_cache_hits")
-            return cached[1], cached[2]
         if TELEMETRY.enabled:
-            TELEMETRY.count("scan.good_cache_misses")
             TELEMETRY.count("scan.patterns_applied", int(patterns.shape[0]))
-        values = self.sim.good_values(patterns)
-        po, state = self.sim.capture(values)
-        # Keep only the most recent pattern set to bound memory; the
-        # array itself is pinned in the cache so its id cannot be
-        # recycled by a different array while the entry lives.
-        self._good_cache = {key: (patterns, values,
-                                  TestResponse(po=po, state=state))}
-        return values, self._good_cache[key][2]
+        self.values: WordValues = self.sim.good_values(patterns)
+        po, state = self.sim.capture(self.values)
+        #: Gold response of the fault-free design.
+        self.good_response = TestResponse(po=po, state=state)
 
-    def detecting_patterns(
-        self, patterns: np.ndarray, fault: StuckAt
-    ) -> np.ndarray:
+    def detecting_patterns(self, fault: StuckAt) -> np.ndarray:
         """(n_patterns,) bool: which patterns detect ``fault``."""
-        values, _ = self._good(patterns)
-        return self.sim.detection_vector(values, fault)
+        return self.sim.detection_vector(self.values, fault)
 
-    def failing_bits(
-        self, patterns: np.ndarray, fault: StuckAt
-    ) -> Tuple[List[int], List[int]]:
+    def failing_bits(self, fault: StuckAt) -> Tuple[List[int], List[int]]:
         """Failing (scan-bit positions, PO indices) across the pattern set.
 
         Scan-bit positions are chain indices — exactly what a tester reads
@@ -102,8 +82,7 @@ class ScanTester:
         """
         if TELEMETRY.enabled:
             TELEMETRY.count("scan.failing_bits_queries")
-        values, _ = self._good(patterns)
-        fids, po_cols = self.sim.failing_observations(values, fault)
+        fids, po_cols = self.sim.failing_observations(self.values, fault)
         return (
             sorted(self.chain.bit_of_flop[fid] for fid in fids),
             sorted(po_cols),

@@ -32,8 +32,9 @@ contract:
   ``/metrics`` exposes the telemetry registry's export snapshot.
 
 Concurrency model: worker threads execute jobs; a per-campaign lock
-serializes jobs of the same campaign (each campaign caches one heavy
-state, which its inline shards share and may warm), and an additional
+serializes jobs of the same campaign (each campaign keeps one prepared
+heavy state, which its shards only read, so one job's state is built
+and held at a time), and an additional
 global lock serializes all job execution while telemetry is enabled (the
 registry is process-global and single-writer by design).  Shard-level
 parallelism inside one job uses worker *processes* via the executor,

@@ -180,13 +180,16 @@ class Metrics:
         return Metrics(counters, hists, spans)
 
     def deterministic(self) -> Dict[str, Any]:
-        """The run-invariant subset: counters and histograms, sorted.
+        """The run-invariant subset: every counter and histogram, sorted.
 
         Excludes span timings (wall clock is never reproducible).  Two
-        campaign runs that did the same work — regardless of worker
-        count, chunking, or scheduling — produce equal deterministic
-        views; ``tests/test_telemetry.py`` and the benchmark gate assert
-        exactly this.
+        runs of one campaign spec — at any worker count, or resumed from
+        any checkpoint history — produce equal deterministic views;
+        ``tests/test_telemetry.py`` and ``bench_telemetry.py --check``
+        assert exactly this.  A different ``chunk_size`` is a different
+        spec: it moves counters that follow the shard split (replay
+        grouping, arena decodes, shard counts) and the grouping of float
+        histogram sums.
         """
         return {
             "counters": dict(sorted(self.counters.items())),

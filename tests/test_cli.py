@@ -246,6 +246,9 @@ class TestGeneratedFlags:
         ["run", "inject", "--sampling", "bogus"],
         ["run", "decide", "--inject-model", "bogus"],
         ["repair", "--model", "bogus"],
+        ["run", "inject", "--chunk-size", "0"],
+        ["decide", "--inject-chunk", "0"],
+        ["repair", "--n-patterns", "0"],
     ])
     def test_bad_value_exits_2_before_simulating(self, argv, capsys):
         TELEMETRY.reset()
@@ -259,3 +262,4 @@ class TestGeneratedFlags:
             TELEMETRY.reset()
         assert exit_.value.code == 2
         assert "inject.golden_sim_cycles" not in metrics.counters
+        assert "error:" in capsys.readouterr().err

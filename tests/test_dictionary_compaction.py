@@ -7,6 +7,7 @@ from repro.atpg import collapse_faults, full_fault_universe, grade_faults
 from repro.atpg.compaction import detection_matrix, reverse_order_compaction
 from repro.atpg.dictionary import FaultDictionary
 from repro.netlist import GateType, NetBuilder, Netlist
+from repro.netlist.compiled import PackedWordSimulator
 from repro.netlist.faults import StuckAt
 from repro.scan import ScanTester, insert_scan
 
@@ -26,8 +27,8 @@ def _design():
     return bld.nl, chain, (ya, yb)
 
 
-def _exhaustive_patterns(tester):
-    n = tester.sim.n_sources
+def _exhaustive_patterns(nl):
+    n = PackedWordSimulator(nl).n_sources
     rows = [[(v >> i) & 1 for i in range(n)] for v in range(1 << n)]
     return np.array(rows, dtype=bool)
 
@@ -35,18 +36,18 @@ def _exhaustive_patterns(tester):
 class TestFaultDictionary:
     def test_entries_only_for_detected(self):
         nl, chain, _ = _design()
-        tester = ScanTester(nl, chain)
-        patterns = _exhaustive_patterns(tester)
+        patterns = _exhaustive_patterns(nl)
+        tester = ScanTester(nl, chain, patterns)
         faults = collapse_faults(nl, full_fault_universe(nl))
-        d = FaultDictionary(tester, patterns, faults)
+        d = FaultDictionary(tester, faults)
         assert 0 < d.n_entries <= len(faults)
 
     def test_lookup_finds_inserted_fault(self):
         nl, chain, (ya, yb) = _design()
-        tester = ScanTester(nl, chain)
-        patterns = _exhaustive_patterns(tester)
+        patterns = _exhaustive_patterns(nl)
+        tester = ScanTester(nl, chain, patterns)
         faults = collapse_faults(nl, full_fault_universe(nl))
-        d = FaultDictionary(tester, patterns, faults)
+        d = FaultDictionary(tester, faults)
         fault = StuckAt(net=ya, value=0)
         match = d.locate(fault)
         assert match.matched
@@ -54,30 +55,30 @@ class TestFaultDictionary:
 
     def test_unmodeled_fault_falls_back_to_nearest(self):
         nl, chain, (ya, yb) = _design()
-        tester = ScanTester(nl, chain)
-        patterns = _exhaustive_patterns(tester)
+        patterns = _exhaustive_patterns(nl)
+        tester = ScanTester(nl, chain, patterns)
         # Dictionary built over block A faults only.
         faults = [StuckAt(net=ya, value=0), StuckAt(net=ya, value=1)]
-        d = FaultDictionary(tester, patterns, faults)
+        d = FaultDictionary(tester, faults)
         match = d.locate(StuckAt(net=yb, value=1))
         assert not match.matched
         assert match.nearest is not None and match.nearest_distance > 0
 
     def test_storage_scales_with_entries(self):
         nl, chain, (ya, yb) = _design()
-        tester = ScanTester(nl, chain)
-        patterns = _exhaustive_patterns(tester)
-        small = FaultDictionary(tester, patterns, [StuckAt(net=ya, value=0)])
+        patterns = _exhaustive_patterns(nl)
+        tester = ScanTester(nl, chain, patterns)
+        small = FaultDictionary(tester, [StuckAt(net=ya, value=0)])
         faults = collapse_faults(nl, full_fault_universe(nl))
-        big = FaultDictionary(tester, patterns, faults)
+        big = FaultDictionary(tester, faults)
         assert big.storage_bits() > small.storage_bits()
 
     def test_ambiguity_at_least_one(self):
         nl, chain, _ = _design()
-        tester = ScanTester(nl, chain)
-        patterns = _exhaustive_patterns(tester)
+        patterns = _exhaustive_patterns(nl)
+        tester = ScanTester(nl, chain, patterns)
         faults = collapse_faults(nl, full_fault_universe(nl))
-        d = FaultDictionary(tester, patterns, faults)
+        d = FaultDictionary(tester, faults)
         assert d.ambiguity() >= 1.0
 
 

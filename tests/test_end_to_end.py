@@ -20,6 +20,7 @@ from repro.core import FaultMapRegister
 from repro.cpu import Core, MachineConfig
 from repro.rtl import RtlParams, build_rescue_rtl
 from repro.rtl.experiment import generate_tests
+from repro.scan import ScanTester
 from repro.workloads import generate_trace, profile
 from repro.yieldmodel.configs import CoreCounts
 
@@ -49,7 +50,7 @@ def _first_detected_fault_in(setup, block):
         comp = component_of_fault(nl, fault)
         if not comp.startswith(block + "/") and comp != block:
             continue
-        bits, pos = setup.tester.failing_bits(setup.atpg.patterns, fault)
+        bits, pos = setup.tester.failing_bits(fault)
         if bits or pos:
             return fault, bits, pos
     pytest.skip(f"no detected fault found in {block}")
@@ -92,8 +93,10 @@ def test_fault_to_degraded_operation(setup, block):
 
 def test_healthy_chip_passes_clean(setup):
     """A fault-free chip shows no failing bits: nothing to map out."""
-    resp = setup.tester.good_response(setup.atpg.patterns)
-    again = setup.tester.good_response(setup.atpg.patterns)
+    resp = setup.tester.good_response
+    again = ScanTester(
+        setup.model.netlist, setup.chain, setup.atpg.patterns
+    ).good_response
     assert resp.mismatches(again).sum() == 0
     reg = FaultMapRegister(width=2)
     assert reg.degraded_config().is_full

@@ -142,13 +142,12 @@ class TestArchState:
         trace = _trace(600)
         arch = ArchState(FULL)
         Core(FULL, iter(trace), arch=arch).run(600)
-        snap = arch.snapshot()
-        assert snap["commits"] == 600
-        assert len(snap["regs_int"]) == 32
-        assert any(v != 0 for v in snap["regs_int"])
+        assert arch.commits == 600
+        assert len(arch.arch_regs[0]) == 32
+        assert any(v != 0 for v in arch.arch_regs[0])
         arch2 = ArchState(FULL)
         Core(FULL, iter(trace), arch=arch2).run(600)
-        assert arch2.snapshot() == snap
+        assert arch2.arch_regs == arch.arch_regs
         assert arch2.state_digest() == arch.state_digest()
 
     def test_producer_records_kept_for_dep_window(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.netlist import GateType, NetBuilder, Netlist
+from repro.netlist.compiled import PackedWordSimulator
 from repro.netlist.faults import StuckAt
 from repro.scan import ScanChain, ScanTester, insert_scan
 
@@ -63,40 +64,44 @@ class TestScanChain:
         assert chain.test_cycles(0) == 0
 
 
+def _n_sources(nl: Netlist) -> int:
+    return PackedWordSimulator(nl).n_sources
+
+
 class TestScanTester:
     def test_good_response_shapes(self):
         nl, _ = _pipeline_pair()
         chain = insert_scan(nl)
-        tester = ScanTester(nl, chain)
-        patterns = np.zeros((4, tester.sim.n_sources), dtype=bool)
-        resp = tester.good_response(patterns)
+        patterns = np.zeros((4, _n_sources(nl)), dtype=bool)
+        tester = ScanTester(nl, chain, patterns)
+        resp = tester.good_response
         assert resp.state.shape == (4, 2)
 
     def test_fault_detected_and_bit_localized(self):
         nl, (a, ya, yb) = _pipeline_pair()
         chain = insert_scan(nl)
-        tester = ScanTester(nl, chain)
         rng = np.random.default_rng(0)
         patterns = rng.integers(
-            0, 2, size=(8, tester.sim.n_sources)
+            0, 2, size=(8, _n_sources(nl))
         ).astype(bool)
+        tester = ScanTester(nl, chain, patterns)
         # Fault in stage B logic: observed only at scan bit 1 (flop rb).
         fault = StuckAt(net=yb, value=0)
-        assert tester.detecting_patterns(patterns, fault).any()
-        bits, po = tester.failing_bits(patterns, fault)
+        assert tester.detecting_patterns(fault).any()
+        bits, po = tester.failing_bits(fault)
         assert bits == [1] and po == []
         assert chain.component_at(bits[0]) == "stageB"
 
     def test_stage_a_fault_maps_to_bit0(self):
         nl, (a, ya, yb) = _pipeline_pair()
         chain = insert_scan(nl)
-        tester = ScanTester(nl, chain)
         rng = np.random.default_rng(1)
         patterns = rng.integers(
-            0, 2, size=(8, tester.sim.n_sources)
+            0, 2, size=(8, _n_sources(nl))
         ).astype(bool)
+        tester = ScanTester(nl, chain, patterns)
         fault = StuckAt(net=ya, value=1)
-        bits, _ = tester.failing_bits(patterns, fault)
+        bits, _ = tester.failing_bits(fault)
         assert bits == [0]
         assert chain.component_at(0) == "stageA"
 
@@ -104,20 +109,20 @@ class TestScanTester:
         """A SA0 fault needs a pattern driving the net to 1 to show up."""
         nl, (a, ya, yb) = _pipeline_pair()
         chain = insert_scan(nl)
-        tester = ScanTester(nl, chain)
         # Input 1 makes ya = 0, equal to the stuck value: no detection.
-        patterns = np.ones((2, tester.sim.n_sources), dtype=bool)
+        patterns = np.ones((2, _n_sources(nl)), dtype=bool)
+        tester = ScanTester(nl, chain, patterns)
         fault = StuckAt(net=ya, value=0)
-        assert not tester.detecting_patterns(patterns, fault).any()
+        assert not tester.detecting_patterns(fault).any()
 
     def test_flop_d_pin_fault_detected(self):
         nl, _ = _pipeline_pair()
         chain = insert_scan(nl)
-        tester = ScanTester(nl, chain)
-        patterns = np.zeros((1, tester.sim.n_sources), dtype=bool)
+        patterns = np.zeros((1, _n_sources(nl)), dtype=bool)
+        tester = ScanTester(nl, chain, patterns)
         # Input 0 -> stageA drives 1 into flop 0; D pin stuck at 0 flips it.
         fault = StuckAt(net=nl.flops[0].d_net, value=0, flop=0)
-        bits, _ = tester.failing_bits(patterns, fault)
+        bits, _ = tester.failing_bits(fault)
         assert bits == [0]
 
     def test_multiple_faulty_components_isolated_same_vector(self):
@@ -125,11 +130,11 @@ class TestScanTester:
         components each map to their own scan bits."""
         nl, (a, ya, yb) = _pipeline_pair()
         chain = insert_scan(nl)
-        tester = ScanTester(nl, chain)
         rng = np.random.default_rng(2)
         patterns = rng.integers(
-            0, 2, size=(8, tester.sim.n_sources)
+            0, 2, size=(8, _n_sources(nl))
         ).astype(bool)
-        bits_a, _ = tester.failing_bits(patterns, StuckAt(net=ya, value=0))
-        bits_b, _ = tester.failing_bits(patterns, StuckAt(net=yb, value=0))
+        tester = ScanTester(nl, chain, patterns)
+        bits_a, _ = tester.failing_bits(StuckAt(net=ya, value=0))
+        bits_b, _ = tester.failing_bits(StuckAt(net=yb, value=0))
         assert set(bits_a).isdisjoint(bits_b)

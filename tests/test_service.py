@@ -96,6 +96,20 @@ class TestRegistry:
         with pytest.raises(ValueError, match="must be one of"):
             get_campaign(campaign).make_spec(params)
 
+    @pytest.mark.parametrize("campaign, params", [
+        *((name, {**TINY_PARAMS[name], "chunk_size": 0})
+          for name in REGISTRY),
+        ("decide", {"inject_chunk": 0}),
+        ("decide", {"n_faults": 0}),
+        ("decide", {"benchmarks": []}),
+        ("repair", {"n_patterns": 0}),
+    ])
+    def test_make_spec_rejects_values_below_bounds(self, campaign, params):
+        """An out-of-range size fails when the spec is built, not inside
+        the run's shard split."""
+        with pytest.raises(ValueError, match="must be at least 1"):
+            get_campaign(campaign).make_spec(params)
+
     def test_job_key_is_canonical(self):
         entry = get_campaign("montecarlo")
         # Explicitly passing a default produces the same job identity.
@@ -248,6 +262,7 @@ class TestServiceApi:
 
     @pytest.mark.parametrize("params", [
         {"model": "bogus"}, {"sampling": "bogus"}, {"fork": False},
+        {"chunk_size": 0},
     ])
     def test_rejected_inject_spec_is_400_before_any_golden_cycle(
         self, tmp_path, params

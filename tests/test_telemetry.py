@@ -398,11 +398,6 @@ class TestCampaignState:
             views[w] = m.deterministic()
         TELEMETRY.disable()
         assert results[1].to_json() == results[2].to_json()
-        for view in views.values():
-            # A scheduling metric (see ``_inject_worker``): inline shards
-            # share the golden run's lazily filled convergence views,
-            # each pool process fills its own.
-            view["counters"].pop("inject.arena_decompressions")
         assert views[1] == views[2]
         golden = prepare_injection(injection_spec(spec))["golden"]
         assert (
@@ -424,6 +419,62 @@ class TestCampaignState:
             run_injection(spec, checkpoint=False)
         TELEMETRY.disable()
         assert m.counters["inject.golden_sim_cycles"] == golden.cycles
+
+
+    #: A spec per campaign with at least two shards.  The inject spec
+    #: has enough early-exit checks for shared, lazily written golden
+    #: state to show as a decode count that depends on the worker count.
+    PARAMS = {
+        "isolation": {
+            "n_faults": 8, "max_deterministic": 0, "chunk_size": 4,
+        },
+        "montecarlo": {"n_chips": 40, "chunk_size": 20},
+        "ipc": {
+            "benchmarks": ["gzip"], "n_instructions": 300, "warmup": 100,
+        },
+        "inject": {"n_instructions": 600, "n_faults": 16, "chunk_size": 2},
+        "decide": {
+            "benchmarks": ["gzip"], "n_instructions": 300, "warmup": 100,
+            "inject_instructions": 300, "n_faults": 8, "inject_chunk": 4,
+        },
+        "repair": {"n_patterns": 64, "n_isolation_faults": 2},
+    }
+
+    @pytest.mark.parametrize("name", sorted(PARAMS))
+    def test_metrics_invariant_across_worker_counts(self, name):
+        from repro.inject.campaign import prepare_injection
+        from repro.repair.campaign import prepare_repair
+        from repro.runner import prepare_isolation
+        from repro.runner.registry import REGISTRY
+
+        assert set(self.PARAMS) == set(REGISTRY)
+        entry = REGISTRY[name]
+        spec = entry.make_spec(self.PARAMS[name])
+        TELEMETRY.enable()
+        views, results = {}, {}
+        for w in (1, 2):
+            for prepare in (prepare_isolation, prepare_injection,
+                            prepare_repair):
+                prepare.cache_clear()  # each run builds its state
+            with TELEMETRY.collect() as m:
+                results[w] = entry.run(spec, workers=w, checkpoint=False)
+            views[w] = m.deterministic()
+        TELEMETRY.disable()
+        assert results[1].to_json() == results[2].to_json()
+        assert views[1]["counters"]
+        assert views[1] == views[2]
+
+    def test_injection_state_is_read_only(self):
+        import pickle
+
+        from repro.inject import InjectionSpec, run_injection
+        from repro.inject.campaign import prepare_injection
+
+        spec = InjectionSpec(n_instructions=600, n_faults=16, chunk_size=2)
+        prepare_injection.cache_clear()
+        before = pickle.dumps(prepare_injection(spec))
+        run_injection(spec, checkpoint=False)
+        assert pickle.dumps(prepare_injection(spec)) == before
 
 
 class TestCliTrace:
