@@ -175,10 +175,11 @@ def check_netlist_ici(
             :meth:`~repro.netlist.netlist.Netlist.copy` of ``original``
             (gates only rewired or appended, flops only relabeled,
             re-pointed or appended).  Gates are diffed by identity;
-            only the changed gates and their forward cone are re-swept,
-            and only observers whose D net, label or cone blocks changed
-            are re-judged.  The result equals the full check's; anything
-            the diff cannot follow falls back to the full sweep.
+            only the changed gates and the gates reading a net whose
+            blocks moved are re-swept, and only observers whose D net,
+            label or cone blocks changed are re-judged.  The result
+            equals the full check's; anything the diff cannot follow
+            falls back to the full sweep.
 
     Returns:
         A :class:`NetIciReport`; ``violations`` lists every observation
@@ -281,20 +282,11 @@ def _resweep(
     for net in netlist.primary_inputs[len(old_nl.primary_inputs):]:
         net_blocks[net] = empty
 
-    # Forward cone of the changed gates: their unchanged readers are the
-    # original's readers.
+    # Re-sweep the changed gates and every gate reading a net whose
+    # blocks moved; any other gate keeps its inputs' old block sets.
     seeds = set(changed)
-    cone = set(seeds)
-    stack = [new_gates[gid].output for gid in changed]
-    while stack:
-        for gid, _pin in old_nl.fanout_of(stack.pop()):
-            if gid not in cone:
-                cone.add(gid)
-                stack.append(new_gates[gid].output)
     moved: Set[int] = set()  # nets whose block set differs from old
     for gid in order:
-        if gid not in cone:
-            continue
         g = new_gates[gid]
         if gid not in seeds and moved.isdisjoint(g.inputs):
             continue

@@ -77,13 +77,14 @@ Sticky-fault first-effect forking
 ---------------------------------
 
 Cycle-0 stuck-ats cannot fork on their activation cycle — there is no
-checkpoint at or before 0 — so PR 6 replayed every one from scratch,
-and they dominated campaign cost.  :func:`first_effect_scan` removes
-that wall: one extra fault-free replay of the golden trajectory
-evaluates, at the top of every cycle, whether each sticky fault's
-forcing *would change machine state right now*.  Until that first
-cycle the forcing is a no-op, so by induction the faulty machine is
-bit-identical to golden through the whole prefix — the fault may fork
+checkpoint at or before 0 — so they would replay from scratch and
+dominate campaign cost.  :func:`first_effect_scan` removes that wall:
+one extra fault-free replay of the golden trajectory asks the fault
+layer (:func:`~repro.inject.models.force_site`), at the top of every
+cycle, whether each sticky fault's forcing *would change machine state
+right now*.  Until that first cycle the forcing is a no-op, so by
+induction the faulty machine is bit-identical to golden through the
+whole prefix — the fault may fork
 from any checkpoint at or before its first-effect cycle, and a fault
 whose forcing never bites *is* the golden run (``masked``, zero faulty
 cycles, synthesized by :func:`synth_never_result`).  Arming bookkeeping
@@ -94,16 +95,19 @@ arms at its first fetch through the faulted way, which the scan
 observes (:class:`FirstEffect.armed_cycle`) — either way detection
 latencies / corruption distances stay bit-identical to from-scratch.
 
-Two refinements keep the scan's conservatism from costing replay:
+The scan adds two gates to that answer, and watches fetches:
 
 - **Register liveness** — forcing a physical register that is on the
   free list, or allocated but referenced by no in-flight rename record
   (neither a destination nor a captured source), changes a value that
   can never reach a future read before it is overwritten at
-  reallocation.  This is the same dead-cell argument that licenses
+  reallocation.  This is the same dead-cell argument, and the same
+  :func:`~repro.inject.sites.live_pregs`, that licenses
   :func:`_live_view`'s register projection, so such cycles do not
   count as first effects.  Without it, every stuck-at on a cold
   register file (FP under an integer workload) replays the full trace.
+- **Issue readiness** — ``iq.ready`` counts any occupant as an effect
+  (conservative: see :func:`first_effect_scan`).
 - **Fetch scanning** — the scan's probe also watches ``on_fetch``:
   a fetch stuck-at first *affects* the machine on the first cycle its
   forced PC bit actually changes a PC fetched through its way, which
@@ -120,7 +124,7 @@ of them stops the core from jumping over dead cycles (see
 :meth:`~repro.cpu.pipeline.Core.run`): ``run_golden`` schedules the next
 checkpoint or profile boundary, the early-exit hook the next checkpoint
 boundary after activation, and the scan no cycle beyond those the core
-steps anyway — its predicates read only machine state, which a jumped
+steps anyway — its answers read only machine state, which a jumped
 cycle repeats.  The fault layer names its own next action
 (:meth:`FaultyArchState.next_active`).  Results are bit-identical to
 stepping every cycle, which the from-scratch oracle in the tests does.
@@ -136,9 +140,11 @@ from repro.cpu.isa import Instr
 from repro.cpu.params import MachineConfig
 from repro.cpu.pipeline import Core
 from repro.inject.arena import SnapshotArena
-from repro.inject.models import FaultSpec, FaultyArchState
+from repro.inject.models import (
+    FaultSpec, FaultyArchState, force_site, forced_value,
+)
 from repro.inject.profiler import SiteProfile
-from repro.inject.sites import site_inert
+from repro.inject.sites import live_pregs, occupant, site_inert
 from repro.telemetry import TELEMETRY
 
 #: Watchdog slack in cycles on top of :func:`hang_budget`'s suffix scaling.
@@ -314,15 +320,10 @@ def _live_view(snap: dict, at_cycle: int) -> tuple:
     arch = snap["arch"]
     info = arch["info"]
     prf = arch["prf"]
-    n_pregs = len(prf[0])
-    live = set()
-    for rec in info.values():
-        # rec = (preg, cls, a_d, prev, srcs, written, const)
-        if rec[0] is not None:
-            live.add((rec[1], rec[0]))
-        for cls, p in rec[4]:
-            if cls >= 0 and 0 <= p < n_pregs:
-                live.add((cls, p))
+    # rec = (preg, cls, a_d, prev, srcs, written, const)
+    live = live_pregs(
+        ((rec[0], rec[1], rec[4]) for rec in info.values()), len(prf[0])
+    )
     live_regs = tuple(
         sorted((cls, p, prf[cls][p]) for cls, p in live)
     )
@@ -592,20 +593,17 @@ def _never(cycle: int) -> float:
     return _INF
 
 
-class _ScanProbe(FaultyArchState):
+class _ScanProbe(ArchState):
     """Fault-free observer for :func:`first_effect_scan`.
 
-    A :class:`FaultyArchState` carrying a transient far beyond any
-    budget behaves exactly like the plain golden :class:`ArchState`
-    (the fault layer is observation-only while inactive) and lends the
-    scan its occupant-resolution helpers.  On top of that it watches
-    ``on_fetch`` for the scan's fetch stickies: per faulted way, the
-    first fetch through it (arming), and per fault, the first cycle the
-    forced PC bit changes a fetched PC (the first effect).
+    The golden :class:`ArchState`, watching ``on_fetch`` for the scan's
+    fetch stickies: per faulted way, the first fetch through it
+    (arming), and per fault, the first cycle the forced PC bit changes
+    a fetched PC (the first effect).
     """
 
-    def __init__(self, config, fault, fetch_watch) -> None:
-        super().__init__(config, fault)
+    def __init__(self, config, fetch_watch) -> None:
+        super().__init__(config)
         #: way -> list of (fault_index, FaultSpec) still unresolved.
         self.fetch_watch: Dict[int, List[Tuple[int, FaultSpec]]] = (
             fetch_watch
@@ -623,7 +621,7 @@ class _ScanProbe(FaultyArchState):
             pc = instr.pc
             rest = []
             for i, f in watching:
-                if ((pc & ~(1 << f.bit)) | (f.value << f.bit)) != pc:
+                if forced_value(pc, f) != pc:
                     self.fetch_bite[i] = cycle
                 else:
                     rest.append((i, f))
@@ -643,12 +641,14 @@ def first_effect_scan(
     Replays the golden trajectory once (a fresh fault-free run of the
     same deterministic simulation, observed at the top of every cycle
     the core steps — exactly where :meth:`FaultyArchState.begin_cycle`
-    applies its forcing — and at every fetch) and evaluates, for every
-    pending sticky fault, whether forcing its site bit *right now* would
-    change machine state.  A jumped dead cycle repeats the stepped cycle
-    before it, whose answer was no; the one cycle-dependent predicate
-    (``rob.done`` stuck-at-1: ``done > cycle``) only turns false as the
-    cycle grows, so the first bite always lands on a stepped cycle.
+    applies its forcing — and at every fetch) and asks the fault layer,
+    for every pending sticky fault, whether forcing its site *right
+    now* would change machine state (:func:`~repro.inject.models.
+    force_site` without applying it).  A jumped dead cycle repeats the
+    stepped cycle before it, whose answer was no; the one
+    cycle-dependent answer (``rob.done`` stuck-at-1: ``done > cycle``)
+    only turns false as the cycle grows, so the first bite always lands
+    on a stepped cycle.
 
     Returns ``{fault_index: FirstEffect}`` for every eligible fault —
     stuck-ats with activation cycle 0, the campaign's entire sticky
@@ -660,14 +660,15 @@ def first_effect_scan(
     (induction over equal states, no-op forcing, and a deterministic
     step function).
 
-    Predicates mirror the fault layer's mutations exactly for
-    value-holding fields — with a register-liveness gate for the
-    register files (a free or in-flight-unreferenced register can never
-    reach a future read; see the module docstring) — and conservatively
-    for ``iq.ready`` (any occupant counts: its forcing also perturbs
-    issue arbitration through ``forced_ready``).  Conservatism can only
-    move a first-effect cycle *earlier* — costing replay cycles, never
-    correctness.
+    Two gates sit on top of the fault layer's answer.  A register-file
+    change bites only on a live register (a free or in-flight-
+    unreferenced register can never reach a future read; see the module
+    docstring).  ``iq.ready`` bites whenever its slot has an occupant:
+    its forcing also perturbs issue arbitration through
+    ``forced_ready``, and stuck-at-0's exact answer (``blocked_until``
+    has expired) can turn true on a jumped cycle.  Conservatism can
+    only move a first-effect cycle *earlier* — costing replay cycles,
+    never correctness.
     """
     pending: Dict[int, FaultSpec] = {}
     fetch_watch: Dict[int, List[Tuple[int, FaultSpec]]] = {}
@@ -684,81 +685,33 @@ def first_effect_scan(
             result[i] = FirstEffect(None)
     if not pending and not fetch_sites:
         return result
-    dummy = next(iter(faults))
-    probe = _ScanProbe(
-        golden.config,
-        FaultSpec(dummy.site, "transient", 0, 0, 1 << 60),
-        fetch_watch,
-    )
+    probe = _ScanProbe(golden.config, fetch_watch)
     core = Core(golden.config, iter(golden.trace), arch=probe)
-    # Per-cycle memo of the in-flight register set (destinations and
-    # captured sources of live rename records) — only built on cycles
+    # Per-cycle memo of the live register set — only built on cycles
     # where an allocated faulted register's forced bit differs.
     live_memo = {"cycle": -1, "regs": ()}
 
-    def live_regs(cyc: int):
-        if live_memo["cycle"] != cyc:
-            s = set()
-            for rec in probe.info.values():
-                if rec.preg is not None:
-                    s.add((rec.cls, rec.preg))
-                for cls, p in rec.srcs:
-                    if cls >= 0:
-                        s.add((cls, p))
-            live_memo["cycle"] = cyc
-            live_memo["regs"] = s
-        return live_memo["regs"]
-
     def bites(f: FaultSpec, cyc: int) -> bool:
         site = f.site
-        struct = site.struct
-        b, v = f.bit, f.value
-        mask = 1 << b
-        if struct == "rob":
-            e = probe._rob_entry(core, site.index)
-            if e is None:
-                return False
-            if site.field == "done":
-                if v == 0:
-                    return e.done is not None
-                return e.done is None or e.done > cyc
-            info = probe.info.get(e.instr.seq)
-            if info is None or info.a_d is None:
-                return False
-            return (((info.a_d & ~mask) | (v << b)) & 0x1F) != info.a_d
-        if struct in ("iq_int", "iq_fp"):
-            e = probe._iq_entry(core, struct, site.index)
-            if e is None:
-                return False
-            if site.field == "ready":
-                return True  # conservative: occupant => effect
-            info = probe.info.get(e.instr.seq)
-            if info is None or not info.srcs:
-                return False
-            cls, p = info.srcs[0]
-            return cls >= 0 and ((p & ~mask) | (v << b)) != p
-        if struct == "lsq":
-            entries = core.lsq.entries
-            if site.index >= len(entries):
-                return False
-            blk = entries[site.index][2]
-            return ((blk & ~mask) | (v << b)) != blk
-        if struct in ("prf_int", "prf_fp"):
-            cls = 0 if struct == "prf_int" else 1
-            idx = site.index
-            cur = probe.prf[cls][idx]
-            if ((cur & ~mask) | (v << b)) == cur:
-                return False
-            # The forced bit differs — but corrupting a register no
-            # in-flight record can reach is invisible until the cell is
-            # reallocated and rewritten (which erases the corruption).
-            if idx in probe.free_set[cls]:
-                return False
-            return (cls, idx) in live_regs(cyc)
-        if struct in ("rmap_int", "rmap_fp"):
-            cur = probe.rmap[0 if struct == "rmap_int" else 1][site.index]
-            return cur is not None and ((cur & ~mask) | (v << b)) != cur
-        return True  # unknown structure: assume an immediate effect
+        if site.field == "ready":  # gate: any occupant counts
+            return occupant(core, site.struct, site.index) is not None
+        if not force_site(f, core, probe, cyc, False):
+            return False
+        if site.field != "data":
+            return True  # no liveness gate off the register files
+        # The forced bit differs — but corrupting a register no
+        # in-flight record can reach is invisible until the cell is
+        # reallocated and rewritten (which erases the corruption).
+        cls = 0 if site.struct == "prf_int" else 1
+        if site.index in probe.free_set[cls]:
+            return False
+        if live_memo["cycle"] != cyc:
+            live_memo["cycle"] = cyc
+            live_memo["regs"] = live_pregs(
+                ((r.preg, r.cls, r.srcs) for r in probe.info.values()),
+                probe.n_pregs,
+            )
+        return (cls, site.index) in live_memo["regs"]
 
     def on_cycle(c: Core) -> bool:
         cyc = c.cycle

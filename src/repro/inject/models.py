@@ -4,6 +4,12 @@ A :class:`FaultSpec` fixes everything about one injection — the site,
 the kind, the bit position, the stuck-at polarity, and the activation
 cycle — so a fault is replayable bit-for-bit in any process.
 
+What a fault does to its site is defined here once:
+:func:`forced_value` is the forced bit, and :func:`force_site` the
+per-structure ladder that either applies the forcing
+(:meth:`FaultyArchState.begin_cycle`) or only answers whether it would
+change state (the first-effect scan in :mod:`repro.inject.harness`).
+
 :class:`FaultyArchState` applies the fault through the architectural
 state layer's hooks.  Transients activate exactly once at their cycle;
 stuck-ats force the bit every cycle from their cycle onward (cycle 0 for
@@ -42,8 +48,7 @@ from typing import Dict, List, Optional
 from repro.cpu.archstate import ArchState
 from repro.cpu.isa import Instr
 from repro.cpu.params import MachineConfig
-from repro.cpu.queues import SegmentedIssueQueue
-from repro.inject.sites import Site, field_width
+from repro.inject.sites import Site, field_width, occupant
 from repro.runner.seeding import derive_seed
 
 KINDS = ("transient", "stuckat")
@@ -158,6 +163,111 @@ def sample_faults(
     return faults
 
 
+#: Register-file and rename-map sites: (ArchState table, class).
+_CELLS = {
+    "prf_int": ("prf", 0), "prf_fp": ("prf", 1),
+    "rmap_int": ("rmap", 0), "rmap_fp": ("rmap", 1),
+}
+
+
+def forced_value(value: int, fault: FaultSpec) -> int:
+    """``value`` under ``fault``: its bit flipped (transient) or stuck."""
+    if fault.kind == "transient":
+        return value ^ (1 << fault.bit)
+    return (value & ~(1 << fault.bit)) | (fault.value << fault.bit)
+
+
+def force_site(
+    fault: FaultSpec, core, arch: ArchState, cycle: int, apply: bool
+) -> bool:
+    """What ``fault`` does to its site at the top of ``cycle``.
+
+    Returns whether the forcing changes machine state now; with
+    ``apply`` it also makes the change.  A site holding no occupant
+    changes nothing, and a fetch fault acts only in
+    :meth:`FaultyArchState.on_fetch`.  ``iq.ready`` forced set always
+    counts: it puts the occupant in ``forced_ready``, which
+    :meth:`FaultyArchState.begin_cycle` has just cleared.
+    """
+    site = fault.site
+    struct = site.struct
+    if struct in _CELLS:
+        table, cls = _CELLS[struct]
+        cells = getattr(arch, table)[cls]
+        cur = cells[site.index]
+        if cur is None:
+            return False  # unmapped rename entry
+        new = forced_value(cur, fault)
+        if new == cur:
+            return False
+        if apply:
+            cells[site.index] = new
+        return True
+    if struct == "lsq":
+        entries = core.lsq.entries
+        if site.index >= len(entries):
+            return False
+        seq, is_store, blk = entries[site.index]
+        new = forced_value(blk, fault)
+        if new == blk:
+            return False
+        if apply:
+            entries[site.index] = (seq, is_store, new)
+        return True
+    if struct == "fetch":
+        return False
+    e = occupant(core, struct, site.index)
+    if e is None:
+        return False
+    field = site.field
+    if field == "done":
+        done = e.done
+        if fault.kind == "transient":
+            new = None if done is not None else cycle
+        elif fault.value == 0:
+            new = None
+        else:
+            new = cycle if done is None or done > cycle else done
+        if new == done:
+            return False
+        if apply:
+            e.done = new
+        return True
+    if field == "ready":
+        if fault.kind == "transient" or fault.value == 1:
+            if apply:
+                e.blocked_until = 0
+                arch.forced_ready.add(e.instr.seq)
+            return True
+        if e.blocked_until > cycle:
+            return False
+        if apply:
+            e.blocked_until = cycle + 1
+        return True
+    info = arch.info.get(e.instr.seq)
+    if info is None:
+        return False
+    if field == "dest":
+        if info.a_d is None:
+            return False
+        new = forced_value(info.a_d, fault) & 0x1F
+        if new == info.a_d:
+            return False
+        if apply:
+            info.a_d = new
+        return True
+    # src: the first captured source register tag
+    if not info.srcs or info.srcs[0][0] < 0:
+        return False
+    cls, p = info.srcs[0]
+    new = forced_value(p, fault)
+    if new == p:
+        return False
+    if apply:
+        info.srcs[0] = (cls, new)
+    return True
+
+
 class FaultyArchState(ArchState):
     """ArchState subclass that corrupts state per one :class:`FaultSpec`.
 
@@ -185,12 +295,6 @@ class FaultyArchState(ArchState):
         self.armed = False
         self.armed_cycle: Optional[int] = None
         self.armed_commits = 0
-        core = config.core
-        self._iq_half = {
-            "iq_int": core.iq_int_size // 2,
-            "iq_fp": core.iq_fp_size // 2,
-        }
-        self._rob_size = core.rob_size
 
     def reset_run(self, fault: FaultSpec) -> None:
         """Re-target this observer at a new fault (warm-core reuse).
@@ -238,100 +342,16 @@ class FaultyArchState(ArchState):
             self.armed_cycle = cycle
             self.armed_commits = self.commits
 
-    def _bits(self, value: int) -> int:
-        f = self.fault
-        if f.kind == "transient":
-            return value ^ (1 << f.bit)
-        return (value & ~(1 << f.bit)) | (f.value << f.bit)
-
-    # ---- occupant resolution -----------------------------------------
-    def _rob_entry(self, core, slot: int):
-        rob = core.rob
-        if not rob:
-            return None
-        head = rob[0].instr.seq
-        seq = head + ((slot - head) % self._rob_size)
-        if seq >= head + len(rob):
-            return None
-        return core._rob_index.get(seq)
-
-    def _iq_entry(self, core, struct: str, slot: int):
-        queue = core.iq_int if struct == "iq_int" else core.iq_fp
-        half = self._iq_half[struct]
-        if isinstance(queue, SegmentedIssueQueue):
-            if queue.halves == 1:
-                if slot >= half:
-                    return None  # half 1 / latch slots are mapped out
-                seg, idx = queue.old, slot
-            elif slot < half:
-                seg, idx = queue.old, slot
-            elif slot < 2 * half:
-                seg, idx = queue.new, slot - half
-            else:
-                seg, idx = queue.buf, slot - 2 * half
-        else:
-            seg, idx = queue.entries, slot
-        return seg[idx] if 0 <= idx < len(seg) else None
-
     # ---- hook overrides ----------------------------------------------
     def begin_cycle(self, core, cycle: int) -> None:
         if self.forced_ready:
             self.forced_ready.clear()
         if self.stopped or not self._active(cycle):
             return
-        site = self.fault.site
-        struct = site.struct
-        if struct == "fetch":
+        if self.fault.site.struct == "fetch":
             return  # applied in on_fetch
         self._arm(cycle)
-        if struct == "rob":
-            entry = self._rob_entry(core, site.index)
-            if entry is None:
-                return
-            if site.field == "done":
-                if self.fault.kind == "transient":
-                    entry.done = None if entry.done is not None else cycle
-                elif self.fault.value == 0:
-                    entry.done = None
-                elif entry.done is None or entry.done > cycle:
-                    entry.done = cycle
-            else:  # dest
-                info = self.info.get(entry.instr.seq)
-                if info is not None and info.a_d is not None:
-                    info.a_d = self._bits(info.a_d) & 0x1F
-        elif struct in ("iq_int", "iq_fp"):
-            e = self._iq_entry(core, struct, site.index)
-            if e is None:
-                return
-            if site.field == "ready":
-                forced_set = (
-                    self.fault.kind == "transient" or self.fault.value == 1
-                )
-                if forced_set:
-                    e.blocked_until = 0
-                    self.forced_ready.add(e.instr.seq)
-                else:
-                    e.blocked_until = max(e.blocked_until, cycle + 1)
-            else:  # src
-                info = self.info.get(e.instr.seq)
-                if info is not None and info.srcs:
-                    cls, p = info.srcs[0]
-                    if cls >= 0:
-                        info.srcs[0] = (cls, self._bits(p))
-        elif struct == "lsq":
-            entries = core.lsq.entries
-            if site.index < len(entries):
-                seq, is_store, blk = entries[site.index]
-                entries[site.index] = (seq, is_store, self._bits(blk))
-        elif struct in ("prf_int", "prf_fp"):
-            cls = 0 if struct == "prf_int" else 1
-            idx = site.index
-            self.prf[cls][idx] = self._bits(self.prf[cls][idx])
-        elif struct in ("rmap_int", "rmap_fp"):
-            cls = 0 if struct == "rmap_int" else 1
-            cur = self.rmap[cls][site.index]
-            if cur is not None:
-                self.rmap[cls][site.index] = self._bits(cur)
+        force_site(self.fault, core, self, cycle, True)
 
     def next_active(self, core, cycle: int) -> float:
         """First cycle after the dead ``cycle`` at which
@@ -358,7 +378,7 @@ class FaultyArchState(ArchState):
         if (
             f.kind == "stuckat"
             and f.site.field == "ready"
-            and self._iq_entry(core, struct, f.site.index) is not None
+            and occupant(core, struct, f.site.index) is not None
         ):
             return cycle + 1
         return _INF
@@ -373,7 +393,7 @@ class FaultyArchState(ArchState):
         ):
             return instr
         self._arm(cycle)
-        pc = self._bits(instr.pc)
+        pc = forced_value(instr.pc, f)
         if pc == instr.pc:
             return instr
         return Instr(

@@ -7,13 +7,13 @@ samples the machine every ``stride`` cycles (through the core's
 ``on_cycle`` hook, so the profiled run stays bit-identical) and counts,
 per injection site, how many samples found live state under it:
 
-- ``rob`` — an occupant in the slot (slot = seq mod rob_size);
-- ``iq_int``/``iq_fp`` — an entry in the physical slot, using the same
-  old/new/buffer slot convention as site enumeration;
+- ``rob``/``iq_int``/``iq_fp`` — an occupant in the physical slot, as
+  :func:`~repro.inject.sites.occupant` (the slot layout the fault layer
+  forces through) resolves it;
 - ``lsq`` — an entry at the queue position;
-- ``prf_int``/``prf_fp`` — the register is referenced by a live
-  rename/value record (as an allocated destination or a captured
-  source), i.e. a fault there could reach a future read;
+- ``prf_int``/``prf_fp`` — a live register
+  (:func:`~repro.inject.sites.live_pregs`), i.e. a fault there could
+  reach a future read;
 - ``rmap_int``/``rmap_fp`` — the map entry points at a register;
 - ``fetch`` — the way participates in fetch (ways below
   ``fetch_width``).
@@ -28,7 +28,8 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.cpu.params import MachineConfig
-from repro.cpu.queues import SegmentedIssueQueue
+from repro.inject.sites import enumerate_sites, live_pregs, occupant
+
 
 class SiteProfile:
     """Sampled per-site residency counts from one golden run."""
@@ -40,61 +41,35 @@ class SiteProfile:
         self.stride = stride
         self.samples = 0
         self.counts: Dict[Tuple[str, int], int] = {}
+        #: (struct, slot) of every ROB and issue-queue site.
+        self._slots = tuple(sorted({
+            (s.struct, s.index) for s in enumerate_sites(config)
+            if s.struct in ("rob", "iq_int", "iq_fp")
+        }))
 
     # ------------------------------------------------------------------
     def observe(self, core) -> None:
         """Record one occupancy sample of the running core."""
         self.samples += 1
         counts = self.counts
-        cfg = self.config
-        rob_size = cfg.core.rob_size
-        for e in core.rob:
-            k = ("rob", e.instr.seq % rob_size)
-            counts[k] = counts.get(k, 0) + 1
-        for struct, queue, size in (
-            ("iq_int", core.iq_int, cfg.core.iq_int_size),
-            ("iq_fp", core.iq_fp, cfg.core.iq_fp_size),
-        ):
-            half = size // 2
-            if (
-                isinstance(queue, SegmentedIssueQueue)
-                and queue.halves == 2
-            ):
-                # Physical slot numbering used by site enumeration:
-                # old half, new half, then the latch.
-                segments = (
-                    (0, queue.old), (half, queue.new), (2 * half, queue.buf)
-                )
-            else:
-                # Compacting or degraded-segmented: entries pack from 0.
-                segments = ((0, queue.entries),)
-            for off, entries in segments:
-                for i in range(off, off + len(entries)):
-                    k = (struct, i)
-                    counts[k] = counts.get(k, 0) + 1
-        for i in range(len(core.lsq.entries)):
-            k = ("lsq", i)
-            counts[k] = counts.get(k, 0) + 1
+        keys = [k for k in self._slots if occupant(core, *k) is not None]
+        keys.extend(("lsq", i) for i in range(len(core.lsq.entries)))
         arch = core.arch
         if arch is not None:
-            n_pregs = arch.n_pregs
-            live = set()  # dedupe: a preg counts once per sample
-            for info in arch.info.values():
-                if info.preg is not None:
-                    live.add((info.cls, info.preg))
-                for cls, p in info.srcs:
-                    if cls >= 0 and 0 <= p < n_pregs:
-                        live.add((cls, p))
-            for cls, p in live:
-                k = ("prf_int" if cls == 0 else "prf_fp", p)
-                counts[k] = counts.get(k, 0) + 1
+            live = live_pregs(
+                ((r.preg, r.cls, r.srcs) for r in arch.info.values()),
+                arch.n_pregs,
+            )
+            keys.extend(
+                ("prf_int" if cls == 0 else "prf_fp", p) for cls, p in live
+            )
             for cls, struct in ((0, "rmap_int"), (1, "rmap_fp")):
-                for a, p in enumerate(arch.rmap[cls]):
-                    if p is not None:
-                        k = (struct, a)
-                        counts[k] = counts.get(k, 0) + 1
-        for way in range(cfg.fetch_width):
-            k = ("fetch", way)
+                keys.extend(
+                    (struct, a) for a, p in enumerate(arch.rmap[cls])
+                    if p is not None
+                )
+        keys.extend(("fetch", way) for way in range(self.config.fetch_width))
+        for k in keys:
             counts[k] = counts.get(k, 0) + 1
 
     # ------------------------------------------------------------------

@@ -22,6 +22,12 @@ simulator keeps implicitly (entry lists are age-ordered):
 - fetch: ways ``[0, width/2)`` are frontend group 0, the rest group 1;
 - ROB slot = sequence number mod ``rob_size``.
 
+:func:`occupant` is that layout for the ROB and the issue queues, and
+the only code that maps a slot to the entry under it: the fault layer
+forces through it, and the site profiler counts residency with it.
+:func:`live_pregs` is the one definition of a live physical register
+(named by a live rename record as destination or captured source).
+
 Site enumeration depends only on ``CoreParams`` (structure sizes do not
 shrink under degradation — the silicon is still there, just mapped out),
 so the same site universe is valid for every configuration of a core.
@@ -30,10 +36,11 @@ so the same site universe is valid for every configuration of a core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.cpu.archstate import preg_count, preg_tag_bits
 from repro.cpu.params import MachineConfig
+from repro.cpu.queues import SegmentedIssueQueue
 from repro.yieldmodel.configs import DIMENSIONS, CoreCounts
 
 #: Chipkill block name (ROB, rename map, compaction latches).
@@ -83,6 +90,47 @@ def field_width(site: Site, config: MachineConfig) -> int:
         "data": 64,
         "pc": 16,
     }[site.field]
+
+
+def occupant(core, struct: str, slot: int):
+    """The entry in physical ``slot`` of ``struct`` (``rob``,
+    ``iq_int`` or ``iq_fp``), or None for an empty slot."""
+    if struct == "rob":
+        rob = core.rob
+        if not rob:
+            return None
+        head = rob[0].instr.seq
+        seq = head + (slot - head) % core.cfg.core.rob_size
+        return core._rob_index.get(seq) if seq < head + len(rob) else None
+    queue = core.iq_int if struct == "iq_int" else core.iq_fp
+    if not isinstance(queue, SegmentedIssueQueue):
+        seg, idx = queue.entries, slot
+    elif queue.halves == 1:
+        seg, idx = queue.old, slot  # packs into half 0
+    else:
+        # old half, new half, then the compaction latch
+        half = queue.size // 2
+        if slot < half:
+            seg, idx = queue.old, slot
+        elif slot < 2 * half:
+            seg, idx = queue.new, slot - half
+        else:
+            seg, idx = queue.buf, slot - 2 * half
+    return seg[idx] if idx < len(seg) else None
+
+
+def live_pregs(records: Iterable[tuple], n_pregs: int) -> Set[Tuple[int, int]]:
+    """``(cls, preg)`` of every register the ``(preg, cls, srcs)`` of a
+    live rename record names: no other register can reach a future read
+    before reallocation overwrites it."""
+    live = set()
+    for preg, cls, srcs in records:
+        if preg is not None:
+            live.add((cls, preg))
+        for c, p in srcs:
+            if c >= 0 and 0 <= p < n_pregs:
+                live.add((c, p))
+    return live
 
 
 def enumerate_sites(config: MachineConfig) -> List[Site]:

@@ -76,13 +76,6 @@ def unpack_words(words: np.ndarray, n_patterns: int) -> np.ndarray:
     return bits[:, :n_patterns].T.astype(bool)
 
 
-def _words_to_int(row: np.ndarray) -> int:
-    """One net's word row -> arbitrary-precision int (bit p = pattern p)."""
-    if _LITTLE:
-        return int.from_bytes(row.tobytes(), "little")
-    return int.from_bytes(row[::-1].tobytes(), "big")  # pragma: no cover
-
-
 def _int_to_bits(value: int, n_patterns: int, n_words: int) -> np.ndarray:
     """Arbitrary-precision int -> (P,) bool array (bit p = pattern p)."""
     buf = value.to_bytes(n_words * 8, "little")
@@ -275,26 +268,27 @@ class WordValues:
 
     ``matrix[net, w]`` holds patterns ``64w .. 64w+63`` of ``net``; padding
     bits past ``npat`` are unspecified (masked out wherever observed).
-    The per-net arbitrary-precision int view is materialized lazily and
-    cached — cone re-simulations of different faults share it.
+    ``ints[net]`` is the same row as one arbitrary-precision int (bit p =
+    pattern p), built for every net up front, so the values are never
+    written after construction and cone re-simulations of different
+    faults share it.
     """
 
-    __slots__ = ("matrix", "npat", "n_words", "mask", "_ints")
+    __slots__ = ("matrix", "npat", "n_words", "mask", "ints")
 
     def __init__(self, matrix: np.ndarray, npat: int) -> None:
         self.matrix = matrix
         self.npat = npat
         self.n_words = matrix.shape[1]
-        self.mask = (1 << npat) - 1
-        self._ints: Dict[int, int] = {}
-
-    def int_of(self, net: int) -> int:
-        """All patterns of ``net`` as one int (bit p = pattern p)."""
-        v = self._ints.get(net)
-        if v is None:
-            v = _words_to_int(self.matrix[net]) & self.mask
-            self._ints[net] = v
-        return v
+        self.mask = mask = (1 << npat) - 1
+        words = matrix if _LITTLE else matrix.byteswap()  # pragma: no branch
+        raw, k, from_bytes = words.tobytes(), self.n_words * 8, int.from_bytes
+        ints = [
+            from_bytes(raw[i:i + k], "little") for i in range(0, len(raw), k)
+        ]
+        if npat % WORD_BITS:  # clear the unspecified padding bits
+            ints = [v & mask for v in ints]
+        self.ints: List[int] = ints
 
 
 class PackedWordSimulator:
@@ -369,7 +363,7 @@ class PackedWordSimulator:
         c = self.compiled
         mask = good.mask
         const = mask if fault.value else 0
-        int_of = good.int_of
+        ints = good.ints
         delta: Dict[int, int] = {}
         readers = c.readers
         pos = c.topo_pos
@@ -384,7 +378,7 @@ class PackedWordSimulator:
                     heapq.heappush(heap, (pos[gid], gid))
 
         if fault.is_stem:
-            if const == int_of(fault.net):
+            if const == ints[fault.net]:
                 if TELEMETRY.enabled:
                     TELEMETRY.count("engine.resim.calls")
                     TELEMETRY.count("engine.resim.dead")
@@ -400,12 +394,12 @@ class PackedWordSimulator:
             _, gid = heapq.heappop(heap)
             gtype, g_inputs, g_output = gate_tuples[gid]
             ins = [
-                delta[i] if i in delta else int_of(i) for i in g_inputs
+                delta[i] if i in delta else ints[i] for i in g_inputs
             ]
             if gid == pin_gate:
                 ins[pin] = const
             out = _eval_gate_int(gtype, ins, mask)
-            if out != int_of(g_output):
+            if out != ints[g_output]:
                 delta[g_output] = out
                 wake(g_output)
         # Batched accounting: the walk itself stays untouched.  Every
@@ -475,12 +469,12 @@ class PackedWordSimulator:
         if fault.flop is not None:
             flop = self.netlist.flops[fault.flop]
             const = values.mask if fault.value else 0
-            return values.int_of(flop.d_net) ^ const
+            return values.ints[flop.d_net] ^ const
         obs = self.compiled.obs_nets
         mismatch = 0
         for net, value in self.faulty_values(values, fault).items():
             if net in obs:
-                mismatch |= value ^ values.int_of(net)
+                mismatch |= value ^ values.ints[net]
         return mismatch
 
     def first_detection(

@@ -44,7 +44,6 @@ class Netlist:
         self._topo: Optional[Tuple[int, ...]] = None
         self._driver: Optional[Dict[int, int]] = None
         self._sources: Optional[Set[int]] = None
-        self._fanout: Optional[Dict[int, List[Tuple[int, int]]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -97,7 +96,6 @@ class Netlist:
             # May double-drive a net or close a cycle: re-derive.
             self._invalidate()
             return output
-        self._fanout = None
         if self._topo is not None and all(
             net in self._driver or net in self._sources for net in inputs
         ):
@@ -144,7 +142,6 @@ class Netlist:
         # The driver map survives (same output).  With every newly read
         # net a source, the gate keeps a valid place in the order; a newly
         # read driven net may come later or close a cycle.
-        self._fanout = None
         if self._topo is not None and not all(
             net in g.inputs
             or (net in self._sources and net not in self._driver)
@@ -195,16 +192,6 @@ class Netlist:
     def driver_of(self, net: int) -> Optional[int]:
         """Gate id driving ``net``; None for PIs, flop Qs, and floating nets."""
         return self._driver_map().get(net)
-
-    def fanout_of(self, net: int) -> List[Tuple[int, int]]:
-        """List of (gate id, pin index) pairs reading ``net``."""
-        if self._fanout is None:
-            fan: Dict[int, List[Tuple[int, int]]] = {}
-            for g in self.gates:
-                for pin, src in enumerate(g.inputs):
-                    fan.setdefault(src, []).append((g.gid, pin))
-            self._fanout = fan
-        return self._fanout.get(net, [])
 
     def source_nets(self) -> List[int]:
         """All combinational sources: primary inputs plus flop Q nets."""
@@ -403,7 +390,6 @@ class Netlist:
         """Drop the caches a gate edit can break (sources survive)."""
         self._topo = None
         self._driver = None
-        self._fanout = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         s = self.stats()

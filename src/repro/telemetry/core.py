@@ -164,20 +164,27 @@ class Metrics:
 
     def merge(self, other: "Metrics") -> "Metrics":
         """New ``Metrics`` combining both sides (exact on integers)."""
-        counters = dict(self.counters)
+        out = Metrics(dict(self.counters), dict(self.hists), dict(self.spans))
+        out.fold(other)
+        return out
+
+    def fold(self, other: "Metrics") -> None:
+        """Add ``other`` into this object in place.
+
+        Histograms and spans are replaced by merged copies, never
+        mutated, so a shallow copy of this object is left unchanged.
+        """
+        counters, hists, spans = self.counters, self.hists, self.spans
         for name, n in other.counters.items():
             counters[name] = counters.get(name, 0) + n
-        hists = dict(self.hists)
         for name, h in other.hists.items():
             mine = hists.get(name)
             hists[name] = h.merge(Hist()) if mine is None else mine.merge(h)
-        spans = dict(self.spans)
         for name, s in other.spans.items():
             mine = spans.get(name)
             spans[name] = (
                 s.merge(SpanStat()) if mine is None else mine.merge(s)
             )
-        return Metrics(counters, hists, spans)
 
     def deterministic(self) -> Dict[str, Any]:
         """The run-invariant subset: every counter and histogram, sorted.
@@ -396,19 +403,7 @@ class Telemetry:
         reference to it (a ``collect()`` scope, the CLI's final summary)
         see the merged totals.
         """
-        mine = self.metrics
-        for name, n in metrics.counters.items():
-            mine.counters[name] = mine.counters.get(name, 0) + n
-        for name, h in metrics.hists.items():
-            cur = mine.hists.get(name)
-            mine.hists[name] = (
-                h.merge(Hist()) if cur is None else cur.merge(h)
-            )
-        for name, s in metrics.spans.items():
-            cur = mine.spans.get(name)
-            mine.spans[name] = (
-                s.merge(SpanStat()) if cur is None else cur.merge(s)
-            )
+        self.metrics.fold(metrics)
 
     def merge_json(self, payload: Dict[str, Any]) -> None:
         """Fold serialized metrics (a checkpoint payload) into this scope."""

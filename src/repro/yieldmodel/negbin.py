@@ -82,13 +82,3 @@ class GammaMixing:
         integrands without a closed form.
         """
         return negbin_yield(area, self.density, self.alpha)
-
-    def yield_of_quadrature(self, area: float) -> float:
-        """Quadrature evaluation of :meth:`yield_of` (reference/testing).
-
-        Accurate to ~1e-6 relative in the paper's operating range
-        (``area x density`` of order 1) but diverges from the closed
-        form when ``area x density x alpha`` is extreme; kept to
-        cross-check :meth:`expect` against a known integral.
-        """
-        return self.expect(lambda lam: np.exp(-lam * area))

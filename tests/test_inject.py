@@ -31,6 +31,7 @@ from repro.inject import (
     site_inert,
 )
 from repro.inject.campaign import DIMENSIONS
+from repro.inject.models import force_site
 from repro.inject.sites import field_width, sites_in_blocks
 from repro.telemetry import TELEMETRY
 from repro.workloads.generator import generate_trace
@@ -156,6 +157,87 @@ class TestArchState:
         Core(FULL, iter(trace), arch=arch).run(600)
         # Records older than the dependence window are cleaned up.
         assert all(seq > 600 - 2 * DEP_WINDOW - 8 for seq in arch.info)
+
+
+# ----------------------------------------------------------------------
+# The forcing ladder: the scan's answer and the applied forcing
+# ----------------------------------------------------------------------
+
+class TestForceSite:
+    """``force_site`` answers (the first-effect scan) exactly what
+    applying it changes (``FaultyArchState.begin_cycle``)."""
+
+    @staticmethod
+    def _kind(site):
+        return (site.struct, site.field, site.block == "chipkill")
+
+    @staticmethod
+    def _stuck(site, value):
+        return FaultSpec(site, "stuckat", site.index % 5, value, 0)
+
+    def _picked(self, core, sites, cycle):
+        """Per site kind: three sites some stuck value changes, spread
+        over the structure, and one that none does."""
+        by_kind = {}
+        for s in sites:
+            by_kind.setdefault(self._kind(s), []).append(s)
+        picked = []
+        for pool in by_kind.values():
+            bites, idle = [], []
+            for s in pool:
+                (bites if any(
+                    force_site(self._stuck(s, v), core, core.arch, cycle,
+                               False)
+                    for v in (0, 1)
+                ) else idle).append(s)
+            picked += bites[::max(1, len(bites) // 2)][:3] + idle[:1]
+        return picked
+
+    @pytest.mark.parametrize("config", [FULL, DEGRADED],
+                             ids=["full", "degraded"])
+    def test_answer_is_the_change_applying_makes(self, config):
+        trace = _trace(400)
+        snaps = []
+
+        def on_cycle(c):
+            if c.cycle % 60 == 30 or (c.iq_int.buf and len(snaps) < 3):
+                snaps.append((c.cycle, c.snapshot()))
+            return False
+
+        Core(config, iter(trace), arch=ArchState(config)).run(
+            400, on_cycle=on_cycle
+        )
+        sites = [s for s in enumerate_sites(config) if s.struct != "fetch"]
+        core = Core(config, iter(()), arch=ArchState(config))
+        answers = {}
+        for cycle, snap in snaps:
+            core.restore(snap, trace)
+            before = core.snapshot()
+            for site in self._picked(core, sites, cycle):
+                for value in (0, 1):
+                    f = self._stuck(site, value)
+                    would = force_site(f, core, core.arch, cycle, False)
+                    did = force_site(f, core, core.arch, cycle, True)
+                    changed = (
+                        core.snapshot() != before
+                        or bool(core.arch.forced_ready)
+                    )
+                    assert would == did == changed, (cycle, f.label)
+                    answers.setdefault(self._kind(site), set()).add(would)
+                    if changed:
+                        core.restore(snap, trace)
+        # Every kind answered both ways, the compaction latch included
+        # (it holds entries only on the full core).  gzip issues no FP
+        # work, so the FP queue only ever answers no.
+        both = {k for k, seen in answers.items() if seen == {False, True}}
+        assert {
+            ("rob", "done", True), ("rob", "dest", True),
+            ("iq_int", "ready", False), ("iq_int", "src", False),
+            ("lsq", "addr", False), ("prf_int", "data", False),
+            ("prf_fp", "data", False), ("rmap_int", "tag", True),
+        } <= both
+        latch = {("iq_int", "ready", True), ("iq_int", "src", True)}
+        assert latch <= both if config is FULL else not latch & both
 
 
 # ----------------------------------------------------------------------
@@ -488,10 +570,9 @@ class TestCampaign:
         assert not site_inert(mk("rob", core.rob_size - 1), DEGRADED)
         assert not site_inert(mk("rmap_int", 31), DEGRADED)
 
-    @pytest.mark.slow
     def test_full_campaign_taxonomy_coverage(self):
         # A larger stuck-at sample on the full core exercises several
-        # taxonomy classes at once (the tier-2 version of the above).
+        # taxonomy classes at once, and the first-effect scan with it.
         spec = InjectionSpec(
             n_instructions=2000, n_faults=96, model="stuckat",
             chunk_size=8,

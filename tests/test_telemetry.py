@@ -476,6 +476,33 @@ class TestCampaignState:
         run_injection(spec, checkpoint=False)
         assert pickle.dumps(prepare_injection(spec)) == before
 
+    def test_isolation_state_is_read_only(self):
+        import pickle
+
+        from repro.runner import (
+            IsolationSpec, prepare_isolation, run_isolation,
+        )
+
+        spec = IsolationSpec(
+            tiny=True, n_faults=20, max_deterministic=0, chunk_size=10
+        )
+        prepare_isolation.cache_clear()
+        before = pickle.dumps(prepare_isolation(spec))
+        run_isolation(spec, checkpoint=False)
+        assert pickle.dumps(prepare_isolation(spec)) == before
+
+    def test_repair_state_is_read_only(self):
+        import pickle
+
+        from repro.repair import RepairSpec, run_repair
+        from repro.repair.campaign import prepare_repair
+
+        spec = RepairSpec(n_patterns=64, n_isolation_faults=2)
+        prepare_repair.cache_clear()
+        before = pickle.dumps(prepare_repair(spec))
+        run_repair(spec, checkpoint=False)
+        assert pickle.dumps(prepare_repair(spec)) == before
+
 
 class TestCliTrace:
     def test_run_with_trace_flag(self, tmp_path, capsys):

@@ -76,13 +76,13 @@ class TestNegbin:
     def test_quadrature_matches_closed_form(self):
         m = GammaMixing(density=0.02, alpha=2.0)
         for area in (10.0, 50.0, 140.0, 400.0):
-            assert m.yield_of_quadrature(area) == pytest.approx(
-                negbin_yield(area, 0.02, 2.0), rel=1e-6
+            assert m.expect(lambda lam: np.exp(-lam * area)) == (
+                pytest.approx(negbin_yield(area, 0.02, 2.0), rel=1e-6)
             )
 
     def test_quadrature_matches_other_alpha(self):
         m = GammaMixing(density=0.01, alpha=4.0)
-        assert m.yield_of_quadrature(80.0) == pytest.approx(
+        assert m.expect(lambda lam: np.exp(-lam * 80.0)) == pytest.approx(
             negbin_yield(80.0, 0.01, 4.0), rel=1e-6
         )
 
