@@ -99,7 +99,8 @@ def _masking_specs(spec):
 def _assert_fork_equivalence(spec) -> None:
     """The campaign must reproduce the from-scratch oracle's stats
     bit-exactly on the masking-validation fault list, at the spec's
-    checkpoint interval and at an odd one."""
+    checkpoint interval, at an odd one, and at a fine one whose
+    neighbouring checkpoints share arena payloads."""
     from dataclasses import replace
 
     from repro.inject import run_injection
@@ -107,7 +108,7 @@ def _assert_fork_equivalence(spec) -> None:
 
     for name, s in _masking_specs(spec).items():
         scratch = scratch_campaign(s)
-        for interval in (s.checkpoint_interval, 97):
+        for interval in (s.checkpoint_interval, 97, 48):
             forked = run_injection(
                 replace(s, checkpoint_interval=interval), workers=1,
                 checkpoint=False,
@@ -246,7 +247,7 @@ def check(workers: int = 2) -> None:
         f"degraded {deg.outcomes['masked']}/{deg.n} masked, "
         f"full core outcomes {full.outcomes}, "
         f"{workers}-worker/resume runs bit-identical to serial, "
-        f"campaign == from-scratch oracle at 2 checkpoint intervals, "
+        f"campaign == from-scratch oracle at 3 checkpoint intervals, "
         f"{suffix['cycles_simulated']['ratio']}x fewer simulated cycles "
         f"({suffix['early_exits']} early exits), "
         f"warm golden cache: {cache['warm_cache_hits']} hits / "

@@ -8,18 +8,34 @@ tables.  The commit log is not part of a snapshot (see
 :meth:`~repro.cpu.archstate.ArchState.capture`), so the size of one
 entry does not grow with trace length.  Holding the entries raw would
 still make RSS proportional to ``cycles / interval``; the arena instead
-stores each checkpoint as a standalone zlib-compressed pickle, so any
-entry decodes with one decompression.
+stores each *distinct* payload once, as a standalone zlib-compressed
+pickle, so any entry decodes with one decompression.
 
-Every :meth:`SnapshotArena.get` decodes afresh (one decompression plus
-one unpickle, counted as ``inject.arena_decompressions``); a caller that
-restores the same checkpoint repeatedly keeps its own decoded copy, as
+A payload is everything in a snapshot but the entry's own ``cycle`` and
+``stats`` (the statistic counters, which tick on cycles that change
+nothing else).  :meth:`SnapshotArena.append` compares the new snapshot
+with the previous one under that rule; when they are equal (a
+memory-bound core stalls through whole intervals, and the event-driven
+core jumps them) the new entry points at the previous entry's blob
+object and keeps only its own ``cycle`` and ``stats``.  :meth:`get`
+decodes the blob and patches those two fields back in, so ``get(i)``
+still equals the dict passed to ``append``.  No decode goes through
+another entry: a shared entry's blob *is* the earlier entry's payload,
+not a delta against it.  :meth:`shares` tells a reader whether two
+entries hold the same payload, so one that already decoded one of them
+need not decode the other.
+
+Every :meth:`get` decodes afresh (one decompression plus one unpickle,
+counted as ``inject.arena_decompressions``); a caller that restores the
+same checkpoint repeatedly keeps its own decoded copy, as
 :class:`~repro.inject.harness.ReplaySession` does, and the early-exit
-check decodes the golden checkpoint it compares against each time.
-Decoded dicts are safe to restore from more than once: every
-``restore``/``load`` path in the core copies container state rather
-than aliasing it.  The arena is written only by the golden run; a
-campaign's workers only read it, so the counter depends on the
+check decodes the golden checkpoint it compares against unless it
+shares the payload of the fork snapshot the run already holds.  Decoded
+dicts are safe to restore from more than once: every ``restore``/
+``load`` path in the core copies container state rather than aliasing
+it.  The arena is written only by the golden run, which ends the write
+side with :meth:`seal` (dropping the snapshot held for the equality
+test); a campaign's workers only read it, so the counter depends on the
 chunking, never on the worker count.
 
 An uncompressed metadata sidecar of ``(cycle, committed, fetched)``
@@ -40,34 +56,68 @@ from repro.telemetry import TELEMETRY
 #: in half the time level 6 takes, for an arena 6% larger.
 _LEVEL = 1
 
+#: Snapshot fields each entry keeps for itself; the rest is the payload.
+_OWN = ("cycle", "stats")
+
+
+def _same_payload(a: dict, b: dict) -> bool:
+    """Whether two snapshots are equal in every field but :data:`_OWN`."""
+    return len(a) == len(b) and all(
+        k in _OWN or (k in b and v == b[k]) for k, v in a.items()
+    )
+
 
 class SnapshotArena:
     """Compressed store of checkpoint snapshots.
 
     Entries are appended in ascending cycle order (the golden run's
     ``on_cycle`` hook) and read back by index or by fork lookup
-    (:meth:`find`).
+    (:meth:`find`).  ``_blobs`` holds one ``bytes`` reference per entry;
+    entries that share a payload reference the same object, which a
+    pickle of the arena stores once.
     """
 
     def __init__(self) -> None:
-        self.raw_bytes = 0  # pickled size of the stored entries
+        self.raw_bytes = 0  # pickled size of the stored payloads
         self.compressed_bytes = 0
+        self.payloads = 0  # distinct blobs stored
         self._cycles: List[int] = []
+        self._stats: List[tuple] = []
         self._meta: List[Tuple[int, int, int]] = []
         self._blobs: List[bytes] = []
+        # The last appended snapshot, for the equality test; write side
+        # only, dropped by :meth:`seal`.
+        self._last: Optional[dict] = None
 
     # ---- write side ---------------------------------------------------
     def append(self, cycle: int, snap: dict) -> None:
-        """Store one checkpoint (cycles must be strictly ascending)."""
+        """Store one checkpoint (cycles must be strictly ascending).
+
+        ``snap`` is held, not copied, for the next append's equality
+        test until :meth:`seal`: the caller must not change it.
+        """
         if self._cycles and cycle <= self._cycles[-1]:
             raise ValueError("checkpoint cycles must ascend")
-        raw = pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
-        blob = zlib.compress(raw, _LEVEL)
+        last = self._last
+        if last is not None and _same_payload(snap, last):
+            blob = self._blobs[-1]
+        else:
+            raw = pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
+            blob = zlib.compress(raw, _LEVEL)
+            self.raw_bytes += len(raw)
+            self.compressed_bytes += len(blob)
+            self.payloads += 1
+        self._last = snap
         self._cycles.append(cycle)
+        self._stats.append(snap["stats"])
         self._meta.append((cycle, snap["committed"], snap["fetched"]))
         self._blobs.append(blob)
-        self.raw_bytes += len(raw)
-        self.compressed_bytes += len(blob)
+
+    def seal(self) -> None:
+        """End the write side: drop the snapshot held for the equality
+        test, so it neither outlives the golden run nor is pickled.  A
+        later :meth:`append` stores its payload afresh."""
+        self._last = None
 
     # ---- read side ----------------------------------------------------
     def __len__(self) -> int:
@@ -81,6 +131,10 @@ class SnapshotArena:
         """``(cycle, committed, fetched)`` of entry ``i`` (no decode)."""
         return self._meta[i]
 
+    def shares(self, i: int, j: int) -> bool:
+        """Whether entries ``i`` and ``j`` hold the same payload."""
+        return self._blobs[i] is self._blobs[j]
+
     def find(self, cycle: int) -> Optional[int]:
         """Index of the newest checkpoint at or before ``cycle``."""
         i = bisect_right(self._cycles, cycle) - 1
@@ -90,7 +144,10 @@ class SnapshotArena:
         """Decoded snapshot dict of entry ``i``."""
         if TELEMETRY.enabled:
             TELEMETRY.count("inject.arena_decompressions")
-        return pickle.loads(zlib.decompress(self._blobs[i]))
+        snap = pickle.loads(zlib.decompress(self._blobs[i]))
+        snap["cycle"] = self._cycles[i]
+        snap["stats"] = self._stats[i]
+        return snap
 
     def items(self) -> Iterator[Tuple[int, dict]]:
         """All ``(cycle, snapshot)`` pairs, decoded, ascending."""
@@ -98,9 +155,11 @@ class SnapshotArena:
             yield self._cycles[i], self.get(i)
 
     def stats(self) -> dict:
-        """Footprint summary (for benchmarks and reports)."""
+        """Footprint summary (for benchmarks and reports); the byte
+        counts cover the stored payloads, each once."""
         return {
             "checkpoints": len(self._blobs),
+            "payloads": self.payloads,
             "raw_bytes": self.raw_bytes,
             "compressed_bytes": self.compressed_bytes,
             "ratio": (

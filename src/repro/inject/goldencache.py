@@ -18,7 +18,10 @@ code is a stale miss and never served.
 
 The golden payload stores only what the caller cannot rebuild: the
 commit log, totals, digest, the compressed :class:`SnapshotArena`, and
-the site profile.  Config and trace are cheap to reconstruct and are
+the site profile.  The arena pickles as it sits in memory: one zlib
+blob per distinct payload (entries that share a payload reference the
+same ``bytes`` object, which pickle stores once), and no decoded
+snapshot, since the golden run seals it before it is stored.  Config and trace are cheap to reconstruct and are
 re-attached on load; a payload whose totals do not match the requesting
 campaign is a miss.
 """

@@ -268,6 +268,8 @@ def run_golden(
     result = core.run(
         n_instructions, on_cycle=on_cycle, schedule=schedule
     )
+    if arena is not None:
+        arena.seal()
     if arch.commits < n_instructions:
         raise RuntimeError(
             f"golden run committed {arch.commits}/{n_instructions}"
@@ -279,6 +281,9 @@ def run_golden(
         # the cache-hit signature the benchmark gate asserts).
         t.count("inject.golden_sim_cycles", result.cycles)
         if arena is not None and len(arena):
+            shared = len(arena) - arena.payloads
+            if shared:
+                t.count("inject.arena_shared", shared)
             prev = 0
             for i in range(len(arena)):
                 cp_cycle = arena.cycle_of(i)
@@ -370,6 +375,7 @@ def _execute_and_classify(
     core: Core,
     arch: FaultyArchState,
     fork_cycle: int,
+    fork: Optional[Tuple[int, dict]] = None,
 ) -> InjectionResult:
     """Run a prepared faulty core to completion and classify it.
 
@@ -379,6 +385,13 @@ def _execute_and_classify(
     this function owns the watchdog budget, the reconvergence
     early-exit, telemetry, and the classification ladder — so both
     paths are bit-identical by construction.
+
+    ``fork`` is the ``(arena index, decoded snapshot)`` the machine was
+    restored from.  The early exit decodes the golden checkpoint at
+    each boundary that passes the position precheck, unless that entry
+    shares the fork entry's payload: :func:`_live_view` reads neither
+    ``cycle`` nor ``stats`` and clamps deadlines to the cycle it is
+    given, so the fork snapshot's view at that cycle is the entry's.
     """
     budget = hang_budget(golden.cycles, fault)
     early_cycle: Optional[int] = None
@@ -394,6 +407,8 @@ def _execute_and_classify(
             or site_inert(fault.site, golden.config)
         )
     ):
+        fork_i, fork_snap = fork if fork is not None else (None, None)
+
         def on_cycle(c: Core) -> bool:
             nonlocal early_cycle
             cyc = c.cycle
@@ -413,9 +428,11 @@ def _execute_and_classify(
             # paying for a snapshot decode + comparison.
             if c.committed != mcommitted or c.fetched != mfetched:
                 return False
-            if _live_view(c.snapshot(), cyc) == _live_view(
-                arena.get(i), cyc
-            ):
+            if fork_i is not None and arena.shares(i, fork_i):
+                gold = fork_snap
+            else:
+                gold = arena.get(i)
+            if _live_view(c.snapshot(), cyc) == _live_view(gold, cyc):
                 early_cycle = cyc
                 return True
             return False
@@ -520,19 +537,24 @@ def run_with_fault(
     """
     arch = FaultyArchState(golden.config, fault, golden_log=golden.log)
     fork_cycle = 0
+    fork = None
     idx = (
         golden.fork_index(fault.cycle) if fork_index is _AUTO
         else fork_index
     )
     if idx is not None:
         fork_cycle = golden.arena.cycle_of(idx)
+        snap = golden.arena.get(idx)
         core = Core(golden.config, iter(()), arch=arch)
-        core.restore(golden.arena.get(idx), golden.trace)
+        core.restore(snap, golden.trace)
         if prearm is not None:
             arch.prearm_sticky(*prearm)
+        fork = (idx, snap)
     else:
         core = Core(golden.config, iter(golden.trace), arch=arch)
-    return _execute_and_classify(golden, fault, core, arch, fork_cycle)
+    return _execute_and_classify(
+        golden, fault, core, arch, fork_cycle, fork
+    )
 
 
 @dataclass(frozen=True)
@@ -599,7 +621,10 @@ class _ScanProbe(ArchState):
     The golden :class:`ArchState`, watching ``on_fetch`` for the scan's
     fetch stickies: per faulted way, the first fetch through it
     (arming), and per fault, the first cycle the forced PC bit changes
-    a fetched PC (the first effect).
+    a fetched PC (the first effect).  It also versions the rename
+    records, the only input of the live-register set: the version moves
+    at every dispatch (a new record) and at every commit that retires
+    records, so the scan rebuilds the set only when it may have changed.
     """
 
     def __init__(self, config, fetch_watch) -> None:
@@ -612,6 +637,18 @@ class _ScanProbe(ArchState):
         self.fetch_arm: Dict[int, Tuple[int, int]] = {}
         #: fault_index -> first cycle the forced PC differs.
         self.fetch_bite: Dict[int, int] = {}
+        #: Bumped whenever the rename records change.
+        self.records_version = 0
+
+    def on_dispatch(self, core, instr: Instr, cycle: int) -> None:
+        super().on_dispatch(core, instr, cycle)
+        self.records_version += 1
+
+    def on_commit(self, core, instr: Instr, cycle: int) -> None:
+        n = len(self.info)
+        super().on_commit(core, instr, cycle)
+        if len(self.info) != n:
+            self.records_version += 1
 
     def on_fetch(self, core, instr: Instr, way: int, cycle: int) -> Instr:
         watching = self.fetch_watch.get(way)
@@ -687,9 +724,10 @@ def first_effect_scan(
         return result
     probe = _ScanProbe(golden.config, fetch_watch)
     core = Core(golden.config, iter(golden.trace), arch=probe)
-    # Per-cycle memo of the live register set — only built on cycles
-    # where an allocated faulted register's forced bit differs.
-    live_memo = {"cycle": -1, "regs": ()}
+    # Memo of the live register set, rebuilt only when the rename
+    # records changed since it was built, and only on cycles where an
+    # allocated faulted register's forced bit differs.
+    live_memo = {"version": -1, "regs": ()}
 
     def bites(f: FaultSpec, cyc: int) -> bool:
         site = f.site
@@ -705,8 +743,8 @@ def first_effect_scan(
         cls = 0 if site.struct == "prf_int" else 1
         if site.index in probe.free_set[cls]:
             return False
-        if live_memo["cycle"] != cyc:
-            live_memo["cycle"] = cyc
+        if live_memo["version"] != probe.records_version:
+            live_memo["version"] = probe.records_version
             live_memo["regs"] = live_pregs(
                 ((r.preg, r.cls, r.srcs) for r in probe.info.values()),
                 probe.n_pregs,
@@ -789,5 +827,6 @@ class ReplaySession:
             self.arch.prearm_sticky(*prearm)
         self.runs += 1
         return _execute_and_classify(
-            g, fault, self.core, self.arch, self.fork_cycle
+            g, fault, self.core, self.arch, self.fork_cycle,
+            (self.index, self._snap),
         )

@@ -24,6 +24,7 @@ REPLAY_ROWS = (
     ("inject.early_exits", "reconvergence early exits"),
     ("inject.fork_restores", "checkpoint fork restores"),
     ("inject.arena_decompressions", "checkpoint arena decompressions"),
+    ("inject.arena_shared", "checkpoints sharing a stored payload"),
     ("inject.sim_cycles", "faulty cycles simulated"),
     ("inject.skipped_cycles", "faulty dead cycles jumped"),
     ("inject.golden_cache_hits", "golden-prefix cache hits"),

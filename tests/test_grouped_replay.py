@@ -1,6 +1,7 @@
 """Tests for checkpoint-grouped warm-core replay.
 
-Covers the compressed snapshot arena (round-trip, decode counters), the
+Covers the compressed snapshot arena (round-trip, payloads shared by
+equal neighbouring checkpoints, decode counters), the
 warm-core invariant (a core restored after a faulty run is bit-identical
 to a freshly restored one and classifies the next fault like
 :func:`run_with_fault`), the ``forced_ready`` aliasing regression for
@@ -30,6 +31,7 @@ from repro.inject import (
     first_effect_scan,
     golden_key,
     load_golden,
+    mapped_out_blocks,
     run_golden,
     run_injection,
     run_with_fault,
@@ -38,6 +40,7 @@ from repro.inject import (
     synth_never_result,
 )
 from repro.inject.arena import SnapshotArena
+import repro.inject.harness as harness_mod
 from repro.inject.harness import _execute_and_classify
 from repro.inject.models import FaultyArchState
 from repro.inject.sites import field_width
@@ -45,6 +48,7 @@ import repro.inject.campaign as campaign_mod
 from repro.workloads.generator import generate_trace
 from repro.telemetry import TELEMETRY
 from repro.workloads.profiles import profile
+from repro.yieldmodel.configs import CoreCounts
 from tests.oracles import scratch_campaign, scratch_run
 
 FULL = MachineConfig(rescue=True)
@@ -63,6 +67,37 @@ def _golden(n=300, interval=32, seed=7):
 # ----------------------------------------------------------------------
 # Snapshot arena
 # ----------------------------------------------------------------------
+
+class _Recording(SnapshotArena):
+    """An arena that also builds the one the same appends make without
+    sharing (sealed before every append, so no entry is compared)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.unshared = SnapshotArena()
+
+    def append(self, cycle: int, snap: dict) -> None:
+        self.unshared.seal()
+        self.unshared.append(cycle, snap)
+        super().append(cycle, snap)
+
+
+#: Goldens whose neighbouring checkpoints share payloads: memory-bound
+#: mcf at a fine interval, gzip at the default one, the all-degraded core.
+_SHARING_GOLDENS = [
+    ("mcf", (2,) * 6, 48),
+    ("gzip", (2,) * 6, 128),
+    ("mcf", (1,) * 6, 48),
+]
+
+
+def _sharing_golden(bench, counts, interval, n=1200):
+    spec = InjectionSpec(benchmark=bench, counts=counts)
+    return run_golden(
+        campaign_mod.machine_config(spec), _trace(n, bench), n,
+        checkpoint_interval=interval,
+    )
+
 
 class TestSnapshotArena:
     def _snaps(self, n=12, interval=32):
@@ -126,6 +161,42 @@ class TestSnapshotArena:
         assert len(clone) == len(arena)
         for i in range(len(arena)):
             assert clone.get(i) == arena.get(i)
+
+    @pytest.mark.parametrize("bench,counts,interval", _SHARING_GOLDENS)
+    def test_shared_entries_decode_like_unshared(
+        self, bench, counts, interval, monkeypatch
+    ):
+        # Every entry, its own cycle and stats included, must decode
+        # exactly as the arena the same appends build without sharing:
+        # equal, and equal in repr (types and dict order).
+        monkeypatch.setattr(harness_mod, "SnapshotArena", _Recording)
+        golden = _sharing_golden(bench, counts, interval)
+        arena, unshared = golden.arena, golden.arena.unshared
+        assert arena._last is None  # sealed by the golden run
+        assert unshared.payloads == len(unshared) == len(arena)
+        assert arena.payloads < len(arena)
+        for i in range(len(arena)):
+            assert arena.meta_of(i) == unshared.meta_of(i)
+            got, want = arena.get(i), unshared.get(i)
+            assert got == want
+            assert repr(got) == repr(want)
+        shared = sum(arena.shares(i, i + 1) for i in range(len(arena) - 1))
+        assert shared == len(arena) - arena.payloads
+
+    def test_pickle_keeps_payloads_shared(self):
+        arena = _sharing_golden("mcf", (1,) * 6, 48).arena
+        assert arena.payloads < len(arena)
+        data = pickle.dumps(arena)
+        clone = pickle.loads(data)
+        assert len({id(b) for b in clone._blobs}) == clone.payloads
+        for i in range(len(arena) - 1):
+            assert clone.shares(i, i + 1) == arena.shares(i, i + 1)
+        # Each distinct payload is stored once, plus a small per-entry
+        # overhead for the cycles, stats and metadata.
+        assert arena.compressed_bytes < len(data)
+        assert len(data) < arena.compressed_bytes + 100 * len(arena)
+        assert len(data) < sum(len(b) for b in arena._blobs)
+        assert clone.stats() == arena.stats()
 
 
 # ----------------------------------------------------------------------
@@ -331,6 +402,33 @@ class TestFirstEffectScan:
             golden, faults
         )
 
+    @pytest.mark.parametrize("spec", [
+        InjectionSpec(
+            n_instructions=2000, n_faults=96, model="stuckat",
+            counts=(1,) * 6,
+        ),
+        InjectionSpec(benchmark="mcf", n_instructions=800, n_faults=40,
+                      model="stuckat"),
+        InjectionSpec(benchmark="swim", n_instructions=800, n_faults=40,
+                      model="stuckat"),
+    ], ids=["gzip-degraded", "mcf", "swim"])
+    def test_live_set_memo_matches_per_cycle_rebuild(
+        self, spec, monkeypatch
+    ):
+        # The scan rebuilds the live register set only when the rename
+        # records changed since the last build.  The oracle rebuilds it
+        # on every stepped cycle: the first effects must be identical.
+        state = campaign_mod.prepare_injection(spec)
+        golden, faults = state["golden"], state["faults"]
+        memo = first_effect_scan(golden, faults)
+
+        class PerCycle(harness_mod._ScanProbe):
+            def begin_cycle(self, core, cycle):
+                self.records_version += 1
+
+        monkeypatch.setattr(harness_mod, "_ScanProbe", PerCycle)
+        assert first_effect_scan(golden, faults) == memo
+
     def test_transients_not_scanned(self):
         golden = _golden(300, 32)
         faults = sample_faults(
@@ -377,6 +475,42 @@ class TestGroupedEquivalence:
     ):
         _check_grouped_campaign(seed, interval, chunk, workers)
 
+    def test_shared_payloads_match_scratch(self, monkeypatch):
+        # A memory-bound golden at a fine interval: most neighbouring
+        # checkpoints share one payload, so the early exit compares
+        # against the snapshot the run already holds instead of
+        # decoding the boundary's entry.
+        shadow = tuple(mapped_out_blocks(
+            CoreCounts(**{d: 1 for d in campaign_mod.DIMENSIONS})
+        ))
+        spec = InjectionSpec(
+            benchmark="mcf", n_instructions=600, n_faults=24,
+            model="both", counts=(1,) * 6, blocks=shadow,
+            checkpoint_interval=48,
+        )
+        arena = campaign_mod.prepare_injection(spec)["golden"].arena
+        assert arena.payloads < len(arena)
+
+        def run():
+            TELEMETRY.reset()
+            TELEMETRY.enable()
+            try:
+                with TELEMETRY.collect() as metrics:
+                    stats = run_injection(spec, checkpoint=False)
+            finally:
+                TELEMETRY.disable()
+                TELEMETRY.reset()
+            return stats, metrics.counters["inject.arena_decompressions"]
+
+        stats, decodes = run()
+        assert stats == scratch_campaign(spec)
+        # Decoding at every compared boundary, as an arena whose entries
+        # never share would make the early exit do.
+        monkeypatch.setattr(SnapshotArena, "shares", lambda s, i, j: False)
+        unheld, unheld_decodes = run()
+        assert unheld == stats
+        assert decodes < unheld_decodes
+
     def test_resume_grouped(self, tmp_path):
         spec = InjectionSpec(
             n_instructions=300, n_faults=12, chunk_size=4,
@@ -417,6 +551,37 @@ class TestGoldenCache:
         assert run_with_fault(loaded, fault) == run_with_fault(
             golden, fault
         )
+
+    def test_shared_payloads_are_counted_once_and_cached_shared(
+        self, tmp_path
+    ):
+        # The golden run counts the entries that reuse their
+        # predecessor's payload; a warm load simulates nothing, so it
+        # counts none, and its arena still stores each payload once.
+        spec = InjectionSpec(benchmark="mcf", counts=(1,) * 6)
+        config = campaign_mod.machine_config(spec)
+        trace = _trace(600, "mcf")
+        key = golden_key("mcf", 600, 7, spec.counts, 48, 0)
+        TELEMETRY.reset()
+        TELEMETRY.enable()
+        try:
+            with TELEMETRY.collect() as cold:
+                golden = run_golden(config, trace, 600,
+                                    checkpoint_interval=48)
+            store_golden(golden, key, root=tmp_path)
+            with TELEMETRY.collect() as warm:
+                loaded = load_golden(config, trace, 600, key,
+                                     root=tmp_path)
+        finally:
+            TELEMETRY.disable()
+            TELEMETRY.reset()
+        arena = golden.arena
+        assert arena.payloads < len(arena)
+        assert (cold.counters["inject.arena_shared"]
+                == len(arena) - arena.payloads)
+        assert "inject.arena_shared" not in warm.counters
+        assert loaded.arena.stats() == arena.stats()
+        assert len({id(b) for b in loaded.arena._blobs}) == arena.payloads
 
     def test_miss_on_absent_and_corrupt(self, tmp_path):
         golden = _golden(300, 32)
