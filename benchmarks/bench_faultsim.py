@@ -4,8 +4,9 @@ Grades the collapsed fault universe of the tiny Rescue core netlist
 against a random pattern set with two engines and asserts they agree:
 
 - ``word``   — :class:`repro.netlist.compiled.PackedWordSimulator`
-  (levelized structure-of-arrays, 64 bit-packed patterns per uint64 word,
-  event-driven cone re-simulation), the program's only engine,
+  (every net's patterns packed into one Python int, one gate evaluator
+  for good and event-driven cone re-simulation), the program's only
+  engine,
 - ``legacy`` — :class:`tests.oracles.PackedSimulator` (dict of per-net
   numpy bool arrays), the reference kept as a test oracle.
 

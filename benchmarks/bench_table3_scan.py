@@ -52,8 +52,8 @@ def test_table3_scan_chain_data(benchmark):
     assert data["rescue"]["coverage_pct"] > 95
     assert data["base"]["coverage_pct"] > 95
 
-    # Benchmark: application of one 64-vector batch (a single machine
-    # word per net) through the bit-packed simulator — the tester's
+    # Benchmark: application of one 64-vector batch (one 64-bit int per
+    # net) through the bit-packed simulator — the tester's
     # inner loop.  ``benchmarks/bench_faultsim.py`` compares it with the
     # reference simulator.
     import numpy as np

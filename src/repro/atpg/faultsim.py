@@ -3,7 +3,7 @@
 Given a pattern set and a fault list, determine which faults each pattern
 detects.  The good circuit is simulated once; each fault re-simulates only
 its fanout cone, the optimization that keeps grading thousands of faults
-tractable.  The engine is the bit-packed 64-patterns-per-word
+tractable.  The engine is the bit-parallel (one packed int per net)
 :class:`~repro.netlist.compiled.PackedWordSimulator`, with fault-effect
 death pruning in the cone walk.
 

@@ -273,11 +273,11 @@ def compute_scoap(compiled: CompiledNetlist) -> Scoap:
 
 
 class CompiledPodem:
-    """PODEM test generator on the compiled (SoA) netlist form.
+    """PODEM test generator on the compiled (flat per-gate) netlist form.
 
     ``generate(fault)`` returns a :class:`PodemResult`.  Pass a prebuilt
-    ``compiled`` netlist (e.g. the fault simulator's) to share
-    levelization and SCOAP precomputation with the grading engine.
+    ``compiled`` netlist (e.g. the fault simulator's) to share its
+    reader lists and gate tuples with the grading engine.
     """
 
     def __init__(

@@ -5,11 +5,11 @@ used (Synopsys Design Compiler over a Verilog model).  It provides:
 
 - :mod:`repro.netlist.gates` — gate and flip-flop primitives,
 - :mod:`repro.netlist.netlist` — the :class:`Netlist` container with
-  levelization, fanout maps, and cone queries,
-- :mod:`repro.netlist.compiled` — the levelized structure-of-arrays
-  netlist form and the bit-packed 64-patterns-per-word simulator with
-  stuck-at fault overrides, the one gate-level engine the ATPG,
-  diagnosis, scan and repair layers run on,
+  its topological order, driver map, and fanout-cone query,
+- :mod:`repro.netlist.compiled` — the flat per-gate netlist form and the
+  bit-parallel simulator (every net's patterns packed into one Python
+  int) with stuck-at fault overrides, the one gate-level engine the
+  ATPG, diagnosis, scan and repair layers run on,
 - :mod:`repro.netlist.build` — word-level construction helpers used by the
   gate-level pipeline models in :mod:`repro.rtl`.
 """

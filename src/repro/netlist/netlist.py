@@ -19,7 +19,7 @@ class NetlistError(Exception):
 
 
 class Netlist:
-    """A mutable gate-level netlist with levelization and cone queries.
+    """A mutable gate-level netlist with a topological order and cone query.
 
     The derived structure -- topological gate order, driver map, source
     set -- is cached, carried over by :meth:`copy`, and kept up to date
@@ -273,7 +273,7 @@ class Netlist:
         self.topo_gate_order()
 
     # ------------------------------------------------------------------
-    # Cone queries (used by fault simulation and ICI checking)
+    # Cone query
     # ------------------------------------------------------------------
     def fanout_cone_gates(self, net: int) -> List[int]:
         """Gate ids in the transitive combinational fanout of ``net``,
@@ -287,34 +287,6 @@ class Netlist:
                 affected_nets.add(g.output)
         order = [gid for gid in self.topo_gate_order() if gid in cone]
         return order
-
-    def fanin_cone_sources(self, net: int) -> Set[int]:
-        """Source nets (PIs and flop Qs) feeding ``net`` combinationally."""
-        sources = set(self.source_nets())
-        result: Set[int] = set()
-        stack = [net]
-        seen: Set[int] = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            if cur in sources:
-                result.add(cur)
-                continue
-            gid = self.driver_of(cur)
-            if gid is not None:
-                stack.extend(self.gates[gid].inputs)
-        return result
-
-    def observers_of_cone(self, net: int) -> Tuple[List[int], List[int]]:
-        """(flop fids, PO nets) reachable from ``net`` combinationally."""
-        affected: Set[int] = {net}
-        for gid in self.fanout_cone_gates(net):
-            affected.add(self.gates[gid].output)
-        flops = [f.fid for f in self.flops if f.d_net in affected]
-        pos = [p for p in self.primary_outputs if p in affected]
-        return flops, pos
 
     # ------------------------------------------------------------------
     def prune_unobservable(self) -> int:

@@ -13,8 +13,8 @@ in increasing order of cost:
    whose D net, label or cone changed.  The full sweep stays for the
    base lint and the composed plan, and the tests hold the two equal.
 2. **equivalence** — a functional-equivalence screen through the packed
-   :class:`~repro.netlist.compiled.PackedWordSimulator` (64 patterns per
-   uint64 word): on a shared random pattern batch, every primary output
+   :class:`~repro.netlist.compiled.PackedWordSimulator` (every pattern
+   of a net in one packed int): on a shared random pattern batch, every primary output
    and every *original* flop's captured next-state bit must match the
    base netlist exactly.  Candidates that add state (the latch shape)
    extend the pattern matrix with fresh columns for the new flops; their

@@ -33,20 +33,6 @@ class TestResponse:
     po: np.ndarray
     state: np.ndarray
 
-    def mismatches(self, other: "TestResponse") -> np.ndarray:
-        """(n_patterns,) bool: any PO or state bit differs."""
-        po_bad = (
-            (self.po != other.po).any(axis=1)
-            if self.po.size
-            else np.zeros(self.state.shape[0], dtype=bool)
-        )
-        st_bad = (
-            (self.state != other.state).any(axis=1)
-            if self.state.size
-            else np.zeros(self.po.shape[0], dtype=bool)
-        )
-        return po_bad | st_bad
-
 
 class ScanTester:
     """Applies one packed scan test set and reports failing bits.

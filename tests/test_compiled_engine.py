@@ -6,8 +6,8 @@ dict-of-arrays `PackedSimulator` — on good values, captured PO/state,
 and per-fault detection verdicts, for every fault site class (stem, gate
 input pin, flop D pin).  Random netlists here are richer than the
 generic ones in ``test_properties`` (they include BUF/CONST gates,
-several flops and primary outputs) and pattern counts straddle the
-64-bit word boundary.
+several flops and primary outputs) and pattern counts include the
+empty set and straddle the 64-bit word boundary.
 """
 
 import random as pyrandom
@@ -18,11 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.atpg.compaction import detection_matrix
 from repro.atpg.faultsim import grade_faults
 from repro.netlist import GateType, Netlist
-from repro.netlist.compiled import (
-    PackedWordSimulator,
-    pack_patterns,
-    unpack_words,
-)
+from repro.netlist.compiled import PackedWordSimulator, _ints_to_bits
 from repro.netlist.faults import StuckAt
 from tests import oracles
 from tests.oracles import PackedSimulator, Simulator
@@ -92,29 +88,12 @@ def _random_faults(nl: Netlist, seed: int, count: int):
     return faults
 
 
-class TestPackingRoundTrip:
-    @given(
-        npat=st.integers(0, 200),
-        n_cols=st.integers(1, 5),
-        seed=st.integers(0, 1000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_pack_unpack_roundtrip(self, npat, n_cols, seed):
-        rng = np.random.default_rng(seed)
-        patterns = rng.integers(0, 2, size=(npat, n_cols)).astype(bool)
-        words = pack_patterns(patterns)
-        assert words.shape == (n_cols, max(1, (npat + 63) // 64))
-        back = unpack_words(words, npat)
-        assert back.shape == patterns.shape
-        assert (back == patterns).all()
-
-
 class TestGoodSimulationAgreement:
     @given(
         seed=st.integers(0, 10_000),
         n_inputs=st.integers(2, 6),
         n_gates=st.integers(1, 50),
-        npat=st.sampled_from((1, 5, 63, 64, 65, 130)),
+        npat=st.sampled_from((0, 1, 5, 63, 64, 65, 130)),
     )
     @settings(max_examples=25, deadline=None)
     def test_word_matches_scalar_and_legacy(
@@ -137,11 +116,11 @@ class TestGoodSimulationAgreement:
         assert (st_l == st_w).all()
 
         # Every net agrees, not just the observation points.
+        bits = _ints_to_bits(wv.ints, npat)
+        assert bits.shape == (npat, nl.n_nets)
         for net in range(nl.n_nets):
             if net in lv:
-                assert (
-                    word.unpack_net(wv, net) == lv[net]
-                ).all(), f"net {net} diverges"
+                assert (bits[:, net] == lv[net]).all(), f"net {net} diverges"
 
         # Spot-check a few patterns against the scalar reference.
         for p in range(0, npat, max(1, npat // 3)):
@@ -249,3 +228,14 @@ class TestEdgeCases:
         assert state.shape == (0, len(nl.flops))
         for fault in _random_faults(nl, 2, 4):
             assert word.first_detection(values, fault) is None
+
+    def test_capture_without_flops(self):
+        nl = Netlist("noflop")
+        a, b = nl.add_input("a"), nl.add_input("b")
+        nl.mark_output(nl.add_gate(GateType.AND, [a, b]))
+        word = PackedWordSimulator(nl)
+        for npat in (0, 3, 70):
+            patterns = np.ones((npat, word.n_sources), dtype=bool)
+            po, state = word.capture(word.good_values(patterns))
+            assert po.shape == (npat, 1) and po.all()
+            assert state.shape == (npat, 0)

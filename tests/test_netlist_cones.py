@@ -1,8 +1,8 @@
-"""Consistency tests between the netlist's cone queries.
+"""Consistency tests for the netlist's cone query and dead-logic pruning.
 
-``fanout_cone_gates``, ``fanin_cone_sources``, and ``observers_of_cone``
-are used by the fault simulator, the diagnoser, and the ICI lint — their
-answers must agree with each other and with brute-force reachability.
+``fanout_cone_gates`` (used by the reference fault simulator) must agree
+with brute-force reachability, and ``prune_unobservable`` must be
+idempotent.
 """
 
 import random as pyrandom
@@ -60,55 +60,6 @@ class TestConeConsistency:
         net = rng.randrange(nl.n_nets)
         cone = set(nl.fanout_cone_gates(net))
         assert cone == _brute_force_fanout(nl, net)
-
-    @given(
-        seed=st.integers(0, 4000),
-        n_gates=st.integers(2, 20),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_fanin_sources_feed_the_net(self, seed, n_gates):
-        """Flipping any claimed fan-in source must be able to reach the
-        net: the source's fanout cone contains the net's driver (or the
-        net itself)."""
-        nl = _circuit(seed, 4, n_gates)
-        target = nl.primary_outputs[0]
-        for src in nl.fanin_cone_sources(target):
-            if src == target:
-                continue
-            affected = {nl.gates[g].output for g in nl.fanout_cone_gates(src)}
-            assert target in affected | {src}
-
-    @given(
-        seed=st.integers(0, 4000),
-        n_gates=st.integers(2, 20),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_observers_symmetric_with_fanin(self, seed, n_gates):
-        """If observer o sees net n, then n's sources include... rather:
-        n must appear in the fan-in cone of o's D net."""
-        nl = _circuit(seed, 4, n_gates)
-        rng = pyrandom.Random(seed + 2)
-        net = rng.randrange(nl.n_nets)
-        flop_ids, po_nets = nl.observers_of_cone(net)
-        sources = set(nl.source_nets())
-        for fid in flop_ids:
-            d_net = nl.flops[fid].d_net
-            # Walk back from the observer; the net must be reachable.
-            seen = set()
-            stack = [d_net]
-            found = False
-            while stack:
-                cur = stack.pop()
-                if cur == net:
-                    found = True
-                    break
-                if cur in seen or cur in sources:
-                    continue
-                seen.add(cur)
-                gid = nl.driver_of(cur)
-                if gid is not None:
-                    stack.extend(nl.gates[gid].inputs)
-            assert found or d_net == net
 
     @given(seed=st.integers(0, 2000), n_gates=st.integers(2, 20))
     @settings(max_examples=20, deadline=None)
