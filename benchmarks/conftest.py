@@ -79,3 +79,22 @@ def ipc_cache():
     from repro.cpu.degraded import IpcCache
 
     return IpcCache(CACHE_DIR)
+
+
+@pytest.fixture(scope="session")
+def figure_ipcs():
+    """Figures 8 and 9's (baseline IPC, Rescue IPC table) per benchmark.
+
+    The Rescue tables come from the ``ipc`` campaign, resumed from its
+    checkpoint store under the cache root.
+    """
+    from repro.runner import campaigns
+    from repro.workloads import PROFILES
+
+    spec = campaigns.IpcSweepSpec(
+        benchmarks=tuple(p.name for p in PROFILES),
+        n_instructions=BENCH_INSTRUCTIONS,
+        warmup=BENCH_WARMUP,
+        compose=not FULL_SWEEP,
+    )
+    return campaigns.figure_ipcs(spec, cache_root=CACHE_DIR, resume=True)

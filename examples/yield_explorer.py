@@ -13,27 +13,10 @@ e.g.  python examples/yield_explorer.py 50 90
 
 import sys
 
-from repro.yieldmodel import FaultDensityModel, YatModel, cores_per_chip
-from repro.yieldmodel.yat import flat_rescue_ipc
+from repro.runner.campaigns import analytic_penalty_table
+from repro.yieldmodel.yat import yat_grid
 
 NODES = (90, 65, 45, 32, 22, 18)
-
-
-def penalty(cfg) -> float:
-    """Representative degraded-IPC penalty per lost group (close to the
-    simulator's measured single-degradation ratios)."""
-    factor = 1.0
-    for dim, cost in (
-        ("frontend", 0.82),
-        ("int_backend", 0.78),
-        ("fp_backend", 0.96),
-        ("iq_int", 0.93),
-        ("iq_fp", 0.98),
-        ("lsq", 0.94),
-    ):
-        if getattr(cfg, dim) == 1:
-            factor *= cost
-    return factor
 
 
 def bar(value: float, scale: int = 48) -> str:
@@ -43,22 +26,17 @@ def bar(value: float, scale: int = 48) -> str:
 def main() -> None:
     growth = (int(sys.argv[1]) if len(sys.argv) > 1 else 30) / 100
     stagnation = int(sys.argv[2]) if len(sys.argv) > 2 else 90
-    anchor = (90.0, 1) if stagnation == 90 else (65.0, 2)
-
-    model = YatModel(
-        density=FaultDensityModel(stagnation_node_nm=stagnation),
-        growth=growth,
-        baseline_ipc=2.05,
-        rescue_ipc=flat_rescue_ipc(2.0, penalty),  # ~2.4% ICI cost
-        anchor=anchor,
+    # Representative degraded-IPC penalties per lost group, close to the
+    # simulator's single-degradation ratios (~2.4% ICI cost at full).
+    grid = yat_grid(
+        {"analytic": (2.05, analytic_penalty_table(2.0))},
+        (stagnation,), (growth,), NODES,
     )
     print(f"Core growth {growth:.0%}/generation, PWP stagnating at "
           f"{stagnation}nm  (relative YAT, 1.0 = every chip perfect)\n")
     for node in NODES:
-        r = model.evaluate(node)
-        k = cores_per_chip(node, growth, anchor_node_nm=anchor[0],
-                           anchor_cores=anchor[1])
-        print(f"{node:>3}nm  ({k:>2} cores/chip)   "
+        r = grid[(stagnation, growth, node)]
+        print(f"{node:>3}nm  ({r.cores:>2} cores/chip)   "
               f"Rescue/CS {100 * r.rescue_over_cs:+5.1f}%")
         print(f"   none   {r.no_redundancy:5.3f} {bar(r.no_redundancy)}")
         print(f"   CS     {r.core_sparing:5.3f} {bar(r.core_sparing)}")

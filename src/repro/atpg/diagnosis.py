@@ -55,33 +55,14 @@ class ConeDiagnoser:
         netlist.validate()
         self.netlist = netlist
         self._cone_cache: dict = {}
-        # Source-net set hoisted out of the per-observation cone walk;
-        # diagnosis intersects one cone per failing bit, so rebuilding it
-        # there is O(observations x sources).
-        self._sources: Set[int] = set(netlist.source_nets())
 
     def _fanin_gates(self, net: int) -> Set[int]:
-        """Gate ids in the combinational fan-in cone of ``net``."""
-        cached = self._cone_cache.get(net)
-        if cached is not None:
-            return cached
-        nl = self.netlist
-        sources = self._sources
-        gates: Set[int] = set()
-        stack = [net]
-        seen: Set[int] = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen or cur in sources:
-                continue
-            seen.add(cur)
-            gid = nl.driver_of(cur)
-            if gid is None:
-                continue
-            gates.add(gid)
-            stack.extend(nl.gates[gid].inputs)
-        self._cone_cache[net] = gates
-        return gates
+        """Gate ids in the combinational fan-in cone of ``net`` (memoized:
+        diagnosis intersects one cone per failing bit)."""
+        cone = self._cone_cache.get(net)
+        if cone is None:
+            cone = self._cone_cache[net] = self.netlist.fanin_cone_gates(net)
+        return cone
 
     def diagnose(
         self,

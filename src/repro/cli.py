@@ -91,42 +91,36 @@ def _rtl_model(args: argparse.Namespace):
 def _cmd_ipc(args: argparse.Namespace) -> int:
     from repro.cpu import MachineConfig
     from repro.cpu.degraded import simulate_config
+    from repro.runner.campaigns import IpcCost
     from repro.workloads import PROFILES
 
     names = args.benchmarks or [p.name for p in PROFILES]
-    deltas = []
+    cost = IpcCost()
     print(f"{'benchmark':10s} {'base':>6s} {'rescue':>7s} {'delta':>7s}")
     run = dict(n_instructions=args.instructions, warmup=args.warmup)
     for name in names:
         base = simulate_config(name, MachineConfig(rescue=False), **run)
         resc = simulate_config(name, MachineConfig(rescue=True), **run)
-        delta = 100 * (1 - resc / base) if base else 0.0
-        deltas.append(delta)
-        print(f"{name:10s} {base:6.2f} {resc:7.2f} {delta:+6.1f}%")
-    print(f"{'average':10s} {'':6s} {'':7s} "
-          f"{sum(deltas) / len(deltas):+6.1f}%")
+        print(f"{name:10s} {base:6.2f} {resc:7.2f} "
+              f"{cost.add(name, base, resc):+6.1f}%")
+    print(f"{'average':10s} {'':6s} {'':7s} {cost.mean():+6.1f}%")
     return 0
 
 
 def _cmd_yat(args: argparse.Namespace) -> int:
     from repro.runner.campaigns import analytic_penalty_table
-    from repro.yieldmodel import FaultDensityModel, YatModel, cores_per_chip
+    from repro.yieldmodel.yat import yat_grid
 
-    anchor = (90.0, 1) if args.stagnation == 90 else (65.0, 2)
-    model = YatModel(
-        density=FaultDensityModel(stagnation_node_nm=args.stagnation),
-        growth=args.growth,
-        baseline_ipc=2.05,
-        rescue_ipc=analytic_penalty_table(2.0),
-        anchor=anchor,
+    nodes = (90, 65, 45, 32, 22, 18)
+    grid = yat_grid(
+        {"analytic": (2.05, analytic_penalty_table(2.0))},
+        (args.stagnation,), (args.growth,), nodes,
     )
     print(f"{'node':>6s} {'cores':>5s} {'none':>6s} {'CS':>6s} "
           f"{'Rescue':>7s} {'gain':>7s}")
-    for node in (90, 65, 45, 32, 22, 18):
-        r = model.evaluate(node)
-        k = cores_per_chip(node, args.growth,
-                           anchor_node_nm=anchor[0], anchor_cores=anchor[1])
-        print(f"{node:>5}n {k:5d} {r.no_redundancy:6.3f} "
+    for node in nodes:
+        r = grid[(args.stagnation, args.growth, node)]
+        print(f"{node:>5}n {r.cores:5d} {r.no_redundancy:6.3f} "
               f"{r.core_sparing:6.3f} {r.rescue:7.3f} "
               f"{100 * r.rescue_over_cs:+6.1f}%")
     return 0

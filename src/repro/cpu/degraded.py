@@ -1,12 +1,13 @@
 """Degraded-configuration simulation for the YAT experiments.
 
 Bridges the fault-map configuration space (:class:`CoreCounts`) to the
-performance simulator, with an on-disk cache — the Figure 9 grid needs
-64 configurations × 23 benchmarks and the cache keeps re-runs instant.
-It is the one place that decides which configurations are simulated
-(:func:`measured_configs`) and how measured points become the 64-entry
-IPC tables (:func:`ipc_tables`); the ``ipc`` and ``decide`` campaigns
-and the Figure 9 script all go through both.
+performance simulator, with an on-disk cache (:class:`IpcCache`, which
+the ablation scripts use).  It is the one place that decides which
+configurations are simulated (:func:`measured_configs`) and how measured
+points become the 64-entry IPC tables (:func:`ipc_tables`); the ``ipc``
+and ``decide`` campaigns go through both.  Figures 8 and 9 read the ``ipc`` campaign's tables
+through :func:`repro.runner.campaigns.figure_ipcs`: the full
+configuration is Figure 8's Rescue machine.
 """
 
 from __future__ import annotations

@@ -75,12 +75,6 @@ class SimResult:
         """Mean combined int+fp issue-queue occupancy per cycle."""
         return self.iq_occupancy_sum / self.cycles if self.cycles else 0.0
 
-    @property
-    def issue_rate(self) -> float:
-        """Instructions issued per cycle (> IPC when replays waste
-        bandwidth)."""
-        return self.issued / self.cycles if self.cycles else 0.0
-
 
 class Core:
     """One core, one run."""

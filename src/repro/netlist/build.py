@@ -153,10 +153,6 @@ class NetBuilder:
             [self.gate(GateType.XNOR, x, y) for x, y in zip(a, b)]
         )
 
-    def nonzero(self, a: Word) -> int:
-        """1 when any bit of ``a`` is set."""
-        return self.or_reduce(a)
-
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------

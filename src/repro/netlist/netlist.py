@@ -273,7 +273,7 @@ class Netlist:
         self.topo_gate_order()
 
     # ------------------------------------------------------------------
-    # Cone query
+    # Cone queries
     # ------------------------------------------------------------------
     def fanout_cone_gates(self, net: int) -> List[int]:
         """Gate ids in the transitive combinational fanout of ``net``,
@@ -287,6 +287,26 @@ class Netlist:
                 affected_nets.add(g.output)
         order = [gid for gid in self.topo_gate_order() if gid in cone]
         return order
+
+    def fanin_cone_gates(self, net: int) -> Set[int]:
+        """Gate ids in the combinational fan-in cone of ``net`` (a fresh
+        set; the walk stops at primary inputs and flop Q nets)."""
+        sources = self._source_set()
+        driver = self._driver_map()
+        gates: Set[int] = set()
+        stack = [net]
+        seen: Set[int] = set()
+        while stack:
+            cur = stack.pop()
+            if cur in seen or cur in sources:
+                continue
+            seen.add(cur)
+            gid = driver.get(cur)
+            if gid is None:
+                continue
+            gates.add(gid)
+            stack.extend(self.gates[gid].inputs)
+        return gates
 
     # ------------------------------------------------------------------
     def prune_unobservable(self) -> int:

@@ -32,7 +32,7 @@ final plan composition produce identical patches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.netcheck import _default_block
@@ -76,25 +76,6 @@ def _find_flop(netlist: Netlist, observer: str):
     raise NotApplicable(f"observer {observer!r} is not a flop")
 
 
-def _cone_gids(netlist: Netlist, net: int) -> List[int]:
-    """Gate ids in the combinational fan-in cone of ``net``, topo order."""
-    sources = set(netlist.source_nets())
-    gids: Set[int] = set()
-    stack = [net]
-    seen: Set[int] = set()
-    while stack:
-        cur = stack.pop()
-        if cur in seen or cur in sources:
-            continue
-        seen.add(cur)
-        gid = netlist.driver_of(cur)
-        if gid is None:
-            continue
-        gids.add(gid)
-        stack.extend(netlist.gates[gid].inputs)
-    return [gid for gid in netlist.topo_gate_order() if gid in gids]
-
-
 def _cone_foreign_blocks(
     netlist: Netlist,
     cone: Sequence[int],
@@ -129,7 +110,8 @@ def apply_candidate(
     ex = set(exempt)
     flop = _find_flop(netlist, observer)
     own = resolve(flop.component)
-    cone = _cone_gids(netlist, flop.d_net)
+    gids = netlist.fanin_cone_gates(flop.d_net)
+    cone = [gid for gid in netlist.topo_gate_order() if gid in gids]
     foreign = _cone_foreign_blocks(netlist, cone, own, ex, resolve)
     if not foreign:
         raise AlreadySingleBlock(f"{observer}: cone already single-block")

@@ -24,15 +24,17 @@ Campaigns:
   sharded by contiguous fault chunks of the deterministic sample;
 - **montecarlo** — the Section 6.3 chip-sampling YAT check, sharded by
   chip index ranges (each chip has its own derived RNG stream);
-- **ipc** — the degraded-configuration IPC sweep behind Figure 9,
-  sharded by (benchmark, configuration) simulation items.
+- **ipc** — the degraded-configuration IPC sweep behind Figures 8 and 9,
+  sharded by (benchmark, configuration) simulation items;
+  :func:`figure_ipcs` adds the baseline IPCs, and :class:`IpcCost` and
+  :func:`~repro.yieldmodel.yat.yat_grid` fold them into the figures.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.runner.executor import run_shards
 from repro.runner.registry import at_least_one, check_spec
@@ -146,8 +148,6 @@ class MonteCarloSpec:
     full_ipc: float = 2.0
     n_chips: int = 2000
     seed: int = 0
-    anchor_node_nm: float = 90.0
-    anchor_cores: int = 1
     chunk_size: int = at_least_one(250)
 
     def __post_init__(self) -> None:
@@ -163,10 +163,7 @@ def _montecarlo_state(spec: MonteCarloSpec) -> Dict[str, Any]:
         stagnation_node_nm=spec.stagnation_node_nm
     )
     k, alpha, theta, groups = campaign_params(
-        density,
-        spec.node_nm,
-        spec.growth,
-        (spec.anchor_node_nm, spec.anchor_cores),
+        density, spec.node_nm, spec.growth
     )
     return dict(
         spec=spec,
@@ -221,7 +218,7 @@ def run_montecarlo(spec: MonteCarloSpec, **runner):
 
 
 # ----------------------------------------------------------------------
-# Campaign 3: degraded-configuration IPC sweep (Figure 9 inputs)
+# Campaign 3: degraded-configuration IPC sweep (Figures 8 and 9 inputs)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -358,3 +355,52 @@ def run_ipc_sweep(spec: IpcSweepSpec, **runner) -> IpcSweepResult:
     for payload in payloads:
         result = result.merge(IpcSweepResult.from_json(payload))
     return result
+
+
+def figure_ipcs(
+    spec: IpcSweepSpec, **runner
+) -> Dict[str, Tuple[float, Dict[Tuple[int, ...], float]]]:
+    """Per benchmark, (baseline IPC, Rescue IPC table): Figures 8 and 9.
+
+    The tables are :func:`run_ipc_sweep`'s (``runner`` options go there,
+    so its checkpoint store is the cache); their full configuration is
+    Figure 8's Rescue machine.  Baselines are the conventional machine
+    with the spec's run shape, in ``spec.benchmarks`` order.
+    """
+    from repro.cpu.degraded import simulate_config
+    from repro.cpu.params import MachineConfig
+
+    tables = run_ipc_sweep(spec, **runner).tables()
+    base = MachineConfig(rescue=False)
+    return {
+        bench: (
+            simulate_config(bench, base, spec.n_instructions, spec.seed,
+                            spec.warmup),
+            tables[bench],
+        )
+        for bench in spec.benchmarks
+    }
+
+
+class IpcCost:
+    """Figure 8: the IPC cost of the ICI transformations, in percent.
+
+    The one fold behind every printer of the figure: :meth:`add` takes
+    one benchmark's baseline and Rescue IPC and returns its cost at once
+    (so a printer can stream rows), :meth:`mean` averages the costs.
+    """
+
+    def __init__(self) -> None:
+        self.costs: List[Tuple[str, float]] = []
+
+    def add(self, benchmark: str, base: float, rescue: float) -> float:
+        """Record and return ``benchmark``'s cost, 100 (1 - rescue/base)."""
+        cost = 100 * (1 - rescue / base) if base else 0.0
+        self.costs.append((benchmark, cost))
+        return cost
+
+    def mean(self, benchmarks: Optional[Iterable[str]] = None) -> float:
+        """Average cost over ``benchmarks`` (default: every one added)."""
+        pick = None if benchmarks is None else set(benchmarks)
+        costs = [c for b, c in self.costs if pick is None or b in pick]
+        return sum(costs) / len(costs)

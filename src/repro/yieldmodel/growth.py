@@ -6,6 +6,11 @@ area-halving generation while the per-chip core-area budget stays at
 140mm².  Scaling from 1 core at 90nm, the paper reaches 11, 7, 5, and 4
 cores at 18nm for 20/30/40/50% growth — this module reproduces those
 counts exactly (see tests).
+
+The scenario decides the anchor: it is
+:attr:`repro.yieldmodel.pwp.FaultDensityModel.anchor`, which the YAT
+model and the Monte Carlo sampler pass here as
+``cores_per_chip(node, growth, *density.anchor)``.
 """
 
 from __future__ import annotations

@@ -94,50 +94,6 @@ class MonteCarloResult:
             std_error=se,
         )
 
-    def merge(self, other: "MonteCarloResult") -> "MonteCarloResult":
-        """Chip-count-weighted combination of two disjoint batches.
-
-        Counts combine exactly; the mean and standard error are
-        recombined from the summaries, which is correct to floating-point
-        associativity but not guaranteed bit-identical to a single-batch
-        reduction.  The parallel runner therefore merges at the
-        :class:`ChipSpan` level (exact) and only reduces once; this
-        method is the API for combining *already reduced* results.
-        """
-        n = self.chips + other.chips
-        if n == 0:
-            return MonteCarloResult(0, 0.0, 0.0, 0.0, 0.0)
-        if self.chips == 0:
-            return other
-        if other.chips == 0:
-            return self
-        w_a, w_b = self.chips / n, other.chips / n
-        mean = w_a * self.mean_relative_yat + w_b * other.mean_relative_yat
-        # Pooled variance of the mean from the two standard errors plus
-        # the between-batch mean spread.
-        var_a = self.std_error**2 * self.chips * max(self.chips - 1, 1)
-        var_b = other.std_error**2 * other.chips * max(other.chips - 1, 1)
-        ss = (
-            var_a
-            + var_b
-            + self.chips * (self.mean_relative_yat - mean) ** 2
-            + other.chips * (other.mean_relative_yat - mean) ** 2
-        )
-        se = math.sqrt(ss / (n - 1) / n) if n > 1 else 0.0
-        return MonteCarloResult(
-            chips=n,
-            mean_relative_yat=mean,
-            dead_core_fraction=(
-                w_a * self.dead_core_fraction
-                + w_b * other.dead_core_fraction
-            ),
-            degraded_core_fraction=(
-                w_a * self.degraded_core_fraction
-                + w_b * other.degraded_core_fraction
-            ),
-            std_error=se,
-        )
-
 
 @dataclass
 class ChipSpan:
@@ -308,18 +264,16 @@ def campaign_params(
     density_model: FaultDensityModel,
     node_nm: float,
     growth: float,
-    anchor: Tuple[float, int] = (90.0, 1),
 ) -> Tuple[int, float, float, Dict[str, float]]:
     """Derived sampling inputs: (cores/chip, alpha, theta, group areas).
 
     Shared by :func:`simulate_chips` and the parallel campaign driver so
-    both sample from the identical chip distribution.
+    both sample from the identical chip distribution.  The core count
+    scales from the scenario's anchor, as in ``YatModel``.
     """
     areas = AreaModel(growth=growth)
     groups = areas.group_areas(node_nm)
-    k = cores_per_chip(
-        node_nm, growth, anchor_node_nm=anchor[0], anchor_cores=anchor[1]
-    )
+    k = cores_per_chip(node_nm, growth, *density_model.anchor)
     d = density_model.density(node_nm)
     alpha = density_model.alpha
     theta = d / alpha
@@ -334,7 +288,6 @@ def simulate_chips(
     rescue_ipc: IpcTable,
     n_chips: int = 2000,
     seed: int = 0,
-    anchor: Tuple[float, int] = (90.0, 1),
 ) -> MonteCarloResult:
     """Sample ``n_chips`` Rescue chips and average their throughput.
 
@@ -343,7 +296,7 @@ def simulate_chips(
     ``repro run montecarlo --workers N`` reproduces this bit-for-bit.
     """
     k, alpha, theta, groups = campaign_params(
-        density_model, node_nm, growth, anchor
+        density_model, node_nm, growth
     )
     span = sample_chip_span(
         0, n_chips, seed, k, alpha, theta, groups, rescue_ipc,

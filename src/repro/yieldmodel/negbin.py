@@ -68,17 +68,3 @@ class GammaMixing:
         lam, w = self.nodes_weights()
         vals = np.asarray(f(lam), dtype=float)
         return float(np.dot(w, vals))
-
-    def yield_of(self, area: float) -> float:
-        """Mixed Poisson yield of an ``area`` block.
-
-        ``E[e^{-lambda A}]`` over the gamma mixing distribution has the
-        closed form ``(1 + A.D/alpha)^{-alpha}`` (the negative binomial
-        yield), so this takes the exact fast path rather than the
-        quadrature: at extreme ``area x density x alpha`` the integrand
-        ``e^{-lambda A}`` concentrates into a boundary layer near zero
-        that fixed-node Gauss-Laguerre cannot resolve (relative error
-        above 1e-4).  :meth:`expect` remains the quadrature route for
-        integrands without a closed form.
-        """
-        return negbin_yield(area, self.density, self.alpha)

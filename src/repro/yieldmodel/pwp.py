@@ -49,6 +49,18 @@ class FaultDensityModel:
     alpha: float = ITRS_ALPHA
 
     @property
+    def anchor(self) -> Tuple[float, int]:
+        """``(node_nm, cores)`` the scenario pins its CMP core count at.
+
+        One core at 90nm when PWP stagnates there; otherwise two cores at
+        65nm, the paper's 65nm-stagnation scenario.  This is the only
+        statement of the rule: :class:`~repro.yieldmodel.yat.YatModel`
+        and the Monte Carlo sampler both scale
+        :func:`~repro.yieldmodel.growth.cores_per_chip` from it.
+        """
+        return (90.0, 1) if self.stagnation_node_nm == 90 else (65.0, 2)
+
+    @property
     def base_density(self) -> float:
         """Fault density (faults/mm²) that yields 83% on a 140mm² die
         under the negative binomial model: (1 + A·D/α)^-α = 0.83."""

@@ -90,16 +90,11 @@ def yat_with_self_healing(
 
     from repro.yieldmodel.configs import config_probabilities
     from repro.yieldmodel.negbin import GammaMixing
-    from repro.yieldmodel.growth import cores_per_chip
 
     base_result = yat_model.evaluate(node_nm)
     areas = AreaModel(growth=yat_model.growth)
     groups = healing.protected_group_areas(areas, node_nm)
-    k = cores_per_chip(
-        node_nm, yat_model.growth,
-        anchor_node_nm=yat_model.anchor[0],
-        anchor_cores=yat_model.anchor[1],
-    )
+    k = base_result.cores
     d = yat_model.density.density(node_nm)
     mixing = GammaMixing(density=d, alpha=yat_model.density.alpha)
 

@@ -20,7 +20,7 @@ normalization of Figure 9.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from typing import Callable, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -58,20 +58,19 @@ class YatModel:
     """Evaluator for one (scenario, growth) pair.
 
     Args:
-        density: fault-density scenario (stagnation node).
+        density: fault-density scenario (stagnation node); its
+            ``anchor`` pins the CMP core count.
         growth: per-generation core growth (0.2-0.5).
         baseline_ipc: full-machine IPC of the conventional core.
         rescue_ipc: IPC per Rescue configuration (64 entries); the full
             configuration carries the ICI transformation cost (~4% below
             ``baseline_ipc`` on average).
-        anchor: (node_nm, cores) pinning the CMP core count.
     """
 
     density: FaultDensityModel
     growth: float
     baseline_ipc: float
     rescue_ipc: IpcTable
-    anchor: Tuple[float, int] = (90.0, 1)
 
     def __post_init__(self) -> None:
         full = CoreCounts().key()
@@ -84,10 +83,7 @@ class YatModel:
     def evaluate(self, node_nm: float) -> YatResult:
         """Relative YAT of the three chip styles at ``node_nm``."""
         areas = AreaModel(growth=self.growth)
-        k = cores_per_chip(
-            node_nm, self.growth,
-            anchor_node_nm=self.anchor[0], anchor_cores=self.anchor[1],
-        )
+        k = cores_per_chip(node_nm, self.growth, *self.density.anchor)
         d = self.density.density(node_nm)
         mixing = GammaMixing(density=d, alpha=self.density.alpha)
 
@@ -130,6 +126,41 @@ class YatModel:
     def sweep(self, nodes) -> Dict[float, YatResult]:
         """Evaluate several nodes (the Figure 9 x-axis)."""
         return {n: self.evaluate(n) for n in nodes}
+
+
+def yat_grid(
+    ipcs: Mapping[str, Tuple[float, IpcTable]],
+    stagnations: Sequence[float],
+    growths: Sequence[float],
+    nodes: Sequence[float],
+) -> Dict[Tuple[float, float, float], YatResult]:
+    """Figure 9: relative YAT averaged over benchmarks.
+
+    ``ipcs`` maps each benchmark to its (baseline IPC, Rescue IPC table).
+    Returns one :class:`YatResult` per (stagnation node, growth, node):
+    each chip style's relative YAT summed in ``ipcs`` order and divided
+    by the benchmark count.  Every printer of the figure and its CI gate
+    read this grid.
+    """
+    grid: Dict[Tuple[float, float, float], YatResult] = {}
+    for stag in stagnations:
+        density = FaultDensityModel(stagnation_node_nm=stag)
+        for growth in growths:
+            models = [
+                YatModel(density, growth, base, table)
+                for base, table in ipcs.values()
+            ]
+            for node in nodes:
+                rs = [m.evaluate(node) for m in models]
+                grid[(stag, growth, node)] = YatResult(
+                    node_nm=node,
+                    growth=growth,
+                    cores=rs[0].cores,
+                    no_redundancy=sum(r.no_redundancy for r in rs) / len(rs),
+                    core_sparing=sum(r.core_sparing for r in rs) / len(rs),
+                    rescue=sum(r.rescue for r in rs) / len(rs),
+                )
+    return grid
 
 
 def flat_rescue_ipc(

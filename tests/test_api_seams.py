@@ -40,6 +40,51 @@ class TestScenarioAnchors:
         far = cores_per_chip(18, 0.2, anchor_node_nm=65, anchor_cores=2)
         assert far > 2
 
+    def test_the_scenario_sets_the_anchor(self):
+        # The rule every caller used before it moved onto the scenario:
+        # (90nm, 1 core) at 90nm stagnation, (65nm, 2 cores) otherwise.
+        assert FaultDensityModel().anchor == (90.0, 1)
+        assert FaultDensityModel(stagnation_node_nm=90).anchor == (90.0, 1)
+        assert FaultDensityModel(stagnation_node_nm=65).anchor == (65.0, 2)
+        for node in (90, 65, 45, 32, 22, 18):
+            for growth in (0.2, 0.3, 0.4, 0.5):
+                assert cores_per_chip(node, growth) == cores_per_chip(
+                    node, growth, *FaultDensityModel().anchor
+                )
+
+    @pytest.mark.parametrize("stagnation,cores", [
+        (90, [1, 1, 2, 4, 6, 7]),
+        (65, [1, 2, 3, 5, 8, 10]),
+    ])
+    def test_campaign_model_and_cli_agree_on_cores(
+        self, stagnation, cores, capsys
+    ):
+        """The ``montecarlo`` campaign, ``YatModel`` and ``repro yat``
+        put the same number of cores on a chip (30% growth)."""
+        from repro.cli import main
+        from repro.runner.campaigns import (
+            MonteCarloSpec,
+            _montecarlo_state,
+            analytic_penalty_table,
+        )
+        from repro.yieldmodel import YatModel
+
+        nodes = (90, 65, 45, 32, 22, 18)
+        model = YatModel(
+            FaultDensityModel(stagnation_node_nm=stagnation), 0.3, 2.05,
+            analytic_penalty_table(2.0),
+        )
+        assert [model.evaluate(n).cores for n in nodes] == cores
+        assert [
+            _montecarlo_state(MonteCarloSpec(
+                node_nm=n, stagnation_node_nm=stagnation,
+            ))["cores"]
+            for n in nodes
+        ] == cores
+        assert main(["yat", "--stagnation", str(stagnation)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [int(row.split()[1]) for row in rows] == cores
+
     def test_density_scenarios_agree_before_divergence(self):
         a = FaultDensityModel(stagnation_node_nm=90)
         b = FaultDensityModel(stagnation_node_nm=65)

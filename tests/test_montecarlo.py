@@ -152,20 +152,3 @@ class TestChipSpanMerge:
         assert result.degraded_core_fraction == pytest.approx(5 / 16)
         var = sum((x - mean) ** 2 for x in values) / 3
         assert result.std_error == pytest.approx(math.sqrt(var / 4))
-
-    def test_result_merge_weighted(self):
-        a = MonteCarloResult(chips=100, mean_relative_yat=0.8,
-                             dead_core_fraction=0.1,
-                             degraded_core_fraction=0.2, std_error=0.01)
-        b = MonteCarloResult(chips=300, mean_relative_yat=0.6,
-                             dead_core_fraction=0.3,
-                             degraded_core_fraction=0.4, std_error=0.02)
-        merged = a.merge(b)
-        assert merged.chips == 400
-        assert merged.mean_relative_yat == pytest.approx(0.65)
-        assert merged.dead_core_fraction == pytest.approx(0.25)
-        assert merged.std_error > 0
-        # Identity elements.
-        empty = MonteCarloResult(0, 0.0, 0.0, 0.0)
-        assert a.merge(empty) == a
-        assert empty.merge(b) == b

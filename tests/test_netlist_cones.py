@@ -1,8 +1,8 @@
 """Consistency tests for the netlist's cone query and dead-logic pruning.
 
-``fanout_cone_gates`` (used by the reference fault simulator) must agree
-with brute-force reachability, and ``prune_unobservable`` must be
-idempotent.
+``fanout_cone_gates`` (used by the reference fault simulator) and
+``fanin_cone_gates`` (repair and diagnosis) must agree with brute-force
+reachability, and ``prune_unobservable`` must be idempotent.
 """
 
 import random as pyrandom
@@ -60,6 +60,25 @@ class TestConeConsistency:
         net = rng.randrange(nl.n_nets)
         cone = set(nl.fanout_cone_gates(net))
         assert cone == _brute_force_fanout(nl, net)
+
+    @given(
+        seed=st.integers(0, 4000),
+        n_gates=st.integers(2, 25),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_fanin_cone_matches_brute_force(self, seed, n_gates):
+        """A gate is in the fan-in cone of ``net`` when it drives ``net``
+        or ``net`` is in the fanout of its output."""
+        nl = _circuit(seed, 4, n_gates)
+        net = pyrandom.Random(seed + 1).randrange(nl.n_nets)
+        expected = {
+            g.gid for g in nl.gates
+            if g.output == net or any(
+                nl.gates[h].output == net
+                for h in _brute_force_fanout(nl, g.output)
+            )
+        }
+        assert nl.fanin_cone_gates(net) == expected
 
     @given(seed=st.integers(0, 2000), n_gates=st.integers(2, 20))
     @settings(max_examples=20, deadline=None)

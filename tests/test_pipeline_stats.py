@@ -16,7 +16,9 @@ class TestInstrumentation:
     def test_issue_rate_at_least_ipc(self):
         trace = generate_trace(profile("gzip"), 8_000)
         r = Core(MachineConfig(rescue=True), iter(trace)).run(8_000)
-        assert r.issue_rate >= r.ipc - 1e-9
+        # Replays issue an instruction more than once; nothing commits
+        # without issuing.
+        assert r.issued >= r.instructions
 
     def test_occupancy_bounded_by_capacity(self):
         cfg = MachineConfig(rescue=True)

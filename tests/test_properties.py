@@ -8,7 +8,6 @@ yield-model identities, and queue conservation laws.
 import random as pyrandom
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -22,7 +21,7 @@ from repro.cpu.isa import Instr, OpClass
 from repro.cpu.queues import CompactingIssueQueue, LoadStoreQueue
 from repro.netlist import GateType, Netlist, PackedWordSimulator
 from repro.netlist.faults import StuckAt
-from repro.yieldmodel import GammaMixing, negbin_yield
+from repro.yieldmodel import negbin_yield
 from repro.yieldmodel.configs import config_probabilities
 from tests.oracles import Simulator
 
@@ -222,18 +221,6 @@ class TestFaultMapProperties:
 
 
 class TestYieldProperties:
-    @given(
-        area=st.floats(0.1, 500),
-        density=st.floats(0.0001, 0.05),
-        alpha=st.floats(0.5, 8),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_mixing_matches_closed_form(self, area, density, alpha):
-        mix = GammaMixing(density=density, alpha=alpha, n_points=64)
-        assert mix.yield_of(area) == pytest.approx(
-            negbin_yield(area, density, alpha), rel=1e-4
-        )
-
     @given(
         density=st.floats(0.0, 0.05),
         scale=st.floats(0.01, 2.0),
