@@ -9,6 +9,10 @@ Rescue variant and asserts the subsystem's headline properties:
 2. **Plan determinism** — the emitted plan is bit-identical between
    serial and multi-worker execution, across a different chunking, and
    across a checkpoint/resume cycle.
+3. **Oracle equivalence** — every candidate of the search is re-checked
+   by the from-scratch oracle :func:`tests.oracles.scratch_verify`
+   (full ICI sweep, fresh build, full good simulation); the verdict,
+   stage and reason must equal the incremental oracle's.
 
 Command line:
 
@@ -31,6 +35,8 @@ from pathlib import Path
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 if "repro" not in sys.modules:  # script mode: make src/ importable
     sys.path.insert(0, str(_REPO_ROOT / "src"))
+if str(_REPO_ROOT) not in sys.path:  # the from-scratch oracle is in tests/
+    sys.path.insert(0, str(_REPO_ROOT))
 
 
 def _assert_invariance(spec, workers: int):
@@ -110,6 +116,57 @@ def _assert_verified(result, spec) -> None:
         )
 
 
+def _assert_scratch_verdicts(result, spec) -> int:
+    """Every searched candidate gets the same verdict from scratch."""
+    from repro.repair import apply_candidate, prepare_repair
+    from repro.repair.candidates import CANDIDATE_KINDS, NotApplicable
+    from tests.oracles import scratch_verify
+
+    base, _breaks = prepare_repair(spec)
+    if len(result.violations) != len(base.report.violations):
+        raise AssertionError(f"{spec.model}: searched violations differ")
+    n = 0
+    for v, entry in zip(base.report.violations, result.violations):
+        if entry["id"] != v.vid:
+            raise AssertionError(f"{spec.model}: entry {entry['id']} "
+                                 f"is not violation {v.vid}")
+        recorded = {c["kind"]: c for c in entry["candidates"]}
+        seen = set()
+        # Primary outputs are tester pins: the search tries nothing.
+        kinds = () if v.observer.startswith("po[") else CANDIDATE_KINDS
+        for kind in kinds:
+            patched = base.netlist.copy()
+            try:
+                info = apply_candidate(
+                    patched, kind, v.observer, exempt=spec.exempt
+                )
+            except NotApplicable:
+                continue
+            seen.add(kind)
+            verdict = scratch_verify(
+                base, patched, v.observer, info.sample_gates,
+                exempt=spec.exempt,
+                n_isolation_faults=spec.n_isolation_faults,
+                seed=spec.seed,
+            )
+            c = recorded.get(kind)
+            if c is None or (c["verified"], c["stage"], c["reason"]) != (
+                verdict.ok, verdict.stage, verdict.reason
+            ):
+                raise AssertionError(
+                    f"{spec.model} {v.vid} {kind}: incremental oracle "
+                    f"says {c and (c['stage'], c['reason'])}, from-scratch "
+                    f"oracle says {(verdict.stage, verdict.reason)}"
+                )
+            n += 1
+        if seen != set(recorded):
+            raise AssertionError(
+                f"{spec.model} {v.vid}: candidates {sorted(recorded)} "
+                f"searched, {sorted(seen)} applicable"
+            )
+    return n
+
+
 def check(workers: int = 2) -> None:
     """CI gate: verified repair + plan determinism on small specs."""
     from repro.repair import RepairSpec
@@ -121,8 +178,10 @@ def check(workers: int = 2) -> None:
         )
         result = _assert_invariance(spec, workers)
         _assert_verified(result, spec)
+        n = _assert_scratch_verdicts(result, spec)
         summaries.append(
-            f"{model}: {result.n_repaired}/{result.n_violations} repaired"
+            f"{model}: {result.n_repaired}/{result.n_violations} repaired, "
+            f"{n} candidate verdicts equal from scratch"
         )
     print(
         "repair check OK: "

@@ -20,7 +20,11 @@ three production remedies:
    recorded on a trail, so a backtrack restores O(touched) nets instead
    of resimulating everything.  Kleene 3-valued evaluation is monotone in
    the information order, which is what makes incremental refinement
-   (X -> 0/1, never back) sound between decisions of one branch.
+   (X -> 0/1, never back) sound between decisions of one branch.  Each
+   target starts from the fault-free all-X state, computed once per
+   netlist: the reset copies it and re-evaluates only the stuck value's
+   forward cone on the faulty side, so a target's cost follows its
+   cone, not the netlist.
 
 2. **SCOAP-guided search.**  :func:`compute_scoap` derives classic
    testability measures once per netlist — CC0/CC1 controllability in
@@ -46,7 +50,8 @@ target under the fault simulator.
 
 Telemetry (all prefixed ``podem.``): ``targets``, ``backtracks``,
 ``detected/untestable/aborted``, plus ``cone_evals`` (event-driven gate
-re-evaluations), ``undo_restores`` (trail entries rolled back), and
+re-evaluations), ``reset_evals`` (gates the per-target reset
+re-evaluates), ``undo_restores`` (trail entries rolled back), and
 ``xpath_prunes``.
 """
 
@@ -291,19 +296,26 @@ class CompiledPodem:
             netlist
         )
         self.backtrack_limit = backtrack_limit
-        self._topo = netlist.topo_gate_order()
         self._sources: Set[int] = set(self.c.source_nets)
         self._obs: Set[int] = self.c.obs_nets
         self.scoap = compute_scoap(self.c)
-        n = self.c.n_nets
-        self.good = np.full(n, X, dtype=np.int8)
-        self.faulty = np.full(n, X, dtype=np.int8)
+        # The fault-free all-X state: only constants are defined.  It is
+        # the same for every target, so it is computed once here.
+        base = [X] * self.c.n_nets
+        tuples = self.c.gate_tuples
+        for gid in netlist.topo_gate_order():
+            gtype, ins, out = tuples[gid]
+            base[out] = _eval3(gtype, [base[i] for i in ins])
+        self._base = np.array(base, dtype=np.int8)
+        self.good = self._base.copy()
+        self.faulty = self._base.copy()
         self._trail: List[Tuple[int, int, int]] = []
         self._d_nets: Set[int] = set()
         # Per-generate() instrumentation (flushed to TELEMETRY).
         self._cone_evals = 0
         self._undo_restores = 0
         self._xpath_prunes = 0
+        self._reset_evals = 0
         # Per-fault site registers (set by _reset).
         self._stem = -1
         self._fgate = -1
@@ -323,6 +335,7 @@ class CompiledPodem:
             t.count("podem.backtracks", result.backtracks)
             t.count(f"podem.{result.status}")
             t.count("podem.cone_evals", self._cone_evals)
+            t.count("podem.reset_evals", self._reset_evals)
             t.count("podem.undo_restores", self._undo_restores)
             t.count("podem.xpath_prunes", self._xpath_prunes)
         return result
@@ -373,16 +386,19 @@ class CompiledPodem:
     # State management: reset, event-driven implication, undo trail
     # ------------------------------------------------------------------
     def _reset(self, fault: StuckAt) -> None:
-        """Full 3-valued pass under the all-X assignment (base state).
+        """Set the all-X state of ``fault``: the base plus its stuck cone.
 
-        Constants (and the fault's stuck value) propagate here once; all
-        later refinement is event-driven from assigned sources.  The base
-        state is trail-free — undo never rolls past it.
+        The good side under all-X does not depend on the fault, so both
+        sides start as the fault-free base; only the stuck value's
+        forward cone is re-evaluated on the faulty side, with the heap
+        walk :meth:`_assign` uses.  The result equals one full 3-valued
+        pass with the fault in place.  The state is trail-free — undo
+        never rolls past it.
         """
         good = self.good
         faulty = self.faulty
-        good.fill(X)
-        faulty.fill(X)
+        good[:] = self._base
+        faulty[:] = self._base
         self._trail.clear()
         d_nets = self._d_nets
         d_nets.clear()
@@ -391,22 +407,41 @@ class CompiledPodem:
         self._fgate = fault.gate if fault.gate is not None else -1
         self._fpin = fault.pin if fault.pin is not None else 0
         self._fval = fault.value
-        if stem >= 0:
-            faulty[stem] = fault.value
         fgate, fpin, fval = self._fgate, self._fpin, self._fval
-        for gid in self._topo:
-            gtype, ins, out = self.c.gate_tuples[gid]
-            g = _eval3(gtype, [good[i] for i in ins])
+        c = self.c
+        readers = c.readers
+        pos = c.topo_pos
+        tuples = c.gate_tuples
+        heap: List[Tuple[int, int]] = []
+        queued: Set[int] = set()
+        if stem >= 0 and faulty[stem] != fval:
+            faulty[stem] = fval
+            g = good[stem]
+            if g != X and g != fval:
+                d_nets.add(stem)
+            for gid in readers[stem]:
+                queued.add(gid)
+                heappush(heap, (pos[gid], gid))
+        if fgate >= 0:
+            queued.add(fgate)
+            heappush(heap, (pos[fgate], fgate))
+        while heap:
+            _, gid = heappop(heap)
+            gtype, ins, out = tuples[gid]
             fins = [faulty[i] for i in ins]
             if gid == fgate:
                 fins[fpin] = fval
             f = _eval3(gtype, fins)
-            if out == stem:
-                f = fval
-            good[out] = g
-            faulty[out] = f
-            if g != X and f != X and g != f:
-                d_nets.add(out)
+            if f != faulty[out]:
+                faulty[out] = f
+                g = good[out]
+                if g != X and f != X and g != f:
+                    d_nets.add(out)
+                for r in readers[out]:
+                    if r not in queued:
+                        queued.add(r)
+                        heappush(heap, (pos[r], r))
+        self._reset_evals = len(queued)
 
     def _set(self, net: int, g: int, f: int) -> None:
         """Write one net's (good, faulty) pair, trail-recorded."""

@@ -128,18 +128,6 @@ def check_granularity(
     )
 
 
-def isolation_ambiguity(graph: ComponentGraph, component: str) -> FrozenSet[str]:
-    """The set of components a fault in ``component`` may be blamed on.
-
-    Under ICI this is the component's super-component; a singleton means
-    perfect isolation.
-    """
-    for s in super_components(graph):
-        if component in s:
-            return s
-    raise KeyError(f"{component!r} is not an isolatable component")
-
-
 def _resolve_partition(
     graph: ComponentGraph, partition: Optional[Mapping[str, str]]
 ) -> Dict[str, str]:

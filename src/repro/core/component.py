@@ -106,14 +106,6 @@ class ComponentGraph:
             if e.src == name and (kind is None or e.kind is kind)
         )
 
-    def sources_of(self, name: str, kind: Optional[EdgeKind] = None) -> List[str]:
-        """Components feeding ``name``, optionally filtered by edge kind."""
-        return sorted(
-            e.src
-            for e in self.edges
-            if e.dst == name and (kind is None or e.kind is kind)
-        )
-
     def logic_components(self) -> List[str]:
         """Names of isolatable (non-port, non-memory) components."""
         return sorted(

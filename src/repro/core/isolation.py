@@ -68,14 +68,6 @@ class IsolationTable:
         self.bit_component: List[str] = chain.component_table()
         self.po_components: List[str] = list(po_components or [])
 
-    def component_at_bit(self, bit: int) -> str:
-        """Fine-grained component label at a scan-bit position."""
-        return self.bit_component[bit]
-
-    def block_at_bit(self, bit: int) -> str:
-        """Map-out block at a scan-bit position."""
-        return self._block_of(self.bit_component[bit])
-
     def isolate(
         self,
         failing_bits: Sequence[int],

@@ -74,17 +74,6 @@ class AreaBreakdown:
             + self.scan_overhead.get(block, 0.0)
         )
 
-    def scan_fraction(self, block: str) -> float:
-        """Scan-cell share of a block (the paper's 25%/12% figures count
-        the whole scan flop plus its mux as scan area)."""
-        total = self.block_total(block)
-        if not total:
-            return 0.0
-        scan_area = self.flops.get(block, 0.0) + self.scan_overhead.get(
-            block, 0.0
-        )
-        return scan_area / total
-
     def blocks(self):
         """All block names present in the breakdown."""
         names = set(self.logic) | set(self.flops) | set(self.scan_overhead)

@@ -3,7 +3,11 @@
 :class:`CompiledNetlist` flattens a :class:`~repro.netlist.netlist.Netlist`
 into the flat per-gate lists the engine and the compiled PODEM walk:
 ``(type, inputs, output)`` tuples, reader lists, topological positions
-and driver ids.
+and driver ids.  :meth:`CompiledNetlist.extend` builds a patched copy
+whose gates are only rewired or appended from the base build, and
+:meth:`PackedWordSimulator.extend_values` re-simulates its good values
+from the base values, starting at the changed gates; the repair oracle
+checks each candidate patch that way.
 
 :class:`PackedWordSimulator` is the engine the ATPG/diagnosis stack runs
 on.  Every net's values for a pattern set are one arbitrary-precision
@@ -27,6 +31,7 @@ and ``benchmarks/perf`` measures this engine's speed.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from functools import reduce
 from operator import and_, or_, xor
@@ -69,19 +74,7 @@ class CompiledNetlist:
 
     def __init__(self, netlist: Netlist) -> None:
         netlist.validate()
-        self.netlist = netlist
-        self.n_nets = netlist.n_nets
-        self.source_nets: List[int] = netlist.source_nets()
-        self.source_col: Dict[int, int] = {
-            net: i for i, net in enumerate(self.source_nets)
-        }
-        self.po_cols: Dict[int, List[int]] = {}
-        for i, net in enumerate(netlist.primary_outputs):
-            self.po_cols.setdefault(net, []).append(i)
-        self.d_fids: Dict[int, List[int]] = {}
-        for f in netlist.flops:
-            self.d_fids.setdefault(f.d_net, []).append(f.fid)
-        self.obs_nets: Set[int] = set(self.po_cols) | set(self.d_fids)
+        self._map_ports(netlist)
         # (type, inputs, output) tuples are cheaper than Gate attribute
         # access in the per-gate inner loops.
         self.readers: List[List[int]] = [[] for _ in range(self.n_nets)]
@@ -97,6 +90,117 @@ class CompiledNetlist:
         self.driver_gid: List[int] = [-1] * self.n_nets
         for g in netlist.gates:
             self.driver_gid[g.output] = g.gid
+
+    def _map_ports(self, netlist: Netlist) -> None:
+        """Set the netlist, net count, source and observation maps."""
+        self.netlist = netlist
+        self.n_nets = netlist.n_nets
+        self.source_nets: List[int] = netlist.source_nets()
+        self.source_col: Dict[int, int] = {
+            net: i for i, net in enumerate(self.source_nets)
+        }
+        self.po_cols: Dict[int, List[int]] = {}
+        for i, net in enumerate(netlist.primary_outputs):
+            self.po_cols.setdefault(net, []).append(i)
+        self.d_fids: Dict[int, List[int]] = {}
+        for f in netlist.flops:
+            self.d_fids.setdefault(f.d_net, []).append(f.fid)
+        self.obs_nets: Set[int] = set(self.po_cols) | set(self.d_fids)
+
+    @classmethod
+    def extend(
+        cls, base: "CompiledNetlist", netlist: Netlist
+    ) -> Optional[Tuple["CompiledNetlist", List[int]]]:
+        """Build ``netlist``, a patched copy of ``base.netlist``, from
+        ``base``; returns the build and the rewired and appended gate
+        ids, or None when the patch is not such a delta.
+
+        A delta rewires gates (same type and output) and appends gates
+        with fresh outputs, nets and flops; the primary inputs and
+        outputs stay, and the topological order is the base order plus
+        the appended gates.  Checking that delta replaces
+        :meth:`Netlist.validate`.  The base build is never written:
+        changed reader lists are fresh lists, still in gate-id order.
+        """
+        old_nl = base.netlist
+        gates, old_gates, flops = netlist.gates, old_nl.gates, netlist.flops
+        n_old, n_old_nets = len(old_gates), old_nl.n_nets
+        order = netlist.topo_gate_order()
+        if (
+            len(gates) < n_old
+            or netlist.n_nets < n_old_nets
+            or netlist.primary_inputs != old_nl.primary_inputs
+            or netlist.primary_outputs != old_nl.primary_outputs
+            or len(flops) < len(old_nl.flops)
+            or any(f.q_net != o.q_net for f, o in zip(flops, old_nl.flops))
+            or len(order) != len(gates)
+            or order[:n_old] != old_nl.topo_gate_order()
+        ):
+            return None
+        rewired = [
+            gid for gid in range(n_old) if gates[gid] is not old_gates[gid]
+        ]
+        if any(
+            gates[gid].gtype is not old_gates[gid].gtype
+            or gates[gid].output != old_gates[gid].output
+            for gid in rewired
+        ):
+            return None
+        self = cls.__new__(cls)
+        self._map_ports(netlist)
+        n_new = netlist.n_nets - n_old_nets
+        # Appended gates drive fresh, distinct nets; new flop Qs are
+        # fresh and undriven.
+        driver = self.driver_gid = base.driver_gid + [-1] * n_new
+        for g in gates[n_old:]:
+            if g.output < n_old_nets or driver[g.output] >= 0:
+                return None
+            driver[g.output] = g.gid
+        for f in flops[len(old_nl.flops):]:
+            if f.q_net < n_old_nets or driver[f.q_net] >= 0:
+                return None
+        # The order's tail holds each appended gate once, and every input
+        # of a changed gate is a source or driven earlier in the order.
+        pos = self.topo_pos = base.topo_pos + [-1] * (len(gates) - n_old)
+        for i in range(n_old, len(order)):
+            gid = order[i]
+            if not n_old <= gid < len(gates) or pos[gid] >= 0:
+                return None
+            pos[gid] = i
+        changed = rewired + list(range(n_old, len(gates)))
+        for gid in changed:
+            for net in gates[gid].inputs:
+                d = driver[net]
+                if (
+                    pos[d] >= pos[gid] if d >= 0
+                    else net not in self.source_col
+                ):
+                    return None
+        tuples = self.gate_tuples = list(base.gate_tuples)
+        readers = self.readers = base.readers + [[] for _ in range(n_new)]
+        copied: Set[int] = set()
+
+        def own(net: int) -> List[int]:
+            """``net``'s reader list, copied first if it is the base's."""
+            if net < n_old_nets and net not in copied:
+                copied.add(net)
+                readers[net] = list(readers[net])
+            return readers[net]
+
+        for gid in changed:
+            g = gates[gid]
+            ins = set(g.inputs)
+            if gid < n_old:
+                tuples[gid] = (g.gtype, g.inputs, g.output)
+                old_ins = set(old_gates[gid].inputs)
+                for net in old_ins - ins:
+                    own(net).remove(gid)
+                ins -= old_ins
+            else:
+                tuples.append((g.gtype, g.inputs, g.output))
+            for net in ins:
+                bisect.insort(own(net), gid)
+        return self, changed
 
 
 # ----------------------------------------------------------------------
@@ -169,9 +273,13 @@ class PackedWordSimulator:
     skip unpacking entirely.
     """
 
-    def __init__(self, netlist: Netlist) -> None:
+    def __init__(
+        self, netlist: Netlist, compiled: Optional[CompiledNetlist] = None
+    ) -> None:
         self.netlist = netlist
-        self.compiled = CompiledNetlist(netlist)
+        self.compiled = (
+            compiled if compiled is not None else CompiledNetlist(netlist)
+        )
         self.source_nets = self.compiled.source_nets
         self.source_col = self.compiled.source_col
 
@@ -210,6 +318,53 @@ class PackedWordSimulator:
             t.count("engine.good_sim.calls")
             t.count("engine.good_sim.patterns", npat)
         return values
+
+    def extend_values(
+        self,
+        base: WordValues,
+        patterns: np.ndarray,
+        changed: Sequence[int],
+    ) -> WordValues:
+        """Good values of a patched netlist from its base's values.
+
+        ``base`` holds the values of the netlist this one extends (see
+        :meth:`CompiledNetlist.extend`) under the first columns of
+        ``patterns``; ``changed`` lists the rewired and appended gates.
+        New source nets take their pattern columns, and only the changed
+        gates and the gates downstream of a changed net are evaluated.
+        Equal to :meth:`good_values` on ``patterns``; ``base`` is not
+        written.
+        """
+        c = self.compiled
+        n_old = len(base.ints)
+        ints = base.ints + [0] * (c.n_nets - n_old)
+        new_sources = [net for net in c.source_nets if net >= n_old]
+        if new_sources:
+            cols = [c.source_col[net] for net in new_sources]
+            packed = np.packbits(
+                np.asarray(patterns, dtype=bool)[:, cols].T,
+                axis=1, bitorder="little",
+            )
+            for net, row in zip(new_sources, packed):
+                ints[net] = int.from_bytes(row.tobytes(), "little")
+        mask = base.mask
+        readers = c.readers
+        pos = c.topo_pos
+        gate_tuples = c.gate_tuples
+        heap = [(pos[gid], gid) for gid in changed]
+        heapq.heapify(heap)
+        queued: Set[int] = set(changed)
+        while heap:
+            _, gid = heapq.heappop(heap)
+            gtype, g_inputs, g_output = gate_tuples[gid]
+            out = _eval_gate_int(gtype, [ints[i] for i in g_inputs], mask)
+            if out != ints[g_output]:
+                ints[g_output] = out
+                for r in readers[g_output]:
+                    if r not in queued:
+                        queued.add(r)
+                        heapq.heappush(heap, (pos[r], r))
+        return WordValues(ints, base.npat)
 
     # ------------------------------------------------------------------
     # Faulty re-simulation (cone-restricted, effect-death pruned)

@@ -14,12 +14,18 @@ in increasing order of cost:
    base lint and the composed plan, and the tests hold the two equal.
 2. **equivalence** — a functional-equivalence screen through the packed
    :class:`~repro.netlist.compiled.PackedWordSimulator` (every pattern
-   of a net in one packed int): on a shared random pattern batch, every primary output
-   and every *original* flop's captured next-state bit must match the
-   base netlist exactly.  Candidates that add state (the latch shape)
-   extend the pattern matrix with fresh columns for the new flops; their
-   captured bits are not compared — they are new state — but everything
-   the base design observes must be bit-identical.  A random column
+   of a net in one packed int): on a shared random pattern batch, every
+   primary output and every *original* flop's captured next-state bit
+   must match the base netlist exactly; the screen compares the packed
+   ints of those nets.  A candidate only rewires and appends, so its
+   build extends the base build and its good values are the base
+   values re-simulated from the changed gates onward
+   (``repair.extended_builds``); any other patch is built and simulated
+   from scratch (``repair.full_builds``).  Candidates that add state
+   (the latch shape) extend the pattern matrix with fresh columns for
+   the new flops; their captured bits are not compared — they are new
+   state — but everything the base design observes must be
+   bit-identical.  A random column
    rarely exposes a low-observability staged net, so a patch with new
    flops that passes the screen must also pass a proof: PODEM shows
    that no new flop's Q can reach any observation point (stuck-at-0 on
@@ -41,13 +47,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.atpg.podem_compiled import CompiledPodem
 from repro.core.netcheck import NetIciReport, _default_block, check_netlist_ici
-from repro.netlist.compiled import PackedWordSimulator, WordValues
+from repro.netlist.compiled import (
+    CompiledNetlist,
+    PackedWordSimulator,
+    WordValues,
+)
 from repro.netlist.faults import StuckAt
 from repro.netlist.netlist import Netlist
 from repro.telemetry import TELEMETRY
@@ -73,15 +83,20 @@ def random_patterns(
 
 @dataclass
 class BaseState:
-    """Base-netlist simulation state shared by every candidate check."""
+    """Base-netlist simulation state shared by every candidate check.
+
+    ``po_ints`` / ``d_ints`` are the packed good values of the primary
+    outputs and of each flop's D net, the observations the equivalence
+    screen compares.  Nothing here is written after :meth:`build`.
+    """
 
     netlist: Netlist
     report: NetIciReport
     sim: PackedWordSimulator
     patterns: np.ndarray
     values: WordValues
-    po: np.ndarray
-    state: np.ndarray
+    po_ints: List[int]
+    d_ints: List[int]
 
     @classmethod
     def build(
@@ -94,16 +109,27 @@ class BaseState:
         sim = PackedWordSimulator(netlist)
         patterns = random_patterns(n_patterns, sim.n_sources, seed)
         values = sim.good_values(patterns)
-        po, state = sim.capture(values)
+        po_ints, d_ints = _observed_ints(netlist, values)
         return cls(
             netlist=netlist,
             report=report,
             sim=sim,
             patterns=patterns,
             values=values,
-            po=po,
-            state=state,
+            po_ints=po_ints,
+            d_ints=d_ints,
         )
+
+
+def _observed_ints(
+    netlist: Netlist, values: WordValues
+) -> Tuple[List[int], List[int]]:
+    """Packed good values of the primary outputs and the flop D nets."""
+    ints = values.ints
+    return (
+        [ints[net] for net in netlist.primary_outputs],
+        [ints[f.d_net] for f in netlist.flops],
+    )
 
 
 def _netcheck_stage(
@@ -132,10 +158,25 @@ def _netcheck_stage(
     return None, report
 
 
+def _patched_sim(
+    base: BaseState, patched: Netlist
+) -> Tuple[PackedWordSimulator, Optional[List[int]]]:
+    """The patched netlist's simulator, plus the gates that differ from
+    the base when its build extends the base build (None otherwise)."""
+    ext = CompiledNetlist.extend(base.sim.compiled, patched)
+    if TELEMETRY.enabled:
+        TELEMETRY.count("repair.extended_builds", int(ext is not None))
+        TELEMETRY.count("repair.full_builds", int(ext is None))
+    if ext is None:
+        return PackedWordSimulator(patched), None
+    compiled, changed = ext
+    return PackedWordSimulator(patched, compiled), changed
+
+
 def _equivalence_stage(
     base: BaseState, patched: Netlist, seed: int
 ) -> Tuple[Optional[OracleVerdict], PackedWordSimulator, WordValues]:
-    sim = PackedWordSimulator(patched)
+    sim, changed = _patched_sim(base, patched)
     patterns = base.patterns
     extra = sim.n_sources - patterns.shape[1]
     if extra:
@@ -146,17 +187,20 @@ def _equivalence_stage(
              random_patterns(patterns.shape[0], extra, seed + 1)],
             axis=1,
         )
-    values = sim.good_values(patterns)
-    po, state = sim.capture(values)
+    if changed is None:
+        values = sim.good_values(patterns)
+    else:
+        values = sim.extend_values(base.values, patterns, changed)
     if TELEMETRY.enabled:
         TELEMETRY.count("repair.oracle_cycles", patterns.shape[0])
-    n_flops = base.state.shape[1]
-    if not np.array_equal(po, base.po):
+    n_flops = len(base.d_ints)
+    po_ints, d_ints = _observed_ints(patched, values)
+    if po_ints != base.po_ints:
         return (
             OracleVerdict(False, "equivalence", "primary outputs differ"),
             sim, values,
         )
-    if not np.array_equal(state[:, :n_flops], base.state):
+    if d_ints[:n_flops] != base.d_ints:
         return (
             OracleVerdict(False, "equivalence", "captured state differs"),
             sim, values,

@@ -7,14 +7,18 @@ generation.  It has one fault-replay path: checkpoint-forked, grouped
 replay guided by the first-effect scan.  The straightforward
 implementations they replaced live here, where the equivalence tests and
 the ``benchmarks/bench_faultsim.py`` / ``bench_atpg.py`` /
-``bench_inject.py`` ``--check`` gates compare against them.  The
+``bench_inject.py`` / ``bench_repair.py`` ``--check`` gates compare
+against them.  The
 list-based cache, BTB and predictor tables the flat checkpointable ones
-replaced are in :mod:`tests.oracles.tables`.  Nothing under ``src/``
-imports this package.
+replaced are in :mod:`tests.oracles.tables`.  :func:`full_reset` is the
+compiled PODEM's per-target reset as one full pass, and
+:func:`scratch_verify` the repair oracle with every candidate rebuilt and
+re-simulated from scratch.  Nothing under ``src/`` imports this package.
 """
 
 from tests.oracles.inject import scratch_campaign, scratch_run
-from tests.oracles.podem import Podem
+from tests.oracles.podem import Podem, full_reset
+from tests.oracles.repair import scratch_verify
 from tests.oracles.sim import (
     PackedSimulator,
     Simulator,
@@ -27,7 +31,9 @@ __all__ = [
     "Podem",
     "Simulator",
     "detection_matrix",
+    "full_reset",
     "grade_faults",
     "scratch_campaign",
     "scratch_run",
+    "scratch_verify",
 ]

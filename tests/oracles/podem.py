@@ -11,16 +11,68 @@ engine is the oracle its verdicts are checked against.  With a budget
 generous enough that neither aborts, "untestable" is a complete-search
 proof and "detected" means a pattern exists, so the two must agree on
 every fault.
+
+:func:`full_reset` is the compiled engine's per-target reset the slow
+way: one 3-valued pass over the whole netlist with the fault in place.
+The engine starts from a shared fault-free state and re-evaluates only
+the stuck value's cone; the two must leave identical state.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.atpg.podem_compiled import _NONCONTROL, PodemResult, X, _eval3
+from repro.atpg.podem_compiled import (
+    _NONCONTROL,
+    CompiledPodem,
+    PodemResult,
+    X,
+    _eval3,
+)
 from repro.netlist.faults import StuckAt
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
+
+
+def full_reset(podem: CompiledPodem, fault: StuckAt) -> None:
+    """Put ``podem`` in ``fault``'s all-X state by one full pass.
+
+    Evaluates every gate in topological order from all-X, the stuck
+    value in place, and writes the result into both value arrays; the
+    D-net set collects every gate output whose good and faulty values
+    are defined and differ, and the trail is left empty.
+    """
+    stem = fault.net if fault.is_stem else -1
+    podem._stem = stem
+    podem._fgate = fault.gate if fault.gate is not None else -1
+    podem._fpin = fault.pin if fault.pin is not None else 0
+    podem._fval = fault.value
+    fgate, fpin, fval = podem._fgate, podem._fpin, podem._fval
+    n = podem.c.n_nets
+    good = [X] * n
+    faulty = [X] * n
+    if stem >= 0:
+        faulty[stem] = fval
+    d_nets = set()
+    tuples = podem.c.gate_tuples
+    for gid in podem.nl.topo_gate_order():
+        gtype, ins, out = tuples[gid]
+        g = _eval3(gtype, [good[i] for i in ins])
+        fins = [faulty[i] for i in ins]
+        if gid == fgate:
+            fins[fpin] = fval
+        f = _eval3(gtype, fins)
+        if out == stem:
+            f = fval
+        good[out] = g
+        faulty[out] = f
+        if g != X and f != X and g != f:
+            d_nets.add(out)
+    podem.good[:] = good
+    podem.faulty[:] = faulty
+    podem._d_nets.clear()
+    podem._d_nets.update(d_nets)
+    podem._trail.clear()
 
 
 class _SimState:

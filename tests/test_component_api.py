@@ -23,7 +23,7 @@ class TestGraphQueries:
         assert g.readers_of("a") == ["b"]
         assert g.readers_of("a", EdgeKind.COMB) == ["b"]
         assert g.readers_of("b", EdgeKind.LATCH) == ["a"]
-        assert g.sources_of("a", EdgeKind.COMB) == ["ram"]
+        assert [e.src for e in g.comb_edges() if e.dst == "a"] == ["ram"]
 
     def test_logic_components_exclude_memory(self):
         g = self._graph()

@@ -16,7 +16,6 @@ from repro.core import (
     privatize,
     super_components,
 )
-from repro.core.checker import isolation_ambiguity
 
 
 def figure_2b():
@@ -96,7 +95,7 @@ class TestSuperComponents:
         two indistinguishable."""
         g = figure_2b()
         g.connect("LCX", "LCY", EdgeKind.COMB)
-        assert isolation_ambiguity(g, "LCX") == frozenset({"LCX", "LCY"})
+        assert frozenset({"LCX", "LCY"}) in super_components(g)
 
     def test_ports_and_memories_do_not_merge(self):
         g = ComponentGraph()
@@ -210,7 +209,8 @@ class TestDependenceRotation:
         g = figure_4a()
         g2, _ = dependence_rotation(g, ["LCC"])
         # LCC now reads LCA/LCB from a latch and drives them in-cycle.
-        assert g2.sources_of("LCC", EdgeKind.LATCH) == ["LCA", "LCB"]
+        latched_in = sorted(e.src for e in g2.latch_edges() if e.dst == "LCC")
+        assert latched_in == ["LCA", "LCB"]
         assert sorted(g2.readers_of("LCC", EdgeKind.COMB)) == ["LCA", "LCB"]
 
     def test_rotation_plus_privatization_restores_ici(self):

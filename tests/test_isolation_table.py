@@ -23,8 +23,8 @@ class TestIsolationTable:
     def test_bit_components_follow_chain(self):
         nl, chain = _three_block_design()
         table = IsolationTable(chain)
-        assert table.component_at_bit(0) == "block0/logic"
-        assert table.block_at_bit(5) == "block2"
+        assert table.bit_component[0] == "block0/logic"
+        assert table.isolate([5]).block == "block2"
 
     def test_single_block_isolates(self):
         nl, chain = _three_block_design()

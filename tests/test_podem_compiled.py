@@ -28,19 +28,22 @@ from repro.netlist import GateType, Netlist, PackedWordSimulator
 from repro.netlist.faults import StuckAt
 from repro.telemetry import TELEMETRY
 from tests import oracles
-from tests.oracles import Podem
+from tests.oracles import Podem, full_reset
 
 _KINDS = [GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
           GateType.NOR, GateType.NOT, GateType.MUX2]
 
 
 def _circuit(seed: int, n_inputs: int, n_gates: int,
-             n_flops: int = 0) -> Netlist:
+             n_flops: int = 0, n_consts: int = 0) -> Netlist:
     rng = pyrandom.Random(seed)
     nl = Netlist(f"pc{seed}")
     nets = [nl.add_input(f"i{k}") for k in range(n_inputs)]
     for fid in range(n_flops):
         nets.append(nl.add_flop(rng.choice(nets), name=f"f{fid}").q_net)
+    for k in range(n_consts):
+        const = GateType.CONST1 if k % 2 else GateType.CONST0
+        nets.append(nl.add_gate(const, []))
     for _ in range(n_gates):
         kind = rng.choice(_KINDS)
         if kind is GateType.NOT:
@@ -196,6 +199,57 @@ class TestUndoTrail:
         assert a._d_nets == b._d_nets
 
 
+def _assert_resets_match(nl: Netlist, faults) -> None:
+    """The incremental reset leaves the full pass's state for each fault,
+    whatever search state the previous target left behind."""
+    podem = CompiledPodem(nl)
+    ref = CompiledPodem(nl, compiled=podem.c)
+    src = min(podem._sources)
+    for i, fault in enumerate(faults):
+        podem._assign(src, i % 2)  # dirty state and trail
+        podem._reset(fault)
+        full_reset(ref, fault)
+        assert np.array_equal(podem.good, ref.good), fault
+        assert np.array_equal(podem.faulty, ref.faulty), fault
+        assert podem._d_nets == ref._d_nets, fault
+        assert podem._trail == [] and ref._trail == []
+
+
+class TestIncrementalReset:
+    @pytest.mark.parametrize("seed", [2, 5, 11, 19, 29, 41])
+    def test_every_fault_of_random_circuits(self, seed):
+        nl = _circuit(seed, 5, 40, n_flops=3, n_consts=3)
+        _assert_resets_match(
+            nl, collapse_faults(nl, full_fault_universe(nl))
+        )
+
+    def test_sampled_faults_of_tiny_rescue(self, tiny_rescue_faults):
+        nl, faults = tiny_rescue_faults
+        _assert_resets_match(nl, faults[::16])
+
+    @pytest.mark.slow
+    def test_every_fault_of_tiny_rescue(self, tiny_rescue_faults):
+        _assert_resets_match(*tiny_rescue_faults)
+
+    def test_reset_evals_scale_with_the_cone(self, tiny_rescue_faults):
+        nl, faults = tiny_rescue_faults
+        podem = CompiledPodem(nl)
+        evals = []
+        for fault in faults[::16]:
+            podem._reset(fault)
+            evals.append(podem._reset_evals)
+        assert max(evals) < len(nl.gates) // 4
+        assert sum(evals) < len(evals) * 10
+
+
+@pytest.fixture(scope="module")
+def tiny_rescue_faults():
+    from repro.rtl import RtlParams, build_rescue_rtl
+
+    nl = build_rescue_rtl(RtlParams.tiny()).netlist
+    return nl, collapse_faults(nl, full_fault_universe(nl))
+
+
 class TestScoap:
     def test_and_chain_controllability(self):
         nl = Netlist("scoap")
@@ -240,6 +294,7 @@ class TestTelemetryCounters:
         counters = metrics.counters
         assert counters.get("podem.targets") == 1
         assert counters.get("podem.cone_evals", 0) > 0
+        assert "podem.reset_evals" in counters
         assert "podem.undo_restores" in counters
         assert "podem.xpath_prunes" in counters
 

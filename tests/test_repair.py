@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.netcheck import check_netlist_ici
 from repro.netlist.gates import GateType
-from repro.netlist.netlist import Netlist
+from repro.netlist.netlist import Netlist, NetlistError
 from repro.repair import (
     BaseState,
     NotApplicable,
@@ -26,6 +26,7 @@ from repro.repair import (
     seed_breaks,
     verify_candidate,
 )
+from repro.telemetry import TELEMETRY
 
 BASELINE = RepairSpec(model="baseline", tiny=True, n_patterns=96)
 BROKEN = RepairSpec(model="rescue-broken", tiny=True, n_patterns=96)
@@ -326,6 +327,118 @@ class TestRepairCampaign:
         restored = RepairResult.from_json(payload)
         assert restored.to_json() == payload
         assert restored.summary() == baseline_result.summary()
+
+
+# ----------------------------------------------------------------------
+# Extended builds: each candidate's compiled form and good values
+# ----------------------------------------------------------------------
+
+_COMPILED_FIELDS = (
+    "netlist", "n_nets", "source_nets", "source_col", "po_cols", "d_fids",
+    "obs_nets", "readers", "topo_pos", "gate_tuples", "driver_gid",
+)
+
+
+def _candidates(spec):
+    """Every applicable (kind, patched copy) of the spec's search."""
+    from repro.repair import prepare_repair
+    from repro.repair.candidates import CANDIDATE_KINDS
+
+    base, _breaks = prepare_repair(spec)
+    for v in base.report.violations:
+        for kind in CANDIDATE_KINDS:
+            patched = base.netlist.copy()
+            try:
+                apply_candidate(patched, kind, v.observer, exempt=spec.exempt)
+            except NotApplicable:
+                continue
+            yield base, kind, patched
+
+
+class TestExtendedBuild:
+    @pytest.mark.parametrize("spec, kinds_seen", [
+        (BASELINE, {"relabel", "redrive", "latch"}),
+        (BROKEN, {"redrive", "latch"}),
+    ], ids=["baseline", "rescue-broken"])
+    def test_every_candidate_equals_the_full_build(self, spec, kinds_seen):
+        import pickle
+
+        import numpy as np
+
+        from repro.netlist.compiled import (
+            CompiledNetlist,
+            PackedWordSimulator,
+        )
+        from repro.repair.oracle import random_patterns
+
+        kinds = set()
+        base_before = None
+        for base, kind, patched in _candidates(spec):
+            if base_before is None:
+                base_before = pickle.dumps(base)
+            ext = CompiledNetlist.extend(base.sim.compiled, patched)
+            assert ext is not None, kind
+            compiled, changed = ext
+            ref = CompiledNetlist(patched)
+            for name in _COMPILED_FIELDS:
+                assert getattr(compiled, name) == getattr(ref, name), (
+                    kind, name
+                )
+            sim = PackedWordSimulator(patched, compiled)
+            patterns = base.patterns
+            extra = sim.n_sources - patterns.shape[1]
+            if extra:
+                patterns = np.concatenate(
+                    [patterns, random_patterns(len(patterns), extra, 1)],
+                    axis=1,
+                )
+            values = sim.extend_values(base.values, patterns, changed)
+            full = PackedWordSimulator(patched).good_values(patterns)
+            assert values.ints == full.ints, kind
+            assert values.npat == full.npat
+            kinds.add(kind)
+        assert pickle.dumps(base) == base_before  # base lists untouched
+        assert kinds == kinds_seen
+
+    def test_non_delta_patches_build_from_scratch(self):
+        from repro.netlist.compiled import CompiledNetlist
+        from repro.repair.oracle import _patched_sim
+
+        n = _two_block_netlist()
+        report = check_netlist_ici(n)
+        base = BaseState.build(n, report, 32, seed=0)
+        # A gate re-targeted onto another net is not a delta.
+        moved = n.copy()
+        g = moved.gates[1]
+        moved.gates[1] = type(g)(
+            gid=g.gid, gtype=g.gtype, inputs=g.inputs,
+            output=moved.new_net(), component=g.component,
+        )
+        assert CompiledNetlist.extend(base.sim.compiled, moved) is None
+        # A new primary input shifts the flop columns: not a delta.
+        extra_pi = n.copy()
+        extra_pi.add_input("z")
+        assert CompiledNetlist.extend(base.sim.compiled, extra_pi) is None
+        # A rewire onto a new gate's net drops the cached order; the
+        # re-derived order is no longer the base order plus a tail.
+        reordered = n.copy()
+        inv = reordered.add_gate(GateType.NOT, [0])
+        reordered.rewire_gate(0, [inv, 1])
+        assert CompiledNetlist.extend(base.sim.compiled, reordered) is None
+        # A rewire closing a cycle raises, as validate() would.
+        cyclic = n.copy()
+        cyclic.rewire_gate(0, [cyclic.gates[1].output, 0])
+        with pytest.raises(NetlistError):
+            CompiledNetlist.extend(base.sim.compiled, cyclic)
+        TELEMETRY.enable()
+        try:
+            with TELEMETRY.collect() as m:
+                sim, changed = _patched_sim(base, extra_pi)
+        finally:
+            TELEMETRY.disable()
+        assert changed is None and sim.n_sources == base.sim.n_sources + 1
+        assert m.counters["repair.full_builds"] == 1
+        assert m.counters["repair.extended_builds"] == 0
 
 
 class TestDeterminism:
