@@ -12,7 +12,7 @@ wall-clock sink of the deterministic phase.  This engine applies the
 three production remedies:
 
 1. **Event-driven implication with an undo trail.**  Good and faulty
-   3-valued state live in two flat numpy ``int8`` arrays; assigning a
+   3-valued state live in two flat ``bytearray`` buffers; assigning a
    source re-evaluates only the gates in its fanout cone (the same
    heap-by-topological-position walk the bit-packed fault simulator
    uses, via the ``readers``/``topo_pos``/``gate_tuples`` hooks on
@@ -60,8 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
-
-import numpy as np
 
 from repro.netlist.compiled import CompiledNetlist
 from repro.netlist.faults import StuckAt
@@ -306,9 +304,11 @@ class CompiledPodem:
         for gid in netlist.topo_gate_order():
             gtype, ins, out = tuples[gid]
             base[out] = _eval3(gtype, [base[i] for i in ins])
-        self._base = np.array(base, dtype=np.int8)
-        self.good = self._base.copy()
-        self.faulty = self._base.copy()
+        # bytearrays: an element read is a plain int, and the reset is
+        # a slice copy.
+        self._base = bytearray(base)
+        self.good = bytearray(base)
+        self.faulty = bytearray(base)
         self._trail: List[Tuple[int, int, int]] = []
         self._d_nets: Set[int] = set()
         # Per-generate() instrumentation (flushed to TELEMETRY).
@@ -445,9 +445,7 @@ class CompiledPodem:
 
     def _set(self, net: int, g: int, f: int) -> None:
         """Write one net's (good, faulty) pair, trail-recorded."""
-        self._trail.append(
-            (net, int(self.good[net]), int(self.faulty[net]))
-        )
+        self._trail.append((net, self.good[net], self.faulty[net]))
         self.good[net] = g
         self.faulty[net] = f
         if g != X and f != X and g != f:
@@ -673,7 +671,7 @@ class CompiledPodem:
                     parity = 0
                     for other, n3 in enumerate(ins):
                         if other != pin and good[n3] != X:
-                            parity ^= int(good[n3])
+                            parity ^= good[n3]
                     stack.append((n2, (value ^ parity) ^ flip))
                 continue
             # AND / NAND / OR / NOR

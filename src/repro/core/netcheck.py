@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import chain, compress
+from operator import attrgetter, is_not
 from typing import (
     Any,
     Callable,
@@ -30,7 +33,6 @@ from typing import (
     Tuple,
 )
 
-from repro.netlist.gates import Flop
 from repro.netlist.netlist import Netlist
 
 
@@ -91,14 +93,23 @@ class IciSweep:
     """What one check derived, kept so a patched copy can be re-checked
     incrementally (see :func:`check_netlist_ici`'s ``base``)."""
 
+    #: The netlist as checked (its observers name ``cone_blocks``).
+    netlist: Netlist
     #: Per net, the non-exempt blocks whose gates feed it combinationally.
     net_blocks: Dict[int, FrozenSet[str]]
     #: Per block, its first gate in topological order (the example gate).
     examples: Dict[str, int]
+    #: Per net id, the gates reading it.  After an incremental check a
+    #: superset: a gate rewired away from a net keeps its entry.  The
+    #: lists are never written; a re-check replaces the ones it extends.
+    readers: List[List[int]]
     #: Per observation point (flops, then primary outputs), its violation.
     verdicts: List[Optional[ConeViolation]]
     exempt: FrozenSet[str]
     block_of: Optional[Callable[[str], str]]
+    #: Gates this check swept and observers it judged.
+    swept: int
+    judged: int
 
 
 @dataclass
@@ -108,11 +119,23 @@ class NetIciReport:
     satisfied: bool
     violations: List[ConeViolation] = field(default_factory=list)
     checked_observers: int = 0
-    cone_blocks: Dict[str, Set[str]] = field(default_factory=dict)
     #: Set by :func:`check_netlist_ici`; None on a report read from JSON.
     sweep: Optional[IciSweep] = field(
         default=None, compare=False, repr=False
     )
+
+    @property
+    def cone_blocks(self) -> Dict[str, Set[str]]:
+        """Per observer name, the non-exempt blocks feeding it (empty on
+        a report read from JSON)."""
+        if self.sweep is None:
+            return {}
+        nl, net_blocks = self.sweep.netlist, self.sweep.net_blocks
+        empty: FrozenSet[str] = frozenset()
+        out = {f.name: set(net_blocks.get(f.d_net, empty)) for f in nl.flops}
+        for i, net in enumerate(nl.primary_outputs):
+            out[f"po[{i}]"] = set(net_blocks.get(net, empty))
+        return out
 
     def describe(self) -> str:
         if self.satisfied:
@@ -174,22 +197,21 @@ def check_netlist_ici(
         base: ``(original, its report)`` when ``netlist`` is a patched
             :meth:`~repro.netlist.netlist.Netlist.copy` of ``original``
             (gates only rewired or appended, flops only relabeled,
-            re-pointed or appended).  Gates are diffed by identity;
-            only the changed gates and the gates reading a net whose
-            blocks moved are re-swept, and only observers whose D net,
-            label or cone blocks changed are re-judged.  The result
+            re-pointed or appended).  Gates and flops are diffed by
+            identity; the structural check covers only the changed
+            gates and the new sources, the re-sweep walks only the
+            changed gates' forward cone, and only the observers whose
+            flop, D net or cone changed are re-judged.  The result
             equals the full check's; anything the diff cannot follow
-            falls back to the full sweep.
+            falls back to the full check.
 
     Returns:
         A :class:`NetIciReport`; ``violations`` lists every observation
         point whose cone mixes two or more non-exempt blocks (or a
         non-exempt block different from its own).
     """
-    netlist.validate()
     resolve = block_of or _default_block
     exempt = frozenset(exempt_blocks)
-    prior = None
     if base is not None:
         old_nl, old_report = base
         old = old_report.sweep
@@ -198,101 +220,181 @@ def check_netlist_ici(
             and old.exempt == exempt
             and old.block_of is block_of
         ):
-            prior = _resweep(netlist, old_nl, old, resolve, exempt)
-    if prior is None:
-        net_blocks, examples = _full_sweep(netlist, resolve, exempt)
-        prior = (net_blocks, examples, None)
-    return _judge(netlist, *prior, resolve, exempt, block_of)
+            sweep = _recheck(netlist, old_nl, old, resolve)
+            if sweep is not None:
+                return _report(sweep)
+    netlist.validate()
+    return _report(_full_check(netlist, resolve, exempt, block_of))
 
 
-def _full_sweep(
-    netlist: Netlist, resolve: Callable[[str], str], exempt: FrozenSet[str]
-) -> Tuple[Dict[int, FrozenSet[str]], Dict[str, int]]:
-    """One topological sweep: per-net cone blocks and example gates."""
+def _report(sweep: IciSweep) -> NetIciReport:
+    violations = [v for v in sweep.verdicts if v is not None]
+    return NetIciReport(
+        satisfied=not violations,
+        violations=violations,
+        checked_observers=len(sweep.verdicts),
+        sweep=sweep,
+    )
+
+
+def _verdict(
+    name: str,
+    own: str,
+    cone: FrozenSet[str],
+    examples: Dict[str, int],
+    exempt: FrozenSet[str],
+) -> Optional[ConeViolation]:
+    """The violation of one observer of block ``own``, or None."""
+    offending = sorted(b for b in cone if b != own)
+    if own in exempt or not offending:
+        return None
+    return ConeViolation(
+        observer=name,
+        observer_block=own,
+        blocks=tuple(sorted(cone)),
+        example_gates=tuple(examples.get(b, -1) for b in offending)[:4],
+    )
+
+
+def _full_check(
+    netlist: Netlist,
+    resolve: Callable[[str], str],
+    exempt: FrozenSet[str],
+    block_of: Optional[Callable[[str], str]],
+) -> IciSweep:
+    """One topological sweep, then every observation point judged."""
     empty: FrozenSet[str] = frozenset()
     net_blocks: Dict[int, FrozenSet[str]] = {
         net: empty for net in netlist.source_nets()
     }
     examples: Dict[str, int] = {}
+    readers: List[List[int]] = [[] for _ in range(netlist.n_nets)]
     gates = netlist.gates
-    for gid in netlist.topo_gate_order():
+    order = netlist.topo_gate_order()
+    for gid in order:
         g = gates[gid]
         acc: Set[str] = set()
         for src in g.inputs:
             acc |= net_blocks.get(src, empty)
+            readers[src].append(gid)
         b = resolve(g.component)
         if b:
             examples.setdefault(b, gid)
             if b not in exempt:
                 acc.add(b)
         net_blocks[g.output] = frozenset(acc)
-    return net_blocks, examples
+    verdicts = [
+        _verdict(f.name, resolve(f.component),
+                 net_blocks.get(f.d_net, empty), examples, exempt)
+        for f in netlist.flops
+    ]
+    verdicts += [
+        _verdict(f"po[{i}]", "", net_blocks.get(net, empty), examples,
+                 exempt)
+        for i, net in enumerate(netlist.primary_outputs)
+    ]
+    return IciSweep(
+        netlist=netlist,
+        net_blocks=net_blocks,
+        examples=examples,
+        readers=readers,
+        verdicts=verdicts,
+        exempt=exempt,
+        block_of=block_of,
+        swept=len(order),
+        judged=len(verdicts),
+    )
 
 
-def _resweep(
+def _recheck(
     netlist: Netlist,
     old_nl: Netlist,
     old: IciSweep,
     resolve: Callable[[str], str],
-    exempt: FrozenSet[str],
-) -> Optional[tuple]:
-    """Re-sweep what differs from ``old_nl``; None when the diff cannot
-    be followed (gates removed or re-targeted, sources removed)."""
-    new_gates, old_gates = netlist.gates, old_nl.gates
-    n_old = len(old_gates)
+) -> Optional[IciSweep]:
+    """Re-check a patched copy of ``old_nl`` inside the patch's forward
+    cone; None when the patch is not a delta the diff can follow."""
+    gates, old_gates = netlist.gates, old_nl.gates
+    flops, old_flops = netlist.flops, old_nl.flops
+    n_old, n_old_flops = len(old_gates), len(old_flops)
+    n_old_nets = old_nl.n_nets
+    old_pis = old_nl.primary_inputs
     if (
-        len(new_gates) < n_old
-        or len(netlist.flops) < len(old_nl.flops)
-        or len(netlist.primary_inputs) < len(old_nl.primary_inputs)
+        len(gates) < n_old
+        or len(flops) < n_old_flops
+        or netlist.primary_inputs[:len(old_pis)] != old_pis
     ):
         return None
-    changed = [
-        gid for gid, (a, b) in enumerate(zip(new_gates, old_gates))
-        if a is not b
-    ]
-    if any(new_gates[g].output != old_gates[g].output for g in changed):
-        return None
-    relabeled = any(
-        new_gates[g].component != old_gates[g].component for g in changed
+    # Identity diffs, at C speed: the unchanged entries are shared.
+    changed = list(compress(range(n_old), map(is_not, gates, old_gates)))
+    changed_flops = list(
+        compress(range(n_old_flops), map(is_not, flops, old_flops))
     )
-    changed += range(n_old, len(new_gates))
+    if any(
+        gates[gid].output != old_gates[gid].output
+        or gates[gid].component != old_gates[gid].component
+        for gid in changed
+    ) or any(flops[f].q_net != old_flops[f].q_net for f in changed_flops):
+        return None
+    # The original order must be a prefix, so the old gates keep their
+    # positions and example gates.
     order = netlist.topo_gate_order()
-    old_order = old_nl.topo_gate_order()
+    if order[:n_old] != old_nl.topo_gate_order():
+        return None
+    pos = netlist.topo_positions()
+    changed += range(n_old, len(gates))
 
-    # Example gates: the first gate of each block in this order.  With
-    # the original order as a prefix and no gate relabeled, only the
-    # appended gates can introduce a block.
-    if not relabeled and order[:len(old_order)] == old_order:
-        examples, tail = dict(old.examples), order[len(old_order):]
-    else:
-        examples, tail = {}, order
-    for gid in tail:
-        b = resolve(new_gates[gid].component)
-        if b:
-            examples.setdefault(b, gid)
-    stale = {
-        b for b in examples.keys() | old.examples.keys()
-        if examples.get(b) != old.examples.get(b)
-    }
-
+    # The structural check validate() would make, on the delta only:
+    # new sources and new gate outputs are fresh nets driven at most
+    # once, and every input of a changed gate is a source or driven
+    # earlier in the order.
     empty: FrozenSet[str] = frozenset()
     net_blocks = dict(old.net_blocks)
-    for f in netlist.flops[len(old_nl.flops):]:
-        net_blocks[f.q_net] = empty
-    for net in netlist.primary_inputs[len(old_nl.primary_inputs):]:
+    driver_of = netlist.driver_of
+    new_sources = chain(
+        (f.q_net for f in flops[n_old_flops:]),
+        netlist.primary_inputs[len(old_pis):],
+    )
+    for net in new_sources:
+        if net < n_old_nets or driver_of(net) is not None:
+            return None
         net_blocks[net] = empty
+    for gid in changed:
+        g = gates[gid]
+        if gid >= n_old and (
+            g.output < n_old_nets or driver_of(g.output) != gid
+        ):
+            return None
+        for net in g.inputs:
+            d = driver_of(net)
+            if pos[d] >= pos[gid] if d is not None else (
+                net not in net_blocks
+            ):
+                return None
 
-    # Re-sweep the changed gates and every gate reading a net whose
-    # blocks moved; any other gate keeps its inputs' old block sets.
-    seeds = set(changed)
+    # Reader lists of this netlist: the old ones plus the changed
+    # gates' edges (fresh lists; the old ones are shared, never written).
+    readers = old.readers + [
+        [] for _ in range(netlist.n_nets - len(old.readers))
+    ]
+    for gid in changed:
+        for net in set(gates[gid].inputs):
+            if gid not in readers[net]:
+                readers[net] = readers[net] + [gid]
+
+    # Re-sweep the forward cone of the changed gates in topological
+    # position; a gate whose block set does not move stops the walk.
+    exempt = old.exempt
+    heap = [(pos[gid], gid) for gid in changed]
+    heapify(heap)
+    queued = set(changed)
     moved: Set[int] = set()  # nets whose block set differs from old
-    for gid in order:
-        g = new_gates[gid]
-        if gid not in seeds and moved.isdisjoint(g.inputs):
-            continue
+    while heap:
+        _, gid = heappop(heap)
+        g = gates[gid]
         acc: Set[str] = set()
         for src in g.inputs:
-            acc |= net_blocks.get(src, empty)
+            acc |= net_blocks[src]
         b = resolve(g.component)
         if b and b not in exempt:
             acc.add(b)
@@ -300,82 +402,55 @@ def _resweep(
         if net_blocks.get(g.output) != value:
             net_blocks[g.output] = value
             moved.add(g.output)
-    return net_blocks, examples, (old_nl, old.verdicts, moved, stale)
+            for r in readers[g.output]:
+                if r not in queued:
+                    queued.add(r)
+                    heappush(heap, (pos[r], r))
 
+    # Only appended gates can introduce a block.  Any cone holding a
+    # new block has moved, so the old verdicts' example gates stand.
+    examples = dict(old.examples)
+    for gid in order[n_old:]:
+        b = resolve(gates[gid].component)
+        if b:
+            examples.setdefault(b, gid)
 
-def _judge(
-    netlist: Netlist,
-    net_blocks: Dict[int, FrozenSet[str]],
-    examples: Dict[str, int],
-    reuse,
-    resolve: Callable[[str], str],
-    exempt: FrozenSet[str],
-    block_of: Optional[Callable[[str], str]],
-) -> NetIciReport:
-    """Judge every observation point from the swept cone blocks.
-
-    ``reuse`` is ``(original, its verdicts, moved nets, stale example
-    blocks)`` from :func:`_resweep`, or None: an observer whose name,
-    label and D net match the original's, whose net did not move and
-    whose cone holds no stale example block keeps its old verdict.
-    """
-    empty: FrozenSet[str] = frozenset()
-    old_flops: List[Flop] = []
-    old_pos: List[int] = []
-    old_verdicts: List[Optional[ConeViolation]] = []
-    moved: Set[int] = set()
-    stale: Set[str] = set()
-    if reuse is not None:
-        old_nl, old_verdicts, moved, stale = reuse
-        old_flops, old_pos = old_nl.flops, old_nl.primary_outputs
-    # (name, own block or None to resolve from the flop, net, index,
-    # whether the original had the same observer at that index)
-    observers = [
-        (f.name, None, f.d_net, f.fid,
-         f.fid < len(old_flops) and _same_flop(f, old_flops[f.fid]))
-        for f in netlist.flops
-    ]
-    observers += [
-        (f"po[{i}]", "", net, len(old_flops) + i,
-         i < len(old_pos) and old_pos[i] == net)
-        for i, net in enumerate(netlist.primary_outputs)
-    ]
-    report = NetIciReport(satisfied=True)
-    verdicts: List[Optional[ConeViolation]] = []
-    for name, own, net, i, same in observers:
-        cone = net_blocks.get(net, empty)
-        report.cone_blocks[name] = set(cone)
-        if same and net not in moved and stale.isdisjoint(cone):
-            verdicts.append(old_verdicts[i])
-            continue
-        if own is None:
-            own = resolve(netlist.flops[i].component)
-        offending = sorted(b for b in cone if b != own)
-        if own in exempt or not offending:
-            verdicts.append(None)
-            continue
-        verdicts.append(
-            ConeViolation(
-                observer=name,
-                observer_block=own,
-                blocks=tuple(sorted(cone)),
-                example_gates=tuple(
-                    examples.get(b, -1) for b in offending
-                )[:4],
-            )
+    # Re-judge the changed and new flops and those whose D net moved;
+    # every other observer keeps its verdict.
+    verdicts = old.verdicts[:n_old_flops] + [None] * (
+        len(flops) - n_old_flops
+    )
+    rejudge = set(changed_flops)
+    rejudge.update(range(n_old_flops, len(flops)))
+    if moved:
+        rejudge.update(compress(
+            range(len(flops)),
+            map(moved.__contains__, map(attrgetter("d_net"), flops)),
+        ))
+    for fid in rejudge:
+        f = flops[fid]
+        verdicts[fid] = _verdict(
+            f.name, resolve(f.component), net_blocks.get(f.d_net, empty),
+            examples, exempt,
         )
-    report.checked_observers = len(verdicts)
-    report.violations = [v for v in verdicts if v is not None]
-    report.satisfied = not report.violations
-    report.sweep = IciSweep(
+    judged = len(rejudge)
+    old_pos = old_nl.primary_outputs
+    for i, net in enumerate(netlist.primary_outputs):
+        if i < len(old_pos) and old_pos[i] == net and net not in moved:
+            verdicts.append(old.verdicts[n_old_flops + i])
+            continue
+        judged += 1
+        verdicts.append(_verdict(
+            f"po[{i}]", "", net_blocks.get(net, empty), examples, exempt
+        ))
+    return IciSweep(
+        netlist=netlist,
         net_blocks=net_blocks,
         examples=examples,
+        readers=readers,
         verdicts=verdicts,
         exempt=exempt,
-        block_of=block_of,
+        block_of=old.block_of,
+        swept=len(queued),
+        judged=judged,
     )
-    return report
-
-
-def _same_flop(a: Flop, b: Flop) -> bool:
-    return (a.name, a.component, a.d_net) == (b.name, b.component, b.d_net)

@@ -34,7 +34,7 @@ worker count, chunking, or resume history (gated by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.decide.objectives import ConfigScore, evaluate_objectives
 from repro.decide.pareto import ParetoRanking, rank
@@ -184,14 +184,6 @@ class DecideResult:
             return []
         first = set(self.fronts[0])
         return [k for k in self.ranking if k in first]
-
-    def first_map_out(self) -> Optional[Key]:
-        """The highest-ranked configuration that maps anything out."""
-        full = CoreCounts().key()
-        for key in self.ranking:
-            if key != full:
-                return key
-        return None
 
     def to_json(self) -> Dict[str, Any]:
         return {

@@ -34,7 +34,8 @@ from __future__ import annotations
 import bisect
 import heapq
 from functools import reduce
-from operator import and_, or_, xor
+from itertools import compress
+from operator import and_, is_not, or_, xor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -132,18 +133,19 @@ class CompiledNetlist:
             or netlist.primary_inputs != old_nl.primary_inputs
             or netlist.primary_outputs != old_nl.primary_outputs
             or len(flops) < len(old_nl.flops)
-            or any(f.q_net != o.q_net for f, o in zip(flops, old_nl.flops))
             or len(order) != len(gates)
             or order[:n_old] != old_nl.topo_gate_order()
         ):
             return None
-        rewired = [
-            gid for gid in range(n_old) if gates[gid] is not old_gates[gid]
-        ]
+        # Unchanged gates and flops are shared with the base netlist.
+        rewired = list(compress(range(n_old), map(is_not, gates, old_gates)))
         if any(
             gates[gid].gtype is not old_gates[gid].gtype
             or gates[gid].output != old_gates[gid].output
             for gid in rewired
+        ) or any(
+            f.q_net != o.q_net
+            for f, o in zip(flops, old_nl.flops) if f is not o
         ):
             return None
         self = cls.__new__(cls)

@@ -5,6 +5,8 @@ basic boolean gates, a 2:1 mux, and a D flip-flop.  Scan insertion
 (:mod:`repro.scan`) replaces flops with their muxed-scan equivalent; at the
 netlist level that is recorded as a flag on the :class:`Flop` rather than as
 extra gates, with the area/cycle cost accounted for by the scan substrate.
+Gates and flops are both immutable: an edit replaces the netlist's list
+entry, so copies of a netlist share them.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ class Gate:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Flop:
     """A D flip-flop (or its scan-equivalent once ``scan`` is set).
 

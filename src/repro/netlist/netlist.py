@@ -9,6 +9,7 @@ full-scan combinational test model the paper assumes (Section 2).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.netlist.gates import Flop, Gate, GateType
@@ -21,14 +22,18 @@ class NetlistError(Exception):
 class Netlist:
     """A mutable gate-level netlist with a topological order and cone query.
 
-    The derived structure -- topological gate order, driver map, source
-    set -- is cached, carried over by :meth:`copy`, and kept up to date
-    by the edits that cannot invalidate it: a fresh net, a flop or a
-    primary input, a flop's D input, a gate with a fresh output whose
-    inputs are all sources or driven (appended to the order), and a
-    gate rewired onto source nets only (it keeps its place).  Any other
-    gate edit drops the order, so the next query re-derives it and
-    raises on a cycle or a floating input as before.
+    The derived structure -- topological gate order and each gate's
+    position in it, driver map, source set -- is cached, carried over
+    by :meth:`copy`, and kept up to date by the edits that cannot
+    invalidate it: a fresh net, a flop or a primary input, a flop's D
+    input or label, a gate with a fresh output whose inputs are all
+    sources or driven (appended to the order), and a gate rewired onto
+    source nets only (it keeps its place).  Any other gate edit drops
+    the order, so the next query re-derives it and raises on a cycle or
+    a floating input as before.
+
+    Gates and flops are immutable, so :meth:`copy` shares them; an edit
+    replaces the list entry.
     """
 
     def __init__(self, name: str = "netlist") -> None:
@@ -41,7 +46,12 @@ class Netlist:
         self.primary_outputs: List[int] = []
         # Derived caches.  ``_topo`` is immutable (shared by copies);
         # while it is set, ``_driver`` and ``_sources`` are set too.
+        # ``_tail`` holds gate ids appended since, folded into ``_topo``
+        # by the next :meth:`topo_gate_order`; ``_pos`` is each gate id's
+        # index in ``_topo`` (immutable, shared like it).
         self._topo: Optional[Tuple[int, ...]] = None
+        self._tail: List[int] = []
+        self._pos: Optional[Tuple[int, ...]] = None
         self._driver: Optional[Dict[int, int]] = None
         self._sources: Optional[Set[int]] = None
 
@@ -99,9 +109,9 @@ class Netlist:
         if self._topo is not None and all(
             net in self._driver or net in self._sources for net in inputs
         ):
-            self._topo += (gate.gid,)
+            self._tail.append(gate.gid)
         else:
-            self._topo = None
+            self._drop_order()
         if self._driver is not None:
             self._driver[output] = gate.gid
         return output
@@ -147,22 +157,28 @@ class Netlist:
             or (net in self._sources and net not in self._driver)
             for net in inputs
         ):
-            self._topo = None
+            self._drop_order()
 
     def set_flop_d(self, fid: int, d_net: int) -> None:
         """Re-point flop ``fid``'s D input to ``d_net``."""
         self._check_net(d_net)
-        self.flops[fid].d_net = d_net
+        self.flops[fid] = replace(self.flops[fid], d_net=d_net)
+
+    def relabel_flop(self, fid: int, component: str) -> None:
+        """Move flop ``fid`` into ICI component ``component``."""
+        self.flops[fid] = replace(self.flops[fid], component=component)
 
     def copy(self, name: Optional[str] = None) -> "Netlist":
         """Independent copy; edits to either netlist leave the other alone.
 
-        Gates are immutable and shared; flops (mutable) are duplicated.
-        The cached order (immutable) is shared; the driver map and
-        source set are copied.
+        Gates and flops are immutable and shared, and so is the cached
+        order; the pending order tail, driver map and source set are
+        copied.
         """
         out = Netlist(name or self.name)
         out._topo = self._topo
+        out._tail = list(self._tail)
+        out._pos = self._pos
         if self._driver is not None:
             out._driver = dict(self._driver)
         if self._sources is not None:
@@ -170,18 +186,7 @@ class Netlist:
         out.n_nets = self.n_nets
         out.net_names = dict(self.net_names)
         out.gates = list(self.gates)
-        out.flops = [
-            Flop(
-                fid=f.fid,
-                d_net=f.d_net,
-                q_net=f.q_net,
-                name=f.name,
-                component=f.component,
-                scan=f.scan,
-                scan_index=f.scan_index,
-            )
-            for f in self.flops
-        ]
+        out.flops = list(self.flops)
         out.primary_inputs = list(self.primary_inputs)
         out.primary_outputs = list(self.primary_outputs)
         return out
@@ -208,12 +213,21 @@ class Netlist:
         immutable.  Edits that keep it valid append to it (see the class
         docstring), so a patched copy's order is the original's plus its
         new gates, not necessarily the order a fresh derivation gives.
+        Appended gate ids wait in a list until this call folds them in,
+        one tuple concatenation per call rather than per gate.
 
         Raises :class:`NetlistError` if the combinational logic contains a
         cycle — combinational cycles break both simulation and the
         single-cycle scan-test model.
         """
         if self._topo is not None:
+            if self._tail:
+                # The order covers every earlier gate, so an appended
+                # gate's position is its id.
+                tail = tuple(self._tail)
+                self._topo += tail
+                self._pos += tail
+                self._tail = []
             return self._topo
         seen_net: Set[int] = set(self._source_set())
         fan_by_net: Dict[int, List[int]] = {}
@@ -251,8 +265,18 @@ class Netlist:
                 f"{unscheduled[:5]}"
             )
         self._driver_map()
+        pos = [0] * len(order)
+        for i, gid in enumerate(order):
+            pos[gid] = i
         self._topo = tuple(order)
+        self._pos = tuple(pos)
         return self._topo
+
+    def topo_positions(self) -> Tuple[int, ...]:
+        """Each gate id's index in :meth:`topo_gate_order` (a tuple
+        shared with copies, like the order)."""
+        self.topo_gate_order()
+        return self._pos
 
     def validate(self) -> None:
         """Check double-driven nets and levelizability; raise on failure."""
@@ -378,9 +402,14 @@ class Netlist:
             self._sources = set(self.source_nets())
         return self._sources
 
+    def _drop_order(self) -> None:
+        self._topo = None
+        self._tail = []
+        self._pos = None
+
     def _invalidate(self) -> None:
         """Drop the caches a gate edit can break (sources survive)."""
-        self._topo = None
+        self._drop_order()
         self._driver = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

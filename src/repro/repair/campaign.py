@@ -381,7 +381,9 @@ def _compose_and_verify(
     netlist, report = base.netlist, base.report
     patched = netlist.copy()
     _log, applied = apply_plan(patched, actions, exempt=spec.exempt)
-    preport = check_netlist_ici(patched, exempt_blocks=spec.exempt)
+    satisfied = check_netlist_ici(
+        patched, exempt_blocks=spec.exempt
+    ).satisfied
     verdict, _sim, _values = _equivalence_stage(base, patched, spec.seed)
     base_area = area_breakdown(netlist).total
     if TELEMETRY.enabled:
@@ -395,7 +397,7 @@ def _compose_and_verify(
         breaks=[b.describe() for b in breaks],
         base_area=base_area,
         extra_area=sum(a.extra_area for a in applied),
-        patched_satisfied=preport.satisfied,
+        patched_satisfied=satisfied,
         equivalent=verdict is None,
         n_patterns=spec.n_patterns,
     )

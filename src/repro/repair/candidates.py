@@ -110,8 +110,8 @@ def apply_candidate(
     ex = set(exempt)
     flop = _find_flop(netlist, observer)
     own = resolve(flop.component)
-    gids = netlist.fanin_cone_gates(flop.d_net)
-    cone = [gid for gid in netlist.topo_gate_order() if gid in gids]
+    pos = netlist.topo_positions()
+    cone = sorted(netlist.fanin_cone_gates(flop.d_net), key=pos.__getitem__)
     foreign = _cone_foreign_blocks(netlist, cone, own, ex, resolve)
     if not foreign:
         raise AlreadySingleBlock(f"{observer}: cone already single-block")
@@ -145,7 +145,7 @@ def _apply_relabel(
         raise NotApplicable(
             f"{flop.name}: own block {own} also drives the cone"
         )
-    flop.component = _repair_label(target, flop.name)
+    netlist.relabel_flop(flop.fid, _repair_label(target, flop.name))
     # The writer block's cone gates double as isolation fault sites.
     samples = tuple(
         gid for gid in cone

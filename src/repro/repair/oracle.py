@@ -6,12 +6,15 @@ in increasing order of cost:
 1. **netcheck** — rerun :func:`~repro.core.netcheck.check_netlist_ici`
    on the patched netlist: the target violation must be discharged and
    no observation point may regress (the patched violation set must be a
-   strict subset of the base set).  The re-check is incremental: it
-   diffs the patched copy's gates against the base netlist by identity,
-   re-sweeps only the changed gates and their forward cone against the
-   base report's per-net block sets, and re-judges only the observers
-   whose D net, label or cone changed.  The full sweep stays for the
-   base lint and the composed plan, and the tests hold the two equal.
+   strict subset of the base set).  The re-check is bounded by the
+   patch: it diffs the patched copy's gates and flops against the base
+   netlist by identity, checks the structure of the changed gates only,
+   re-sweeps their forward cone over the base report's per-net block
+   sets and reader lists, and re-judges only the observers whose flop,
+   D net or cone changed (``repair.ici_resweep_gates`` and
+   ``repair.ici_rejudged`` count that work).  The full sweep stays for
+   the base lint and the composed plan, and the tests hold the two
+   equal.
 2. **equivalence** — a functional-equivalence screen through the packed
    :class:`~repro.netlist.compiled.PackedWordSimulator` (every pattern
    of a net in one packed int): on a shared random pattern batch, every
@@ -142,6 +145,9 @@ def _netcheck_stage(
     report = check_netlist_ici(patched, block_of=block_of,
                                exempt_blocks=exempt,
                                base=(base.netlist, base.report))
+    if TELEMETRY.enabled:
+        TELEMETRY.count("repair.ici_resweep_gates", report.sweep.swept)
+        TELEMETRY.count("repair.ici_rejudged", report.sweep.judged)
     after = {v.observer for v in report.violations}
     if observer in after:
         return OracleVerdict(False, "netcheck", "violation survives"), report

@@ -8,6 +8,7 @@ is charged by the yield model (Section 5 counts scan-cell area as chipkill).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from repro.netlist.netlist import Netlist
@@ -24,7 +25,8 @@ def insert_scan(
     """Convert all flops to scan flops and stitch them into one chain.
 
     Args:
-        netlist: the design; mutated in place (flags only).
+        netlist: the design; its flops are replaced by scan flops
+            (flags only, the logic is unchanged).
         order: optional flop-id ordering; defaults to declaration order,
             which keeps same-component bits contiguous the way a
             placement-aware stitcher would.
@@ -40,8 +42,7 @@ def insert_scan(
             "full scan requires every flop on the chain: "
             f"{len(chain)} on chain, {len(netlist.flops)} in design"
         )
+    flops = netlist.flops
     for bit, fid in enumerate(order):
-        flop = netlist.flops[fid]
-        flop.scan = True
-        flop.scan_index = bit
+        flops[fid] = replace(flops[fid], scan=True, scan_index=bit)
     return chain

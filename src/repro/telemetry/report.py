@@ -1,14 +1,15 @@
 """Aggregation and rendering of telemetry metrics and trace files.
 
 Backs ``repro trace summarize``: per-span totals (sorted by time), the
-injection-replay rows, counter tables, histogram summaries, and the
-top-N hottest individual span events from the stream.  :func:`render_metrics` is also used
-directly by commands that print a telemetry recap without a trace file.
+injection-replay and repair-oracle rows, counter tables, histogram
+summaries, and the top-N hottest individual span events from the
+stream.  :func:`render_metrics` is also used directly by commands that
+print a telemetry recap without a trace file.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.telemetry.core import Metrics, SpanStat
 from repro.telemetry.trace import read_trace
@@ -28,6 +29,17 @@ REPLAY_ROWS = (
     ("inject.sim_cycles", "faulty cycles simulated"),
     ("inject.skipped_cycles", "faulty dead cycles jumped"),
     ("inject.golden_cache_hits", "golden-prefix cache hits"),
+)
+
+#: The repair oracle's per-candidate work, shown after the replay rows:
+#: the incremental ICI re-check's re-swept gates and re-judged
+#: observers, and how each candidate's build was made.
+REPAIR_ROWS = (
+    ("repair.candidates_generated", "repair candidates checked"),
+    ("repair.ici_resweep_gates", "ICI gates re-swept"),
+    ("repair.ici_rejudged", "ICI observers re-judged"),
+    ("repair.extended_builds", "candidate builds extended from the base"),
+    ("repair.full_builds", "candidate builds from scratch"),
 )
 
 
@@ -70,11 +82,14 @@ def render_counters(counters: Dict[str, int]) -> List[str]:
     return lines
 
 
-def render_replay(counters: Dict[str, int]) -> List[str]:
-    """The :data:`REPLAY_ROWS` present in ``counters``."""
+def render_rows(
+    counters: Dict[str, int], rows: Tuple[Tuple[str, str], ...]
+) -> List[str]:
+    """The labelled ``rows`` (e.g. :data:`REPLAY_ROWS`) present in
+    ``counters``."""
     return [
         f"  {label:<44} {counters[name]:>14,}"
-        for name, label in REPLAY_ROWS
+        for name, label in rows
         if name in counters
     ]
 
@@ -100,11 +115,14 @@ def render_metrics(metrics: Metrics) -> str:
     """Full text report of one ``Metrics`` collection."""
     out = ["spans:"]
     out += render_spans(metrics.spans)
-    replay_lines = render_replay(metrics.counters)
-    if replay_lines:
-        out.append("")
-        out.append("injection replay:")
-        out += replay_lines
+    for title, rows in (
+        ("injection replay:", REPLAY_ROWS), ("repair oracle:", REPAIR_ROWS)
+    ):
+        lines = render_rows(metrics.counters, rows)
+        if lines:
+            out.append("")
+            out.append(title)
+            out += lines
     out.append("")
     out.append("counters:")
     out += render_counters(metrics.counters)

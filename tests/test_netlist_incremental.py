@@ -15,11 +15,13 @@ Two Hypothesis properties:
   blocks, example gates) and the per-net block sets.
 
 The ``slow`` variants rerun both properties with a large example budget
-(``pytest -q -m slow tests/test_netlist_incremental.py``).
+(``pytest -q -m slow tests/test_netlist_incremental.py``).  Copies share
+their (immutable) flops; ``TestSharedFlops`` checks that contract.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 
@@ -36,6 +38,7 @@ from repro.repair.candidates import (
     apply_candidate,
 )
 from repro.rtl import RtlParams, build_rescue_rtl
+from repro.scan import insert_scan
 
 _KINDS = [GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
           GateType.NOT, GateType.MUX2]
@@ -158,7 +161,8 @@ def _apply_edit(nl: Netlist, kind: str, seed: int) -> None:
         )
         nl.rewire_gate(gid, ins)
     elif kind == "relabel" and nl.flops:
-        nl.flops[rng.randrange(len(nl.flops))].component = rng.choice(_LABELS)
+        label = rng.choice(_LABELS)
+        nl.relabel_flop(rng.randrange(len(nl.flops)), label)
 
 
 def _check_caches(base: Netlist, edits, warm: bool = True) -> None:
@@ -179,6 +183,8 @@ def _check_caches(base: Netlist, edits, warm: bool = True) -> None:
             assert got is not NetlistError
             assert isinstance(got, tuple)
             assert sorted(got) == list(range(len(nl.gates)))
+            pos = nl.topo_positions()
+            assert [got[p] for p in pos] == list(range(len(nl.gates)))
         if valid is None:
             # Levelizable with no double drive: drivers come first.
             pos = {gid: i for i, gid in enumerate(got)}
@@ -259,6 +265,27 @@ class TestNetlistCaches:
         n.validate()
 
 
+class TestSharedFlops:
+    def test_copy_shares_flops_and_edits_replace_them(self):
+        nl = _random_netlist(3, 12, 4)
+        nl.topo_gate_order()
+        before = [dataclasses.astuple(f) for f in nl.flops]
+        c = nl.copy()
+        assert len(c.flops) == len(nl.flops)
+        assert all(a is b for a, b in zip(c.flops, nl.flops))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.flops[0].component = "b/x"
+        d = c.gates[-1].output
+        c.set_flop_d(0, d)
+        c.relabel_flop(1, "b/x")
+        insert_scan(c)
+        assert [dataclasses.astuple(f) for f in nl.flops] == before
+        assert not any(f.scan for f in nl.flops)
+        assert c.flops[0].d_net == d and c.flops[1].component == "b/x"
+        assert [f.scan_index for f in c.flops] == list(range(len(c.flops)))
+        assert all(f.scan for f in c.flops)
+
+
 # ----------------------------------------------------------------------
 # Property 2: incremental ICI check == full check
 # ----------------------------------------------------------------------
@@ -300,9 +327,8 @@ def _patch(nl: Netlist, report, steps, seed: int) -> None:
             )
             nl.rewire_gate(gid, ins)
         elif step == "relabel" and nl.flops:
-            nl.flops[rng.randrange(len(nl.flops))].component = (
-                rng.choice(_LABELS)
-            )
+            label = rng.choice(_LABELS)
+            nl.relabel_flop(rng.randrange(len(nl.flops)), label)
 
 
 def _check_incremental(base: Netlist, base_report, steps, seed,
@@ -388,6 +414,31 @@ class TestIncrementalIci:
                     )
                     full = check_netlist_ici(patched, exempt_blocks=_EXEMPT)
                     assert _report_key(inc) == _report_key(full)
+
+    @pytest.mark.parametrize("drive", ["fresh_twice", "input", "flop_q"])
+    def test_double_drive_on_a_delta_raises(self, drive):
+        # The re-derived order keeps the base order as a prefix, so the
+        # incremental check must see the double drive itself.
+        base = Netlist("dd")
+        a = base.add_input("a")
+        n = base.add_gate(GateType.NOT, [a], output=base.new_net(),
+                          component="a/x")
+        base.add_flop(n, name="f", component="a/x")
+        report = check_netlist_ici(base)
+        c = base.copy()
+        if drive == "fresh_twice":
+            m = c.new_net()
+            c.add_gate(GateType.BUF, [n], output=m)
+            c.add_gate(GateType.BUF, [n], output=m)
+        elif drive == "input":
+            c.add_gate(GateType.BUF, [n], output=a)
+        else:
+            c.add_gate(GateType.BUF, [n], output=c.add_flop(n).q_net)
+        assert c.topo_gate_order()[:1] == base.topo_gate_order()
+        with pytest.raises(NetlistError):
+            check_netlist_ici(c)
+        with pytest.raises(NetlistError):
+            check_netlist_ici(c, base=(base, report))
 
     def test_report_from_json_falls_back_to_full(self):
         from repro.core.netcheck import NetIciReport

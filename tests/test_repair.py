@@ -75,7 +75,7 @@ class TestPatchPrimitives:
     def test_copy_isolates_flop_mutation(self):
         n = _two_block_netlist()
         c = n.copy()
-        c.flops[0].component = "elsewhere"
+        c.relabel_flop(0, "elsewhere")
         c.set_flop_d(1, c.flops[0].d_net)
         assert n.flops[0].component == "b/state"
         assert n.flops[1].d_net != n.flops[0].d_net

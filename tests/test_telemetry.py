@@ -268,6 +268,21 @@ class TestSpansAndTrace:
         assert "inject.skipped_cycles" in dict(REPLAY_ROWS)
         assert "injection replay:" not in render_metrics(Metrics())
 
+    def test_repair_rows_in_summary(self):
+        from repro.telemetry import render_metrics
+        from repro.telemetry.report import REPAIR_ROWS
+
+        counters = {name: 7 + i for i, (name, _) in enumerate(REPAIR_ROWS)}
+        report = render_metrics(Metrics(counters=counters))
+        head, _, table = report.partition("counters:")
+        assert "repair oracle:" in head
+        for name, label in REPAIR_ROWS:
+            assert label in head and name in table
+        assert {"repair.ici_resweep_gates", "repair.ici_rejudged"} <= set(
+            dict(REPAIR_ROWS)
+        )
+        assert "repair oracle:" not in render_metrics(Metrics())
+
 
 ISO_SPEC = None  # initialized lazily; the tiny model build is ~1 s
 
@@ -463,6 +478,26 @@ class TestCampaignState:
         assert results[1].to_json() == results[2].to_json()
         assert views[1]["counters"]
         assert views[1] == views[2]
+        if name == "repair":
+            self._assert_ici_work_bounded(
+                spec, views[1]["counters"], views[2]["counters"]
+            )
+
+    @staticmethod
+    def _assert_ici_work_bounded(spec, counters, counters_w2):
+        # The incremental ICI re-check works inside each patch's forward
+        # cone: per candidate, a few dozen gates and observers at most.
+        from repro.repair.campaign import prepare_repair
+
+        for name in ("repair.ici_resweep_gates", "repair.ici_rejudged"):
+            assert counters[name] == counters_w2[name]
+        base, _breaks = prepare_repair(spec)
+        n = counters["repair.candidates_generated"]
+        swept = counters["repair.ici_resweep_gates"]
+        judged = counters["repair.ici_rejudged"]
+        assert n > 0 and swept > 0 and judged > 0
+        assert swept / n < len(base.netlist.gates) / 20
+        assert judged / n < len(base.netlist.flops) / 20
 
     def test_injection_state_is_read_only(self):
         import pickle
