@@ -13,6 +13,11 @@ Rescue variant and asserts the subsystem's headline properties:
    by the from-scratch oracle :func:`tests.oracles.scratch_verify`
    (full ICI sweep, fresh build, full good simulation); the verdict,
    stage and reason must equal the incremental oracle's.
+4. **No silent fallback** — every searched candidate is a delta of the
+   base (``repair.extended_builds`` equals
+   ``repair.candidates_generated``, ``repair.full_builds`` is 0), so a
+   delta rule that starts rejecting a real candidate shape fails here
+   instead of quietly checking it at full cost.
 
 Command line:
 
@@ -78,6 +83,29 @@ def _assert_invariance(spec, workers: int):
     return serial
 
 
+def _assert_no_fallback(spec) -> int:
+    """Every candidate of the search is checked as a base delta."""
+    from repro.repair import run_repair
+    from repro.telemetry import TELEMETRY
+
+    TELEMETRY.enable()
+    try:
+        with TELEMETRY.collect() as m:
+            run_repair(spec, workers=1, checkpoint=False)
+    finally:
+        TELEMETRY.disable()
+    c = m.counters
+    n = c.get("repair.candidates_generated", 0)
+    full = c.get("repair.full_builds", 0)
+    extended = c.get("repair.extended_builds", 0)
+    if n == 0 or full != 0 or extended != n:
+        raise AssertionError(
+            f"{spec.model}: {n} candidates, {extended} checked as a base "
+            f"delta, {full} from scratch (want all {n} as a delta)"
+        )
+    return n
+
+
 def _assert_verified(result, spec) -> None:
     """Every violation repaired; the composed patch re-verifies."""
     from repro.core.netcheck import check_netlist_ici
@@ -108,7 +136,10 @@ def _assert_verified(result, spec) -> None:
             f"{spec.model}: re-applied plan fails netcheck"
         )
     base = BaseState.build(netlist, report, spec.n_patterns, spec.seed)
-    verdict, _sim, _values = _equivalence_stage(base, patched, spec.seed)
+    # No delta: the re-applied plan is built and simulated from scratch.
+    verdict, _sim, _values = _equivalence_stage(
+        base, patched, spec.seed, None
+    )
     if verdict is not None:
         raise AssertionError(
             f"{spec.model}: re-applied plan fails equivalence: "
@@ -179,9 +210,11 @@ def check(workers: int = 2) -> None:
         result = _assert_invariance(spec, workers)
         _assert_verified(result, spec)
         n = _assert_scratch_verdicts(result, spec)
+        n_delta = _assert_no_fallback(spec)
         summaries.append(
             f"{model}: {result.n_repaired}/{result.n_violations} repaired, "
-            f"{n} candidate verdicts equal from scratch"
+            f"{n} candidate verdicts equal from scratch, "
+            f"{n_delta} checked as base deltas"
         )
     print(
         "repair check OK: "

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Sequence, Set
 
+from repro.netlist.gates import block_of
 from repro.netlist.netlist import Netlist
 
 
@@ -97,7 +98,7 @@ class ConeDiagnoser:
             for f in passing_flops:
                 candidates -= self._fanin_gates(nl.flops[f].d_net)
         components = frozenset(
-            nl.gates[g].component.split("/", 1)[0]
+            block_of(nl.gates[g].component)
             for g in candidates
             if nl.gates[g].component
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
+from repro.netlist.gates import block_of
 from repro.scan.chain import ScanChain
 
 
@@ -64,7 +65,7 @@ class IsolationTable:
                 order, for failures observed at pins rather than scan bits.
         """
         self.chain = chain
-        self._block_of = block_of_component or _outermost_label
+        self._block_of = block_of_component or block_of
         self.bit_component: List[str] = chain.component_table()
         self.po_components: List[str] = list(po_components or [])
 
@@ -105,7 +106,3 @@ class IsolationTable:
         return {
             self._block_of(c) for c in self.bit_component if c
         }
-
-
-def _outermost_label(component: str) -> str:
-    return component.split("/", 1)[0] if component else ""

@@ -18,11 +18,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import chain, compress
-from operator import attrgetter, is_not
+from itertools import compress
+from operator import attrgetter
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -33,11 +32,9 @@ from typing import (
     Tuple,
 )
 
+from repro.netlist.delta import NetlistDelta
+from repro.netlist.gates import block_of
 from repro.netlist.netlist import Netlist
-
-
-def _default_block(component: str) -> str:
-    return component.split("/", 1)[0] if component else ""
 
 
 @dataclass
@@ -99,14 +96,9 @@ class IciSweep:
     net_blocks: Dict[int, FrozenSet[str]]
     #: Per block, its first gate in topological order (the example gate).
     examples: Dict[str, int]
-    #: Per net id, the gates reading it.  After an incremental check a
-    #: superset: a gate rewired away from a net keeps its entry.  The
-    #: lists are never written; a re-check replaces the ones it extends.
-    readers: List[List[int]]
     #: Per observation point (flops, then primary outputs), its violation.
     verdicts: List[Optional[ConeViolation]]
     exempt: FrozenSet[str]
-    block_of: Optional[Callable[[str], str]]
     #: Gates this check swept and observers it judged.
     swept: int
     judged: int
@@ -179,52 +171,42 @@ class NetIciReport:
 
 def check_netlist_ici(
     netlist: Netlist,
-    block_of: Optional[Callable[[str], str]] = None,
     exempt_blocks: Sequence[str] = (),
-    base: Optional[Tuple[Netlist, NetIciReport]] = None,
+    base: Optional[Tuple[NetIciReport, Optional[NetlistDelta]]] = None,
 ) -> NetIciReport:
     """Verify the gate-level ICI property of a netlist.
 
     Args:
-        netlist: the design (validated; labels on gates/flops).
-        block_of: component-label → block mapping (default: outermost
-            ``/`` segment, matching :class:`IsolationTable`).
+        netlist: the design (validated; labels on gates/flops, each
+            mapped to its block by :func:`~repro.netlist.gates.block_of`,
+            matching :class:`IsolationTable`).
         exempt_blocks: blocks allowed to feed anyone (e.g. ``chipkill`` —
             a fault there scraps the core regardless, so cross-block
             cones ending in chipkill logic do not break isolation of the
             *disableable* blocks; pass what your fault-map treats as
             non-isolatable).
-        base: ``(original, its report)`` when ``netlist`` is a patched
-            :meth:`~repro.netlist.netlist.Netlist.copy` of ``original``
-            (gates only rewired or appended, flops only relabeled,
-            re-pointed or appended).  Gates and flops are diffed by
-            identity; the structural check covers only the changed
-            gates and the new sources, the re-sweep walks only the
-            changed gates' forward cone, and only the observers whose
-            flop, D net or cone changed are re-judged.  The result
-            equals the full check's; anything the diff cannot follow
-            falls back to the full check.
+        base: ``(report, delta)`` when ``netlist`` is ``delta.netlist``,
+            a patched copy of the netlist ``report`` checked, and
+            ``delta`` its :meth:`NetlistDelta.of` (already structurally
+            checked).  The re-sweep walks only the delta's changed gates'
+            forward cone over the delta's reader lists, and only the
+            observers whose flop, D net or cone changed are re-judged.
+            The result equals the full check's.  A None delta (the patch
+            is not one) or a report read from JSON takes the full check.
 
     Returns:
         A :class:`NetIciReport`; ``violations`` lists every observation
         point whose cone mixes two or more non-exempt blocks (or a
         non-exempt block different from its own).
     """
-    resolve = block_of or _default_block
     exempt = frozenset(exempt_blocks)
     if base is not None:
-        old_nl, old_report = base
+        old_report, delta = base
         old = old_report.sweep
-        if (
-            old is not None
-            and old.exempt == exempt
-            and old.block_of is block_of
-        ):
-            sweep = _recheck(netlist, old_nl, old, resolve)
-            if sweep is not None:
-                return _report(sweep)
+        if delta is not None and old is not None and old.exempt == exempt:
+            return _report(_recheck(old, delta))
     netlist.validate()
-    return _report(_full_check(netlist, resolve, exempt, block_of))
+    return _report(_full_check(netlist, exempt))
 
 
 def _report(sweep: IciSweep) -> NetIciReport:
@@ -256,19 +238,13 @@ def _verdict(
     )
 
 
-def _full_check(
-    netlist: Netlist,
-    resolve: Callable[[str], str],
-    exempt: FrozenSet[str],
-    block_of: Optional[Callable[[str], str]],
-) -> IciSweep:
+def _full_check(netlist: Netlist, exempt: FrozenSet[str]) -> IciSweep:
     """One topological sweep, then every observation point judged."""
     empty: FrozenSet[str] = frozenset()
     net_blocks: Dict[int, FrozenSet[str]] = {
         net: empty for net in netlist.source_nets()
     }
     examples: Dict[str, int] = {}
-    readers: List[List[int]] = [[] for _ in range(netlist.n_nets)]
     gates = netlist.gates
     order = netlist.topo_gate_order()
     for gid in order:
@@ -276,15 +252,14 @@ def _full_check(
         acc: Set[str] = set()
         for src in g.inputs:
             acc |= net_blocks.get(src, empty)
-            readers[src].append(gid)
-        b = resolve(g.component)
+        b = block_of(g.component)
         if b:
             examples.setdefault(b, gid)
             if b not in exempt:
                 acc.add(b)
         net_blocks[g.output] = frozenset(acc)
     verdicts = [
-        _verdict(f.name, resolve(f.component),
+        _verdict(f.name, block_of(f.component),
                  net_blocks.get(f.d_net, empty), examples, exempt)
         for f in netlist.flops
     ]
@@ -297,97 +272,30 @@ def _full_check(
         netlist=netlist,
         net_blocks=net_blocks,
         examples=examples,
-        readers=readers,
         verdicts=verdicts,
         exempt=exempt,
-        block_of=block_of,
         swept=len(order),
         judged=len(verdicts),
     )
 
 
-def _recheck(
-    netlist: Netlist,
-    old_nl: Netlist,
-    old: IciSweep,
-    resolve: Callable[[str], str],
-) -> Optional[IciSweep]:
-    """Re-check a patched copy of ``old_nl`` inside the patch's forward
-    cone; None when the patch is not a delta the diff can follow."""
-    gates, old_gates = netlist.gates, old_nl.gates
-    flops, old_flops = netlist.flops, old_nl.flops
-    n_old, n_old_flops = len(old_gates), len(old_flops)
-    n_old_nets = old_nl.n_nets
-    old_pis = old_nl.primary_inputs
-    if (
-        len(gates) < n_old
-        or len(flops) < n_old_flops
-        or netlist.primary_inputs[:len(old_pis)] != old_pis
-    ):
-        return None
-    # Identity diffs, at C speed: the unchanged entries are shared.
-    changed = list(compress(range(n_old), map(is_not, gates, old_gates)))
-    changed_flops = list(
-        compress(range(n_old_flops), map(is_not, flops, old_flops))
-    )
-    if any(
-        gates[gid].output != old_gates[gid].output
-        or gates[gid].component != old_gates[gid].component
-        for gid in changed
-    ) or any(flops[f].q_net != old_flops[f].q_net for f in changed_flops):
-        return None
-    # The original order must be a prefix, so the old gates keep their
-    # positions and example gates.
-    order = netlist.topo_gate_order()
-    if order[:n_old] != old_nl.topo_gate_order():
-        return None
-    pos = netlist.topo_positions()
-    changed += range(n_old, len(gates))
-
-    # The structural check validate() would make, on the delta only:
-    # new sources and new gate outputs are fresh nets driven at most
-    # once, and every input of a changed gate is a source or driven
-    # earlier in the order.
+def _recheck(old: IciSweep, delta: NetlistDelta) -> IciSweep:
+    """Re-check ``delta.netlist`` inside the delta's forward cone."""
+    netlist = delta.netlist
+    gates, flops = netlist.gates, netlist.flops
+    n_old, n_old_flops = len(old.netlist.gates), len(old.netlist.flops)
+    pos, readers = delta.topo_pos, delta.readers
     empty: FrozenSet[str] = frozenset()
     net_blocks = dict(old.net_blocks)
-    driver_of = netlist.driver_of
-    new_sources = chain(
-        (f.q_net for f in flops[n_old_flops:]),
-        netlist.primary_inputs[len(old_pis):],
-    )
-    for net in new_sources:
-        if net < n_old_nets or driver_of(net) is not None:
-            return None
-        net_blocks[net] = empty
-    for gid in changed:
-        g = gates[gid]
-        if gid >= n_old and (
-            g.output < n_old_nets or driver_of(g.output) != gid
-        ):
-            return None
-        for net in g.inputs:
-            d = driver_of(net)
-            if pos[d] >= pos[gid] if d is not None else (
-                net not in net_blocks
-            ):
-                return None
-
-    # Reader lists of this netlist: the old ones plus the changed
-    # gates' edges (fresh lists; the old ones are shared, never written).
-    readers = old.readers + [
-        [] for _ in range(netlist.n_nets - len(old.readers))
-    ]
-    for gid in changed:
-        for net in set(gates[gid].inputs):
-            if gid not in readers[net]:
-                readers[net] = readers[net] + [gid]
+    for f in flops[n_old_flops:]:
+        net_blocks[f.q_net] = empty
 
     # Re-sweep the forward cone of the changed gates in topological
     # position; a gate whose block set does not move stops the walk.
     exempt = old.exempt
-    heap = [(pos[gid], gid) for gid in changed]
+    heap = [(pos[gid], gid) for gid in delta.changed]
     heapify(heap)
-    queued = set(changed)
+    queued = set(delta.changed)
     moved: Set[int] = set()  # nets whose block set differs from old
     while heap:
         _, gid = heappop(heap)
@@ -395,7 +303,7 @@ def _recheck(
         acc: Set[str] = set()
         for src in g.inputs:
             acc |= net_blocks[src]
-        b = resolve(g.component)
+        b = block_of(g.component)
         if b and b not in exempt:
             acc.add(b)
         value = frozenset(acc)
@@ -410,18 +318,17 @@ def _recheck(
     # Only appended gates can introduce a block.  Any cone holding a
     # new block has moved, so the old verdicts' example gates stand.
     examples = dict(old.examples)
-    for gid in order[n_old:]:
-        b = resolve(gates[gid].component)
+    for gid in netlist.topo_gate_order()[n_old:]:
+        b = block_of(gates[gid].component)
         if b:
             examples.setdefault(b, gid)
 
     # Re-judge the changed and new flops and those whose D net moved;
-    # every other observer keeps its verdict.
+    # every other observer (the primary outputs stay) keeps its verdict.
     verdicts = old.verdicts[:n_old_flops] + [None] * (
         len(flops) - n_old_flops
     )
-    rejudge = set(changed_flops)
-    rejudge.update(range(n_old_flops, len(flops)))
+    rejudge = set(delta.changed_flops)
     if moved:
         rejudge.update(compress(
             range(len(flops)),
@@ -430,13 +337,12 @@ def _recheck(
     for fid in rejudge:
         f = flops[fid]
         verdicts[fid] = _verdict(
-            f.name, resolve(f.component), net_blocks.get(f.d_net, empty),
+            f.name, block_of(f.component), net_blocks.get(f.d_net, empty),
             examples, exempt,
         )
     judged = len(rejudge)
-    old_pos = old_nl.primary_outputs
     for i, net in enumerate(netlist.primary_outputs):
-        if i < len(old_pos) and old_pos[i] == net and net not in moved:
+        if net not in moved:
             verdicts.append(old.verdicts[n_old_flops + i])
             continue
         judged += 1
@@ -447,10 +353,8 @@ def _recheck(
         netlist=netlist,
         net_blocks=net_blocks,
         examples=examples,
-        readers=readers,
         verdicts=verdicts,
         exempt=exempt,
-        block_of=old.block_of,
         swept=len(queued),
         judged=judged,
     )

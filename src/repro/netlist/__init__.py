@@ -5,7 +5,8 @@ used (Synopsys Design Compiler over a Verilog model).  It provides:
 
 - :mod:`repro.netlist.gates` — gate and flip-flop primitives,
 - :mod:`repro.netlist.netlist` — the :class:`Netlist` container with
-  its topological order, driver map, and fanout-cone query,
+  its topological order, driver map, and fan-in cone query,
+- :mod:`repro.netlist.delta` — what a patched copy changed, checked once,
 - :mod:`repro.netlist.compiled` — the flat per-gate netlist form and the
   bit-parallel simulator (every net's patterns packed into one Python
   int) with stuck-at fault overrides, the one gate-level engine the

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping
 
-from repro.netlist.gates import GateType
+from repro.netlist.gates import GateType, block_of
 from repro.netlist.netlist import Netlist
 from repro.scan.insertion import SCAN_CELL_AREA_OVERHEAD
 
@@ -89,9 +89,6 @@ def area_breakdown(netlist: Netlist) -> AreaBreakdown:
     logic: Dict[str, float] = {}
     flops: Dict[str, float] = {}
     scan_overhead: Dict[str, float] = {}
-
-    def block_of(component: str) -> str:
-        return component.split("/", 1)[0] if component else ""
 
     for g in netlist.gates:
         b = block_of(g.component)

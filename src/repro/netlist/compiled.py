@@ -4,10 +4,11 @@
 into the flat per-gate lists the engine and the compiled PODEM walk:
 ``(type, inputs, output)`` tuples, reader lists, topological positions
 and driver ids.  :meth:`CompiledNetlist.extend` builds a patched copy
-whose gates are only rewired or appended from the base build, and
+from the base build and the copy's
+:class:`~repro.netlist.delta.NetlistDelta`, and
 :meth:`PackedWordSimulator.extend_values` re-simulates its good values
-from the base values, starting at the changed gates; the repair oracle
-checks each candidate patch that way.
+from the base values, starting at the delta's changed gates; the repair
+oracle checks each candidate patch that way.
 
 :class:`PackedWordSimulator` is the engine the ATPG/diagnosis stack runs
 on.  Every net's values for a pattern set are one arbitrary-precision
@@ -31,16 +32,15 @@ and ``benchmarks/perf`` measures this engine's speed.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from functools import reduce
-from itertools import compress
-from operator import and_, is_not, or_, xor
+from operator import and_, or_, xor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.netlist.faults import StuckAt
+from repro.netlist.delta import NetlistDelta
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 from repro.telemetry import TELEMETRY
@@ -110,99 +110,25 @@ class CompiledNetlist:
 
     @classmethod
     def extend(
-        cls, base: "CompiledNetlist", netlist: Netlist
-    ) -> Optional[Tuple["CompiledNetlist", List[int]]]:
-        """Build ``netlist``, a patched copy of ``base.netlist``, from
-        ``base``; returns the build and the rewired and appended gate
-        ids, or None when the patch is not such a delta.
-
-        A delta rewires gates (same type and output) and appends gates
-        with fresh outputs, nets and flops; the primary inputs and
-        outputs stay, and the topological order is the base order plus
-        the appended gates.  Checking that delta replaces
-        :meth:`Netlist.validate`.  The base build is never written:
-        changed reader lists are fresh lists, still in gate-id order.
-        """
-        old_nl = base.netlist
-        gates, old_gates, flops = netlist.gates, old_nl.gates, netlist.flops
-        n_old, n_old_nets = len(old_gates), old_nl.n_nets
-        order = netlist.topo_gate_order()
-        if (
-            len(gates) < n_old
-            or netlist.n_nets < n_old_nets
-            or netlist.primary_inputs != old_nl.primary_inputs
-            or netlist.primary_outputs != old_nl.primary_outputs
-            or len(flops) < len(old_nl.flops)
-            or len(order) != len(gates)
-            or order[:n_old] != old_nl.topo_gate_order()
-        ):
-            return None
-        # Unchanged gates and flops are shared with the base netlist.
-        rewired = list(compress(range(n_old), map(is_not, gates, old_gates)))
-        if any(
-            gates[gid].gtype is not old_gates[gid].gtype
-            or gates[gid].output != old_gates[gid].output
-            for gid in rewired
-        ) or any(
-            f.q_net != o.q_net
-            for f, o in zip(flops, old_nl.flops) if f is not o
-        ):
-            return None
+        cls, base: "CompiledNetlist", delta: NetlistDelta
+    ) -> "CompiledNetlist":
+        """Build ``delta.netlist``, a patched copy of ``base.netlist``,
+        from ``base``: the delta's reader lists, driver ids and positions
+        plus the changed gates' tuples.  The base build is never
+        written."""
         self = cls.__new__(cls)
+        netlist = delta.netlist
         self._map_ports(netlist)
-        n_new = netlist.n_nets - n_old_nets
-        # Appended gates drive fresh, distinct nets; new flop Qs are
-        # fresh and undriven.
-        driver = self.driver_gid = base.driver_gid + [-1] * n_new
-        for g in gates[n_old:]:
-            if g.output < n_old_nets or driver[g.output] >= 0:
-                return None
-            driver[g.output] = g.gid
-        for f in flops[len(old_nl.flops):]:
-            if f.q_net < n_old_nets or driver[f.q_net] >= 0:
-                return None
-        # The order's tail holds each appended gate once, and every input
-        # of a changed gate is a source or driven earlier in the order.
-        pos = self.topo_pos = base.topo_pos + [-1] * (len(gates) - n_old)
-        for i in range(n_old, len(order)):
-            gid = order[i]
-            if not n_old <= gid < len(gates) or pos[gid] >= 0:
-                return None
-            pos[gid] = i
-        changed = rewired + list(range(n_old, len(gates)))
-        for gid in changed:
-            for net in gates[gid].inputs:
-                d = driver[net]
-                if (
-                    pos[d] >= pos[gid] if d >= 0
-                    else net not in self.source_col
-                ):
-                    return None
-        tuples = self.gate_tuples = list(base.gate_tuples)
-        readers = self.readers = base.readers + [[] for _ in range(n_new)]
-        copied: Set[int] = set()
-
-        def own(net: int) -> List[int]:
-            """``net``'s reader list, copied first if it is the base's."""
-            if net < n_old_nets and net not in copied:
-                copied.add(net)
-                readers[net] = list(readers[net])
-            return readers[net]
-
-        for gid in changed:
-            g = gates[gid]
-            ins = set(g.inputs)
-            if gid < n_old:
-                tuples[gid] = (g.gtype, g.inputs, g.output)
-                old_ins = set(old_gates[gid].inputs)
-                for net in old_ins - ins:
-                    own(net).remove(gid)
-                ins -= old_ins
-            else:
-                tuples.append((g.gtype, g.inputs, g.output))
-            for net in ins:
-                bisect.insort(own(net), gid)
-        return self, changed
+        self.readers = delta.readers
+        self.driver_gid = delta.driver_gid
+        self.topo_pos = delta.topo_pos
+        tuples = self.gate_tuples = base.gate_tuples + [None] * (
+            len(netlist.gates) - len(base.gate_tuples)
+        )
+        for gid in delta.changed:
+            g = netlist.gates[gid]
+            tuples[gid] = (g.gtype, g.inputs, g.output)
+        return self
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +257,8 @@ class PackedWordSimulator:
 
         ``base`` holds the values of the netlist this one extends (see
         :meth:`CompiledNetlist.extend`) under the first columns of
-        ``patterns``; ``changed`` lists the rewired and appended gates.
+        ``patterns``; ``changed`` is its delta's
+        :attr:`~repro.netlist.delta.NetlistDelta.changed`.
         New source nets take their pattern columns, and only the changed
         gates and the gates downstream of a changed net are evaluated.
         Equal to :meth:`good_values` on ``patterns``; ``base`` is not

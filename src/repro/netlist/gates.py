@@ -50,6 +50,13 @@ _ARITY = {
 }
 
 
+def block_of(component: str) -> str:
+    """The map-out block of an ICI component label: its outermost ``/``
+    segment (the outermost :meth:`NetBuilder.component` context); ``""``
+    for unlabeled logic."""
+    return component.split("/", 1)[0]
+
+
 def check_arity(gtype: GateType, n_inputs: int) -> bool:
     """Return True when ``n_inputs`` is legal for ``gtype``."""
     want = _ARITY[gtype]

@@ -299,19 +299,6 @@ class Netlist:
     # ------------------------------------------------------------------
     # Cone queries
     # ------------------------------------------------------------------
-    def fanout_cone_gates(self, net: int) -> List[int]:
-        """Gate ids in the transitive combinational fanout of ``net``,
-        returned in topological order."""
-        affected_nets: Set[int] = {net}
-        cone: Set[int] = set()
-        for gid in self.topo_gate_order():
-            g = self.gates[gid]
-            if any(i in affected_nets for i in g.inputs):
-                cone.add(gid)
-                affected_nets.add(g.output)
-        order = [gid for gid in self.topo_gate_order() if gid in cone]
-        return order
-
     def fanin_cone_gates(self, net: int) -> Set[int]:
         """Gate ids in the combinational fan-in cone of ``net`` (a fresh
         set; the walk stops at primary inputs and flop Q nets)."""

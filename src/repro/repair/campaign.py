@@ -32,6 +32,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.netcheck import check_netlist_ici
 from repro.netlist.area import area_breakdown
+from repro.netlist.delta import NetlistDelta
 from repro.netlist.netlist import Netlist
 from repro.repair.candidates import (
     CANDIDATE_KINDS,
@@ -384,7 +385,10 @@ def _compose_and_verify(
     satisfied = check_netlist_ici(
         patched, exempt_blocks=spec.exempt
     ).satisfied
-    verdict, _sim, _values = _equivalence_stage(base, patched, spec.seed)
+    verdict, _sim, _values = _equivalence_stage(
+        base, patched, spec.seed,
+        NetlistDelta.of(base.sim.compiled, patched),
+    )
     base_area = area_breakdown(netlist).total
     if TELEMETRY.enabled:
         TELEMETRY.count("repair.plan_actions", len(actions))

@@ -33,10 +33,10 @@ final plan composition produce identical patches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
-from repro.core.netcheck import _default_block
 from repro.netlist.area import FLOP_AREA, gate_area
+from repro.netlist.gates import block_of
 from repro.netlist.netlist import Netlist
 
 #: Candidate kinds in generation order (relabel first: cheapest).
@@ -81,12 +81,11 @@ def _cone_foreign_blocks(
     cone: Sequence[int],
     own_block: str,
     exempt: Set[str],
-    resolve: Callable[[str], str],
 ) -> Set[str]:
     """Non-exempt blocks other than the observer's with gates in the cone."""
     blocks: Set[str] = set()
     for gid in cone:
-        b = resolve(netlist.gates[gid].component)
+        b = block_of(netlist.gates[gid].component)
         if b and b not in exempt and b != own_block:
             blocks.add(b)
     return blocks
@@ -97,7 +96,6 @@ def apply_candidate(
     kind: str,
     observer: str,
     exempt: Sequence[str] = (),
-    block_of: Optional[Callable[[str], str]] = None,
 ) -> PatchInfo:
     """Apply one repair candidate in place; returns its :class:`PatchInfo`.
 
@@ -106,21 +104,20 @@ def apply_candidate(
     primary-output observer), and its :class:`AlreadySingleBlock`
     subclass when the cone no longer reads any foreign block.
     """
-    resolve = block_of or _default_block
     ex = set(exempt)
     flop = _find_flop(netlist, observer)
-    own = resolve(flop.component)
+    own = block_of(flop.component)
     pos = netlist.topo_positions()
     cone = sorted(netlist.fanin_cone_gates(flop.d_net), key=pos.__getitem__)
-    foreign = _cone_foreign_blocks(netlist, cone, own, ex, resolve)
+    foreign = _cone_foreign_blocks(netlist, cone, own, ex)
     if not foreign:
         raise AlreadySingleBlock(f"{observer}: cone already single-block")
     if kind == "relabel":
-        return _apply_relabel(netlist, flop, cone, own, foreign, ex, resolve)
+        return _apply_relabel(netlist, flop, cone, own, foreign, ex)
     if kind == "redrive":
-        return _apply_redrive(netlist, flop, cone, own, ex, resolve)
+        return _apply_redrive(netlist, flop, cone, own, ex)
     if kind == "latch":
-        return _apply_latch(netlist, flop, cone, own, ex, resolve)
+        return _apply_latch(netlist, flop, cone, own, ex)
     raise ValueError(f"unknown candidate kind {kind!r}")
 
 
@@ -129,7 +126,7 @@ def _repair_label(block: str, observer: str) -> str:
 
 
 def _apply_relabel(
-    netlist, flop, cone, own, foreign, exempt, resolve
+    netlist, flop, cone, own, foreign, exempt
 ) -> PatchInfo:
     """Move the observer flop into the single block that writes it."""
     if len(foreign) != 1:
@@ -140,7 +137,7 @@ def _apply_relabel(
     # The observer's own block must contribute no cone logic, otherwise
     # relabeling just flips which block becomes foreign.
     if any(
-        resolve(netlist.gates[gid].component) == own for gid in cone
+        block_of(netlist.gates[gid].component) == own for gid in cone
     ):
         raise NotApplicable(
             f"{flop.name}: own block {own} also drives the cone"
@@ -149,7 +146,7 @@ def _apply_relabel(
     # The writer block's cone gates double as isolation fault sites.
     samples = tuple(
         gid for gid in cone
-        if resolve(netlist.gates[gid].component) == target
+        if block_of(netlist.gates[gid].component) == target
     )
     return PatchInfo(
         kind="relabel",
@@ -160,7 +157,7 @@ def _apply_relabel(
     )
 
 
-def _apply_redrive(netlist, flop, cone, own, exempt, resolve) -> PatchInfo:
+def _apply_redrive(netlist, flop, cone, own, exempt) -> PatchInfo:
     """Duplicate the tainted cone into gates owned by the observer's block."""
     if not own:
         raise NotApplicable(f"{flop.name}: observer has no block")
@@ -170,7 +167,7 @@ def _apply_redrive(netlist, flop, cone, own, exempt, resolve) -> PatchInfo:
     area = 0.0
     for gid in cone:
         g = netlist.gates[gid]
-        b = resolve(g.component)
+        b = block_of(g.component)
         is_foreign = bool(b) and b not in exempt and b != own
         if not is_foreign and not any(i in dup_of for i in g.inputs):
             continue
@@ -193,7 +190,7 @@ def _apply_redrive(netlist, flop, cone, own, exempt, resolve) -> PatchInfo:
     )
 
 
-def _apply_latch(netlist, flop, cone, own, exempt, resolve) -> PatchInfo:
+def _apply_latch(netlist, flop, cone, own, exempt) -> PatchInfo:
     """Stage the first foreign net feeding the cone through a new flop.
 
     Sound at the component level (it is ``cycle_split`` in gates) but it
@@ -206,7 +203,7 @@ def _apply_latch(netlist, flop, cone, own, exempt, resolve) -> PatchInfo:
         netlist.gates[gid].output
         for gid in cone
         if (lambda b: b and b not in exempt and b != own)(
-            resolve(netlist.gates[gid].component)
+            block_of(netlist.gates[gid].component)
         )
     )
     if not foreign_nets:
@@ -214,9 +211,7 @@ def _apply_latch(netlist, flop, cone, own, exempt, resolve) -> PatchInfo:
     net = foreign_nets[0]
     # The staging flop belongs to the *producer's* block (cycle_split
     # semantics): its cone is that block's logic, so it lints clean.
-    producer = resolve(
-        netlist.gates[netlist.driver_of(net)].component
-    )
+    producer = block_of(netlist.gates[netlist.driver_of(net)].component)
     stage = netlist.add_flop(
         net,
         name=f"{flop.name}.stage",

@@ -1,38 +1,42 @@
 """The repair check oracle: netcheck, equivalence screen, isolation sample.
 
 A candidate patch is *verified* only when three independent checks pass,
-in increasing order of cost:
+in increasing order of cost.  The first two read one
+:class:`~repro.netlist.delta.NetlistDelta`, computed once per candidate
+against the base build: which gates the patch rewired or appended, which
+flops it changed or appended, and the patched copy's reader lists,
+driver ids and topological positions, structurally checked in place of
+:meth:`~repro.netlist.netlist.Netlist.validate`.  A patch that is not a
+delta (a moved output, a changed gate type or label, changed primary
+inputs or outputs, a changed flop Q, a reordered base order) takes the
+full path in both stages and is counted as ``repair.full_builds``; the
+candidate shapes never are (``repair.extended_builds``).
 
 1. **netcheck** — rerun :func:`~repro.core.netcheck.check_netlist_ici`
    on the patched netlist: the target violation must be discharged and
    no observation point may regress (the patched violation set must be a
-   strict subset of the base set).  The re-check is bounded by the
-   patch: it diffs the patched copy's gates and flops against the base
-   netlist by identity, checks the structure of the changed gates only,
-   re-sweeps their forward cone over the base report's per-net block
-   sets and reader lists, and re-judges only the observers whose flop,
-   D net or cone changed (``repair.ici_resweep_gates`` and
-   ``repair.ici_rejudged`` count that work).  The full sweep stays for
-   the base lint and the composed plan, and the tests hold the two
-   equal.
+   strict subset of the base set).  The re-check re-sweeps the delta's
+   forward cone over the base report's per-net block sets, and re-judges
+   only the observers whose flop, D net or cone changed
+   (``repair.ici_resweep_gates`` and ``repair.ici_rejudged`` count that
+   work).  The full sweep stays for the base lint and the composed plan,
+   and the tests hold the two equal.
 2. **equivalence** — a functional-equivalence screen through the packed
    :class:`~repro.netlist.compiled.PackedWordSimulator` (every pattern
    of a net in one packed int): on a shared random pattern batch, every
    primary output and every *original* flop's captured next-state bit
    must match the base netlist exactly; the screen compares the packed
-   ints of those nets.  A candidate only rewires and appends, so its
-   build extends the base build and its good values are the base
-   values re-simulated from the changed gates onward
-   (``repair.extended_builds``); any other patch is built and simulated
-   from scratch (``repair.full_builds``).  Candidates that add state
-   (the latch shape) extend the pattern matrix with fresh columns for
-   the new flops; their captured bits are not compared — they are new
-   state — but everything the base design observes must be
-   bit-identical.  A random column
-   rarely exposes a low-observability staged net, so a patch with new
-   flops that passes the screen must also pass a proof: PODEM shows
-   that no new flop's Q can reach any observation point (stuck-at-0 on
-   each Q is untestable).  A found test or an aborted search rejects.
+   ints of those nets.  The delta's build extends the base build, and
+   its good values are the base values re-simulated from the changed
+   gates onward.  Candidates that add state (the latch shape) extend
+   the pattern matrix with fresh columns for the new flops; their
+   captured bits are not compared — they are new state — but
+   everything the base design observes must be bit-identical.  A
+   random column rarely exposes a low-observability staged net, so a
+   patch with new flops that passes the screen must also pass a proof:
+   PODEM shows that no new flop's Q can reach any observation point
+   (stuck-at-0 on each Q is untestable).  A found test or an aborted
+   search rejects.
 3. **isolation sample** — stuck-at faults sampled on the patch's gates
    must be detected only by observers of the faulted gate's block (or by
    primary outputs, which are tester pins, not scan-isolation points).
@@ -50,18 +54,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.atpg.podem_compiled import CompiledPodem
-from repro.core.netcheck import NetIciReport, _default_block, check_netlist_ici
+from repro.core.netcheck import NetIciReport, check_netlist_ici
 from repro.netlist.compiled import (
     CompiledNetlist,
     PackedWordSimulator,
     WordValues,
 )
+from repro.netlist.delta import NetlistDelta
 from repro.netlist.faults import StuckAt
+from repro.netlist.gates import block_of
 from repro.netlist.netlist import Netlist
 from repro.telemetry import TELEMETRY
 
@@ -140,11 +146,10 @@ def _netcheck_stage(
     patched: Netlist,
     observer: str,
     exempt: Sequence[str],
-    block_of,
+    delta: Optional[NetlistDelta],
 ) -> Tuple[Optional[OracleVerdict], NetIciReport]:
-    report = check_netlist_ici(patched, block_of=block_of,
-                               exempt_blocks=exempt,
-                               base=(base.netlist, base.report))
+    report = check_netlist_ici(patched, exempt_blocks=exempt,
+                               base=(base.report, delta))
     if TELEMETRY.enabled:
         TELEMETRY.count("repair.ici_resweep_gates", report.sweep.swept)
         TELEMETRY.count("repair.ici_rejudged", report.sweep.judged)
@@ -164,25 +169,20 @@ def _netcheck_stage(
     return None, report
 
 
-def _patched_sim(
-    base: BaseState, patched: Netlist
-) -> Tuple[PackedWordSimulator, Optional[List[int]]]:
-    """The patched netlist's simulator, plus the gates that differ from
-    the base when its build extends the base build (None otherwise)."""
-    ext = CompiledNetlist.extend(base.sim.compiled, patched)
-    if TELEMETRY.enabled:
-        TELEMETRY.count("repair.extended_builds", int(ext is not None))
-        TELEMETRY.count("repair.full_builds", int(ext is None))
-    if ext is None:
-        return PackedWordSimulator(patched), None
-    compiled, changed = ext
-    return PackedWordSimulator(patched, compiled), changed
-
-
 def _equivalence_stage(
-    base: BaseState, patched: Netlist, seed: int
+    base: BaseState,
+    patched: Netlist,
+    seed: int,
+    delta: Optional[NetlistDelta],
 ) -> Tuple[Optional[OracleVerdict], PackedWordSimulator, WordValues]:
-    sim, changed = _patched_sim(base, patched)
+    """The screen on ``patched``, built and simulated from the base when
+    ``delta`` (its :meth:`NetlistDelta.of` the base build) is given."""
+    if delta is None:
+        sim = PackedWordSimulator(patched)
+    else:
+        sim = PackedWordSimulator(
+            patched, CompiledNetlist.extend(base.sim.compiled, delta)
+        )
     patterns = base.patterns
     extra = sim.n_sources - patterns.shape[1]
     if extra:
@@ -193,10 +193,10 @@ def _equivalence_stage(
              random_patterns(patterns.shape[0], extra, seed + 1)],
             axis=1,
         )
-    if changed is None:
+    if delta is None:
         values = sim.good_values(patterns)
     else:
-        values = sim.extend_values(base.values, patterns, changed)
+        values = sim.extend_values(base.values, patterns, delta.changed)
     if TELEMETRY.enabled:
         TELEMETRY.count("repair.oracle_cycles", patterns.shape[0])
     n_flops = len(base.d_ints)
@@ -235,14 +235,12 @@ def _isolation_stage(
     n_faults: int,
     seed: int,
     exempt: Sequence[str],
-    block_of,
 ) -> Optional[OracleVerdict]:
-    resolve = block_of or _default_block
     ex = set(exempt)
     sites = [
         gid for gid in sorted(sample_gates)
-        if resolve(patched.gates[gid].component)
-        and resolve(patched.gates[gid].component) not in ex
+        if block_of(patched.gates[gid].component)
+        and block_of(patched.gates[gid].component) not in ex
     ]
     if not sites:
         return None
@@ -253,14 +251,14 @@ def _isolation_stage(
     )
     for gid in chosen:
         gate = patched.gates[gid]
-        block = resolve(gate.component)
+        block = block_of(gate.component)
         for value in (0, 1):
             fault = StuckAt(net=gate.output, value=value)
             fids, _pos = sim.failing_observations(values, fault)
             if TELEMETRY.enabled:
                 TELEMETRY.count("repair.isolation_faults")
             for fid in fids:
-                fb = resolve(patched.flops[fid].component)
+                fb = block_of(patched.flops[fid].component)
                 if fb != block and fb not in ex:
                     return OracleVerdict(
                         False, "isolation",
@@ -279,21 +277,32 @@ def verify_candidate(
     exempt: Sequence[str] = (),
     n_isolation_faults: int = 6,
     seed: int = 0,
-    block_of: Optional[Callable[[str], str]] = None,
 ) -> OracleVerdict:
-    """Run the full three-stage oracle on one candidate patch."""
+    """Run the full three-stage oracle on one candidate patch.
+
+    The patch's :class:`NetlistDelta` is computed once, against the base
+    build, and read by the netcheck and the equivalence screen; a patch
+    that is not a delta takes the full path in both
+    (``repair.full_builds``).
+    """
     with TELEMETRY.span("repair.oracle"):
+        delta = NetlistDelta.of(base.sim.compiled, patched)
+        if TELEMETRY.enabled:
+            TELEMETRY.count("repair.extended_builds", int(delta is not None))
+            TELEMETRY.count("repair.full_builds", int(delta is None))
         verdict, _report = _netcheck_stage(
-            base, patched, observer, exempt, block_of
+            base, patched, observer, exempt, delta
         )
         if verdict is not None:
             return verdict
-        verdict, sim, values = _equivalence_stage(base, patched, seed)
+        verdict, sim, values = _equivalence_stage(
+            base, patched, seed, delta
+        )
         if verdict is not None:
             return verdict
         verdict = _isolation_stage(
             patched, sim, values, sample_gates,
-            n_isolation_faults, seed, exempt, block_of,
+            n_isolation_faults, seed, exempt,
         )
         if verdict is not None:
             return verdict

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.core.netcheck import _default_block
+from repro.netlist.gates import block_of
 from repro.netlist.netlist import Netlist, NetlistError
 
 
@@ -46,23 +46,21 @@ class SeededBreak:
 
 
 def _bypass_sites(
-    netlist: Netlist,
-    exempt: Sequence[str],
-    resolve: Callable[[str], str],
+    netlist: Netlist, exempt: Sequence[str]
 ) -> List[Tuple[int, int, int]]:
     """(gid, pin, fid) triples where a cross-block latch can be bypassed."""
     ex = set(exempt)
     by_q = {f.q_net: f for f in netlist.flops}
     sites: List[Tuple[int, int, int]] = []
     for g in netlist.gates:
-        rb = resolve(g.component)
+        rb = block_of(g.component)
         if not rb or rb in ex:
             continue
         for pin, net in enumerate(g.inputs):
             f = by_q.get(net)
             if f is None:
                 continue
-            wb = resolve(f.component)
+            wb = block_of(f.component)
             if not wb or wb in ex or wb == rb:
                 continue
             sites.append((g.gid, pin, f.fid))
@@ -74,7 +72,6 @@ def seed_breaks(
     n_breaks: int,
     seed: int,
     exempt: Sequence[str] = (),
-    block_of: Optional[Callable[[str], str]] = None,
 ) -> List[SeededBreak]:
     """Apply up to ``n_breaks`` latch bypasses in place; returns them.
 
@@ -82,8 +79,7 @@ def seed_breaks(
     Edits that would break levelization (combinational cycles) are
     rolled back and skipped, so the result always validates.
     """
-    resolve = block_of or _default_block
-    sites = _bypass_sites(netlist, exempt, resolve)
+    sites = _bypass_sites(netlist, exempt)
     rng = random.Random(seed)
     rng.shuffle(sites)
     applied: List[SeededBreak] = []
@@ -106,8 +102,8 @@ def seed_breaks(
                 gid=gid,
                 pin=pin,
                 flop=flop.name,
-                reader_block=resolve(gate.component),
-                writer_block=resolve(flop.component),
+                reader_block=block_of(gate.component),
+                writer_block=block_of(flop.component),
             )
         )
     return applied

@@ -22,13 +22,10 @@ from repro.atpg.faults import component_of_fault
 from repro.atpg.flow import AtpgResult
 from repro.core.isolation import IsolationTable
 from repro.netlist.faults import StuckAt
+from repro.netlist.gates import block_of
 from repro.netlist.netlist import Netlist
 from repro.rtl.model import RtlModel
 from repro.scan import ScanChain, ScanTester, insert_scan
-
-
-def _block(component: str) -> str:
-    return component.split("/", 1)[0] if component else ""
 
 
 def po_component_labels(nl: Netlist) -> List[str]:
@@ -182,7 +179,7 @@ def sample_isolation_faults(
     universe = [
         f
         for f in full_fault_universe(nl)
-        if _block(component_of_fault(nl, f))
+        if block_of(component_of_fault(nl, f))
         and not (f.is_stem and f.net in q_nets)
     ]
     rng = random.Random(seed)
@@ -206,7 +203,7 @@ def isolation_experiment(
         faults = sample_isolation_faults(nl, n_faults, seed)
     stats = IsolationStats(inserted=len(faults))
     for fault in faults:
-        expected = _block(component_of_fault(nl, fault))
+        expected = block_of(component_of_fault(nl, fault))
         bits, pos = setup.tester.failing_bits(fault)
         if not bits and not pos:
             stats.undetected += 1

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.netlist.build import NetBuilder, Word
-from repro.netlist.gates import GateType
+from repro.netlist.gates import GateType, block_of
 from repro.netlist.netlist import Netlist
 from repro.rtl.params import RtlParams
 
@@ -51,7 +51,7 @@ class RtlModel:
 
     def blocks(self) -> List[str]:
         """Map-out blocks present in the model."""
-        return sorted({c.split("/", 1)[0] for c in self.netlist.components()})
+        return sorted({block_of(c) for c in self.netlist.components()})
 
 
 def build_baseline_rtl(params: Optional[RtlParams] = None) -> RtlModel:

@@ -33,13 +33,14 @@ REPLAY_ROWS = (
 
 #: The repair oracle's per-candidate work, shown after the replay rows:
 #: the incremental ICI re-check's re-swept gates and re-judged
-#: observers, and how each candidate's build was made.
+#: observers, and whether each candidate was checked as a delta of the
+#: base or from scratch.
 REPAIR_ROWS = (
     ("repair.candidates_generated", "repair candidates checked"),
     ("repair.ici_resweep_gates", "ICI gates re-swept"),
     ("repair.ici_rejudged", "ICI observers re-judged"),
-    ("repair.extended_builds", "candidate builds extended from the base"),
-    ("repair.full_builds", "candidate builds from scratch"),
+    ("repair.extended_builds", "candidates checked as a base delta"),
+    ("repair.full_builds", "candidates checked from scratch"),
 )
 
 

@@ -12,7 +12,7 @@ The two must give the same verdict, stage and reason on every candidate.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,13 +38,10 @@ def scratch_verify(
     exempt: Sequence[str] = (),
     n_isolation_faults: int = 6,
     seed: int = 0,
-    block_of: Optional[Callable[[str], str]] = None,
 ) -> OracleVerdict:
     """The three-stage candidate check with nothing reused from the base
     but its report, its patterns and its captured responses."""
-    report = check_netlist_ici(
-        patched, block_of=block_of, exempt_blocks=exempt
-    )
+    report = check_netlist_ici(patched, exempt_blocks=exempt)
     after = {v.observer for v in report.violations}
     if observer in after:
         return OracleVerdict(False, "netcheck", "violation survives")
@@ -84,6 +81,6 @@ def scratch_verify(
 
     verdict = _isolation_stage(
         patched, sim, values, sample_gates,
-        n_isolation_faults, seed, exempt, block_of,
+        n_isolation_faults, seed, exempt,
     )
     return verdict if verdict is not None else OracleVerdict(True, "verified")

@@ -32,6 +32,19 @@ from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
 
 
+def fanout_cone_gates(netlist: Netlist, net: int) -> List[int]:
+    """Gate ids in the transitive combinational fanout of ``net``, in
+    topological order."""
+    affected_nets = {net}
+    cone: List[int] = []
+    for gid in netlist.topo_gate_order():
+        g = netlist.gates[gid]
+        if any(i in affected_nets for i in g.inputs):
+            cone.append(gid)
+            affected_nets.add(g.output)
+    return cone
+
+
 def _eval_gate_scalar(gtype: GateType, ins: Sequence[int]) -> int:
     if gtype is GateType.AND:
         return int(all(ins))
@@ -246,7 +259,7 @@ class PackedSimulator:
     def _cone(self, net: int) -> List[int]:
         cone = self._cone_cache.get(net)
         if cone is None:
-            cone = self.netlist.fanout_cone_gates(net)
+            cone = fanout_cone_gates(self.netlist, net)
             self._cone_cache[net] = cone
         return cone
 

@@ -1,8 +1,9 @@
 """Consistency tests for the netlist's cone query and dead-logic pruning.
 
-``fanout_cone_gates`` (used by the reference fault simulator) and
-``fanin_cone_gates`` (repair and diagnosis) must agree with brute-force
-reachability, and ``prune_unobservable`` must be idempotent.
+``fanout_cone_gates`` (the reference fault simulator's, in
+:mod:`tests.oracles.sim`) and ``Netlist.fanin_cone_gates`` (repair and
+diagnosis) must agree with brute-force reachability, and
+``prune_unobservable`` must be idempotent.
 """
 
 import random as pyrandom
@@ -10,6 +11,7 @@ import random as pyrandom
 from hypothesis import given, settings, strategies as st
 
 from repro.netlist import GateType, Netlist
+from tests.oracles.sim import fanout_cone_gates
 
 _KINDS = [GateType.AND, GateType.OR, GateType.XOR, GateType.NOT]
 
@@ -58,7 +60,7 @@ class TestConeConsistency:
         nl = _circuit(seed, 4, n_gates)
         rng = pyrandom.Random(seed + 1)
         net = rng.randrange(nl.n_nets)
-        cone = set(nl.fanout_cone_gates(net))
+        cone = set(fanout_cone_gates(nl, net))
         assert cone == _brute_force_fanout(nl, net)
 
     @given(

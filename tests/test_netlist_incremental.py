@@ -10,9 +10,10 @@ Two Hypothesis properties:
   when a cache-free rebuild of it does.
 - **Incremental ICI equals the full check.**  Patches from
   ``apply_candidate`` (all three kinds, chained) and random rewires:
-  ``check_netlist_ici(p, base=...)`` agrees with ``check_netlist_ici(p)``
-  on the verdict, every observer's cone blocks, every violation (id,
-  blocks, example gates) and the per-net block sets.
+  ``check_netlist_ici(p, base=(report, NetlistDelta.of(...)))`` agrees
+  with ``check_netlist_ici(p)`` on the verdict, every observer's cone
+  blocks, every violation (id, blocks, example gates) and the per-net
+  block sets.  A patch that is not a delta takes the full check.
 
 The ``slow`` variants rerun both properties with a large example budget
 (``pytest -q -m slow tests/test_netlist_incremental.py``).  Copies share
@@ -29,6 +30,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.netcheck import check_netlist_ici
+from repro.netlist.compiled import CompiledNetlist
+from repro.netlist.delta import NetlistDelta
 from repro.netlist.gates import Flop, GateType
 from repro.netlist.netlist import Netlist, NetlistError
 from repro.repair.campaign import RepairSpec, build_model
@@ -331,22 +334,34 @@ def _patch(nl: Netlist, report, steps, seed: int) -> None:
             nl.relabel_flop(rng.randrange(len(nl.flops)), label)
 
 
+def _recheck(compiled: CompiledNetlist, report, patched: Netlist):
+    """The incremental check of ``patched`` against ``compiled``'s
+    netlist, checked as ``report``; also its delta (None: full check)."""
+    delta = NetlistDelta.of(compiled, patched)
+    return check_netlist_ici(
+        patched, exempt_blocks=_EXEMPT, base=(report, delta)
+    ), delta
+
+
 def _check_incremental(base: Netlist, base_report, steps, seed,
                        chain: bool) -> None:
+    compiled = CompiledNetlist(base)
     if chain:
         # Re-check a patch of a patch, with the first patch as the base.
         mid = base.copy()
         _patch(mid, base_report, ["candidate"], seed + 1)
-        mid_report = _outcome(lambda: check_netlist_ici(
-            mid, exempt_blocks=_EXEMPT, base=(base, base_report)))
-        if mid_report is NetlistError:
+        out = _outcome(lambda: _recheck(compiled, base_report, mid))
+        if out is NetlistError:
             return
-        base, base_report = mid, mid_report
-    patched = base.copy()
+        base_report, delta = out
+        compiled = (
+            CompiledNetlist(mid) if delta is None
+            else CompiledNetlist.extend(compiled, delta)
+        )
+    patched = compiled.netlist.copy()
     _patch(patched, base_report, steps, seed)
     full = _outcome(lambda: check_netlist_ici(patched, exempt_blocks=_EXEMPT))
-    inc = _outcome(lambda: check_netlist_ici(
-        patched, exempt_blocks=_EXEMPT, base=(base, base_report)))
+    inc = _outcome(lambda: _recheck(compiled, base_report, patched)[0])
     if full is NetlistError:
         assert inc is NetlistError
         return
@@ -400,6 +415,7 @@ class TestIncrementalIci:
         # Every single-candidate patch the oracle checks, both models.
         for model in ("baseline", "rescue-broken"):
             base, report = _repair_base(model)
+            compiled = CompiledNetlist(base)
             for v in report.violations:
                 for kind in CANDIDATE_KINDS:
                     patched = base.copy()
@@ -408,37 +424,10 @@ class TestIncrementalIci:
                                         exempt=_EXEMPT)
                     except NotApplicable:
                         continue
-                    inc = check_netlist_ici(
-                        patched, exempt_blocks=_EXEMPT,
-                        base=(base, report),
-                    )
+                    inc, delta = _recheck(compiled, report, patched)
+                    assert delta is not None, kind
                     full = check_netlist_ici(patched, exempt_blocks=_EXEMPT)
                     assert _report_key(inc) == _report_key(full)
-
-    @pytest.mark.parametrize("drive", ["fresh_twice", "input", "flop_q"])
-    def test_double_drive_on_a_delta_raises(self, drive):
-        # The re-derived order keeps the base order as a prefix, so the
-        # incremental check must see the double drive itself.
-        base = Netlist("dd")
-        a = base.add_input("a")
-        n = base.add_gate(GateType.NOT, [a], output=base.new_net(),
-                          component="a/x")
-        base.add_flop(n, name="f", component="a/x")
-        report = check_netlist_ici(base)
-        c = base.copy()
-        if drive == "fresh_twice":
-            m = c.new_net()
-            c.add_gate(GateType.BUF, [n], output=m)
-            c.add_gate(GateType.BUF, [n], output=m)
-        elif drive == "input":
-            c.add_gate(GateType.BUF, [n], output=a)
-        else:
-            c.add_gate(GateType.BUF, [n], output=c.add_flop(n).q_net)
-        assert c.topo_gate_order()[:1] == base.topo_gate_order()
-        with pytest.raises(NetlistError):
-            check_netlist_ici(c)
-        with pytest.raises(NetlistError):
-            check_netlist_ici(c, base=(base, report))
 
     def test_report_from_json_falls_back_to_full(self):
         from repro.core.netcheck import NetIciReport
@@ -449,7 +438,6 @@ class TestIncrementalIci:
         patched = base.copy()
         apply_candidate(patched, "redrive", report.violations[0].observer,
                         exempt=_EXEMPT)
-        inc = check_netlist_ici(patched, exempt_blocks=_EXEMPT,
-                                base=(base, loaded))
+        inc, _delta = _recheck(CompiledNetlist(base), loaded, patched)
         full = check_netlist_ici(patched, exempt_blocks=_EXEMPT)
         assert _report_key(inc) == _report_key(full)

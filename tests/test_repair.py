@@ -7,6 +7,7 @@ and the chosen candidate is area-minimal), and the emitted plan is
 bit-identical for any worker count, chunking, or resume history.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -315,7 +316,10 @@ class TestRepairCampaign:
         base = BaseState.build(
             netlist, report, BASELINE.n_patterns, BASELINE.seed
         )
-        verdict, _, _ = _equivalence_stage(base, patched, BASELINE.seed)
+        # Built and simulated from scratch (no delta).
+        verdict, _, _ = _equivalence_stage(
+            base, patched, BASELINE.seed, None
+        )
         assert verdict is None
         patched.validate()
 
@@ -355,6 +359,89 @@ def _candidates(spec):
             yield base, kind, patched
 
 
+def _outcome(fn):
+    """``fn()``'s value, or the NetlistError class it raised."""
+    try:
+        return fn()
+    except NetlistError:
+        return NetlistError
+
+
+def _dd_netlist():
+    """One gate and one flop; the double drives below keep this order
+    as the prefix of their re-derived order, so the delta itself must
+    see them."""
+    n = Netlist("dd")
+    a = n.add_input("a")
+    x = n.add_gate(GateType.NOT, [a], output=n.new_net(), component="a/x")
+    n.add_flop(x, name="f", component="a/x")
+    return n
+
+
+def _replace(items, i, **changes):
+    """Replace a netlist's gate or flop ``i`` by hand (no netlist edit
+    covers these changes)."""
+    items[i] = dataclasses.replace(items[i], **changes)
+
+
+def _reorder(n):
+    """A rewire onto a new gate's net drops the cached order; the
+    re-derived order is not the base order plus a tail."""
+    inv = n.add_gate(GateType.NOT, [0])
+    n.rewire_gate(0, [inv, 1])
+
+
+def _double_drive(n, drive):
+    x = n.gates[0].output
+    if drive == "fresh_twice":
+        m = n.new_net()
+        n.add_gate(GateType.BUF, [x], output=m)
+        n.add_gate(GateType.BUF, [x], output=m)
+    elif drive == "input":
+        n.add_gate(GateType.BUF, [x], output=n.primary_inputs[0])
+    else:
+        n.add_gate(GateType.BUF, [x], output=n.add_flop(x).q_net)
+    assert n.topo_gate_order()[:1] == (0,)
+
+
+#: Patches that are not a delta of their base: (base, edit, raises).
+#: Each returns None from NetlistDelta.of, or raises NetlistError.
+_NON_DELTA = {
+    "moved_output": (
+        _two_block_netlist,
+        lambda n: _replace(n.gates, 1, output=n.new_net()), False,
+    ),
+    "gate_type": (
+        _two_block_netlist,
+        lambda n: _replace(n.gates, 0, gtype=GateType.OR), False,
+    ),
+    "relabeled_gate": (
+        _two_block_netlist,
+        lambda n: _replace(n.gates, 0, component="b/logic"), False,
+    ),
+    # A new primary input shifts the flop columns.
+    "appended_pi": (_two_block_netlist, lambda n: n.add_input("z"), False),
+    "po_change": (
+        _two_block_netlist, lambda n: n.mark_output(n.gates[1].output), False,
+    ),
+    "flop_q": (
+        _two_block_netlist,
+        lambda n: _replace(n.flops, 0, q_net=n.new_net()), False,
+    ),
+    "reorder": (_two_block_netlist, _reorder, False),
+    "cycle": (
+        _two_block_netlist,
+        lambda n: n.rewire_gate(0, [n.gates[1].output, 0]), True,
+    ),
+    **{
+        f"double_drive_{drive}": (
+            _dd_netlist, lambda n, d=drive: _double_drive(n, d), True,
+        )
+        for drive in ("fresh_twice", "input", "flop_q")
+    },
+}
+
+
 class TestExtendedBuild:
     @pytest.mark.parametrize("spec, kinds_seen", [
         (BASELINE, {"relabel", "redrive", "latch"}),
@@ -369,6 +456,7 @@ class TestExtendedBuild:
             CompiledNetlist,
             PackedWordSimulator,
         )
+        from repro.netlist.delta import NetlistDelta
         from repro.repair.oracle import random_patterns
 
         kinds = set()
@@ -376,9 +464,9 @@ class TestExtendedBuild:
         for base, kind, patched in _candidates(spec):
             if base_before is None:
                 base_before = pickle.dumps(base)
-            ext = CompiledNetlist.extend(base.sim.compiled, patched)
-            assert ext is not None, kind
-            compiled, changed = ext
+            delta = NetlistDelta.of(base.sim.compiled, patched)
+            assert delta is not None, kind
+            compiled = CompiledNetlist.extend(base.sim.compiled, delta)
             ref = CompiledNetlist(patched)
             for name in _COMPILED_FIELDS:
                 assert getattr(compiled, name) == getattr(ref, name), (
@@ -392,7 +480,7 @@ class TestExtendedBuild:
                     [patterns, random_patterns(len(patterns), extra, 1)],
                     axis=1,
                 )
-            values = sim.extend_values(base.values, patterns, changed)
+            values = sim.extend_values(base.values, patterns, delta.changed)
             full = PackedWordSimulator(patched).good_values(patterns)
             assert values.ints == full.ints, kind
             assert values.npat == full.npat
@@ -400,45 +488,41 @@ class TestExtendedBuild:
         assert pickle.dumps(base) == base_before  # base lists untouched
         assert kinds == kinds_seen
 
-    def test_non_delta_patches_build_from_scratch(self):
-        from repro.netlist.compiled import CompiledNetlist
-        from repro.repair.oracle import _patched_sim
+    @pytest.mark.parametrize("case", sorted(_NON_DELTA))
+    def test_non_delta_patch_takes_the_full_path(self, case):
+        from repro.netlist.delta import NetlistDelta
+        from repro.repair.oracle import _equivalence_stage
+        from tests.oracles import scratch_verify
 
-        n = _two_block_netlist()
+        make, edit, raises = _NON_DELTA[case]
+        n = make()
         report = check_netlist_ici(n)
         base = BaseState.build(n, report, 32, seed=0)
-        # A gate re-targeted onto another net is not a delta.
-        moved = n.copy()
-        g = moved.gates[1]
-        moved.gates[1] = type(g)(
-            gid=g.gid, gtype=g.gtype, inputs=g.inputs,
-            output=moved.new_net(), component=g.component,
-        )
-        assert CompiledNetlist.extend(base.sim.compiled, moved) is None
-        # A new primary input shifts the flop columns: not a delta.
-        extra_pi = n.copy()
-        extra_pi.add_input("z")
-        assert CompiledNetlist.extend(base.sim.compiled, extra_pi) is None
-        # A rewire onto a new gate's net drops the cached order; the
-        # re-derived order is no longer the base order plus a tail.
-        reordered = n.copy()
-        inv = reordered.add_gate(GateType.NOT, [0])
-        reordered.rewire_gate(0, [inv, 1])
-        assert CompiledNetlist.extend(base.sim.compiled, reordered) is None
-        # A rewire closing a cycle raises, as validate() would.
-        cyclic = n.copy()
-        cyclic.rewire_gate(0, [cyclic.gates[1].output, 0])
-        with pytest.raises(NetlistError):
-            CompiledNetlist.extend(base.sim.compiled, cyclic)
+        patched = n.copy()
+        edit(patched)
+        if raises:
+            # Raised by the delta itself, as validate() would.
+            with pytest.raises(NetlistError):
+                NetlistDelta.of(base.sim.compiled, patched)
+            with pytest.raises(NetlistError):
+                check_netlist_ici(patched)
+        else:
+            assert NetlistDelta.of(base.sim.compiled, patched) is None
+            _v, sim, _values = _equivalence_stage(base, patched, 0, None)
+            assert sim.n_sources == len(patched.source_nets())
+        args = (base, patched, n.flops[0].name, range(len(patched.gates)))
         TELEMETRY.enable()
         try:
             with TELEMETRY.collect() as m:
-                sim, changed = _patched_sim(base, extra_pi)
+                verdict = _outcome(lambda: verify_candidate(*args))
         finally:
             TELEMETRY.disable()
-        assert changed is None and sim.n_sources == base.sim.n_sources + 1
-        assert m.counters["repair.full_builds"] == 1
-        assert m.counters["repair.extended_builds"] == 0
+        assert verdict == _outcome(lambda: scratch_verify(*args))
+        if raises:
+            assert verdict is NetlistError
+        else:
+            assert m.counters["repair.full_builds"] == 1
+            assert m.counters["repair.extended_builds"] == 0
 
 
 class TestDeterminism:
