@@ -9,8 +9,10 @@ a halved integer queue so the cheap-degradation claim is visible directly.
 from conftest import BENCH_INSTRUCTIONS, BENCH_WARMUP, print_table
 
 from repro.cpu import MachineConfig
+from repro.yieldmodel.configs import CoreCounts
 
 BENCHES = ("gzip", "gcc", "mcf", "crafty", "bzip2", "swim", "art", "apsi")
+HALF_IQ = CoreCounts(iq_int=1)
 
 
 def test_iq_size_sensitivity(benchmark, ipc_cache):
@@ -23,7 +25,7 @@ def test_iq_size_sensitivity(benchmark, ipc_cache):
             warmup=BENCH_WARMUP,
         )
         half = ipc_cache.get_or_run(
-            name, MachineConfig(rescue=True, iq_int_halves=1),
+            name, MachineConfig(rescue=True, counts=HALF_IQ),
             n_instructions=BENCH_INSTRUCTIONS,
             warmup=BENCH_WARMUP,
         )
@@ -43,7 +45,7 @@ def test_iq_size_sensitivity(benchmark, ipc_cache):
 
     benchmark(
         lambda: ipc_cache.get_or_run(
-            "bzip2", MachineConfig(rescue=True, iq_int_halves=1),
+            "bzip2", MachineConfig(rescue=True, counts=HALF_IQ),
             n_instructions=BENCH_INSTRUCTIONS,
             warmup=BENCH_WARMUP,
         )

@@ -26,6 +26,7 @@ from repro.cpu import Core, MachineConfig
 from repro.rtl import RtlParams, build_rescue_rtl
 from repro.rtl.experiment import generate_tests
 from repro.workloads import generate_trace, profile
+from repro.yieldmodel.configs import CoreCounts
 
 
 def step1_component_graphs() -> None:
@@ -96,8 +97,8 @@ def step3_degraded_operation() -> None:
         12_000, warmup=8_000
     )
     degraded_cfg = MachineConfig(
-        rescue=True, int_backend_groups=1, fp_backend_groups=1,
-        iq_int_halves=1,
+        rescue=True,
+        counts=CoreCounts(int_backend=1, fp_backend=1, iq_int=1),
     )
     degraded = Core(degraded_cfg, iter(trace)).run(12_000, warmup=8_000)
     print(f"healthy Rescue core:  IPC = {healthy.ipc:.2f}")

@@ -2,7 +2,7 @@
 SimpleScalar, Section 5).
 
 - :mod:`repro.cpu.params` — Table 1 machine parameters plus the Rescue
-  modifications and degraded-configuration knobs,
+  modifications and the fault map's surviving group counts,
 - :mod:`repro.cpu.isa` — the trace instruction format,
 - :mod:`repro.cpu.bpred` — hybrid branch predictor, BTB, and RAS,
 - :mod:`repro.cpu.caches` — set-associative cache hierarchy,
@@ -19,7 +19,7 @@ from repro.cpu.params import CoreParams, MachineConfig
 from repro.cpu.isa import Instr, OpClass
 from repro.cpu.pipeline import Core, SimResult
 from repro.cpu.archstate import ArchState
-from repro.cpu.degraded import degraded_params, simulate_config
+from repro.cpu.degraded import simulate_config
 
 __all__ = [
     "ArchState",
@@ -29,6 +29,5 @@ __all__ = [
     "MachineConfig",
     "OpClass",
     "SimResult",
-    "degraded_params",
     "simulate_config",
 ]

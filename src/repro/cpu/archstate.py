@@ -118,8 +118,8 @@ class ArchState:
         # Class 0 = integer, class 1 = FP.  Degraded backends allocate
         # only from the surviving (low) half of the register file.
         usable = (
-            self.n_pregs if config.int_backend_groups == 2 else half,
-            self.n_pregs if config.fp_backend_groups == 2 else half,
+            self.n_pregs if config.counts.int_backend == 2 else half,
+            self.n_pregs if config.counts.fp_backend == 2 else half,
         )
         self.prf: List[List[int]] = [
             [0] * self.n_pregs, [0] * self.n_pregs

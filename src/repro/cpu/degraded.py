@@ -23,22 +23,6 @@ from repro.yieldmodel.configs import DIMENSIONS, CoreCounts, enumerate_configs
 Key = Tuple[int, ...]
 
 
-def degraded_params(
-    base: MachineConfig, counts: CoreCounts
-) -> MachineConfig:
-    """A Rescue machine configuration with ``counts`` surviving groups."""
-    if not base.rescue:
-        raise ValueError("degraded operation applies to the Rescue machine")
-    return base.with_degradation(
-        frontend_groups=counts.frontend,
-        int_backend_groups=counts.int_backend,
-        fp_backend_groups=counts.fp_backend,
-        iq_int_halves=counts.iq_int,
-        iq_fp_halves=counts.iq_fp,
-        lsq_halves=counts.lsq,
-    )
-
-
 def simulate_config(
     benchmark: str,
     config: MachineConfig,

@@ -3,17 +3,18 @@
 ``CoreParams`` is the baseline 4-way machine of Table 1.  ``MachineConfig``
 adds the Rescue/baseline mode switch, the Section 5 modifications (extra
 mispredict penalty for the shift stages, the compaction buffer, the extra
-issue-to-free cycle), and the degraded resource counts the fault map
-induces.
+issue-to-free cycle), and the fault map's surviving group counts
+(:class:`~repro.yieldmodel.configs.CoreCounts`), from which it derives
+the degraded resources.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.cpu.isa import OpClass
+from repro.yieldmodel.configs import CoreCounts
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,8 @@ class MachineConfig:
        shift stage between issue and register read;
     5. the per-half selection + replay policy.
 
-    Degradation knobs follow the fault-map dimensions: counts of working
-    frontend groups, integer/FP backend groups, issue-queue halves, and
-    LSQ halves (out of 2 each).
+    ``counts`` holds the fault map's surviving groups per redundant
+    dimension (out of 2 each); only a Rescue machine can be degraded.
     """
 
     core: CoreParams = field(default_factory=CoreParams)
@@ -94,24 +94,17 @@ class MachineConfig:
     # excess selections (used by the ablation benchmarks).
     replay_policy: str = "paper"
 
-    frontend_groups: int = 2
-    int_backend_groups: int = 2
-    fp_backend_groups: int = 2
-    iq_int_halves: int = 2
-    iq_fp_halves: int = 2
-    lsq_halves: int = 2
+    counts: CoreCounts = CoreCounts()
 
     # Technology extrapolation (Section 5: +50% memory latency and +2
     # mispredict cycles per transistor-area halving).
     tech_generations: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("frontend_groups", "int_backend_groups",
-                     "fp_backend_groups", "iq_int_halves", "iq_fp_halves",
-                     "lsq_halves"):
-            v = getattr(self, name)
-            if v not in (1, 2):
-                raise ValueError(f"{name} must be 1 or 2, got {v}")
+        if not self.rescue and not self.counts.is_full:
+            raise ValueError(
+                "degraded operation applies to the Rescue machine"
+            )
         if self.compaction_buffer < 1:
             raise ValueError("compaction buffer needs at least one entry")
         if self.replay_policy not in ("paper", "trim"):
@@ -121,57 +114,57 @@ class MachineConfig:
     @property
     def fetch_width(self) -> int:
         """Instructions fetched per cycle (scaled by working frontend groups)."""
-        return self.core.width * self.frontend_groups // 2
+        return self.core.width * self.counts.frontend // 2
 
     @property
     def int_issue_limit(self) -> int:
         """Integer-side issue bandwidth under the surviving backend groups."""
-        return self.core.width * self.int_backend_groups // 2
+        return self.core.width * self.counts.int_backend // 2
 
     @property
     def fp_issue_limit(self) -> int:
         """FP-side issue bandwidth under the surviving backend groups."""
-        return self.core.width * self.fp_backend_groups // 2
+        return self.core.width * self.counts.fp_backend // 2
 
     @property
     def int_alus(self) -> int:
         """Working integer ALUs."""
-        return self.core.int_alus * self.int_backend_groups // 2
+        return self.core.int_alus * self.counts.int_backend // 2
 
     @property
     def int_muls(self) -> int:
         """Working integer multiplier/dividers."""
-        return self.core.int_muls * self.int_backend_groups // 2
+        return self.core.int_muls * self.counts.int_backend // 2
 
     @property
     def fp_adds(self) -> int:
         """Working FP adders."""
-        return self.core.fp_adds * self.fp_backend_groups // 2
+        return self.core.fp_adds * self.counts.fp_backend // 2
 
     @property
     def fp_muls(self) -> int:
         """Working FP multiplier/dividers."""
-        return self.core.fp_muls * self.fp_backend_groups // 2
+        return self.core.fp_muls * self.counts.fp_backend // 2
 
     @property
     def mem_ports(self) -> int:
         """Working cache ports (owned by the integer backend groups)."""
-        return self.core.mem_ports * self.int_backend_groups // 2
+        return self.core.mem_ports * self.counts.int_backend // 2
 
     @property
     def iq_int_size(self) -> int:
         """Usable integer issue-queue entries (halved when one half is out)."""
-        return self.core.iq_int_size * self.iq_int_halves // 2
+        return self.core.iq_int_size * self.counts.iq_int // 2
 
     @property
     def iq_fp_size(self) -> int:
         """Usable FP issue-queue entries."""
-        return self.core.iq_fp_size * self.iq_fp_halves // 2
+        return self.core.iq_fp_size * self.counts.iq_fp // 2
 
     @property
     def lsq_size(self) -> int:
         """Usable load/store-queue entries."""
-        return self.core.lsq_size * self.lsq_halves // 2
+        return self.core.lsq_size * self.counts.lsq // 2
 
     @property
     def mispredict_penalty(self) -> int:
@@ -193,7 +186,3 @@ class MachineConfig:
         """Cycles an issued entry stays in the queue before its slot frees
         (extra cycle in Rescue for the post-issue shift stage)."""
         return 3 if self.rescue else 2
-
-    def with_degradation(self, **kwargs: int) -> "MachineConfig":
-        """Copy with updated degradation counts."""
-        return dataclasses.replace(self, **kwargs)

@@ -70,11 +70,6 @@ class SimResult:
         """Committed instructions per cycle over the measured window."""
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    @property
-    def avg_iq_occupancy(self) -> float:
-        """Mean combined int+fp issue-queue occupancy per cycle."""
-        return self.iq_occupancy_sum / self.cycles if self.cycles else 0.0
-
 
 class Core:
     """One core, one run."""
@@ -98,13 +93,13 @@ class Core:
                 config.core.iq_int_size,
                 compaction_buffer=config.compaction_buffer,
                 issue_to_free=config.issue_to_free,
-                halves=config.iq_int_halves,
+                halves=config.counts.iq_int,
             )
             self.iq_fp = SegmentedIssueQueue(
                 config.core.iq_fp_size,
                 compaction_buffer=config.compaction_buffer,
                 issue_to_free=config.issue_to_free,
-                halves=config.iq_fp_halves,
+                halves=config.counts.iq_fp,
             )
         else:
             self.iq_int = CompactingIssueQueue(
@@ -115,7 +110,7 @@ class Core:
             )
         self.lsq = LoadStoreQueue(
             config.core.lsq_size,
-            halves=config.lsq_halves,
+            halves=config.counts.lsq,
             block=config.core.l1d_block,
         )
         # Completion bookkeeping: optimistic (wakeup) and actual times.
@@ -150,6 +145,7 @@ class Core:
         self.fetch_backpressure_cycles = 0
 
         self._lat = config.core.latencies
+        self._fetch_width = config.fetch_width
         self._limits_int = {
             "slots": config.int_issue_limit,
             "alu": config.int_alus,
@@ -571,7 +567,7 @@ class Core:
         n = 0
         # Frontend ways do decode and rename too: a degraded frontend
         # limits dispatch bandwidth along with fetch (Section 4).
-        width = min(cfg.core.width, cfg.fetch_width)
+        width = self._fetch_width
         while self.dispatch_q and n < width:
             avail, instr = self.dispatch_q[0]
             if avail > cycle:
@@ -622,7 +618,7 @@ class Core:
         ):
             self.fetch_backpressure_cycles += 1
             return False
-        for way in range(cfg.fetch_width):
+        for way in range(self._fetch_width):
             instr = next(self.trace, None)
             if instr is None:
                 self.trace_done = True

@@ -139,10 +139,6 @@ class ParetoRanking:
         first = set(self.fronts[0])
         return [k for k in self.order if k in first]
 
-    def rank_of(self, key: Key) -> int:
-        """0-based position of ``key`` in the total ranking."""
-        return self.order.index(key)
-
 
 def rank(items: Mapping[Key, Vector]) -> ParetoRanking:
     """Rank every item: fronts, crowding, knee, and a stable total order.

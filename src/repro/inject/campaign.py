@@ -209,14 +209,6 @@ class InjectionStats:
         }
         return stats
 
-    def block_rate(self, block: str, outcome: str) -> float:
-        """Rate of ``outcome`` among the faults injected into ``block``."""
-        counts = self.by_block.get(block)
-        if not counts:
-            return 0.0
-        total = sum(counts.values())
-        return counts.get(outcome, 0) / total if total else 0.0
-
     def summary(self) -> str:
         lines = [f"injections: {self.n}"]
         for k in OUTCOMES:
@@ -237,12 +229,11 @@ class InjectionStats:
 
 def machine_config(spec: InjectionSpec):
     """The Rescue core with ``spec.counts`` applied as its fault map."""
-    from repro.cpu.degraded import degraded_params
     from repro.cpu.params import MachineConfig
     from repro.yieldmodel.configs import CoreCounts
 
     counts = CoreCounts(**dict(zip(DIMENSIONS, spec.counts)))
-    return degraded_params(MachineConfig(rescue=True), counts)
+    return MachineConfig(rescue=True, counts=counts)
 
 
 @functools.lru_cache(maxsize=1)

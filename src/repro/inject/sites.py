@@ -196,8 +196,8 @@ def site_inert(site: Site, config: MachineConfig) -> bool:
         return site.index >= config.fetch_width
     if struct in ("iq_int", "iq_fp"):
         halves = (
-            config.iq_int_halves if struct == "iq_int"
-            else config.iq_fp_halves
+            config.counts.iq_int if struct == "iq_int"
+            else config.counts.iq_fp
         )
         if halves == 2:
             return False
@@ -209,8 +209,8 @@ def site_inert(site: Site, config: MachineConfig) -> bool:
         return site.index >= config.lsq_size
     if struct in ("prf_int", "prf_fp"):
         groups = (
-            config.int_backend_groups if struct == "prf_int"
-            else config.fp_backend_groups
+            config.counts.int_backend if struct == "prf_int"
+            else config.counts.fp_backend
         )
         if groups == 2:
             return False

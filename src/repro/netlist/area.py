@@ -66,14 +66,6 @@ class AreaBreakdown:
             + sum(self.scan_overhead.values())
         )
 
-    def block_total(self, block: str) -> float:
-        """One block's total area (logic + flops + scan overhead)."""
-        return (
-            self.logic.get(block, 0.0)
-            + self.flops.get(block, 0.0)
-            + self.scan_overhead.get(block, 0.0)
-        )
-
     def blocks(self):
         """All block names present in the breakdown."""
         names = set(self.logic) | set(self.flops) | set(self.scan_overhead)

@@ -60,11 +60,6 @@ class NetBuilder:
         """Declare a multi-bit primary input (little-endian bit list)."""
         return [self.nl.add_input(f"{name}[{i}]") for i in range(width)]
 
-    def output_word(self, word: Word) -> None:
-        """Mark every bit of ``word`` as a primary output."""
-        for net in word:
-            self.nl.mark_output(net)
-
     def const(self, bit: int) -> int:
         """A constant-0 or constant-1 driver net."""
         return self.gate(GateType.CONST1 if bit else GateType.CONST0)

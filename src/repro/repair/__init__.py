@@ -2,11 +2,9 @@
 
 The subsystem closes the loop the lint opened: given a
 :func:`~repro.core.netcheck.check_netlist_ici` violation report, it
-searches candidate patches at two abstraction levels — netlist surgery
-(:mod:`repro.repair.candidates`: relabel / cone redrive / latch staging)
-and the paper's component-graph transformations
-(:mod:`repro.repair.graphplan`) — verifies every candidate with a
-three-stage check oracle (:mod:`repro.repair.oracle`: netcheck,
+searches candidate netlist patches (:mod:`repro.repair.candidates`:
+relabel / cone redrive / latch staging), verifies every candidate with
+a three-stage check oracle (:mod:`repro.repair.oracle`: netcheck,
 bit-exact packed equivalence screen, stuck-at isolation sample), and
 emits the area-minimal verified plan through the sharded ``repair``
 campaign (:mod:`repro.repair.campaign`), the sixth entry in the runner
@@ -32,12 +30,6 @@ from repro.repair.candidates import (
     PatchInfo,
     apply_candidate,
 )
-from repro.repair.graphplan import (
-    GRAPH_KINDS,
-    GraphRepairPlan,
-    GraphRepairStep,
-    plan_graph_repairs,
-)
 from repro.repair.oracle import (
     BaseState,
     OracleVerdict,
@@ -49,9 +41,6 @@ from repro.repair.seedbreak import SeededBreak, seed_breaks
 __all__ = [
     "BaseState",
     "CANDIDATE_KINDS",
-    "GRAPH_KINDS",
-    "GraphRepairPlan",
-    "GraphRepairStep",
     "NotApplicable",
     "OracleVerdict",
     "PatchInfo",
@@ -65,7 +54,6 @@ __all__ = [
     "build_model",
     "choose_actions",
     "patch_model",
-    "plan_graph_repairs",
     "prepare_repair",
     "random_patterns",
     "repair_items",

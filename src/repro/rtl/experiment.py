@@ -60,12 +60,16 @@ class TestSetup:
     table: IsolationTable
 
 
+#: ATPG budget of :func:`generate_tests`: random patterns per batch,
+#: random batches, and PODEM backtracks per fault.
+ATPG_BATCH_SIZE = 128
+ATPG_RANDOM_BATCHES = 8
+ATPG_BACKTRACK_LIMIT = 48
+
+
 def generate_tests(
     model: RtlModel,
     seed: int = 0,
-    batch_size: int = 128,
-    max_random_batches: int = 8,
-    backtrack_limit: int = 48,
     max_deterministic: Optional[int] = None,
 ) -> TestSetup:
     """Insert scan, run ATPG, and build the isolation table."""
@@ -74,9 +78,9 @@ def generate_tests(
     atpg = run_atpg(
         nl,
         seed=seed,
-        batch_size=batch_size,
-        max_random_batches=max_random_batches,
-        backtrack_limit=backtrack_limit,
+        batch_size=ATPG_BATCH_SIZE,
+        max_random_batches=ATPG_RANDOM_BATCHES,
+        backtrack_limit=ATPG_BACKTRACK_LIMIT,
         max_deterministic=max_deterministic,
     )
     tester = ScanTester(nl, chain, atpg.patterns)

@@ -323,14 +323,14 @@ def ipc_sweep_shards(spec: IpcSweepSpec) -> List[List[Tuple]]:
 
 
 def _ipc_worker(_state: None, chunk: List) -> List[Dict]:
-    from repro.cpu.degraded import degraded_params, simulate_config
+    from repro.cpu.degraded import simulate_config
     from repro.cpu.params import MachineConfig
     from repro.yieldmodel.configs import DIMENSIONS, CoreCounts
 
     out = []
     for bench, key, n_instructions, seed, warmup in chunk:
         counts = CoreCounts(**dict(zip(DIMENSIONS, key)))
-        config = degraded_params(MachineConfig(rescue=True), counts)
+        config = MachineConfig(rescue=True, counts=counts)
         ipc = simulate_config(
             bench, config, n_instructions=n_instructions, seed=seed,
             warmup=warmup,

@@ -7,6 +7,6 @@ inputs, capture one cycle, scan-out and compare against the gold response.
 
 from repro.scan.chain import ScanChain
 from repro.scan.insertion import insert_scan
-from repro.scan.tester import ScanTester, TestResponse
+from repro.scan.tester import ScanTester
 
-__all__ = ["ScanChain", "ScanTester", "TestResponse", "insert_scan"]
+__all__ = ["ScanChain", "ScanTester", "insert_scan"]

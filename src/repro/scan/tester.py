@@ -5,12 +5,12 @@ design with packed pattern matrices.  A *pattern* assigns every source
 (primary input and scan bit); the *response* is every observation point
 (primary output and captured scan bit).  Comparing a faulty response to the
 gold response yields the failing scan-bit positions — the raw material of
-the paper's fault isolation (Section 3.1).
+the paper's fault isolation (Section 3.1).  The gold response itself is
+``tester.sim.capture(tester.values)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -22,24 +22,11 @@ from repro.scan.chain import ScanChain
 from repro.telemetry import TELEMETRY
 
 
-@dataclass
-class TestResponse:
-    """Response of one pattern set: PO matrix and captured-state matrix.
-
-    Both are (n_patterns, width) bool arrays; state columns follow flop id
-    order (the chain maps flop ids to scan-bit positions).
-    """
-
-    po: np.ndarray
-    state: np.ndarray
-
-
 class ScanTester:
     """Applies one packed scan test set and reports failing bits.
 
     The tester is bound to its pattern set: the fault-free net values
-    and the gold response are simulated once, at construction, and only
-    read afterwards.
+    are simulated once, at construction, and only read afterwards.
     """
 
     def __init__(
@@ -51,13 +38,6 @@ class ScanTester:
         if TELEMETRY.enabled:
             TELEMETRY.count("scan.patterns_applied", int(patterns.shape[0]))
         self.values: WordValues = self.sim.good_values(patterns)
-        po, state = self.sim.capture(self.values)
-        #: Gold response of the fault-free design.
-        self.good_response = TestResponse(po=po, state=state)
-
-    def detecting_patterns(self, fault: StuckAt) -> np.ndarray:
-        """(n_patterns,) bool: which patterns detect ``fault``."""
-        return self.sim.detection_vector(self.values, fault)
 
     def failing_bits(self, fault: StuckAt) -> Tuple[List[int], List[int]]:
         """Failing (scan-bit positions, PO indices) across the pattern set.

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import ComponentGraph, EdgeKind
 from repro.cpu import MachineConfig
+from repro.yieldmodel.configs import CoreCounts
 
 
 class TestGraphQueries:
@@ -66,20 +67,14 @@ class TestMachineConfigKnobs:
 
     def test_degraded_resources_halve(self):
         cfg = MachineConfig(
-            rescue=True, int_backend_groups=1, fp_backend_groups=1,
-            iq_fp_halves=1, lsq_halves=1,
+            rescue=True,
+            counts=CoreCounts(int_backend=1, fp_backend=1, iq_fp=1, lsq=1),
         )
         assert cfg.int_alus == 2
         assert cfg.int_muls == 1
         assert cfg.fp_adds == 1
         assert cfg.iq_fp_size == 18
         assert cfg.lsq_size == 16
-
-    def test_with_degradation_copies(self):
-        cfg = MachineConfig(rescue=True)
-        degraded = cfg.with_degradation(frontend_groups=1)
-        assert degraded.frontend_groups == 1
-        assert cfg.frontend_groups == 2  # original untouched
 
     def test_tech_scaling_knobs(self):
         near = MachineConfig()

@@ -96,7 +96,7 @@ class TestPareto:
         for a in items:
             for b in items:
                 if dominates(items[a], items[b]):
-                    assert r.rank_of(a) < r.rank_of(b)
+                    assert r.order.index(a) < r.order.index(b)
 
     @given(items=vector_sets())
     def test_crowding_and_knee(self, items):
@@ -126,7 +126,7 @@ class TestPareto:
             (2, 2, 2, 2, 2, 2): (1.0, 0.9, -0.30, 0.0),
         }
         r = rank(items)
-        assert r.rank_of(a) < r.rank_of(b)
+        assert r.order.index(a) < r.order.index(b)
         assert b not in r.fronts[0]
 
 

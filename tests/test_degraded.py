@@ -7,7 +7,6 @@ import pytest
 from repro.cpu import MachineConfig
 from repro.cpu.degraded import (
     IpcCache,
-    degraded_params,
     ipc_tables,
     measured_configs,
     simulate_config,
@@ -17,25 +16,26 @@ from repro.yieldmodel.configs import CoreCounts, enumerate_configs
 
 class TestDegradedParams:
     def test_counts_map_to_knobs(self):
-        base = MachineConfig(rescue=True)
-        cfg = degraded_params(
-            base, CoreCounts(frontend=1, iq_int=1, lsq=1)
+        cfg = MachineConfig(
+            rescue=True, counts=CoreCounts(frontend=1, iq_int=1, lsq=1)
         )
-        assert cfg.frontend_groups == 1
-        assert cfg.iq_int_halves == 1
-        assert cfg.lsq_halves == 1
-        assert cfg.int_backend_groups == 2
+        assert cfg.fetch_width == 2
+        assert cfg.iq_int_size == 18
+        assert cfg.lsq_size == 16
+        assert cfg.int_issue_limit == 4
+        assert cfg.int_alus == 4
 
     def test_baseline_machine_rejected(self):
         with pytest.raises(ValueError):
-            degraded_params(MachineConfig(rescue=False), CoreCounts())
+            MachineConfig(rescue=False, counts=CoreCounts(lsq=1))
 
 
 class TestIpcCache:
     def test_key_distinguishes_configs(self):
         a = IpcCache.key("gzip", MachineConfig(rescue=True), 1000, 1)
         b = IpcCache.key(
-            "gzip", MachineConfig(rescue=True, lsq_halves=1), 1000, 1
+            "gzip", MachineConfig(rescue=True, counts=CoreCounts(lsq=1)),
+            1000, 1,
         )
         c = IpcCache.key("gzip", MachineConfig(rescue=True), 1000, 2)
         assert len({a, b, c}) == 3
@@ -138,7 +138,7 @@ def _rescue_table(benchmark, n_instructions, warmup):
     points = {
         (benchmark, counts.key()): simulate_config(
             benchmark,
-            degraded_params(MachineConfig(rescue=True), counts),
+            MachineConfig(rescue=True, counts=counts),
             n_instructions=n_instructions,
             warmup=warmup,
         )

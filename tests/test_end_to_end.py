@@ -26,13 +26,13 @@ from repro.workloads import generate_trace, profile
 from repro.yieldmodel.configs import CoreCounts
 
 #: RTL blocks → (fault-map field for the 2-wide RTL model,
-#:               simulator degradation knob for the 4-wide machine).
+#:               surviving counts for the 4-wide machine).
 _BLOCK_INFO = {
-    "iq_old": ("iq_old", {"iq_int_halves": 1}),
-    "iq_new": ("iq_new", {"iq_int_halves": 1}),
-    "lsq0": ("lsq0", {"lsq_halves": 1}),
-    "backend1": ("backend1", {"int_backend_groups": 1}),
-    "frontend1": ("frontend1", {"frontend_groups": 1}),
+    "iq_old": ("iq_old", {"iq_int": 1}),
+    "iq_new": ("iq_new", {"iq_int": 1}),
+    "lsq0": ("lsq0", {"lsq": 1}),
+    "backend1": ("backend1", {"int_backend": 1}),
+    "frontend1": ("frontend1", {"frontend": 1}),
 }
 
 
@@ -68,38 +68,31 @@ def test_fault_to_degraded_operation(setup, block):
 
     # Fault map: program the blown block, derive the configuration.
     reg = FaultMapRegister(width=2)
-    field, sim_knobs = _BLOCK_INFO[block]
+    field, degraded = _BLOCK_INFO[block]
     reg.mark_faulty(field)
     counts = reg.degraded_config()
     assert counts.ok, "a single block fault must never kill the core"
 
+    # Yield model: the configuration exists in the priced space.
+    cc = CoreCounts(**degraded)
+    assert not cc.is_full
+
     # Performance: the degraded machine still commits instructions.
     trace = generate_trace(profile("gzip"), 4_000)
-    cfg = MachineConfig(rescue=True, **sim_knobs)
+    cfg = MachineConfig(rescue=True, counts=cc)
     run = Core(cfg, iter(trace)).run(4_000)
     assert run.instructions == 4_000
     assert run.ipc > 0.05
 
-    # Yield model: the configuration exists in the priced space.
-    mapping = {
-        "iq_int_halves": "iq_int",
-        "lsq_halves": "lsq",
-        "int_backend_groups": "int_backend",
-        "frontend_groups": "frontend",
-    }
-    cc_kwargs = {mapping[k]: v for k, v in sim_knobs.items()}
-    cc = CoreCounts(**cc_kwargs)
-    assert not cc.is_full
-
 
 def test_healthy_chip_passes_clean(setup):
     """A fault-free chip shows no failing bits: nothing to map out."""
-    resp = setup.tester.good_response
-    again = ScanTester(
-        setup.model.netlist, setup.chain, setup.atpg.patterns
-    ).good_response
-    assert np.array_equal(resp.po, again.po)
-    assert np.array_equal(resp.state, again.state)
+    tester = setup.tester
+    again = ScanTester(setup.model.netlist, setup.chain, setup.atpg.patterns)
+    po, state = tester.sim.capture(tester.values)
+    po2, state2 = again.sim.capture(again.values)
+    assert np.array_equal(po, po2)
+    assert np.array_equal(state, state2)
     reg = FaultMapRegister(width=2)
     assert reg.degraded_config().is_full
 

@@ -239,7 +239,8 @@ class TestNetBuilder:
         a = bld.input_word(5, "a")
         b = bld.input_word(5, "b")
         s = bld.adder(a, b)
-        bld.output_word(s)
+        for net in s:
+            bld.nl.mark_output(net)
         sim = Simulator(bld.nl)
         for x, y in [(0, 0), (3, 5), (17, 14), (31, 31), (21, 10)]:
             pi = {a[i]: (x >> i) & 1 for i in range(5)}
@@ -252,7 +253,8 @@ class TestNetBuilder:
         bld = NetBuilder()
         a = bld.input_word(3, "a")
         inc = bld.increment(a)
-        bld.output_word(inc)
+        for net in inc:
+            bld.nl.mark_output(net)
         sim = Simulator(bld.nl)
         for x in range(8):
             pi = {a[i]: (x >> i) & 1 for i in range(3)}
@@ -277,7 +279,8 @@ class TestNetBuilder:
         bld = NetBuilder()
         bits = [bld.nl.add_input(f"b{i}") for i in range(5)]
         total = bld.popcount(bits, 3)
-        bld.output_word(total)
+        for net in total:
+            bld.nl.mark_output(net)
         sim = Simulator(bld.nl)
         for mask in range(32):
             pi = {bits[i]: (mask >> i) & 1 for i in range(5)}
@@ -290,7 +293,8 @@ class TestNetBuilder:
         reqs = [bld.nl.add_input(f"r{i}") for i in range(4)]
         grants = bld.priority_select(reqs, 2)
         for g in grants:
-            bld.output_word(g)
+            for net in g:
+                bld.nl.mark_output(net)
         sim = Simulator(bld.nl)
         pi = {reqs[0]: 0, reqs[1]: 1, reqs[2]: 1, reqs[3]: 1}
         _, po, _ = sim.evaluate(pi)
@@ -303,7 +307,8 @@ class TestNetBuilder:
         reqs = [bld.nl.add_input(f"r{i}") for i in range(3)]
         grants = bld.priority_select(reqs, 3)
         for g in grants:
-            bld.output_word(g)
+            for net in g:
+                bld.nl.mark_output(net)
         sim = Simulator(bld.nl)
         pi = {reqs[0]: 0, reqs[1]: 0, reqs[2]: 1}
         _, po, _ = sim.evaluate(pi)
@@ -324,7 +329,8 @@ class TestNetBuilder:
         sels = [bld.nl.add_input(f"s{i}") for i in range(3)]
         words = [bld.const_word(v, 4) for v in (3, 12, 9)]
         out = bld.mux_many(sels, words)
-        bld.output_word(out)
+        for net in out:
+            bld.nl.mark_output(net)
         sim = Simulator(bld.nl)
         for pick, want in [(0, 3), (1, 12), (2, 9)]:
             pi = {s: int(i == pick) for i, s in enumerate(sels)}

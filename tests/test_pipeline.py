@@ -5,6 +5,7 @@ import pytest
 from repro.cpu import Core, MachineConfig
 from repro.cpu.isa import Instr, OpClass
 from repro.workloads import generate_trace, profile
+from repro.yieldmodel.configs import CoreCounts
 
 
 def _alu_trace(n, deps=()):
@@ -104,37 +105,38 @@ class TestDegradedConfigs:
         """IPC on a width-bound workload (independent ALU ops), where
         losing pipeline ways must show directly."""
         trace = _alu_trace(8_000)
-        cfg = MachineConfig(rescue=True, **degr)
+        cfg = MachineConfig(rescue=True, counts=CoreCounts(**degr))
         return Core(cfg, iter(trace)).run(8_000, warmup=1_000).ipc
 
     def test_half_frontend_halves_throughput(self):
         full = self._ipc()
-        half = self._ipc(frontend_groups=1)
+        half = self._ipc(frontend=1)
         assert half < 0.7 * full
         assert half > 1.5  # still a 2-wide machine
 
     def test_half_int_backend_hurts(self):
-        assert self._ipc(int_backend_groups=1) < 0.8 * self._ipc()
+        assert self._ipc(int_backend=1) < 0.8 * self._ipc()
 
     def test_half_iq_hurts_little(self):
         """Issue-queue halving costs far less than losing ways — the
         asymmetry Rescue's YAT advantage rides on."""
         full = self._ipc()
-        half = self._ipc(iq_int_halves=1)
+        half = self._ipc(iq_int=1)
         assert half > 0.7 * full
 
     def test_fp_degradation_ignored_by_int_code(self):
         full = self._ipc()
-        no_fp = self._ipc(fp_backend_groups=1, iq_fp_halves=1)
+        no_fp = self._ipc(fp_backend=1, iq_fp=1)
         assert no_fp > 0.95 * full
 
     def test_invalid_group_count_rejected(self):
         with pytest.raises(ValueError):
-            MachineConfig(rescue=True, frontend_groups=0)
+            MachineConfig(rescue=True, counts=CoreCounts(frontend=0))
 
     def test_width_scales_with_groups(self):
-        cfg = MachineConfig(rescue=True, frontend_groups=1,
-                            int_backend_groups=1)
+        cfg = MachineConfig(
+            rescue=True, counts=CoreCounts(frontend=1, int_backend=1)
+        )
         assert cfg.fetch_width == 2
         assert cfg.int_issue_limit == 2
         assert cfg.mem_ports == 1

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import Core, MachineConfig
-from repro.cpu.degraded import degraded_params, measured_configs
+from repro.cpu.degraded import measured_configs
 from repro.inject import (
     FaultSpec,
     enumerate_sites,
@@ -59,11 +59,11 @@ CONFIGS = {
     "rescue": _RESCUE,
     "trim": MachineConfig(rescue=True, replay_policy="trim"),
     **{
-        f"degraded-{dim}": degraded_params(_RESCUE, counts)
+        f"degraded-{dim}": MachineConfig(rescue=True, counts=counts)
         for dim, counts in zip(DIMENSIONS, measured_configs()[1:])
     },
 }
-ALL_DEGRADED = degraded_params(_RESCUE, CoreCounts(*(1,) * 6))
+ALL_DEGRADED = MachineConfig(rescue=True, counts=CoreCounts(*(1,) * 6))
 MCF_TRACE = generate_trace(profile("mcf"), 600, seed=2)
 
 

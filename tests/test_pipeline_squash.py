@@ -14,6 +14,7 @@ import random
 
 from repro.cpu import ArchState, Core, MachineConfig
 from repro.cpu.isa import Instr, OpClass
+from repro.yieldmodel.configs import CoreCounts
 
 
 def _miss_chain(n, stride=0x400):
@@ -151,7 +152,7 @@ class TestSquashPlusRedirect:
         logs = []
         for cfg in (
             MachineConfig(rescue=True),
-            MachineConfig(rescue=True, lsq_halves=1),
+            MachineConfig(rescue=True, counts=CoreCounts(lsq=1)),
             MachineConfig(rescue=False),
         ):
             arch = ArchState(cfg)

@@ -25,7 +25,7 @@ class TestInstrumentation:
         trace = generate_trace(profile("bzip2"), 6_000)
         r = Core(cfg, iter(trace)).run(6_000)
         cap = cfg.core.iq_int_size + cfg.core.iq_fp_size
-        assert 0.0 <= r.avg_iq_occupancy <= cap
+        assert 0 <= r.iq_occupancy_sum <= cap * r.cycles
 
     def test_serial_chain_fills_queue(self):
         """A fully serial workload backs up the queue far more than an
@@ -34,7 +34,8 @@ class TestInstrumentation:
             MachineConfig(), iter(_alu_trace(5_000, deps=(1,)))
         ).run(5_000)
         parallel = Core(MachineConfig(), iter(_alu_trace(5_000))).run(5_000)
-        assert serial.avg_iq_occupancy > parallel.avg_iq_occupancy
+        assert (serial.iq_occupancy_sum / serial.cycles
+                > parallel.iq_occupancy_sum / parallel.cycles)
 
     def test_issued_counts_commits_without_replay(self):
         r = Core(MachineConfig(), iter(_alu_trace(3_000))).run(3_000)

@@ -22,7 +22,6 @@ from repro.repair import (
     apply_candidate,
     build_model,
     patch_model,
-    plan_graph_repairs,
     run_repair,
     seed_breaks,
     verify_candidate,
@@ -651,37 +650,6 @@ class TestViolationIds:
         restored = NetIciReport.from_json(payload)
         assert restored.to_json() == payload
         assert restored.satisfied == report.satisfied
-
-
-# ----------------------------------------------------------------------
-# Graph-level planning
-# ----------------------------------------------------------------------
-
-class TestGraphPlan:
-    def test_baseline_graph_plans_clean(self):
-        from repro.core import build_baseline_graph, rescue_map_out_groups
-        from repro.core.checker import ici_violations
-
-        g = build_baseline_graph(width=2)
-        partition = rescue_map_out_groups(2)
-        assert ici_violations(g, partition)
-        plan = plan_graph_repairs(g, partition)
-        assert plan.satisfied
-        assert plan.steps
-        assert not ici_violations(plan.graph, partition)
-        if g.comb_is_acyclic():  # acyclicity must never regress
-            assert plan.graph.comb_is_acyclic()
-        # Original graph untouched.
-        assert ici_violations(g, partition)
-
-    def test_steps_record_cheapest_candidate(self):
-        from repro.core import build_baseline_graph, rescue_map_out_groups
-
-        g = build_baseline_graph(width=2)
-        plan = plan_graph_repairs(g, rescue_map_out_groups(2))
-        for step in plan.steps:
-            assert step.considered
-            assert step.cost == min(c for _, c in step.considered)
 
 
 # ----------------------------------------------------------------------

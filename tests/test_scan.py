@@ -74,8 +74,8 @@ class TestScanTester:
         chain = insert_scan(nl)
         patterns = np.zeros((4, _n_sources(nl)), dtype=bool)
         tester = ScanTester(nl, chain, patterns)
-        resp = tester.good_response
-        assert resp.state.shape == (4, 2)
+        _, state = tester.sim.capture(tester.values)
+        assert state.shape == (4, 2)
 
     def test_fault_detected_and_bit_localized(self):
         nl, (a, ya, yb) = _pipeline_pair()
@@ -87,7 +87,7 @@ class TestScanTester:
         tester = ScanTester(nl, chain, patterns)
         # Fault in stage B logic: observed only at scan bit 1 (flop rb).
         fault = StuckAt(net=yb, value=0)
-        assert tester.detecting_patterns(fault).any()
+        assert tester.sim.detection_vector(tester.values, fault).any()
         bits, po = tester.failing_bits(fault)
         assert bits == [1] and po == []
         assert chain.component_at(bits[0]) == "stageB"
@@ -113,7 +113,9 @@ class TestScanTester:
         patterns = np.ones((2, _n_sources(nl)), dtype=bool)
         tester = ScanTester(nl, chain, patterns)
         fault = StuckAt(net=ya, value=0)
-        assert not tester.detecting_patterns(fault).any()
+        assert not tester.sim.detection_vector(
+            tester.values, fault
+        ).any()
 
     def test_flop_d_pin_fault_detected(self):
         nl, _ = _pipeline_pair()

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import ArchState, Core, MachineConfig
-from repro.cpu.degraded import degraded_params
 from repro.inject import (
     FaultSpec,
     enumerate_sites,
@@ -33,7 +32,7 @@ from repro.yieldmodel.configs import CoreCounts
 from tests.oracles import scratch_run
 
 FULL = MachineConfig(rescue=True)
-DEGRADED = degraded_params(FULL, CoreCounts(1, 1, 1, 1, 1, 1))
+DEGRADED = MachineConfig(rescue=True, counts=CoreCounts(1, 1, 1, 1, 1, 1))
 
 
 def _trace(n=250, seed=7, bench="gzip"):

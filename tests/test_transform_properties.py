@@ -1,9 +1,10 @@
-"""Hypothesis properties for the ICI transformations the repair uses.
+"""Hypothesis properties for the ICI transformations (Section 3.2).
 
-The repair planner (:mod:`repro.repair.graphplan`) trusts that each
-transformation is *safe*: it discharges (or at least never worsens) the
-targeted violation, keeps every other component's connectivity intact,
-and accounts its own cost honestly.  These properties pin that contract
+The Rescue component graph (:func:`repro.core.build_rescue_graph`) is
+built by applying these transformations, which trusts that each one is
+*safe*: it discharges (or at least never worsens) the targeted
+violation, keeps every other component's connectivity intact, and
+accounts its own cost honestly.  These properties pin that contract
 down over randomized grouped graphs rather than hand-picked examples:
 
 - ``cycle_split`` discharges exactly the split edge and never
@@ -12,7 +13,7 @@ down over randomized grouped graphs rather than hand-picked examples:
   exactly the copy area it reports;
 - ``dependence_rotation`` moves latches without creating or destroying
   components or changing total area;
-- ``duplicate`` / ``buffer`` (the repair-added shapes) discharge their
+- ``duplicate`` / ``buffer`` (the cross-group shapes) discharge their
   target edges with the cost their records claim.
 """
 
