@@ -5,10 +5,14 @@ against a random pattern set with two engines and asserts they agree:
 
 - ``word``   — :class:`repro.netlist.compiled.PackedWordSimulator`
   (every net's patterns packed into one Python int, one gate evaluator
-  for good and event-driven cone re-simulation), the program's only
-  engine,
+  for good and event-driven re-simulation, batch detection by critical
+  path tracing over fanout-free regions), the program's only engine,
 - ``legacy`` — :class:`tests.oracles.PackedSimulator` (dict of per-net
   numpy bool arrays), the reference kept as a test oracle.
+
+It also holds the batch detector, ``PackedWordSimulator.detections``,
+equal to the per-fault cone-walk oracle
+(:func:`tests.oracles.fault_mismatch`) on every collapsed fault.
 
 Command line:
 
@@ -18,10 +22,11 @@ python benchmarks/bench_faultsim.py --check   # <30 s equivalence gate
 
 ``--check`` is the pre-merge gate (see benchmarks/README.md): it
 asserts engine equivalence (detection verdicts + first-detection
-indices + captured responses) on a small netlist and exits nonzero on
-any mismatch.  The engine's speed is measured by ``benchmarks/perf``
-(the ``gate-tiny`` workload); EXPERIMENTS.md keeps the one-off speedup
-over the reference as a dated figure.
+indices + every fault's packed detection int + captured responses) on
+a small netlist and exits nonzero on any mismatch.  The engine's speed
+is measured by ``benchmarks/perf`` (the ``gate-tiny`` workload);
+EXPERIMENTS.md keeps the one-off speedup over the reference as a dated
+figure.
 """
 
 from __future__ import annotations
@@ -66,10 +71,11 @@ def _assert_equivalent(grade_a, grade_b, label: str) -> None:
 def check(seed: int = 0) -> None:
     """Pre-merge smoke gate: engine equivalence on a small netlist.
 
-    Covers grading (verdicts + first-detection indices), per-pattern
-    detection vectors, and faulty captured responses for every collapsed
-    fault, at a pattern count that straddles the word boundary.  Runs in
-    well under 30 s.
+    Covers grading (verdicts + first-detection indices), each collapsed
+    fault's packed detection int against the per-fault oracle,
+    per-pattern detection vectors on a sample, and faulty captured
+    responses, at a pattern count that straddles the word boundary.
+    Runs in well under 30 s.
     """
     from repro.atpg.compaction import detection_matrix
     from repro.atpg.faultsim import grade_faults
@@ -87,6 +93,12 @@ def check(seed: int = 0) -> None:
     g_legacy = oracles.grade_faults(netlist, faults, patterns, sim=legacy)
     _assert_equivalent(g_legacy, g_word, "check")
 
+    wv = word.good_values(patterns)
+    for fault, hits in zip(faults, word.detections(wv, faults)):
+        assert hits == oracles.fault_mismatch(word, wv, fault), (
+            f"detections int differs for {fault.describe()}"
+        )
+
     sample = faults[:: max(1, len(faults) // 200)]
     m_word = detection_matrix(netlist, sample, patterns, sim=word)
     m_legacy = oracles.detection_matrix(netlist, sample, patterns,
@@ -96,7 +108,6 @@ def check(seed: int = 0) -> None:
             f"detection vector differs for {fault.describe()}"
         )
     lv = legacy.good_values(patterns)
-    wv = word.good_values(patterns)
     for fault in sample[:60]:
         dl = legacy.faulty_values(lv, fault)
         dw = word.faulty_values(wv, fault)
@@ -106,7 +117,8 @@ def check(seed: int = 0) -> None:
             f"faulty capture differs for {fault.describe()}"
         )
     print(
-        f"check OK: {len(faults)} faults x {patterns.shape[0]} patterns, "
+        f"check OK: {len(faults)} faults x {patterns.shape[0]} patterns "
+        f"(every detection int against the per-fault oracle), "
         f"{len(sample)} detection vectors and {min(60, len(sample))} "
         f"faulty captures bit-exact against the reference engine"
     )

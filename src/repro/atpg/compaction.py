@@ -6,8 +6,10 @@ implements classic reverse-order compaction on full detection data: grade
 every (fault, pattern) pair once, then walk the patterns newest-to-oldest
 dropping any whose detected faults are all covered by the patterns kept.
 
-The bit-packed simulator computes each fault's per-pattern detection
-vector directly from packed mismatch words.
+One critical-path-tracing pass of the bit-packed simulator
+(:meth:`~repro.netlist.compiled.PackedWordSimulator.detections`) gives
+every fault's packed detection int, and one unpacking turns them all
+into per-pattern detection vectors.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.netlist.compiled import PackedWordSimulator
+from repro.netlist.compiled import PackedWordSimulator, _ints_to_bits
 from repro.netlist.faults import StuckAt
 from repro.netlist.netlist import Netlist
 
@@ -31,7 +33,8 @@ def detection_matrix(
     if sim is None:
         sim = PackedWordSimulator(netlist)
     values = sim.good_values(patterns)
-    return {fault: sim.detection_vector(values, fault) for fault in faults}
+    bits = _ints_to_bits(sim.detections(values, faults), values.npat)
+    return {fault: bits[:, j] for j, fault in enumerate(faults)}
 
 
 def reverse_order_compaction(

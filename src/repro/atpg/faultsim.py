@@ -1,15 +1,15 @@
 """Packed-pattern fault simulation (fault grading).
 
 Given a pattern set and a fault list, determine which faults each pattern
-detects.  The good circuit is simulated once; each fault re-simulates only
-its fanout cone, the optimization that keeps grading thousands of faults
-tractable.  The engine is the bit-parallel (one packed int per net)
-:class:`~repro.netlist.compiled.PackedWordSimulator`, with fault-effect
-death pruning in the cone walk.
+detects.  The good circuit is simulated once; then one batch pass,
+:meth:`~repro.netlist.compiled.PackedWordSimulator.detections`, gives
+every fault its packed detection int by critical path tracing: a
+backward sensitization pass inside each fanout-free region and one flip
+re-simulation per region root, instead of one cone walk per fault.
 
 Fault *dropping* lives in the callers (the ATPG flow and random phase):
 once a fault is detected it leaves the active list, so later pattern
-batches never re-simulate it.  The deterministic phase batches up to
+batches never trace it again.  The deterministic phase batches up to
 ``drop_batch`` PODEM patterns per :func:`grade_faults` call so each drop
 pass fills whole 64-bit packed words instead of grading 1-row matrices.
 """
@@ -65,12 +65,11 @@ def grade_faults(
     grade = FaultGrade(n_faults=len(faults))
     with TELEMETRY.span("faultsim/grade"):
         values = sim.good_values(patterns)
-        for fault in faults:
-            first = sim.first_detection(values, fault)
-            if first is None:
-                grade.undetected.append(fault)
+        for fault, hits in zip(faults, sim.detections(values, faults)):
+            if hits:
+                grade.detected[fault] = (hits & -hits).bit_length() - 1
             else:
-                grade.detected[fault] = first
+                grade.undetected.append(fault)
     t = TELEMETRY
     if t.enabled:
         t.count("faultsim.grade_calls")

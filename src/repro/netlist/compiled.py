@@ -3,9 +3,9 @@
 :class:`CompiledNetlist` flattens a :class:`~repro.netlist.netlist.Netlist`
 into the flat per-gate lists the engine and the compiled PODEM walk:
 ``(type, inputs, output)`` tuples, reader lists, topological positions
-and driver ids.  :meth:`CompiledNetlist.extend` builds a patched copy
-from the base build and the copy's
-:class:`~repro.netlist.delta.NetlistDelta`, and
+and driver ids, plus (on first use) its fanout-free-region map.
+:meth:`CompiledNetlist.extend` builds a patched copy from the base build
+and the copy's :class:`~repro.netlist.delta.NetlistDelta`, and
 :meth:`PackedWordSimulator.extend_values` re-simulates its good values
 from the base values, starting at the delta's changed gates; the repair
 oracle checks each candidate patch that way.
@@ -13,27 +13,33 @@ oracle checks each candidate patch that way.
 :class:`PackedWordSimulator` is the engine the ATPG/diagnosis stack runs
 on.  Every net's values for a pattern set are one arbitrary-precision
 Python int (bit p = pattern p), so one bitwise op evaluates a gate for
-*all* patterns — classic parallel-pattern single-fault propagation, the
-technique production fault simulators use.  Good simulation evaluates
-every gate once in topological order; faulty re-simulation is restricted
-to the fault's fanout cone, with fault-effect death pruning: the cone
-walk stops as soon as no net still differs from the good circuit.  Both
-call the same gate evaluator, :func:`_eval_gate_int`.  Fault dropping
-happens one level up — a fault leaves the active list at its first
-detection (see :mod:`repro.atpg.faultsim` and the ATPG flow), so later
-patterns never pay for it again.  numpy appears only where pattern and
-response matrices enter or leave the engine.
+*all* patterns.  Good simulation evaluates every gate once in
+topological order.  Fault grading is one batch pass,
+:meth:`PackedWordSimulator.detections`, by critical path tracing
+(Abramovici, Menon & Miller, DAC 1983): inside each fanout-free region a
+backward pass over the packed ints gives every line the patterns on
+which flipping it flips the region's root, and one forward flip
+re-simulation per root gives the patterns on which the root is
+observed; a fault's detection int is the AND of its activation, its
+sensitization and its root's observability.  Single-fault re-simulation
+(:meth:`PackedWordSimulator.faulty_values`, read by the scan tester) and
+the root flips share one event-driven walk restricted to the changed
+cone, with fault-effect death pruning.  All of it calls the same gate
+evaluator, :func:`_eval_gate_int`.  Fault dropping happens one level up
+(see :mod:`repro.atpg.faultsim` and the ATPG flow).  numpy appears only
+where pattern and response matrices enter or leave the engine.
 
 It is the only gate-level simulator in the program.  The test suite keeps
-a dict-of-bool-arrays reference simulator as an oracle;
-``benchmarks/bench_faultsim.py --check`` asserts they agree bit-for-bit,
-and ``benchmarks/perf`` measures this engine's speed.
+a dict-of-bool-arrays reference simulator and the per-fault cone-walk
+detector as oracles; ``benchmarks/bench_faultsim.py --check`` asserts
+they agree bit-for-bit, and ``benchmarks/perf`` measures this engine's
+speed.
 """
 
 from __future__ import annotations
 
 import heapq
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_, xor
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -62,6 +68,8 @@ class CompiledNetlist:
             net -> pattern column.
         po_cols / d_fids: observation maps net -> PO indices / flop fids.
         obs_nets: every net that is a PO or a flop D input.
+        ffr_sink / ffr_root: the fanout-free-region map (built on first
+            use; see :attr:`ffr_sink`).
 
     Cone-walk hooks (the surface the compiled PODEM and the event-driven
     faulty re-simulation share):
@@ -91,6 +99,44 @@ class CompiledNetlist:
         self.driver_gid: List[int] = [-1] * self.n_nets
         for g in netlist.gates:
             self.driver_gid[g.output] = g.gid
+
+    @cached_property
+    def ffr_sink(self) -> Dict[int, Tuple[int, int]]:
+        """Fanout-free-region lines: each non-root net -> its one reading
+        ``(gate id, pin)``.
+
+        A net is a non-root line when exactly one gate pin reads it and
+        it is not an observation net.  Every other net (several reading
+        pins, two pins of one gate, an observed net, no reader) is the
+        root of a fanout-free region.  Built on first use.
+        """
+        first: Dict[int, Tuple[int, int]] = {}
+        multi: Set[int] = set(self.obs_nets)
+        for gid, (_, g_inputs, _) in enumerate(self.gate_tuples):
+            for pin, net in enumerate(g_inputs):
+                if net in first:
+                    multi.add(net)
+                else:
+                    first[net] = (gid, pin)
+        return {
+            net: sink for net, sink in first.items() if net not in multi
+        }
+
+    @cached_property
+    def ffr_root(self) -> List[int]:
+        """Per net, the root of its fanout-free region (a root maps to
+        itself).  Built on first use."""
+        root = list(range(self.n_nets))
+        sink = self.ffr_sink
+        gate_tuples = self.gate_tuples
+        # In reverse order an output line already has its root (its sink
+        # gate comes later) when the gate's input lines take it over.
+        for gid in reversed(self.netlist.topo_gate_order()):
+            _, g_inputs, g_output = gate_tuples[gid]
+            for net in g_inputs:
+                if net in sink:
+                    root[net] = root[g_output]
+        return root
 
     def _map_ports(self, netlist: Netlist) -> None:
         """Set the netlist, net count, source and observation maps."""
@@ -194,11 +240,12 @@ class PackedWordSimulator:
     """Bit-parallel simulator on packed ints (bit p = pattern p).
 
     :meth:`good_values` simulates a pattern set into :class:`WordValues`;
-    :meth:`faulty_values` returns a fault's sparse packed-int delta and
-    :meth:`capture` unpacks (PO, captured-state) matrices.  The detection
-    fast paths (:meth:`first_detection`, :meth:`detection_vector`,
-    :meth:`failing_observations`) let the fault grader and scan tester
-    skip unpacking entirely.
+    :meth:`detections` gives a whole fault list its packed detection
+    ints in one critical-path-tracing pass (the fault grader and
+    compaction read it); :meth:`faulty_values` returns one fault's
+    sparse packed-int delta, :meth:`failing_observations` the
+    observation points it reaches (the scan tester reads it), and
+    :meth:`capture` unpacks (PO, captured-state) matrices.
     """
 
     def __init__(
@@ -298,50 +345,33 @@ class PackedWordSimulator:
     # ------------------------------------------------------------------
     # Faulty re-simulation (cone-restricted, effect-death pruned)
     # ------------------------------------------------------------------
-    def faulty_values(
-        self, good: WordValues, fault: StuckAt
-    ) -> Dict[int, int]:
-        """Nets whose value changes under ``fault``, as packed ints.
+    def _propagate(
+        self,
+        good: WordValues,
+        delta: Dict[int, int],
+        seeds: Sequence[int],
+        pin_gate: Optional[int] = None,
+        pin: int = 0,
+        const: int = 0,
+    ) -> int:
+        """Event-driven walk from the ``seeds`` gates over ``delta``.
 
-        Only *differing* nets appear; a missing net equals the good value.
-        Propagation is event-driven within the fault's fanout cone: a
-        heap ordered by topological position holds exactly the gates with
-        a changed input, so dead fault effects cost nothing — the walk
-        ends the moment no net still differs from the good circuit.
+        ``delta`` holds the nets already forced away from ``good``; the
+        walk adds every net that comes to differ.  A heap ordered by
+        topological position holds exactly the gates with a changed
+        input, so each is evaluated once and the walk ends as soon as no
+        net still differs.  Gate ``pin_gate`` sees ``const`` on input
+        ``pin`` (a branch fault).  Returns the number of gates evaluated.
         """
-        if fault.flop is not None:
-            # Flop D-pin fault affects only the capture, not the logic.
-            return {}
         c = self.compiled
         mask = good.mask
-        const = mask if fault.value else 0
         ints = good.ints
-        delta: Dict[int, int] = {}
         readers = c.readers
         pos = c.topo_pos
         gate_tuples = c.gate_tuples
-        heap: List[Tuple[int, int]] = []
-        queued: Set[int] = set()
-
-        def wake(net: int) -> None:
-            for gid in readers[net]:
-                if gid not in queued:
-                    queued.add(gid)
-                    heapq.heappush(heap, (pos[gid], gid))
-
-        if fault.is_stem:
-            if const == ints[fault.net]:
-                if TELEMETRY.enabled:
-                    TELEMETRY.count("engine.resim.calls")
-                    TELEMETRY.count("engine.resim.dead")
-                return delta  # stuck value equals good everywhere
-            delta[fault.net] = const
-            wake(fault.net)
-        else:
-            # Branch fault: only the faulted gate sees the stuck pin.
-            queued.add(fault.gate)
-            heapq.heappush(heap, (pos[fault.gate], fault.gate))
-        pin_gate, pin = fault.gate, fault.pin
+        heap = [(pos[gid], gid) for gid in seeds]
+        heapq.heapify(heap)
+        queued: Set[int] = set(seeds)
         while heap:
             _, gid = heapq.heappop(heap)
             gtype, g_inputs, g_output = gate_tuples[gid]
@@ -353,19 +383,163 @@ class PackedWordSimulator:
             out = _eval_gate_int(gtype, ins, mask)
             if out != ints[g_output]:
                 delta[g_output] = out
-                wake(g_output)
-        # Batched accounting: the walk itself stays untouched.  Every
-        # queued gate was popped exactly once (the queued set is never
-        # drained), so len(queued) is the event-driven re-eval count.
+                for r in readers[g_output]:
+                    if r not in queued:
+                        queued.add(r)
+                        heapq.heappush(heap, (pos[r], r))
+        # Every queued gate was popped exactly once (the queued set is
+        # never drained), so len(queued) is the re-evaluation count.
+        return len(queued)
+
+    def faulty_values(
+        self, good: WordValues, fault: StuckAt
+    ) -> Dict[int, int]:
+        """Nets whose value changes under ``fault``, as packed ints.
+
+        Only *differing* nets appear; a missing net equals the good value.
+        Propagation is the event-driven cone walk of :meth:`_propagate`,
+        so dead fault effects cost nothing.
+        """
+        if fault.flop is not None:
+            # Flop D-pin fault affects only the capture, not the logic.
+            return {}
+        const = good.mask if fault.value else 0
+        delta: Dict[int, int] = {}
         t = TELEMETRY
+        if fault.is_stem:
+            if const == good.ints[fault.net]:
+                if t.enabled:
+                    t.count("engine.resim.calls")
+                    t.count("engine.resim.dead")
+                return delta  # stuck value equals good everywhere
+            delta[fault.net] = const
+            evals = self._propagate(
+                good, delta, self.compiled.readers[fault.net]
+            )
+        else:
+            # Branch fault: only the faulted gate sees the stuck pin.
+            evals = self._propagate(
+                good, delta, (fault.gate,), fault.gate, fault.pin, const
+            )
         if t.enabled:
             t.count("engine.resim.calls")
-            t.count("engine.resim.gate_evals", len(queued))
+            t.count("engine.resim.gate_evals", evals)
             if delta:
                 t.observe("engine.resim.cone_nets", len(delta))
             else:
                 t.count("engine.resim.dead")
         return delta
+
+    # ------------------------------------------------------------------
+    # Batch detection (critical path tracing)
+    # ------------------------------------------------------------------
+    def detections(
+        self, values: WordValues, faults: Sequence[StuckAt]
+    ) -> List[int]:
+        """Each fault's packed mismatch int: bit p is set when pattern p
+        makes any observation point differ under the fault.
+
+        Critical path tracing over fanout-free regions (see
+        :attr:`CompiledNetlist.ffr_sink`).  A fault inside a region
+        changes no net outside it but the root, and the root only on the
+        patterns where the fault is activated and sensitized to it, so
+        its int is ``activation & sensitization & observability(root)``:
+
+        - sensitization: a memoised backward pass, ``sens[line] =
+          sens[out] & (eval(sink gate, line flipped) ^ good[out])`` with
+          ``sens[root]`` all ones;
+        - observability: one forward flip re-simulation per root that
+          some fault still needs, over only the patterns it needs;
+        - activation: ``good ^ stuck`` on a stem, ``eval(gate, pin :=
+          stuck) ^ good[out]`` on a gate-pin branch; a flop D-pin fault
+          is ``good[d] ^ stuck`` with nothing to trace.
+
+        Exact per pattern, equal to each fault's own cone walk.
+        """
+        c = self.compiled
+        ints = values.ints
+        mask = values.mask
+        gate_tuples = c.gate_tuples
+        sink = c.ffr_sink
+        root_of = c.ffr_root
+        flops = self.netlist.flops
+        sens: Dict[int, int] = {}
+        n_evals = 0
+
+        def sensitization(line: int) -> int:
+            nonlocal n_evals
+            path = []
+            net = line
+            while net not in sens:
+                if net not in sink:
+                    sens[net] = mask
+                    break
+                path.append(net)
+                net = gate_tuples[sink[net][0]][2]
+            for net in reversed(path):
+                gid, pin = sink[net]
+                gtype, g_inputs, g_output = gate_tuples[gid]
+                s_out = sens[g_output]
+                if s_out:
+                    ins = [ints[i] for i in g_inputs]
+                    ins[pin] ^= mask
+                    s_out &= _eval_gate_int(gtype, ins, mask) ^ ints[g_output]
+                    n_evals += 1
+                sens[net] = s_out
+            return sens[line]
+
+        # Pass 1: activation & sensitization, and per root the patterns
+        # some fault needs observed.
+        result = [0] * len(faults)
+        traced: List[Tuple[int, int, int]] = []
+        need: Dict[int, int] = {}
+        for k, fault in enumerate(faults):
+            const = mask if fault.value else 0
+            if fault.flop is not None:
+                result[k] = ints[flops[fault.flop].d_net] ^ const
+                continue
+            if fault.is_stem:
+                line = fault.net
+                act = ints[line] ^ const
+            else:
+                gtype, g_inputs, line = gate_tuples[fault.gate]
+                ins = [ints[i] for i in g_inputs]
+                ins[fault.pin] = const
+                act = _eval_gate_int(gtype, ins, mask) ^ ints[line]
+                n_evals += 1
+            if act:
+                act &= sensitization(line)
+            if act:
+                root = root_of[line]
+                need[root] = need.get(root, 0) | act
+                traced.append((k, root, act))
+
+        # Pass 2: one flip re-simulation per needed root.
+        obs_nets = c.obs_nets
+        readers = c.readers
+        observed: Dict[int, int] = {}
+        n_flips = 0
+        for root, bits in need.items():
+            if root in obs_nets:
+                observed[root] = bits
+                continue
+            delta = {root: ints[root] ^ bits}
+            n_evals += self._propagate(values, delta, readers[root])
+            n_flips += 1
+            seen = 0
+            for net, value in delta.items():
+                if net in obs_nets:
+                    seen |= value ^ ints[net]
+            observed[root] = seen
+        for k, root, act in traced:
+            result[k] = act & observed[root]
+        t = TELEMETRY
+        if t.enabled:
+            t.count("engine.resim.calls", n_flips)
+            t.count("engine.resim.gate_evals", n_evals)
+            t.count("engine.ffr.roots", len(need))
+            t.count("engine.ffr.faults", len(traced))
+        return result
 
     # ------------------------------------------------------------------
     # Observation
@@ -395,38 +569,6 @@ class PackedWordSimulator:
             _ints_to_bits(state_ints, values.npat),
         )
 
-    # ------------------------------------------------------------------
-    # Detection fast paths (no unpacking)
-    # ------------------------------------------------------------------
-    def _mismatch(self, values: WordValues, fault: StuckAt) -> int:
-        """Packed int of patterns on which any observation point differs."""
-        if fault.flop is not None:
-            flop = self.netlist.flops[fault.flop]
-            const = values.mask if fault.value else 0
-            return values.ints[flop.d_net] ^ const
-        obs = self.compiled.obs_nets
-        mismatch = 0
-        for net, value in self.faulty_values(values, fault).items():
-            if net in obs:
-                mismatch |= value ^ values.ints[net]
-        return mismatch
-
-    def first_detection(
-        self, values: WordValues, fault: StuckAt
-    ) -> Optional[int]:
-        """Index of the first pattern detecting ``fault``, or None."""
-        m = self._mismatch(values, fault)
-        if not m:
-            return None
-        return (m & -m).bit_length() - 1
-
-    def detection_vector(
-        self, values: WordValues, fault: StuckAt
-    ) -> np.ndarray:
-        """(P,) bool: which patterns detect ``fault``."""
-        m = self._mismatch(values, fault)
-        return _ints_to_bits([m], values.npat)[:, 0]
-
     def failing_observations(
         self, values: WordValues, fault: StuckAt
     ) -> Tuple[Set[int], Set[int]]:
@@ -434,7 +576,8 @@ class PackedWordSimulator:
         fids: Set[int] = set()
         pos: Set[int] = set()
         if fault.flop is not None:
-            if self._mismatch(values, fault):
+            d_net = self.netlist.flops[fault.flop].d_net
+            if values.ints[d_net] ^ (values.mask if fault.value else 0):
                 fids.add(fault.flop)
             return fids, pos
         c = self.compiled

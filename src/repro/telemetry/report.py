@@ -1,10 +1,10 @@
 """Aggregation and rendering of telemetry metrics and trace files.
 
 Backs ``repro trace summarize``: per-span totals (sorted by time), the
-injection-replay and repair-oracle rows, counter tables, histogram
-summaries, and the top-N hottest individual span events from the
-stream.  :func:`render_metrics` is also used directly by commands that
-print a telemetry recap without a trace file.
+fault-sim engine, injection-replay and repair-oracle rows, counter
+tables, histogram summaries, and the top-N hottest individual span
+events from the stream.  :func:`render_metrics` is also used directly
+by commands that print a telemetry recap without a trace file.
 """
 
 from __future__ import annotations
@@ -14,6 +14,18 @@ from typing import Any, Dict, List, Tuple
 from repro.telemetry.core import Metrics, SpanStat
 from repro.telemetry.trace import read_trace
 
+
+#: The gate-level fault-sim engine's work: faults that critical path
+#: tracing carried to a region root (activated and sensitized there),
+#: the fanout-free-region roots they needed, and the
+#: re-simulations (root flips and single-fault cone walks) with every
+#: gate they evaluated.
+ENGINE_ROWS = (
+    ("engine.ffr.faults", "faults traced to a region root"),
+    ("engine.ffr.roots", "fanout-free-region roots traced"),
+    ("engine.resim.calls", "root flips and fault cone walks"),
+    ("engine.resim.gate_evals", "re-simulation gate evaluations"),
+)
 
 #: The injection-replay economics, one labelled row per counter, shown
 #: ahead of the counter table by ``repro trace summarize`` and by the
@@ -117,7 +129,9 @@ def render_metrics(metrics: Metrics) -> str:
     out = ["spans:"]
     out += render_spans(metrics.spans)
     for title, rows in (
-        ("injection replay:", REPLAY_ROWS), ("repair oracle:", REPAIR_ROWS)
+        ("fault-sim engine:", ENGINE_ROWS),
+        ("injection replay:", REPLAY_ROWS),
+        ("repair oracle:", REPAIR_ROWS),
     ):
         lines = render_rows(metrics.counters, rows)
         if lines:

@@ -23,6 +23,7 @@ from tests.oracles.sim import (
     PackedSimulator,
     Simulator,
     detection_matrix,
+    fault_mismatch,
     grade_faults,
 )
 
@@ -31,6 +32,7 @@ __all__ = [
     "Podem",
     "Simulator",
     "detection_matrix",
+    "fault_mismatch",
     "full_reset",
     "grade_faults",
     "scratch_campaign",

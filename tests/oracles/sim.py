@@ -17,7 +17,11 @@ oracles it is checked against:
   re-simulation;
 - :func:`detection_matrix` / :func:`grade_faults` grade faults on a
   :class:`PackedSimulator` by comparing captured responses, the way the
-  production grader must answer.
+  production grader must answer;
+- :func:`fault_mismatch` is the production engine's per-fault path
+  that batch critical path tracing replaced: one event-driven cone walk
+  of :meth:`PackedWordSimulator.faulty_values` per fault, OR-ing the
+  differences at the observation points.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.atpg.faultsim import FaultGrade
+from repro.netlist.compiled import PackedWordSimulator, WordValues
 from repro.netlist.faults import StuckAt
 from repro.netlist.gates import GateType
 from repro.netlist.netlist import Netlist
@@ -401,3 +406,20 @@ def grade_faults(
         else:
             grade.undetected.append(fault)
     return grade
+
+
+def fault_mismatch(
+    sim: PackedWordSimulator, values: WordValues, fault: StuckAt
+) -> int:
+    """Packed int of the patterns on which any observation point differs
+    under ``fault``, from the fault's own cone walk."""
+    if fault.flop is not None:
+        flop = sim.netlist.flops[fault.flop]
+        return values.ints[flop.d_net] ^ (values.mask if fault.value else 0)
+    obs = sim.compiled.obs_nets
+    mismatch = 0
+    for net, value in sim.faulty_values(values, fault).items():
+        if net in obs:
+            mismatch |= value ^ values.ints[net]
+    return mismatch
+

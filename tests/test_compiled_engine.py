@@ -8,6 +8,11 @@ input pin, flop D pin).  Random netlists here are richer than the
 generic ones in ``test_properties`` (they include BUF/CONST gates,
 several flops and primary outputs) and pattern counts include the
 empty set and straddle the 64-bit word boundary.
+
+The batch critical-path-tracing detector (`detections`) must equal the
+per-fault cone-walk oracle `tests.oracles.fault_mismatch` on every fault,
+on random netlists built to hit each fanout-free-region corner case and
+(in the ``slow`` run) on both tiny RTL models.
 """
 
 import random as pyrandom
@@ -15,7 +20,10 @@ import random as pyrandom
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import pytest
+
 from repro.atpg.compaction import detection_matrix
+from repro.atpg.faults import full_fault_universe
 from repro.atpg.faultsim import grade_faults
 from repro.netlist import GateType, Netlist
 from repro.netlist.compiled import PackedWordSimulator, _ints_to_bits
@@ -226,8 +234,10 @@ class TestEdgeCases:
         po, state = word.capture(values)
         assert po.shape == (0, len(nl.primary_outputs))
         assert state.shape == (0, len(nl.flops))
-        for fault in _random_faults(nl, 2, 4):
-            assert word.first_detection(values, fault) is None
+        faults = _random_faults(nl, 2, 4)
+        assert word.detections(values, faults) == [0] * len(faults)
+        for fault in faults:
+            assert oracles.fault_mismatch(word, values, fault) == 0
 
     def test_capture_without_flops(self):
         nl = Netlist("noflop")
@@ -239,3 +249,134 @@ class TestEdgeCases:
             po, state = word.capture(word.good_values(patterns))
             assert po.shape == (npat, 1) and po.all()
             assert state.shape == (npat, 0)
+
+
+def _ffr_netlist(seed: int, n_gates: int) -> Netlist:
+    """A random netlist hitting every fanout-free-region corner case.
+
+    It has flop Qs read as sources, an XOR/XNOR chain, constants, a net
+    feeding two pins of one gate (one a MUX2 select), a PO and a flop D
+    on nets that also have exactly one gate reader, a flop D net that
+    fans out (flop-D branch faults) and dead gates.
+    """
+    rng = pyrandom.Random(seed)
+    nl = Netlist(f"ffr{seed}")
+    nets = [nl.add_input(f"i{k}") for k in range(rng.randint(2, 5))]
+    flops = [
+        nl.add_flop(nets[0], name=f"f{k}") for k in range(rng.randint(2, 4))
+    ]
+    nets += [f.q_net for f in flops]
+    x = rng.choice(nets)
+    for _ in range(rng.randint(2, 4)):
+        x = nl.add_gate(
+            rng.choice((GateType.XOR, GateType.XNOR)), [x, rng.choice(nets)]
+        )
+    nets.append(x)
+    nets.append(
+        nl.add_gate(rng.choice((GateType.CONST0, GateType.CONST1)), [])
+    )
+    twice = rng.choice(nets)
+    nets.append(nl.add_gate(
+        rng.choice((GateType.AND, GateType.OR, GateType.XOR, GateType.NAND)),
+        [twice, twice],
+    ))
+    nets.append(nl.add_gate(GateType.MUX2, [rng.choice(nets), twice, twice]))
+    nets.append(
+        nl.add_gate(GateType.MUX2, [rng.choice(nets) for _ in range(3)])
+    )
+    for _ in range(n_gates):
+        kind = rng.choice(_KINDS)
+        if kind in (GateType.NOT, GateType.BUF):
+            ins = [rng.choice(nets)]
+        elif kind is GateType.MUX2:
+            ins = [rng.choice(nets) for _ in range(3)]
+        elif kind in (GateType.CONST0, GateType.CONST1):
+            ins = []
+        else:
+            ins = [rng.choice(nets) for _ in range(rng.choice((2, 2, 3)))]
+        nets.append(nl.add_gate(kind, ins))
+    # A PO and a flop D on nets with exactly one gate reader.
+    po_net = nl.add_gate(GateType.NOT, [rng.choice(nets)])
+    nets.append(nl.add_gate(GateType.BUF, [po_net]))
+    nl.mark_output(po_net)
+    d_net = nl.add_gate(GateType.NOT, [rng.choice(nets)])
+    nets.append(nl.add_gate(GateType.BUF, [d_net]))
+    nl.set_flop_d(flops[0].fid, d_net)
+    nl.set_flop_d(flops[1].fid, twice)
+    for f in flops[2:]:
+        nl.set_flop_d(f.fid, rng.choice(nets))
+    for net in rng.sample(nets, 2):
+        nl.mark_output(net)
+    # Dead gates: nothing reads or observes them.
+    for _ in range(2):
+        nl.add_gate(GateType.AND, [rng.choice(nets), rng.choice(nets)])
+    return nl
+
+
+def _every_fault(nl: Netlist):
+    """The full fault universe plus a branch fault pair on every gate and
+    flop D pin, fanout or not."""
+    faults = full_fault_universe(nl)
+    for value in (0, 1):
+        for g in nl.gates:
+            for pin, net in enumerate(g.inputs):
+                faults.append(
+                    StuckAt(net=net, value=value, gate=g.gid, pin=pin)
+                )
+        for f in nl.flops:
+            faults.append(StuckAt(net=f.d_net, value=value, flop=f.fid))
+    return faults
+
+
+def _assert_detections_match_oracle(nl: Netlist, npat: int, seed: int):
+    sim = PackedWordSimulator(nl)
+    rng = np.random.default_rng(seed)
+    patterns = rng.integers(0, 2, size=(npat, sim.n_sources)).astype(bool)
+    values = sim.good_values(patterns)
+    faults = _every_fault(nl)
+    for fault, hits in zip(faults, sim.detections(values, faults)):
+        want = oracles.fault_mismatch(sim, values, fault)
+        assert hits == want, (fault.describe(), npat)
+    return sim
+
+
+class TestCriticalPathDetections:
+    @given(
+        seed=st.integers(0, 10_000),
+        n_gates=st.integers(0, 40),
+        npat=st.sampled_from((1, 63, 64, 65, 200)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_detections_equal_the_per_fault_oracle(self, seed, n_gates, npat):
+        nl = _ffr_netlist(seed, n_gates)
+        sim = _assert_detections_match_oracle(nl, npat, seed)
+        # The corner cases are there: two pins of one gate and an
+        # observed single-reader net are roots, dead gates read nothing.
+        c = sim.compiled
+        assert nl.primary_outputs[0] not in c.ffr_sink
+        assert nl.flops[0].d_net not in c.ffr_sink
+        assert any(len(set(g.inputs)) < len(g.inputs) for g in nl.gates)
+        assert not c.readers[nl.gates[-1].output]
+
+    @pytest.mark.slow
+    @given(
+        seed=st.integers(0, 100_000),
+        n_gates=st.integers(0, 80),
+        npat=st.sampled_from((1, 63, 64, 65, 200)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_detections_equal_the_oracle_at_scale(self, seed, n_gates, npat):
+        nl = _ffr_netlist(seed, n_gates)
+        _assert_detections_match_oracle(nl, npat, seed)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("model", ["rescue", "baseline"])
+    def test_every_fault_of_the_tiny_models(self, model):
+        from repro.rtl import RtlParams, build_baseline_rtl, build_rescue_rtl
+        from repro.scan import insert_scan
+
+        build = build_rescue_rtl if model == "rescue" else build_baseline_rtl
+        nl = build(RtlParams.tiny()).netlist
+        insert_scan(nl)
+        for seed in (0, 1, 2):
+            _assert_detections_match_oracle(nl, 200, seed)

@@ -339,6 +339,7 @@ class TestRepairCampaign:
 _COMPILED_FIELDS = (
     "netlist", "n_nets", "source_nets", "source_col", "po_cols", "d_fids",
     "obs_nets", "readers", "topo_pos", "gate_tuples", "driver_gid",
+    "ffr_sink", "ffr_root",
 )
 
 

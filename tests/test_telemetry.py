@@ -283,6 +283,57 @@ class TestSpansAndTrace:
         )
         assert "repair oracle:" not in render_metrics(Metrics())
 
+    def test_engine_rows_in_summary(self):
+        from repro.telemetry import render_metrics
+        from repro.telemetry.report import ENGINE_ROWS
+
+        counters = {name: 3 + i for i, (name, _) in enumerate(ENGINE_ROWS)}
+        report = render_metrics(Metrics(counters=counters))
+        head, _, table = report.partition("counters:")
+        assert "fault-sim engine:" in head
+        for name, label in ENGINE_ROWS:
+            assert label in head and name in table
+        assert {"engine.ffr.roots", "engine.ffr.faults"} <= set(
+            dict(ENGINE_ROWS)
+        )
+        assert "fault-sim engine:" not in render_metrics(Metrics())
+
+    def test_detections_count_flips_roots_and_faults(self):
+        from repro.atpg.faults import full_fault_universe
+
+        nl = _small_netlist()
+        sim = PackedWordSimulator(nl)
+        rng = np.random.default_rng(0)
+        values = sim.good_values(
+            rng.integers(0, 2, size=(70, sim.n_sources)).astype(bool)
+        )
+        faults = full_fault_universe(nl)
+        off = sim.detections(values, faults)
+        TELEMETRY.enable()
+        on = sim.detections(values, faults)
+        TELEMETRY.disable()
+        assert on == off
+        counters = TELEMETRY.metrics.counters
+        c = sim.compiled
+        traced = {
+            c.ffr_root[f.net if f.is_stem else c.gate_tuples[f.gate][2]]
+            for f in faults
+            if f.flop is None
+        }
+        # Only activated faults sensitized to their root are traced:
+        # every detected gate-level fault is, no flop D-pin fault is.
+        gate_level = [f for f in faults if f.flop is None]
+        detected = sum(
+            1 for f, m in zip(faults, on) if m and f.flop is None
+        )
+        assert len(gate_level) < len(faults)
+        assert 0 < detected <= counters["engine.ffr.faults"]
+        assert counters["engine.ffr.faults"] <= len(gate_level)
+        assert 0 < counters["engine.ffr.roots"] <= len(traced)
+        flips = counters["engine.resim.calls"]
+        assert flips <= counters["engine.ffr.roots"]
+        assert flips <= counters["engine.resim.gate_evals"]
+
 
 ISO_SPEC = None  # initialized lazily; the tiny model build is ~1 s
 
