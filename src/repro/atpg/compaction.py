@@ -8,8 +8,8 @@ dropping any whose detected faults are all covered by the patterns kept.
 
 One critical-path-tracing pass of the bit-packed simulator
 (:meth:`~repro.netlist.compiled.PackedWordSimulator.detections`) gives
-every fault's packed detection int, and one unpacking turns them all
-into per-pattern detection vectors.
+every fault's packed detection int; compaction unpacks only the
+nonzero ones, in one call.
 """
 
 from __future__ import annotations
@@ -53,11 +53,13 @@ def reverse_order_compaction(
     """
     if patterns.shape[0] <= 1:
         return patterns
-    matrix = detection_matrix(netlist, faults, patterns, sim=sim)
-    detected = [f for f, vec in matrix.items() if vec.any()]
+    if sim is None:
+        sim = PackedWordSimulator(netlist)
+    values = sim.good_values(patterns)
+    detected = [v for v in sim.detections(values, faults) if v]
     if not detected:
         return patterns[:0]
-    stack = np.stack([matrix[f] for f in detected], axis=0)  # (F, P)
+    stack = _ints_to_bits(detected, values.npat).T  # (F, P)
     keep = np.ones(patterns.shape[0], dtype=bool)
     counts = stack.sum(axis=1)  # detections per fault under kept set
     for p in range(patterns.shape[0] - 1, -1, -1):

@@ -32,10 +32,8 @@ from repro.core.rescue import (
 )
 from repro.core.transforms import (
     TransformRecord,
-    buffer,
     cycle_split,
     dependence_rotation,
-    duplicate,
     privatize,
 )
 
@@ -51,13 +49,11 @@ __all__ = [
     "NetIciReport",
     "check_netlist_ici",
     "TransformRecord",
-    "buffer",
     "build_baseline_graph",
     "build_rescue_graph",
     "check_granularity",
     "cycle_split",
     "dependence_rotation",
-    "duplicate",
     "ici_violations",
     "privatize",
     "rescue_map_out_groups",

@@ -10,19 +10,13 @@ plus a :class:`TransformRecord` carrying its cost:
   multi-reader-per-copy case of the same call),
 - :func:`dependence_rotation` — rotate the pipeline latch around a
   single-stage loop so the hard violation moves somewhere privatization
-  can fix, at no latency/area price (Figure 4a→4b),
-- :func:`duplicate` — full privatization with each copy re-homed into its
-  reader's map-out group (the repair planner's one-call form of the
-  paper's rename-table fix),
-- :func:`buffer` — stage an intra-cycle edge through a small latched
-  buffer component owned by the producer's group (a cycle split that
-  pays area to keep the producer's outputs observable at the boundary).
+  can fix, at no latency/area price (Figure 4a→4b).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.component import (
     ComponentGraph,
@@ -155,109 +149,6 @@ def privatize(
     g.transform_log.append(
         f"privatize {target} into {len(copies)} copies "
         f"(+{extra_area:.2f} area)"
-    )
-    return g, rec
-
-
-def duplicate(
-    graph: ComponentGraph,
-    target: str,
-    copy_area_factor: float = 1.0,
-) -> Tuple[ComponentGraph, TransformRecord]:
-    """Give every intra-cycle reader of ``target`` a private copy in its
-    own map-out group.
-
-    :func:`privatize` replicates a component but leaves the copies in the
-    original's group, which discharges *sharing* but not a cross-group
-    read: a reader in group G still reads a copy homed elsewhere.  This
-    transformation finishes the job — copy *i* moves into reader *i*'s
-    group, so every intra-cycle edge into the copies stays inside one
-    group.  This is the one-call form of the paper's rename-table fix
-    (one half-table per cluster, owned by that cluster).
-
-    Args:
-        graph: input design (not mutated).
-        target: the shared component to replicate; must have at least one
-            intra-cycle reader.
-        copy_area_factor: area of each copy relative to the original.
-
-    Returns:
-        (new graph, record).  Copies are named ``{target}#i`` in sorted
-        reader order.
-    """
-    readers = graph.readers_of(target, EdgeKind.COMB)
-    if not readers:
-        raise ValueError(f"{target!r} has no intra-cycle readers")
-    g, prec = privatize(
-        graph, target, [[r] for r in readers], copy_area_factor
-    )
-    for i, reader in enumerate(readers):
-        g.set_group(f"{target}#{i}", graph.components[reader].group)
-    rec = TransformRecord(
-        kind="duplicate",
-        target=target,
-        extra_area=prec.extra_area,
-        new_components=prec.new_components,
-        note=f"{len(readers)} per-reader copies, factor {copy_area_factor}",
-    )
-    g.transform_log[-1] = (
-        f"duplicate {target} into {len(readers)} per-reader copies "
-        f"(+{prec.extra_area:.2f} area)"
-    )
-    return g, rec
-
-
-def buffer(
-    graph: ComponentGraph,
-    src: str,
-    dst: str,
-    buffer_area: float = 1.0,
-) -> Tuple[ComponentGraph, TransformRecord]:
-    """Stage the intra-cycle edge ``src -> dst`` through a latched buffer.
-
-    Like :func:`cycle_split` this costs a pipeline stage on the ``dst``
-    path, but the latch lives in a new buffer component owned by the
-    *producer's* group: the value crosses the group boundary through a
-    latch written by ``src``'s side, so a failing buffer bit still
-    implicates the producer.  Use it when the raw edge cannot simply be
-    latched in place (e.g. ``dst`` re-derives the value combinationally
-    and needs a stable staging point).
-
-    Args:
-        graph: input design (not mutated).
-        src, dst: endpoints of an existing COMB edge.
-        buffer_area: area of the staging component.
-
-    Returns:
-        (new graph, record).  The buffer is named ``{src}>{dst}.buf``.
-    """
-    edge = Edge(src, dst, EdgeKind.COMB)
-    if edge not in graph.edges:
-        raise ValueError(f"no intra-cycle edge {src} -> {dst}")
-    bname = f"{src}>{dst}.buf"
-    if bname in graph.components:
-        raise ValueError(f"edge {src} -> {dst} already buffered")
-    g = graph.copy()
-    g.components[bname] = LogicComponent(
-        name=bname,
-        area=buffer_area,
-        kind="logic",
-        group=graph.components[src].group,
-    )
-    g.edges.discard(edge)
-    g.edges.add(Edge(src, bname, EdgeKind.COMB))
-    g.edges.add(Edge(bname, dst, EdgeKind.LATCH))
-    g.extra_latency[dst] = g.extra_latency.get(dst, 0) + 1
-    rec = TransformRecord(
-        kind="buffer",
-        target=f"{src}->{dst}",
-        extra_latency=1,
-        extra_area=buffer_area,
-        new_components=[bname],
-    )
-    g.transform_log.append(
-        f"buffer {src}->{dst} through {bname} "
-        f"(+1 stage, +{buffer_area:.2f} area)"
     )
     return g, rec
 

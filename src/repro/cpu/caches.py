@@ -11,7 +11,7 @@ Rescue transformations perturb.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 
 class Cache:
@@ -127,13 +127,6 @@ class MemoryHierarchy:
         """Stores allocate on retire; latency is hidden by the LSQ."""
         if not self.l1d.access(addr):
             self.l2.access(addr)
-
-    def stats(self) -> Dict[str, float]:
-        """Demand miss rates of both levels."""
-        return {
-            "l1d_miss_rate": self.l1d.miss_rate,
-            "l2_miss_rate": self.l2.miss_rate,
-        }
 
     def snapshot(self) -> dict:
         """Plain-data copy of both cache levels."""

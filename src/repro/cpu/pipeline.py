@@ -54,13 +54,9 @@ class SimResult:
 
     instructions: int
     cycles: int
-    bpred_accuracy: float
-    l1d_miss_rate: float
-    l2_miss_rate: float
     replays: int
     load_squashes: int
     issued: int = 0
-    iq_occupancy_sum: int = 0
     #: Dead cycles jumped over rather than stepped (perf bookkeeping: a
     #: per-cycle run of the same inputs leaves an equal result).
     skipped_cycles: int = field(default=0, compare=False)
@@ -133,16 +129,6 @@ class Core:
         self.replays = 0
         self.load_squashes = 0
         self.issued_total = 0
-        self.iq_occupancy_sum = 0
-        # Per-stage stall accounting (cycles a stage made no progress for
-        # a specific structural reason); cheap enough to track always,
-        # surfaced through telemetry when enabled.
-        self.stall_rob_full = 0
-        self.stall_iq_full = 0
-        self.stall_lsq_full = 0
-        self.fetch_redirect_cycles = 0
-        self.fetch_stall_cycles = 0
-        self.fetch_backpressure_cycles = 0
 
         self._lat = config.core.latencies
         self._fetch_width = config.fetch_width
@@ -192,7 +178,7 @@ class Core:
         """Simulate until ``max_instructions`` commit (or the trace ends).
 
         The first ``warmup`` committed instructions prime the caches and
-        predictor but are excluded from IPC and rate statistics.
+        predictor but are excluded from IPC and the other statistics.
 
         ``on_cycle(core)`` — when given — runs at the very top of every
         cycle the core steps, before any pipeline activity, with
@@ -244,9 +230,6 @@ class Core:
                 snap = self._window_start(committed)
             fixed = self._apply_pending_fixes(cycle)
             released = self.iq_int.tick(cycle) | self.iq_fp.tick(cycle)
-            occupancy = self.iq_int.occupancy() + self.iq_fp.occupancy()
-            self.iq_occupancy_sum += occupancy
-            stalls = self._stall_counters()
             selected = self._issue(cycle)
             dispatched = self._dispatch(cycle)
             fetched = self._fetch(cycle)
@@ -265,62 +248,33 @@ class Core:
                 target = min(target, arch.next_active(self, cycle))
             if target > cycle + 1:
                 target = min(target, self._next_event(cycle))
-            k = target - cycle - 1
-            if k > 0:
-                self.iq_occupancy_sum += k * occupancy
-                self._add_stalls(stalls, k)
-                if snap is not None:
-                    skipped += k
+            if snap is not None and target > cycle + 1:
+                skipped += target - cycle - 1
             cycle = target
         self.cycle = cycle
         self.committed = committed
         if snap is None:
-            snap = (0,) * 17
+            snap = (0,) * 5
             start_cycle = 0
-
-        def rate(hits: int, misses: int) -> float:
-            total_acc = hits + misses
-            return misses / total_acc if total_acc else 0.0
-
-        l1h = self.mem.l1d.hits - snap[0]
-        l1m = self.mem.l1d.misses - snap[1]
-        l2h = self.mem.l2.hits - snap[2]
-        l2m = self.mem.l2.misses - snap[3]
-        lookups = self.predictor.lookups - snap[4]
-        wrong = self.predictor.mispredicts - snap[5]
         result = SimResult(
-            instructions=committed - snap[8],
+            instructions=committed - snap[0],
             cycles=max(cycle - start_cycle, 1),
-            bpred_accuracy=1.0 - (wrong / lookups if lookups else 0.0),
-            l1d_miss_rate=rate(l1h, l1m),
-            l2_miss_rate=rate(l2h, l2m),
-            replays=self.replays - snap[6],
-            load_squashes=self.load_squashes - snap[7],
-            issued=self.issued_total - snap[9],
-            iq_occupancy_sum=self.iq_occupancy_sum - snap[10],
+            replays=self.replays - snap[1],
+            load_squashes=self.load_squashes - snap[2],
+            issued=self.issued_total - snap[3],
             skipped_cycles=skipped,
         )
         t = TELEMETRY
         if t.enabled:
-            # Measured-window (post-warmup) per-stage accounting, emitted
-            # once per simulation so the cycle loop itself stays clean.
+            # Measured-window (post-warmup) accounting, emitted once per
+            # simulation so the cycle loop itself stays clean.
             t.count("cpu.runs")
             t.count("cpu.instructions", result.instructions)
             t.count("cpu.cycles", result.cycles)
             t.count("cpu.issued", result.issued)
             t.count("cpu.replays", result.replays)
             t.count("cpu.load_squashes", result.load_squashes)
-            t.count("cpu.iq_occupancy_sum", result.iq_occupancy_sum)
-            t.count("cpu.flushes", wrong)
-            t.count("cpu.stall.rob_full", self.stall_rob_full - snap[11])
-            t.count("cpu.stall.iq_full", self.stall_iq_full - snap[12])
-            t.count("cpu.stall.lsq_full", self.stall_lsq_full - snap[13])
-            t.count("cpu.stall.fetch_redirect",
-                    self.fetch_redirect_cycles - snap[14])
-            t.count("cpu.stall.fetch_bubble",
-                    self.fetch_stall_cycles - snap[15])
-            t.count("cpu.stall.fetch_backpressure",
-                    self.fetch_backpressure_cycles - snap[16])
+            t.count("cpu.flushes", self.predictor.mispredicts - snap[4])
             t.count("cpu.skipped_cycles", skipped)
             t.observe("cpu.ipc", result.ipc)
         return result
@@ -328,34 +282,8 @@ class Core:
     def _window_start(self, committed: int) -> tuple:
         """Counters at the start of the measured window (after warmup)."""
         return (
-            self.mem.l1d.hits, self.mem.l1d.misses,
-            self.mem.l2.hits, self.mem.l2.misses,
-            self.predictor.lookups, self.predictor.mispredicts,
-            self.replays, self.load_squashes, committed,
-            self.issued_total, self.iq_occupancy_sum,
-        ) + self._stall_counters()
-
-    def _stall_counters(self) -> tuple:
-        return (
-            self.stall_rob_full, self.stall_iq_full, self.stall_lsq_full,
-            self.fetch_redirect_cycles, self.fetch_stall_cycles,
-            self.fetch_backpressure_cycles,
-        )
-
-    def _add_stalls(self, before: tuple, k: int) -> None:
-        """Repeat the current cycle's stall accounting ``k`` more times."""
-        (
-            rob_full, iq_full, lsq_full, redirect, stall, backpressure,
-        ) = before
-        self.stall_rob_full += k * (self.stall_rob_full - rob_full)
-        self.stall_iq_full += k * (self.stall_iq_full - iq_full)
-        self.stall_lsq_full += k * (self.stall_lsq_full - lsq_full)
-        self.fetch_redirect_cycles += k * (
-            self.fetch_redirect_cycles - redirect
-        )
-        self.fetch_stall_cycles += k * (self.fetch_stall_cycles - stall)
-        self.fetch_backpressure_cycles += k * (
-            self.fetch_backpressure_cycles - backpressure
+            committed, self.replays, self.load_squashes, self.issued_total,
+            self.predictor.mispredicts,
         )
 
     def _next_event(self, cycle: int) -> float:
@@ -573,14 +501,11 @@ class Core:
             if avail > cycle:
                 break
             if len(self.rob) >= cfg.core.rob_size:
-                self.stall_rob_full += 1
                 break
             queue = self.iq_fp if instr.op.is_fp else self.iq_int
             if not queue.can_insert():
-                self.stall_iq_full += 1
                 break
             if instr.op.is_mem and not self.lsq.can_insert():
-                self.stall_lsq_full += 1
                 break
             self.dispatch_q.popleft()
             entry = RobEntry(instr)
@@ -602,11 +527,8 @@ class Core:
         """Fetch one group; True when the trace advanced."""
         cfg = self.cfg
         if self.trace_done or self.redirect_seq is not None:
-            if self.redirect_seq is not None:
-                self.fetch_redirect_cycles += 1
             return False
         if cycle < self.fetch_stall_until:
-            self.fetch_stall_cycles += 1
             return False
         # The dispatch queue holds everything in flight in the frontend
         # (frontend_latency cycles deep at full width) plus a small skid.
@@ -616,7 +538,6 @@ class Core:
         if len(self.dispatch_q) >= cfg.core.width * (
             cfg.core.mispredict_penalty + 4
         ):
-            self.fetch_backpressure_cycles += 1
             return False
         for way in range(self._fetch_width):
             instr = next(self.trace, None)
@@ -674,13 +595,7 @@ class Core:
             "pending_fixes": tuple(self.pending_fixes),
             "predictor": self.predictor.snapshot(),
             "caches": self.mem.snapshot(),
-            "stats": (
-                self.replays, self.load_squashes, self.issued_total,
-                self.iq_occupancy_sum, self.stall_rob_full,
-                self.stall_iq_full, self.stall_lsq_full,
-                self.fetch_redirect_cycles, self.fetch_stall_cycles,
-                self.fetch_backpressure_cycles,
-            ),
+            "stats": (self.replays, self.load_squashes, self.issued_total),
             "arch": self.arch.capture() if self.arch is not None else None,
         }
 
@@ -731,13 +646,7 @@ class Core:
         self.opt_done = dict(snap["opt_done"])
         self.act_done = dict(snap["act_done"])
         self.pending_fixes = list(snap["pending_fixes"])
-        (
-            self.replays, self.load_squashes, self.issued_total,
-            self.iq_occupancy_sum, self.stall_rob_full,
-            self.stall_iq_full, self.stall_lsq_full,
-            self.fetch_redirect_cycles, self.fetch_stall_cycles,
-            self.fetch_backpressure_cycles,
-        ) = snap["stats"]
+        self.replays, self.load_squashes, self.issued_total = snap["stats"]
         self.predictor.restore(snap["predictor"])
         self.mem.restore(snap["caches"])
         if self.arch is not None and snap["arch"] is not None:

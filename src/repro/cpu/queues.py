@@ -178,9 +178,6 @@ class CompactingIssueQueue:
         for e in entries:
             e.issued_at = None
 
-    def occupancy(self) -> int:
-        return len(self.entries)
-
     def snapshot(self) -> dict:
         """Entries in age order as plain tuples."""
         return {
@@ -316,9 +313,6 @@ class SegmentedIssueQueue:
         for e in entries:
             e.issued_at = None
 
-    def occupancy(self) -> int:
-        return len(self.old) + len(self.buf) + len(self.new)
-
     def snapshot(self) -> dict:
         """Entries in global age order plus the compaction-request latch."""
         return {
@@ -381,9 +375,6 @@ class LoadStoreQueue:
     def retire_upto(self, seq: int) -> None:
         """Drop entries at or below the committed sequence number."""
         self.entries = [e for e in self.entries if e[0] > seq]
-
-    def occupancy(self) -> int:
-        return len(self.entries)
 
     def snapshot(self) -> dict:
         """Entries are already plain tuples; copy them in order."""

@@ -11,19 +11,18 @@ still make RSS proportional to ``cycles / interval``; the arena instead
 stores each *distinct* payload once, as a standalone zlib-compressed
 pickle, so any entry decodes with one decompression.
 
-A payload is everything in a snapshot but the entry's own ``cycle`` and
-``stats`` (the statistic counters, which tick on cycles that change
-nothing else).  :meth:`SnapshotArena.append` compares the new snapshot
-with the previous one under that rule; when they are equal (a
-memory-bound core stalls through whole intervals, and the event-driven
-core jumps them) the new entry points at the previous entry's blob
-object and keeps only its own ``cycle`` and ``stats``.  :meth:`get`
-decodes the blob and patches those two fields back in, so ``get(i)``
-still equals the dict passed to ``append``.  No decode goes through
-another entry: a shared entry's blob *is* the earlier entry's payload,
-not a delta against it.  :meth:`shares` tells a reader whether two
-entries hold the same payload, so one that already decoded one of them
-need not decode the other.
+A payload is everything in a snapshot but the entry's own ``cycle``:
+the core keeps no statistic that ticks on a cycle that changes nothing
+else.  :meth:`SnapshotArena.append` compares the new snapshot with the
+previous one under that rule; when they are equal (a memory-bound core
+stalls through whole intervals, and the event-driven core jumps them)
+the new entry points at the previous entry's blob object and keeps only
+its own ``cycle``.  :meth:`get` decodes the blob and patches the cycle
+back in, so ``get(i)`` still equals the dict passed to ``append``.  No
+decode goes through another entry: a shared entry's blob *is* the
+earlier entry's payload, not a delta against it.  :meth:`shares` tells
+a reader whether two entries hold the same payload, so one that already
+decoded one of them need not decode the other.
 
 Every :meth:`get` decodes afresh (one decompression plus one unpickle,
 counted as ``inject.arena_decompressions``); a caller that restores the
@@ -57,7 +56,7 @@ from repro.telemetry import TELEMETRY
 _LEVEL = 1
 
 #: Snapshot fields each entry keeps for itself; the rest is the payload.
-_OWN = ("cycle", "stats")
+_OWN = ("cycle",)
 
 
 def _same_payload(a: dict, b: dict) -> bool:
@@ -82,7 +81,6 @@ class SnapshotArena:
         self.compressed_bytes = 0
         self.payloads = 0  # distinct blobs stored
         self._cycles: List[int] = []
-        self._stats: List[tuple] = []
         self._meta: List[Tuple[int, int, int]] = []
         self._blobs: List[bytes] = []
         # The last appended snapshot, for the equality test; write side
@@ -109,7 +107,6 @@ class SnapshotArena:
             self.payloads += 1
         self._last = snap
         self._cycles.append(cycle)
-        self._stats.append(snap["stats"])
         self._meta.append((cycle, snap["committed"], snap["fetched"]))
         self._blobs.append(blob)
 
@@ -146,7 +143,6 @@ class SnapshotArena:
             TELEMETRY.count("inject.arena_decompressions")
         snap = pickle.loads(zlib.decompress(self._blobs[i]))
         snap["cycle"] = self._cycles[i]
-        snap["stats"] = self._stats[i]
         return snap
 
     def items(self) -> Iterator[Tuple[int, dict]]:

@@ -314,8 +314,8 @@ def _live_view(snap: dict, at_cycle: int) -> tuple:
       pure functions of the commit stream, which is a golden prefix for
       any un-stopped faulty run (incremental diff; a snapshot carries
       only the commit count, never the log);
-    - statistic counters (cache hit/miss, predictor accuracy, stalls,
-      occupancy sums) — never read back by the machine;
+    - statistic counters (``stats``, cache hits/misses, predictor
+      lookups/mispredicts) — never read back by the machine;
     - ``forced_ready`` — cleared at the top of every cycle before use.
 
     Cycle-anchored deadlines that have already expired are clamped to
@@ -389,9 +389,10 @@ def _execute_and_classify(
     ``fork`` is the ``(arena index, decoded snapshot)`` the machine was
     restored from.  The early exit decodes the golden checkpoint at
     each boundary that passes the position precheck, unless that entry
-    shares the fork entry's payload: :func:`_live_view` reads neither
-    ``cycle`` nor ``stats`` and clamps deadlines to the cycle it is
-    given, so the fork snapshot's view at that cycle is the entry's.
+    shares the fork entry's payload: the two differ only in ``cycle``,
+    which :func:`_live_view` does not read (it clamps deadlines to the
+    cycle it is given), so the fork snapshot's view at that cycle is the
+    entry's.
     """
     budget = hang_budget(golden.cycles, fault)
     early_cycle: Optional[int] = None

@@ -183,8 +183,8 @@ def sample_isolation_faults(
     universe = [
         f
         for f in full_fault_universe(nl)
-        if block_of(component_of_fault(nl, f))
-        and not (f.is_stem and f.net in q_nets)
+        if not (f.is_stem and f.net in q_nets)
+        and block_of(component_of_fault(nl, f))
     ]
     rng = random.Random(seed)
     return rng.sample(universe, min(n_faults, len(universe)))

@@ -5,8 +5,8 @@ timer, the cycle budget, the next cycle an ``on_cycle`` hook's
 ``schedule`` names, or the next cycle the ``arch`` layer's
 ``next_active`` names.  An ``on_cycle`` hook without a schedule sees
 every cycle, so it forces the per-cycle loop, which is the oracle: both
-paths must leave the same ``SimResult``, stall counters, final cycle,
-and machine snapshot.  The observed runs of fault injection — golden
+paths must leave the same ``SimResult``, final cycle and machine
+snapshot.  The observed runs of fault injection — golden
 capture with checkpoints and a site profile, faulty replay, the
 first-effect scan — are checked the same way, with every ``Core.run``
 inside them forced to step (:func:`per_cycle`).
@@ -45,12 +45,6 @@ from repro.yieldmodel.configs import DIMENSIONS, CoreCounts
 
 GOLDENS = Path(__file__).parent / "data" / "pipeline_skip_goldens.json"
 
-STALLS = (
-    "stall_rob_full", "stall_iq_full", "stall_lsq_full",
-    "fetch_redirect_cycles", "fetch_stall_cycles",
-    "fetch_backpressure_cycles",
-)
-
 _RESCUE = MachineConfig(rescue=True)
 
 CONFIGS = {
@@ -68,12 +62,7 @@ MCF_TRACE = generate_trace(profile("mcf"), 600, seed=2)
 
 
 def _state(core, result):
-    return (
-        result,
-        core.cycle,
-        tuple(getattr(core, s) for s in STALLS),
-        core.snapshot(),
-    )
+    return result, core.cycle, core.snapshot()
 
 
 def _both(cfg, trace, n, **kw):
@@ -220,14 +209,11 @@ def test_goldens_from_the_per_cycle_core():
         for name, cfg in configs.items():
             core = Core(cfg, trace)
             r = core.run(600, warmup=300)
-            row = {
+            got[f"{bench}/{name}"] = {
                 "cycles": r.cycles, "issued": r.issued,
                 "replays": r.replays, "load_squashes": r.load_squashes,
-                "iq_occupancy_sum": r.iq_occupancy_sum,
                 "core_cycle": core.cycle,
             }
-            row.update({s: getattr(core, s) for s in STALLS})
-            got[f"{bench}/{name}"] = row
     assert got == goldens
 
 

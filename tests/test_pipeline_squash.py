@@ -85,10 +85,11 @@ class TestSquashPlusRedirect:
     def test_same_cycle_squash_and_redirect_completes(self):
         trace = _squash_and_redirect(1600)
         cfg = MachineConfig(rescue=True)
-        r = Core(cfg, iter(trace)).run(1600)
+        core = Core(cfg, iter(trace))
+        r = core.run(1600)
         assert r.instructions == 1600
         assert r.load_squashes > 0
-        assert r.bpred_accuracy < 1.0  # redirects actually happened
+        assert core.predictor.accuracy < 1.0  # redirects actually happened
 
     def test_rescue_replay_path_exercised(self):
         # Bursty wakeups after cache misses fill both halves with ready

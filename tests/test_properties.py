@@ -272,7 +272,7 @@ class TestQueueProperties:
             else:
                 cycle += 1
                 q.tick(cycle)
-            assert q.occupancy() <= size
+            assert len(q.entries) <= size
 
     @given(
         entries=st.lists(

@@ -171,7 +171,7 @@ class TestLsq:
         lsq.insert(1, True, 0)
         lsq.insert(2, False, 64)
         lsq.retire_upto(1)
-        assert lsq.occupancy() == 1
+        assert len(lsq.entries) == 1
 
     def test_overflow_raises(self):
         lsq = LoadStoreQueue(size=2, halves=1)  # capacity 1

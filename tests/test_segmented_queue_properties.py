@@ -35,7 +35,7 @@ def test_segment_capacities_respected(size, buf, ops):
         assert len(q.old) <= q.half_cap
         assert len(q.buf) <= q.buffer_cap
         assert len(q.new) <= q.half_cap
-        assert q.occupancy() <= q.size
+        assert len(q.entries) <= q.size
 
 
 @given(

@@ -12,9 +12,7 @@ down over randomized grouped graphs rather than hand-picked examples:
 - ``privatize`` preserves reader coverage, group labels, and charges
   exactly the copy area it reports;
 - ``dependence_rotation`` moves latches without creating or destroying
-  components or changing total area;
-- ``duplicate`` / ``buffer`` (the cross-group shapes) discharge their
-  target edges with the cost their records claim.
+  components or changing total area.
 """
 
 import random as pyrandom
@@ -24,10 +22,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     ComponentGraph,
     EdgeKind,
-    buffer,
     cycle_split,
     dependence_rotation,
-    duplicate,
     privatize,
 )
 from repro.core.checker import ici_violations
@@ -194,73 +190,4 @@ class TestDependenceRotationProperties:
         assert not [
             e for e in g2.comb_edges() if e.dst == around
         ]
-        assert g2.comb_is_acyclic()
-
-
-class TestDuplicateProperties:
-    @given(data=st.data(), **graph_args)
-    @settings(max_examples=50, deadline=None)
-    def test_duplicate_rehomes_copies_into_reader_groups(
-        self, data, seed, n, n_edges
-    ):
-        g = _grouped_graph(seed, n, n_edges)
-        shared = [
-            name for name in g.logic_components()
-            if g.readers_of(name, EdgeKind.COMB)
-        ]
-        if not shared:
-            return
-        target = data.draw(st.sampled_from(sorted(shared)))
-        readers = g.readers_of(target, EdgeKind.COMB)
-        g2, rec = duplicate(g, target)
-        assert rec.kind == "duplicate"
-        assert target not in g2.components
-        for i, reader in enumerate(readers):
-            copy = f"{target}#{i}"
-            # Re-homed: the copy lives in its reader's group, so the
-            # copy->reader edge can never be a cross-group violation.
-            assert (
-                g2.components[copy].group == g.components[reader].group
-            )
-        # duplicate discharges every target->reader violation.
-        survivors = {
-            (e.src, e.dst)
-            for e in ici_violations(g2)
-        }
-        for reader in readers:
-            assert (target, reader) not in survivors
-        delta = g2.total_area() - g.total_area()
-        assert abs(delta - rec.extra_area) < 1e-9
-
-
-class TestBufferProperties:
-    @given(data=st.data(), **graph_args)
-    @settings(max_examples=50, deadline=None)
-    def test_buffer_stages_the_edge_through_new_component(
-        self, data, seed, n, n_edges
-    ):
-        g = _grouped_graph(seed, n, n_edges)
-        comb = g.comb_edges()
-        if not comb:
-            return
-        edge = data.draw(st.sampled_from(sorted(
-            comb, key=lambda e: (e.src, e.dst)
-        )))
-        g2, rec = buffer(g, edge.src, edge.dst)
-        bname = rec.new_components[0]
-        assert bname in g2.components
-        # The direct comb edge is gone; src feeds the buffer
-        # combinationally and the buffer reaches dst through a latch.
-        pairs = {(e.src, e.dst, e.kind) for e in g2.edges}
-        assert (edge.src, edge.dst, EdgeKind.COMB) not in pairs
-        assert (edge.src, bname, EdgeKind.COMB) in pairs
-        assert (bname, edge.dst, EdgeKind.LATCH) in pairs
-        # Buffer belongs to the producer's group: the src->buffer comb
-        # edge is intra-group by construction.
-        assert (
-            g2.components[bname].group == g.components[edge.src].group
-        )
-        assert rec.extra_latency == 1
-        delta = g2.total_area() - g.total_area()
-        assert abs(delta - rec.extra_area) < 1e-9
         assert g2.comb_is_acyclic()
